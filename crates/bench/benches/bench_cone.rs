@@ -1,22 +1,14 @@
 //! Cone-sliced checking benches: single-output check cost on a warm
-//! session, whole-circuit legacy pipeline (`--cone off`) vs the
-//! cone-sliced engine (`--cone auto`), on the s6288 multiplier stand-in
-//! and the k = 800 false-path blow-up split into 8 parallel chains —
-//! plus the ECO rebase itself (the fixed cost every incremental
-//! re-verification pays before its checks run).
+//! session, on the s6288 multiplier stand-in and the k = 800 false-path
+//! blow-up split into 8 parallel chains — plus the ECO rebase itself (the
+//! fixed cost every incremental re-verification pays before its checks
+//! run).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ltt_bench::cone::{blowup800, blowup_delta, s6288_standin, smallest_cone_output};
-use ltt_core::{CheckSession, ConeMode, VerifyConfig};
+use ltt_core::{CheckSession, VerifyConfig};
 use ltt_netlist::{CircuitEdit, DelayInterval};
 use std::sync::Arc;
-
-fn config(cone: ConeMode) -> VerifyConfig {
-    VerifyConfig {
-        cone,
-        ..VerifyConfig::default()
-    }
-}
 
 fn single_output_check(c: &mut Criterion) {
     let s6288 = s6288_standin();
@@ -29,18 +21,16 @@ fn single_output_check(c: &mut Criterion) {
     for (name, circuit, output, delta) in cases {
         let mut group = c.benchmark_group(format!("cone_check_{name}"));
         group.sample_size(10);
-        for (label, mode) in [("off", ConeMode::Off), ("auto", ConeMode::Auto)] {
-            let session = CheckSession::new(circuit, config(mode));
-            // Warm the session so the bench sees steady-state check cost,
-            // not one-time preparation.
-            assert!(session.verify(output, delta).verdict.is_no_violation());
-            group.bench_with_input(BenchmarkId::from_parameter(label), &delta, |b, &d| {
-                b.iter(|| {
-                    let r = session.verify(output, d);
-                    assert!(r.verdict.is_no_violation());
-                })
-            });
-        }
+        let session = CheckSession::new(circuit, VerifyConfig::default());
+        // Warm the session so the bench sees steady-state check cost, not
+        // one-time preparation.
+        assert!(session.verify(output, delta).verdict.is_no_violation());
+        group.bench_with_input(BenchmarkId::from_parameter("auto"), &delta, |b, &d| {
+            b.iter(|| {
+                let r = session.verify(output, d);
+                assert!(r.verdict.is_no_violation());
+            })
+        });
         group.finish();
     }
 }
@@ -51,7 +41,7 @@ fn eco_rebase(c: &mut Criterion) {
     let circuit = blowup800();
     let output = circuit.outputs()[0];
     let delta = blowup_delta();
-    let session = CheckSession::new(&circuit, config(ConeMode::Auto));
+    let session = CheckSession::new(&circuit, VerifyConfig::default());
     assert!(session.verify(output, delta).verdict.is_no_violation());
     let gate = circuit.net(output).driver().expect("gate-driven output");
     let outcome = circuit
@@ -67,7 +57,7 @@ fn eco_rebase(c: &mut Criterion) {
         b.iter(|| session.rebase(edited.clone(), &outcome.dirty, outcome.structural))
     });
     group.bench_function("cold_prepare", |b| {
-        b.iter(|| CheckSession::new(&edited, config(ConeMode::Auto)))
+        b.iter(|| CheckSession::new(&edited, VerifyConfig::default()))
     });
     group.finish();
 }

@@ -7,7 +7,7 @@
 //! across implementations and wall-clock ratios are throughput ratios.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ltt_core::{project, CheckSession, FixpointResult, Narrower, VerifyConfig};
+use ltt_core::{project, CheckSession, FixpointResult, Narrower, SignalStore, VerifyConfig};
 use ltt_netlist::generators::serial_false_path_gadgets;
 use ltt_netlist::{Circuit, GateKind};
 use ltt_waveform::{Aw, Signal, Time};
@@ -19,26 +19,27 @@ fn blowup() -> Circuit {
     serial_false_path_gadgets(K, 10)
 }
 
-/// The base fixpoint (floating inputs, no δ) of the blow-up instance.
-fn base_domains(c: &Circuit) -> Vec<Signal> {
+/// The base fixpoint (floating inputs, no δ) of the blow-up instance, as
+/// the store every seeded narrower clones.
+fn base_store(c: &Circuit) -> SignalStore {
     let mut nw = Narrower::new(c);
     for &i in c.inputs() {
         nw.narrow_net(i, Signal::floating_input());
     }
     assert_eq!(nw.reach_fixpoint(), FixpointResult::Fixpoint);
-    nw.domains().to_vec()
+    SignalStore::from_domains(nw.domains())
 }
 
 fn narrowing_fixpoint(c: &mut Criterion) {
     let circuit = blowup();
     let s = circuit.outputs()[0];
     let exact = 60 * K as i64;
-    let base = base_domains(&circuit);
+    let base = base_store(&circuit);
 
     // Report the (implementation-independent) event count once, so the
     // timings below convert to events/second.
     {
-        let mut nw = Narrower::with_domains(&circuit, &base);
+        let mut nw = Narrower::from_store(&circuit, base.clone());
         nw.narrow_net(s, Signal::violation(Time::new(exact + 1)));
         nw.reach_fixpoint();
         eprintln!(
@@ -64,15 +65,15 @@ fn narrowing_fixpoint(c: &mut Criterion) {
     // path-blow-up refutation, dominated by backward narrowing.
     group.bench_function(format!("k{K}_delta_check"), |b| {
         b.iter(|| {
-            let mut nw = Narrower::with_domains(&circuit, &base);
+            let mut nw = Narrower::from_store(&circuit, base.clone());
             nw.narrow_net(s, Signal::violation(Time::new(exact + 1)));
             black_box(nw.reach_fixpoint())
         })
     });
-    // Seeded construction alone, to separate per-check setup cost (domain
-    // copy + planes + queue flags) from actual narrowing work above.
+    // Seeded construction alone, to separate per-check setup cost (store
+    // clone + queue flags) from actual narrowing work above.
     group.bench_function(format!("k{K}_seeded_construction"), |b| {
-        b.iter(|| black_box(Narrower::with_domains(&circuit, &base).stats()))
+        b.iter(|| black_box(Narrower::from_store(&circuit, base.clone()).stats()))
     });
     // The same δ through the batch-session API. Narrowing alone cannot
     // refute exact+1 on this instance (the bound is below the topological
@@ -119,14 +120,14 @@ fn rollback_cycle(c: &mut Criterion) {
     let circuit = blowup();
     let s = circuit.outputs()[0];
     let exact = 60 * K as i64;
-    let base = base_domains(&circuit);
+    let base = base_store(&circuit);
 
     // One persistent narrower: checkpoint → δ constraint → fixpoint →
     // rollback, the exact cycle of a FAN backtrack / stem branch.
     let mut group = c.benchmark_group("rollback");
     group.sample_size(10);
     group.bench_function(format!("k{K}_checkpoint_narrow_rollback"), |b| {
-        let mut nw = Narrower::with_domains(&circuit, &base);
+        let mut nw = Narrower::from_store(&circuit, base.clone());
         b.iter(|| {
             let mark = nw.checkpoint();
             nw.narrow_net(s, Signal::violation(Time::new(exact + 1)));

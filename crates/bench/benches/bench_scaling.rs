@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ltt_bench::table1::critical_output;
-use ltt_core::{verify, VerifyConfig};
+use ltt_core::{CheckSession, VerifyConfig};
 use ltt_netlist::generators::{carry_skip_adder, false_path_chain};
 
 fn carry_skip_width(c: &mut Criterion) {
@@ -21,7 +21,7 @@ fn carry_skip_width(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(width), &width, |b, _| {
             b.iter(|| {
                 // The topological-delay check: always settled without search.
-                let r = verify(&circuit, cout, top + 1, &config);
+                let r = CheckSession::new(&circuit, config.clone()).verify(cout, top + 1);
                 assert!(r.verdict.is_no_violation());
             })
         });
@@ -39,7 +39,7 @@ fn chain_depth(c: &mut Criterion) {
         let config = VerifyConfig::default();
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, _| {
             b.iter(|| {
-                let r = verify(&circuit, s, exact + 1, &config);
+                let r = CheckSession::new(&circuit, config.clone()).verify(s, exact + 1);
                 assert!(r.verdict.is_no_violation());
             })
         });
@@ -65,7 +65,7 @@ fn delta_slack(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &delta, |b, &d| {
             b.iter(|| {
-                let r = verify(&circuit, s, d, &config);
+                let r = CheckSession::new(&circuit, config.clone()).verify(s, d);
                 assert!(r.verdict.is_no_violation());
             })
         });

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ltt_bench::table1::critical_output;
-use ltt_core::{verify, VerifyConfig};
+use ltt_core::{CheckSession, VerifyConfig};
 use ltt_netlist::suite::{iscas85_suite, SuiteEntry};
 
 fn bench_entry(c: &mut Criterion, entry: &SuiteEntry, exact: i64) {
@@ -18,13 +18,13 @@ fn bench_entry(c: &mut Criterion, entry: &SuiteEntry, exact: i64) {
     group.sample_size(10);
     group.bench_function(format!("{}_proof", entry.name), |b| {
         b.iter(|| {
-            let r = verify(circuit, s, exact + 1, &config);
+            let r = CheckSession::new(circuit, config.clone()).verify(s, exact + 1);
             assert!(r.verdict.is_no_violation());
         })
     });
     group.bench_function(format!("{}_vector", entry.name), |b| {
         b.iter(|| {
-            let r = verify(circuit, s, exact, &config);
+            let r = CheckSession::new(circuit, config.clone()).verify(s, exact);
             assert!(r.verdict.is_violation());
         })
     });

@@ -11,7 +11,7 @@
 
 use ltt_bench::render::Table;
 use ltt_bench::table1::critical_output;
-use ltt_core::{exact_delay, verify, Verdict, VerifyConfig};
+use ltt_core::{CheckSession, Verdict, VerifyConfig};
 use ltt_netlist::suite::{standin, standin_specs, SpineKind};
 
 fn tag(v: &Verdict) -> &'static str {
@@ -43,7 +43,7 @@ fn main() {
             max_backtracks: 20_000,
             ..Default::default()
         };
-        let search = exact_delay(&c, s, &full);
+        let search = CheckSession::new(&c, full.clone()).exact_delay(s);
         if !search.proven_exact {
             eprintln!("[skip] {}: search abandoned", spec.name);
             continue;
@@ -70,7 +70,7 @@ fn main() {
         ];
         let results: Vec<_> = configs
             .iter()
-            .map(|cfg| verify(&c, s, delta, cfg))
+            .map(|cfg| CheckSession::new(&c, cfg.clone()).verify(s, delta))
             .collect();
         table.row(&[
             spec.name.to_string(),

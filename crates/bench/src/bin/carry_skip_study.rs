@@ -6,7 +6,7 @@
 //! Run with `cargo run --release -p ltt-bench --bin carry_skip_study`.
 
 use ltt_bench::table1::critical_output;
-use ltt_core::{exact_delay, verify, Verdict, VerifyConfig};
+use ltt_core::{CheckSession, Verdict, VerifyConfig};
 use ltt_netlist::generators::carry_skip_adder;
 use ltt_sta::vector_violates;
 
@@ -22,9 +22,9 @@ fn main() {
     );
     println!("(paper: topological delay 2000, floating-mode delay 1000)");
 
-    let config = VerifyConfig::default();
     let t0 = std::time::Instant::now();
-    let search = exact_delay(&c, cout, &config);
+    let session = CheckSession::new(&c, VerifyConfig::default());
+    let search = session.exact_delay(cout);
     let elapsed = t0.elapsed();
     println!(
         "exact floating-mode delay: {} (proven: {}), {} backtracks total, {:.1} ms",
@@ -40,14 +40,14 @@ fn main() {
     );
 
     // The two boundary checks of the paper.
-    let r_hi = verify(&c, cout, search.delay + 1, &config);
+    let r_hi = session.verify(cout, search.delay + 1);
     println!(
         "δ = {}: {:?} ({} backtracks)",
         search.delay + 1,
         verdict_name(&r_hi.verdict),
         r_hi.backtracks
     );
-    let r_lo = verify(&c, cout, search.delay, &config);
+    let r_lo = session.verify(cout, search.delay);
     match &r_lo.verdict {
         Verdict::Violation { vector } => {
             assert!(vector_violates(&c, vector, cout, search.delay));

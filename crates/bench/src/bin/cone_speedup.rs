@@ -1,117 +1,37 @@
-//! `cone_speedup` — measures the two headline numbers of cone-sliced
-//! checking and ECO-style incremental re-verification:
-//!
-//! 1. **Sliced vs whole**: a single-output check run with the legacy
-//!    whole-circuit pipeline (`--cone off`) and the cone-sliced engine
-//!    (`--cone auto`) on a warm session — per-check wall time, inner-loop
-//!    batched so sub-microsecond checks measure above timer noise. Two
-//!    scenarios: the s6288 stand-in's smallest-cone output at δ just
-//!    above its arrival time (the per-check floor: store seeding and
-//!    propagation sized to the cone vs the circuit), and the k = 800
-//!    false-path blow-up split into 8 parallel chains, checked at
-//!    δ = 6·k·d + 1 (a real narrowing proof below the topological bound —
-//!    the whole pipeline's case analysis vs the cone's). Verdicts must
-//!    agree; the ratio is the slicing speedup.
-//! 2. **Incremental vs cold**: one delay ECO, then the full output sweep
-//!    re-verified the way `patch` does it — rebase the warm session,
-//!    re-check only the outputs whose cones intersect the edit's dirty
-//!    set ∪ base divergence, transplant every other report — against a
-//!    cold re-registration (prepare from scratch, re-check everything).
-//!    Transplanted and recomputed reports must both agree with cold; the
-//!    ratio is the re-verification cost relative to cold.
+//! `cone_speedup` — measures ECO-style incremental re-verification: one
+//! delay ECO, then the full output sweep re-verified the way `patch` does
+//! it — rebase the warm session, re-check only the outputs whose cones
+//! intersect the edit's dirty set ∪ base divergence, transplant every
+//! other report — against a cold re-registration (prepare from scratch,
+//! re-check everything). Transplanted and recomputed reports must both
+//! agree with cold; the ratio is the re-verification cost relative to
+//! cold. Two scenarios: the s6288 stand-in re-checking every output just
+//! above its arrival time, and the k = 800 false-path blow-up split into
+//! 8 parallel chains, re-proving every chain at δ = 6·k·d + 1.
 //!
 //! ```text
 //! cone_speedup [--reps N] [--json FILE]
 //! ```
 //!
 //! `--json FILE` writes the measurements as a machine-readable rollup
-//! (the `BENCH_cone.json` CI artifact).
+//! (the `BENCH_cone.json` CI artifact). Exits 1 if any served report
+//! disagrees with the cold one.
 
 use ltt_bench::cone::{blowup800, blowup_delta, s6288_standin, smallest_cone_output};
-use ltt_core::{BatchRunner, CheckSession, ConeMode, Verdict, VerifyConfig};
-use ltt_netlist::{Circuit, CircuitEdit, ConeView, DelayInterval, NetId};
+use ltt_core::{BatchRunner, CheckSession, Verdict, VerifyConfig};
+use ltt_netlist::{Circuit, CircuitEdit, DelayInterval, NetId};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-fn config(cone: ConeMode) -> VerifyConfig {
-    VerifyConfig {
-        cone,
-        ..VerifyConfig::default()
-    }
-}
-
-/// The cross-mode comparable part of a verdict: cone modes agree with
-/// the legacy pipeline on the verdict *class* (witness vectors, stages
-/// and effort counters may legitimately differ).
+/// The comparable part of a verdict: an incremental run agrees with the
+/// cold one on the verdict *class*.
 fn verdict_class(v: &Verdict) -> &'static str {
     match v {
         Verdict::NoViolation { .. } => "no_violation",
         Verdict::Violation { .. } => "violation",
         Verdict::Possible => "possible",
         Verdict::Abandoned => "abandoned",
-    }
-}
-
-/// Median per-check wall-clock of one `(output, δ)` check on a warm
-/// session. Each rep times an inner loop sized so the measured region is
-/// ≥ ~2 ms — a single sliced check can be sub-microsecond, far below
-/// timer resolution. Returns (ms per check, verdict class).
-fn per_check_ms(
-    circuit: &Circuit,
-    output: NetId,
-    delta: i64,
-    cone: ConeMode,
-    reps: usize,
-) -> (f64, &'static str) {
-    let session = CheckSession::new(circuit, config(cone));
-    // Warm-up: static learning, base fixpoint, cone extraction — the
-    // per-session one-time costs every serving workload amortizes.
-    let class = verdict_class(&session.verify(output, delta).verdict);
-    let t = Instant::now();
-    assert_eq!(verdict_class(&session.verify(output, delta).verdict), class);
-    let once = t.elapsed().as_secs_f64();
-    let iters = ((2e-3 / once.max(1e-9)) as usize).clamp(1, 4096);
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..iters {
-                let report = session.verify(output, delta);
-                assert_eq!(verdict_class(&report.verdict), class);
-            }
-            t.elapsed().as_secs_f64() * 1e3 / iters as f64
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    (times[times.len() / 2], class)
-}
-
-struct SliceRow {
-    name: &'static str,
-    cone_gates: usize,
-    total_gates: usize,
-    whole_ms: f64,
-    sliced_ms: f64,
-    identical: bool,
-}
-
-fn slice_scenario(
-    name: &'static str,
-    circuit: &Circuit,
-    output: NetId,
-    delta: i64,
-    reps: usize,
-) -> SliceRow {
-    let cone_gates = ConeView::extract(circuit, output).gates().len();
-    let (whole_ms, whole_class) = per_check_ms(circuit, output, delta, ConeMode::Off, reps);
-    let (sliced_ms, sliced_class) = per_check_ms(circuit, output, delta, ConeMode::Auto, reps);
-    SliceRow {
-        name,
-        cone_gates,
-        total_gates: circuit.num_gates(),
-        whole_ms,
-        sliced_ms,
-        identical: whole_class == sliced_class,
     }
 }
 
@@ -140,7 +60,7 @@ fn eco_scenario(
 
     // The warm pre-edit session the ECO flow starts from, its reports the
     // transplant source.
-    let base = CheckSession::new(circuit, config(ConeMode::Auto));
+    let base = CheckSession::new(circuit, VerifyConfig::default());
     let base_batch = runner.run(&base, checks);
 
     // The 1-gate SDF re-annotation: the edited gate's delay drops from 10
@@ -189,7 +109,7 @@ fn eco_scenario(
         reverified = dirty_checks.len();
 
         let t = Instant::now();
-        let cold_session = CheckSession::new(&edited, config(ConeMode::Auto));
+        let cold_session = CheckSession::new(&edited, VerifyConfig::default());
         let cold = runner.run(&cold_session, checks);
         cold_times.push(t.elapsed().as_secs_f64() * 1e3);
 
@@ -255,37 +175,8 @@ fn main() {
 
     let s6288 = s6288_standin();
     let blowup = blowup800();
-    let (s6288_output, s6288_delta) = smallest_cone_output(&s6288);
-    let (blowup_output, blowup_arrival_delta) = smallest_cone_output(&blowup);
-    // Both slice rows measure the per-check floor (δ just above the
-    // output's arrival time): the cost of seeding, propagating and
-    // reporting sized to the cone vs the whole circuit. At the blow-up's
-    // hard δ = 6·k·d + 1 the narrowing proof itself dominates and is
-    // cone-local in every mode, so whole and sliced converge — that row
-    // is printed for context, not gated.
-    let slices = vec![
-        slice_scenario(
-            "s6288_single_output",
-            &s6288,
-            s6288_output,
-            s6288_delta,
-            reps,
-        ),
-        slice_scenario(
-            "blowup800_single_output",
-            &blowup,
-            blowup_output,
-            blowup_arrival_delta,
-            reps,
-        ),
-    ];
-    let hard_row = slice_scenario(
-        "blowup800_hard_delta",
-        &blowup,
-        blowup.outputs()[0],
-        blowup_delta(),
-        1.max(reps / 2),
-    );
+    let (s6288_output, _) = smallest_cone_output(&s6288);
+    let (blowup_output, _) = smallest_cone_output(&blowup);
 
     // ECO sweeps: s6288 re-checks every output at arrival + 1; the blow-up
     // re-proves every chain's hard δ (the expensive sweep slicing pays for).
@@ -311,29 +202,6 @@ fn main() {
         ),
     ];
 
-    println!("cone-sliced vs whole-circuit, per check (median of {reps}, warm session):");
-    for row in &slices {
-        println!(
-            "  {:<24} cone {:>5}/{:<5} gates  whole {:>10.4} ms  sliced {:>10.4} ms  speedup {:>6.1}x  verdicts {}",
-            row.name,
-            row.cone_gates,
-            row.total_gates,
-            row.whole_ms,
-            row.sliced_ms,
-            row.whole_ms / row.sliced_ms.max(1e-9),
-            if row.identical { "identical" } else { "MISMATCHED" }
-        );
-    }
-    println!(
-        "  {:<24} cone {:>5}/{:<5} gates  whole {:>10.4} ms  sliced {:>10.4} ms  speedup {:>6.1}x  verdicts {}  (context: proof-bound, not gated)",
-        hard_row.name,
-        hard_row.cone_gates,
-        hard_row.total_gates,
-        hard_row.whole_ms,
-        hard_row.sliced_ms,
-        hard_row.whole_ms / hard_row.sliced_ms.max(1e-9),
-        if hard_row.identical { "identical" } else { "MISMATCHED" }
-    );
     println!("ECO re-verification, rebase + intersecting cones vs cold (median of {reps}):");
     for row in &ecos {
         println!(
@@ -352,33 +220,7 @@ fn main() {
     if let Some(path) = &json_path {
         let mut json = String::new();
         let _ = writeln!(json, "{{\n  \"suite\": \"cone\",\n  \"reps\": {reps},");
-        let _ = writeln!(json, "  \"sliced_vs_whole\": [");
-        for (i, row) in slices.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "    {{ \"name\": \"{}\", \"cone_gates\": {}, \"total_gates\": {}, \"whole_ms\": {:.6}, \"sliced_ms\": {:.6}, \"speedup\": {:.2}, \"identical\": {} }}{}",
-                row.name,
-                row.cone_gates,
-                row.total_gates,
-                row.whole_ms,
-                row.sliced_ms,
-                row.whole_ms / row.sliced_ms.max(1e-9),
-                row.identical,
-                if i + 1 == slices.len() { "" } else { "," }
-            );
-        }
-        let _ = writeln!(
-            json,
-            "  ],\n  \"context\": [\n    {{ \"name\": \"{}\", \"cone_gates\": {}, \"total_gates\": {}, \"whole_ms\": {:.6}, \"sliced_ms\": {:.6}, \"speedup\": {:.2}, \"identical\": {} }}",
-            hard_row.name,
-            hard_row.cone_gates,
-            hard_row.total_gates,
-            hard_row.whole_ms,
-            hard_row.sliced_ms,
-            hard_row.whole_ms / hard_row.sliced_ms.max(1e-9),
-            hard_row.identical
-        );
-        let _ = writeln!(json, "  ],\n  \"eco_incremental\": [");
+        let _ = writeln!(json, "  \"eco_incremental\": [");
         for (i, row) in ecos.iter().enumerate() {
             let _ = writeln!(
                 json,
@@ -399,11 +241,8 @@ fn main() {
         eprintln!("[json] cone rollup -> {path}");
     }
 
-    if slices.iter().any(|r| !r.identical)
-        || !hard_row.identical
-        || ecos.iter().any(|r| !r.identical)
-    {
-        eprintln!("cone_speedup: VERDICT MISMATCH — sliced or incremental diverged");
+    if ecos.iter().any(|r| !r.identical) {
+        eprintln!("cone_speedup: VERDICT MISMATCH — incremental diverged from cold");
         std::process::exit(1);
     }
 }

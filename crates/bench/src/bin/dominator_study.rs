@@ -14,7 +14,7 @@
 use ltt_bench::render::Table;
 use ltt_bench::table1::critical_output;
 use ltt_core::carriers::{dynamic_carriers, timing_dominators};
-use ltt_core::{verify, Narrower, Stage, Verdict, VerifyConfig};
+use ltt_core::{CheckSession, Narrower, Stage, Verdict, VerifyConfig};
 use ltt_netlist::suite::{standin, standin_specs};
 use ltt_waveform::{Signal, Time};
 
@@ -59,7 +59,7 @@ fn main() {
             case_analysis: false,
             ..Default::default()
         };
-        let r = verify(&c, s, delta, &config);
+        let r = CheckSession::new(&c, config.clone()).verify(s, delta);
         let (verdict, stage) = match &r.verdict {
             Verdict::NoViolation { stage } => (
                 "N",

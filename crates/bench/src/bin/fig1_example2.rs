@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release -p ltt-bench --bin fig1_example2`.
 
-use ltt_core::{exact_delay, verify, Verdict, VerifyConfig};
+use ltt_core::{CheckSession, Verdict, VerifyConfig};
 use ltt_netlist::generators::figure1;
 use ltt_sta::{describe_vector, exhaustive_floating_delay, path_analysis};
 
@@ -20,15 +20,15 @@ fn main() {
     let oracle = exhaustive_floating_delay(&c, s).expect("7 inputs");
     println!("Exhaustive floating-mode delay (oracle): {}", oracle.delay);
 
-    let config = VerifyConfig::default();
-    let r61 = verify(&c, s, 61, &config);
+    let session = CheckSession::new(&c, VerifyConfig::default());
+    let r61 = session.verify(s, 61);
     println!(
         "verify(ξ, s, 61): {:?}  [before G.I.T.D.: {:?}] in {:.3} ms",
         r61.verdict,
         r61.before_gitd,
         r61.elapsed.as_secs_f64() * 1e3
     );
-    let r60 = verify(&c, s, 60, &config);
+    let r60 = session.verify(s, 60);
     match &r60.verdict {
         Verdict::Violation { vector } => {
             println!("verify(ξ, s, 60): test vector found:");
@@ -40,7 +40,7 @@ fn main() {
         other => println!("verify(ξ, s, 60): {other:?}"),
     }
 
-    let search = exact_delay(&c, s, &config);
+    let search = session.exact_delay(s);
     println!(
         "exact_delay search: {} (proven: {}), {} backtracks",
         search.delay, search.proven_exact, search.backtracks

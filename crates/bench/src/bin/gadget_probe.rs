@@ -2,7 +2,7 @@
 //! δ = exact + 1? Used to tune the suite stand-ins so that each Table 1
 //! row exercises the stage the paper reports.
 
-use ltt_core::{exact_delay, verify, Stage, Verdict, VerifyConfig};
+use ltt_core::{CheckSession, Stage, Verdict, VerifyConfig};
 use ltt_netlist::generators::{
     array_multiplier, carry_skip_adder, false_path_chain, stem_conflict_circuit,
 };
@@ -86,12 +86,12 @@ fn conflict_mux(chain: usize) -> Circuit {
 fn probe(name: &str, c: &Circuit) {
     let s = c.outputs()[0];
     let config = VerifyConfig::default();
-    let search = exact_delay(c, s, &config);
+    let search = CheckSession::new(c, config.clone()).exact_delay(s);
     let top = c.arrival_times()[s.index()];
     let exact = search.delay;
     // Cross-check with the oracle when feasible.
     let oracle = ltt_sta::exhaustive_floating_delay(c, s).map(|f| f.delay);
-    let r = verify(c, s, exact + 1, &config);
+    let r = CheckSession::new(c, config.clone()).verify(s, exact + 1);
     let stage = match &r.verdict {
         Verdict::NoViolation { stage } => match stage {
             Stage::Narrowing => "narrowing",
@@ -125,10 +125,10 @@ fn probe_critical(name: &str, c: &Circuit) {
         ..Default::default()
     };
     let t0 = std::time::Instant::now();
-    let search = exact_delay(c, s, &config);
+    let search = CheckSession::new(c, config.clone()).exact_delay(s);
     let top = arrival[s.index()];
     if search.proven_exact {
-        let r = verify(c, s, search.delay + 1, &config);
+        let r = CheckSession::new(c, config.clone()).verify(s, search.delay + 1);
         let stage = match &r.verdict {
             Verdict::NoViolation { stage } => format!("{stage:?}"),
             other => format!("{other:?}"),

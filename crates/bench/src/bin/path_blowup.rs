@@ -16,7 +16,7 @@
 //! the `ltt … --deadline-ms` smoke runs.
 
 use ltt_bench::render::Table;
-use ltt_core::{verify, VerifyConfig};
+use ltt_core::{CheckSession, VerifyConfig};
 use ltt_netlist::bench_format::write_bench;
 use ltt_netlist::generators::serial_false_path_gadgets;
 use std::process::ExitCode;
@@ -49,7 +49,7 @@ fn main() -> ExitCode {
         // the larger instances — the experiment's point).
         let count = ltt_sta::count_paths_at_least(&c, s, delta);
         let config = VerifyConfig::default();
-        let r = verify(&c, s, delta, &config);
+        let r = CheckSession::new(&c, config.clone()).verify(s, delta);
         let stage = match &r.verdict {
             ltt_core::Verdict::NoViolation { stage } => format!("{stage:?}"),
             other => format!("{other:?}"),

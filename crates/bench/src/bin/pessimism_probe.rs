@@ -12,7 +12,7 @@
 
 use ltt_bench::render::Table;
 use ltt_core::carriers::fixpoint_with_dominators;
-use ltt_core::{exact_delay, FixpointResult, Narrower, VerifyConfig};
+use ltt_core::{CheckSession, FixpointResult, Narrower, VerifyConfig};
 use ltt_netlist::generators::{random_circuit, RandomCircuitConfig};
 use ltt_netlist::Circuit;
 use ltt_sta::{simulate, WaveformTrace};
@@ -123,7 +123,7 @@ fn main() {
                 .max_by_key(|o| arrival[o.index()])
                 .unwrap()
         };
-        let search = exact_delay(&c, critical, &VerifyConfig::default());
+        let search = CheckSession::new(&c, VerifyConfig::default()).exact_delay(critical);
         if !search.proven_exact {
             continue;
         }

@@ -19,7 +19,7 @@
 //! verification backend (DESIGN.md §15) — the narrow-vs-sat wall-clock
 //! comparison in EXPERIMENTS.md is two invocations of this flag.
 
-use ltt_bench::table1::{render_rows, run_entry_with, Table1Row};
+use ltt_bench::table1::{render_rows, run_entry_with, Table1Row, MAX_BACKTRACKS, QUICK_MAX_GATES};
 use ltt_core::{BatchRunner, Engine, Obs, Recorder, VerifyConfig};
 use ltt_netlist::suite::{iscas85_suite, SuiteEntry};
 use std::sync::Arc;
@@ -34,7 +34,7 @@ fn run_suite(
     let t0 = Instant::now();
     let mut rows = Vec::new();
     for entry in suite {
-        if quick && entry.circuit.num_gates() > 2000 {
+        if quick && entry.circuit.num_gates() > QUICK_MAX_GATES {
             eprintln!("[skip] {} (--quick)", entry.name);
             continue;
         }
@@ -75,11 +75,8 @@ fn main() {
         .map(|name| Engine::parse(name).expect("--engine needs narrow, sat, or hybrid"))
         .unwrap_or(Engine::Narrow);
     let recorder = (trace.is_some() || bench_json.is_some()).then(|| Arc::new(Recorder::new()));
-    // The paper abandons c6288 after an excessive number of backtracks;
-    // bound the budget the same way (the cap doubles as the CDCL conflict
-    // cap under `--engine sat`).
     let config = VerifyConfig {
-        max_backtracks: 20_000,
+        max_backtracks: MAX_BACKTRACKS,
         engine,
         obs: recorder
             .as_ref()

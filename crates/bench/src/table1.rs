@@ -3,10 +3,22 @@
 //! (the exact floating-mode delay, and exact + 1 where the pipeline must
 //! prove no violation).
 
-use ltt_core::{BatchRunner, Budget, CheckSession, Engine, Stage, Verdict, VerifyConfig};
+use ltt_core::{
+    BatchRunner, Budget, CheckSession, Engine, Stage, StageEffort, Verdict, VerifyConfig,
+    VerifyReport,
+};
 use ltt_netlist::suite::SuiteEntry;
 use ltt_netlist::{Circuit, NetId};
 use std::time::Duration;
+
+/// The `--quick` suite: the entries of at most this many gates.
+pub const QUICK_MAX_GATES: usize = 2000;
+
+/// The case-analysis backtrack cap of the Table 1 runs. The paper abandons
+/// c6288 after an excessive number of backtracks; the cap bounds the
+/// search the same way (and doubles as the CDCL conflict cap under the
+/// SAT engine).
+pub const MAX_BACKTRACKS: u64 = 20_000;
 
 /// One rendered row of Table 1.
 #[derive(Clone, Debug)]
@@ -29,14 +41,24 @@ pub struct Table1Row {
     pub backtracks: Option<u64>,
     /// Case-analysis result: 'V', 'N', 'A' or '-'.
     pub result: char,
+    /// Deterministic solver effort per pipeline stage, summed over this
+    /// row's checks.
+    pub effort: StageEffort,
     /// CPU time of this row's checks.
     pub cpu: Duration,
     /// The paper's reference values `(top, δ_exact, backtracks)` if any.
     pub paper: Option<(i64, Option<i64>, Option<u64>)>,
 }
 
+/// Per-stage effort summed over a row's checks.
+fn row_effort(reports: &[VerifyReport]) -> StageEffort {
+    reports.iter().fold(StageEffort::default(), |sum, r| {
+        sum.saturating_add(&r.effort)
+    })
+}
+
 /// The stage at which a no-violation proof landed, as Table 1 columns.
-fn stage_columns(reports: &[ltt_core::VerifyReport]) -> (char, char, char, Option<u64>, char) {
+fn stage_columns(reports: &[VerifyReport]) -> (char, char, char, Option<u64>, char) {
     // Worst (latest) stage over the outputs that had to be proven.
     let mut worst = 0u8; // 1 narrowing, 2 dominators, 3 stems, 4 case analysis
     let mut any_violation = false;
@@ -179,6 +201,7 @@ pub fn run_entry_with(
             after_stems: st,
             backtracks: btr,
             result: res,
+            effort: row_effort(&batch.reports),
             cpu: batch.wall,
             paper: None,
         });
@@ -196,6 +219,7 @@ pub fn run_entry_with(
             after_stems: st,
             backtracks: btr,
             result: res,
+            effort: report.effort,
             cpu: t0.elapsed(),
             paper: Some((entry.paper_top, entry.paper_exact, entry.paper_backtracks)),
         });
@@ -217,6 +241,7 @@ pub fn run_entry_with(
             after_stems: st,
             backtracks: btr,
             result: res,
+            effort: report.effort,
             cpu: t0.elapsed(),
             paper: None,
         });
@@ -236,6 +261,7 @@ pub fn run_entry_with(
                 after_stems: st,
                 backtracks: btr,
                 result: res,
+                effort: abandoned.effort,
                 cpu: abandoned.elapsed,
                 paper: Some((entry.paper_top, entry.paper_exact, entry.paper_backtracks)),
             });

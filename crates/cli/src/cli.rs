@@ -1,8 +1,8 @@
 //! Argument parsing and subcommand implementations for the `ltt` binary.
 
 use ltt_core::{
-    explain, BatchRunner, Budget, CheckError, CheckSession, Completeness, ConeMode, DelayMode,
-    DelaySearch, Engine, Error, LearningMode, Obs, Recorder, Stage, Verdict, VerifyConfig,
+    explain, BatchRunner, Budget, CheckError, CheckSession, Completeness, DelayMode, DelaySearch,
+    Engine, Error, LearningMode, Obs, Recorder, Stage, Verdict, VerifyConfig,
 };
 use ltt_netlist::bench_format::{parse_bench, write_bench};
 use ltt_netlist::sdf::apply_sdf;
@@ -62,7 +62,6 @@ struct Options {
     max_backtracks: u64,
     jobs: usize,
     trace: Option<String>,
-    cone: ConeMode,
     engine: Engine,
     set_delay: Vec<String>,
     rewire: Vec<String>,
@@ -93,7 +92,6 @@ impl Default for Options {
             max_backtracks: 100_000,
             jobs: 0,
             trace: None,
-            cone: ConeMode::Auto,
             engine: Engine::Narrow,
             set_delay: Vec::new(),
             rewire: Vec::new(),
@@ -181,13 +179,6 @@ OPTIONS
   --output NAME             restrict to one primary output
   --assume NET=0|1          pin a net's settling value (repeatable)
   --mode floating|transition
-  --cone auto|off|sliced|masked
-                            cone-scoped checking (default auto: slice
-                            each check to the output's fanin cone when
-                            it is a strict subset of the circuit;
-                            `sliced`/`masked` force the two cone
-                            engines, which answer bit-identically;
-                            `off` is the whole-circuit legacy pipeline)
   --no-dominators --no-stems --no-search --no-learning
   --engine narrow|sat|hybrid
                             verification backend for check/delay
@@ -304,15 +295,6 @@ fn parse_options(args: &[String]) -> Result<Options, Error> {
                     "floating" => DelayMode::Floating,
                     "transition" => DelayMode::Transition,
                     other => return Err(Error::usage(format!("unknown mode `{other}`"))),
-                }
-            }
-            "--cone" => {
-                opts.cone = match value("--cone")?.as_str() {
-                    "auto" => ConeMode::Auto,
-                    "off" => ConeMode::Off,
-                    "sliced" => ConeMode::Sliced,
-                    "masked" => ConeMode::Masked,
-                    other => return Err(Error::usage(format!("unknown cone mode `{other}`"))),
                 }
             }
             "--engine" => {
@@ -672,7 +654,6 @@ fn worst_status(a: RunStatus, b: RunStatus) -> RunStatus {
 fn config_from(opts: &Options) -> VerifyConfig {
     VerifyConfig {
         delay_mode: opts.mode,
-        cone: opts.cone,
         learning: if opts.learning {
             LearningMode::Stems
         } else {
@@ -1302,19 +1283,6 @@ mod tests {
             run(&args(&["check", &path, "--delta", "30", "--no-search"])),
             Ok(RunStatus::Incomplete)
         );
-    }
-
-    #[test]
-    fn cone_modes_agree_on_the_verdict() {
-        let path = write_temp("cone.bench", C17);
-        for cone in ["auto", "off", "sliced", "masked"] {
-            assert_eq!(
-                run(&args(&["check", &path, "--delta", "30", "--cone", cone])),
-                Ok(RunStatus::Violation),
-                "--cone {cone}"
-            );
-        }
-        assert!(run(&args(&["check", &path, "--delta", "30", "--cone", "x"])).is_err());
     }
 
     #[test]

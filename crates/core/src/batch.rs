@@ -501,10 +501,30 @@ impl BatchRunner {
     /// Runs [`CheckSession::exact_delay`] for every primary output, in
     /// parallel. Results are in output-declaration order.
     ///
+    /// The maximum over the outputs is the circuit's exact floating-mode
+    /// delay — the quantity the paper's Table 1 reports ("the value of δ
+    /// for which a test vector is found represents the exact floating-mode
+    /// delay of the circuit when the constraint system is inconsistent for
+    /// (δ + 1) on all outputs").
+    ///
     /// # Panics
     ///
     /// Panics if a search panics (use [`BatchRunner::try_exact_delays`]
     /// for per-slot isolation).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ltt_core::{BatchRunner, CheckSession, VerifyConfig};
+    /// use ltt_netlist::suite::c17_nor;
+    ///
+    /// let c = c17_nor(10);
+    /// let session = CheckSession::new(&c, VerifyConfig::default());
+    /// let searches = BatchRunner::serial().exact_delays(&session);
+    /// let delay = searches.iter().map(|s| s.delay).max().unwrap();
+    /// assert_eq!(delay, 50);
+    /// assert!(searches.iter().all(|s| s.proven_exact));
+    /// ```
     pub fn exact_delays(&self, session: &CheckSession) -> Vec<DelaySearch> {
         self.try_exact_delays(session)
             .into_iter()

@@ -66,6 +66,10 @@ pub enum TripReason {
     Events,
     /// The backtrack cap was reached.
     Backtracks,
+    /// The check's exact encoding exceeds a fixed capacity limit (the SAT
+    /// engine's settle-grid cap). Unlike the other reasons this is not a
+    /// budget: a larger budget would not let the check through.
+    GridTooLarge,
 }
 
 impl std::fmt::Display for TripReason {
@@ -75,6 +79,7 @@ impl std::fmt::Display for TripReason {
             TripReason::Cancelled => write!(f, "cancelled"),
             TripReason::Events => write!(f, "event cap reached"),
             TripReason::Backtracks => write!(f, "backtrack cap reached"),
+            TripReason::GridTooLarge => write!(f, "settle grid too large"),
         }
     }
 }
@@ -91,7 +96,7 @@ impl std::fmt::Display for TripReason {
 /// # Examples
 ///
 /// ```
-/// use ltt_core::{verify, Budget, VerifyConfig};
+/// use ltt_core::{Budget, CheckSession, VerifyConfig};
 /// use ltt_netlist::generators::figure1;
 /// use std::time::Duration;
 ///
@@ -102,8 +107,9 @@ impl std::fmt::Display for TripReason {
 ///     ..Default::default()
 /// };
 /// // A generous budget changes nothing on an easy check.
-/// assert!(verify(&c, s, 61, &config).verdict.is_no_violation());
-/// assert!(verify(&c, s, 61, &config).completeness.is_exact());
+/// let report = CheckSession::new(&c, config).verify(s, 61);
+/// assert!(report.verdict.is_no_violation());
+/// assert!(report.completeness.is_exact());
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Budget {

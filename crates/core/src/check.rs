@@ -3,25 +3,22 @@
 //! and case analysis — with per-stage verdicts matching the columns of the
 //! paper's Table 1.
 //!
-//! The free functions here ([`verify`], [`exact_delay`],
-//! [`verify_all_outputs`], …) are convenience wrappers: each opens a
-//! single-use [`CheckSession`] and runs the checks through it. Workloads
-//! with more than one check per circuit should open the session themselves
-//! (and fan out with a [`BatchRunner`](crate::BatchRunner)) so the
-//! per-circuit analyses are prepared once instead of per call.
+//! This module holds the pipeline and its configuration and report types;
+//! checks are run through a [`CheckSession`](crate::CheckSession), the one
+//! entry point (fan out with a [`BatchRunner`](crate::BatchRunner)). The
+//! session prepares the per-circuit analyses once and runs every check of
+//! an output on that output's fanin cone.
 
 use crate::budget::{Budget, TripReason};
 use crate::carriers::fixpoint_with_dominators;
 use crate::failpoint;
 use crate::fan::{CaseConfig, CaseOutcome, CaseStats};
-use crate::learning::ImplicationTable;
 use crate::obs::Obs;
-use crate::prepared::{CheckSession, PreparedCircuit};
+use crate::prepared::PreparedCircuit;
 use crate::solver::{FixpointResult, Narrower, SolverStats};
 use crate::stems::{correlation_stems_masked, stem_correlation, StemStats};
-use ltt_netlist::{Circuit, NetId};
+use ltt_netlist::NetId;
 use ltt_waveform::{Signal, Time};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Circuit delay mode: which abstract waveforms are applied to the primary
@@ -36,35 +33,6 @@ pub enum DelayMode {
     /// Two-vector transition mode with every input switching at time 0 —
     /// inputs get `(0|_0^0, 1|_0^0)`.
     Transition,
-}
-
-/// Cone-scoped checking mode: whether a check `σ = (ξ, s, δ)` runs on the
-/// whole circuit or only on `s`'s transitive-fanin cone (which is all the
-/// check can depend on — paths leaving the cone never re-enter, so the
-/// greatest fixpoint on cone nets is the same either way).
-///
-/// `Sliced` and `Masked` runs are bit-identical to each other — verdicts,
-/// bounds, backtracks and [`StageEffort`] — by construction (see DESIGN.md
-/// §14): slicing renumbers the cone order-preservingly, so the two event
-/// schedules are isomorphic. The legacy `Off` pipeline agrees on verdicts
-/// and certified vectors' validity but *not* on effort counters: it also
-/// schedules the fringe gates reading cone nets and decides out-of-cone
-/// inputs in its phase-3 tail.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ConeMode {
-    /// Whole-circuit checks (the legacy pipeline). The default.
-    #[default]
-    Off,
-    /// Slice when the cone is a strict subset of the circuit, legacy
-    /// otherwise — the production setting.
-    Auto,
-    /// Force the sliced sub-circuit path (falls back to legacy when the
-    /// cone covers the whole circuit, where slicing is the identity).
-    Sliced,
-    /// Run on the whole-circuit store with propagation and decisions
-    /// masked to the cone — the bit-identity reference for `Sliced`, and a
-    /// debugging aid; it saves the narrowing work but not the memcpys.
-    Masked,
 }
 
 /// Static-learning scope.
@@ -126,8 +94,6 @@ impl Engine {
 pub struct VerifyConfig {
     /// Input waveform mode.
     pub delay_mode: DelayMode,
-    /// Cone-scoped checking mode.
-    pub cone: ConeMode,
     /// Static-learning scope.
     pub learning: LearningMode,
     /// Apply global implications on timing dominators (G.I.T.D., §4).
@@ -161,7 +127,6 @@ impl Default for VerifyConfig {
     fn default() -> Self {
         VerifyConfig {
             delay_mode: DelayMode::Floating,
-            cone: ConeMode::Off,
             learning: LearningMode::Stems,
             dominators: true,
             stem_correlation: true,
@@ -381,74 +346,6 @@ pub struct VerifyReport {
     pub effort: StageEffort,
     /// Wall-clock time of the whole check.
     pub elapsed: Duration,
-}
-
-/// Runs the timing check `σ = (ξ, output, δ)` under *assumptions*: each
-/// `(net, level)` pins a net's settling class before narrowing starts (the
-/// industrial `set_case_analysis` idiom — constant mode pins, unused
-/// inputs, scan enables). Everything else is [`verify`].
-///
-/// # Examples
-///
-/// ```
-/// use ltt_core::{verify, verify_under, VerifyConfig};
-/// use ltt_netlist::generators::figure1;
-/// use ltt_waveform::Level;
-///
-/// let c = figure1(10);
-/// let s = c.outputs()[0];
-/// let e5 = c.net_by_name("e5").unwrap();
-/// let config = VerifyConfig::default();
-/// // Unconstrained, δ = 60 is violated…
-/// assert!(verify(&c, s, 60, &config).verdict.is_violation());
-/// // …but pinning e5 = 0 blocks the critical AND g4: no violation.
-/// let r = verify_under(&c, s, 60, &[(e5, Level::Zero)], &config);
-/// assert!(r.verdict.is_no_violation());
-/// ```
-pub fn verify_under(
-    circuit: &Circuit,
-    output: NetId,
-    delta: i64,
-    assumptions: &[(NetId, ltt_waveform::Level)],
-    config: &VerifyConfig,
-) -> VerifyReport {
-    CheckSession::new(circuit, config.clone()).verify_under(output, delta, assumptions)
-}
-
-/// Runs the timing check `σ = (ξ, output, δ)` through the configured
-/// pipeline (Fig. 4, extended with the paper's §5 stages).
-///
-/// # Examples
-///
-/// The paper's Example 2: the Figure 1 circuit has topological delay 70
-/// but the 70-path is false; δ = 61 is proven safe by narrowing alone and
-/// δ = 60 yields a test vector.
-///
-/// ```
-/// use ltt_core::{verify, VerifyConfig};
-/// use ltt_netlist::generators::figure1;
-///
-/// let c = figure1(10);
-/// let s = c.outputs()[0];
-/// let config = VerifyConfig::default();
-/// assert!(verify(&c, s, 61, &config).verdict.is_no_violation());
-/// assert!(verify(&c, s, 60, &config).verdict.is_violation());
-/// ```
-pub fn verify(circuit: &Circuit, output: NetId, delta: i64, config: &VerifyConfig) -> VerifyReport {
-    CheckSession::new(circuit, config.clone()).verify(output, delta)
-}
-
-/// [`verify`] with a pre-computed learning table (the table depends only on
-/// the circuit, so it can be shared across the checks of a delay search).
-pub fn verify_with_learning(
-    circuit: &Circuit,
-    output: NetId,
-    delta: i64,
-    config: &VerifyConfig,
-    table: Option<Arc<ImplicationTable>>,
-) -> VerifyReport {
-    let prepared = PreparedCircuit::with_table(circuit, table);
-    CheckSession::with_prepared(prepared, config.clone()).verify(output, delta)
 }
 
 /// Clamps a `u64` counter into the `i64` range of a span argument.
@@ -743,40 +640,21 @@ pub struct DelaySearch {
     pub probes: Vec<VerifyReport>,
 }
 
-/// Finds the exact floating-mode delay of `output` by binary search over δ
-/// in `[0, top + 1]`, sharing one [`CheckSession`] (learning table, SCOAP,
-/// base fixpoint) across probes.
-///
-/// Each probe is a full [`verify`] run; `Violation` raises the lower bound,
-/// `NoViolation` lowers the upper bound, `Abandoned`/`Possible` terminates
-/// the search with `proven_exact = false`.
-pub fn exact_delay(circuit: &Circuit, output: NetId, config: &VerifyConfig) -> DelaySearch {
-    CheckSession::new(circuit, config.clone()).exact_delay(output)
-}
-
-/// Verifies a δ against **all** outputs: returns `NoViolation` only when no
-/// output can violate (the Table 1 semantics: "N: no violation of the
-/// timing-check constraint on any circuit output is possible").
-///
-/// The base fixpoint (floating inputs, learning constants, but no δ
-/// constraint) is computed **once** per session and every per-output check
-/// is seeded from it. This is the serial entry point; use
-/// [`BatchRunner::verify_all_outputs`](crate::BatchRunner::verify_all_outputs)
-/// to fan the outputs over worker threads (same reports, by construction).
-pub fn verify_all_outputs(
-    circuit: &Circuit,
-    delta: i64,
-    config: &VerifyConfig,
-) -> Vec<VerifyReport> {
-    let session = CheckSession::new(circuit, config.clone());
-    crate::batch::BatchRunner::serial()
-        .verify_all_outputs(&session, delta)
-        .reports
+/// The per-δ result of
+/// [`CheckSession::delay_profile`](crate::CheckSession::delay_profile).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProfilePoint {
+    /// The probed δ.
+    pub delta: i64,
+    /// Whether the (narrowing + dominators) system stayed consistent — a
+    /// violation is still *possible* at this δ.
+    pub possible: bool,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CheckSession;
     use ltt_netlist::generators::{carry_skip_adder, cascade, false_path_chain, figure1};
     use ltt_netlist::suite::c17;
     use ltt_netlist::GateKind;
@@ -785,12 +663,12 @@ mod tests {
     fn figure1_pipeline_brackets_exact_delay() {
         let c = figure1(10);
         let s = c.outputs()[0];
-        let config = VerifyConfig::default();
-        let r61 = verify(&c, s, 61, &config);
+        let session = CheckSession::new(&c, VerifyConfig::default());
+        let r61 = session.verify(s, 61);
         assert!(r61.verdict.is_no_violation());
         // Narrowing alone suffices at 61 (Example 2).
         assert_eq!(r61.before_gitd, StageVerdict::NoViolation);
-        let r60 = verify(&c, s, 60, &config);
+        let r60 = session.verify(s, 60);
         match &r60.verdict {
             Verdict::Violation { vector } => {
                 assert!(ltt_sta::vector_violates(&c, vector, s, 60));
@@ -803,7 +681,7 @@ mod tests {
     fn exact_delay_search_on_figure1() {
         let c = figure1(10);
         let s = c.outputs()[0];
-        let search = exact_delay(&c, s, &VerifyConfig::default());
+        let search = CheckSession::new(&c, VerifyConfig::default()).exact_delay(s);
         assert_eq!(search.delay, 60);
         assert!(search.proven_exact);
         assert_eq!(search.upper_bound, 60);
@@ -813,7 +691,6 @@ mod tests {
 
     #[test]
     fn exact_delay_matches_oracle_on_small_circuits() {
-        let config = VerifyConfig::default();
         for c in [
             cascade(GateKind::And, 5, 10),
             cascade(GateKind::Or, 3, 10),
@@ -821,9 +698,10 @@ mod tests {
             false_path_chain(5, 2, 10),
             carry_skip_adder(4, 2, 10),
         ] {
+            let session = CheckSession::new(&c, VerifyConfig::default());
             for &s in c.outputs() {
                 let oracle = ltt_sta::exhaustive_floating_delay(&c, s).expect("small");
-                let search = exact_delay(&c, s, &config);
+                let search = session.exact_delay(s);
                 assert!(search.proven_exact, "{} {:?}", c.name(), s);
                 assert_eq!(
                     search.delay,
@@ -839,9 +717,9 @@ mod tests {
     #[test]
     fn c17_exact_delay_is_topological() {
         let c = c17(10);
-        let config = VerifyConfig::default();
+        let session = CheckSession::new(&c, VerifyConfig::default());
         for &s in c.outputs() {
-            let search = exact_delay(&c, s, &config);
+            let search = session.exact_delay(s);
             assert!(search.proven_exact);
             assert_eq!(search.delay, c.arrival_times()[s.index()]);
         }
@@ -851,17 +729,14 @@ mod tests {
     fn narrowing_only_config_is_sound_but_weaker() {
         let c = figure1(10);
         let s = c.outputs()[0];
-        let basic = VerifyConfig::narrowing_only();
+        let basic = CheckSession::new(&c, VerifyConfig::narrowing_only());
         // Sound: it never claims a violation it cannot certify, and at
         // δ = 71 (past topological) even basic narrowing proves safety.
-        let r = verify(&c, s, 71, &basic);
-        assert!(r.verdict.is_no_violation());
+        assert!(basic.verify(s, 71).verdict.is_no_violation());
         // At δ = 61 basic narrowing also succeeds on this small example.
-        let r = verify(&c, s, 61, &basic);
-        assert!(r.verdict.is_no_violation());
+        assert!(basic.verify(s, 61).verdict.is_no_violation());
         // At δ = 60 it must stay inconclusive (case analysis disabled).
-        let r = verify(&c, s, 60, &basic);
-        assert_eq!(r.verdict, Verdict::Possible);
+        assert_eq!(basic.verify(s, 60).verdict, Verdict::Possible);
     }
 
     #[test]
@@ -875,17 +750,19 @@ mod tests {
         };
         // With all inputs switching exactly at 0 the same settle bounds
         // apply; δ past topological is impossible.
-        let r = verify(&c, s, 71, &config);
+        let r = CheckSession::new(&c, config).verify(s, 71);
         assert!(r.verdict.is_no_violation());
     }
 
     #[test]
     fn verify_all_outputs_covers_every_output() {
         let c = c17(10);
-        let reports = verify_all_outputs(&c, 31, &VerifyConfig::default());
+        let session = CheckSession::new(&c, VerifyConfig::default());
+        let runner = crate::BatchRunner::serial();
+        let reports = runner.verify_all_outputs(&session, 31).reports;
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|r| r.verdict.is_no_violation()));
-        let reports = verify_all_outputs(&c, 30, &VerifyConfig::default());
+        let reports = runner.verify_all_outputs(&session, 30).reports;
         assert!(reports.iter().any(|r| r.verdict.is_violation()));
     }
 
@@ -893,15 +770,22 @@ mod tests {
     fn learning_modes_agree_on_verdicts() {
         let c = false_path_chain(4, 3, 10);
         let s = c.outputs()[0];
+        let sessions: Vec<CheckSession<'_>> =
+            [LearningMode::Off, LearningMode::Stems, LearningMode::All]
+                .into_iter()
+                .map(|learning| {
+                    let config = VerifyConfig {
+                        learning,
+                        ..Default::default()
+                    };
+                    CheckSession::new(&c, config)
+                })
+                .collect();
         for delta in [55, 60, 61, 65, 71] {
-            let mut verdicts = Vec::new();
-            for learning in [LearningMode::Off, LearningMode::Stems, LearningMode::All] {
-                let config = VerifyConfig {
-                    learning,
-                    ..Default::default()
-                };
-                verdicts.push(verify(&c, s, delta, &config).verdict.is_no_violation());
-            }
+            let verdicts: Vec<bool> = sessions
+                .iter()
+                .map(|session| session.verify(s, delta).verdict.is_no_violation())
+                .collect();
             assert!(
                 verdicts.windows(2).all(|w| w[0] == w[1]),
                 "δ = {delta}: {verdicts:?}"
@@ -913,7 +797,7 @@ mod tests {
     fn report_carries_stage_columns() {
         let c = figure1(10);
         let s = c.outputs()[0];
-        let r = verify(&c, s, 60, &VerifyConfig::default());
+        let r = CheckSession::new(&c, VerifyConfig::default()).verify(s, 60);
         assert_eq!(r.before_gitd, StageVerdict::Possible);
         assert_eq!(r.after_gitd, Some(StageVerdict::Possible));
         assert_eq!(r.after_stems, Some(StageVerdict::Possible));
@@ -925,78 +809,10 @@ mod tests {
     }
 }
 
-/// The per-δ result of [`delay_profile`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProfilePoint {
-    /// The probed δ.
-    pub delta: i64,
-    /// Whether the (narrowing + dominators) system stayed consistent — a
-    /// violation is still *possible* at this δ.
-    pub possible: bool,
-}
-
-/// Sweeps δ over `deltas` (must be ascending) with **one** narrower:
-/// because `violation(δ₂) ⊆ violation(δ₁)` for `δ₂ ≥ δ₁`, each step's
-/// constraint refines the previous fixpoint and the whole profile costs
-/// little more than the largest single check. Uses narrowing + dominator
-/// implications (no search), so `possible = false` is a proof and
-/// `possible = true` is the stage's residual pessimism.
-///
-/// Once a δ is refuted every later δ is refuted too (monotonicity), so the
-/// sweep stops early and fills the tail.
-///
-/// This free function always runs plain floating-mode narrowing with
-/// dominators and no learning; [`CheckSession::delay_profile`] is the
-/// config-aware (and [`BatchRunner`](crate::BatchRunner)-parallelizable)
-/// variant.
-///
-/// # Panics
-///
-/// Panics if `deltas` is not strictly ascending.
-///
-/// # Examples
-///
-/// ```
-/// use ltt_core::delay_profile;
-/// use ltt_netlist::generators::figure1;
-///
-/// let c = figure1(10);
-/// let s = c.outputs()[0];
-/// let profile = delay_profile(&c, s, &[40, 60, 61, 70]);
-/// assert!(profile[0].possible);  // δ = 40: yes (true delay is 60)
-/// assert!(profile[1].possible);  // δ = 60: yes
-/// assert!(!profile[2].possible); // δ = 61: refuted
-/// assert!(!profile[3].possible); // δ = 70: refuted (filled by monotonicity)
-/// ```
-pub fn delay_profile(circuit: &Circuit, output: NetId, deltas: &[i64]) -> Vec<ProfilePoint> {
-    assert!(
-        deltas.windows(2).all(|w| w[0] < w[1]),
-        "deltas must be strictly ascending"
-    );
-    let mut nw = Narrower::new(circuit);
-    for &i in circuit.inputs() {
-        nw.narrow_net(i, Signal::floating_input());
-    }
-    nw.reach_fixpoint();
-    let mut profile = Vec::with_capacity(deltas.len());
-    let mut refuted = false;
-    for &delta in deltas {
-        if !refuted {
-            nw.narrow_net(output, Signal::violation(Time::new(delta)));
-            refuted = fixpoint_with_dominators(&mut nw, output, delta, true)
-                == FixpointResult::Contradiction;
-        }
-        profile.push(ProfilePoint {
-            delta,
-            possible: !refuted,
-        });
-    }
-    profile
-}
-
 #[cfg(test)]
 mod profile_tests {
     use super::*;
+    use crate::CheckSession;
     use ltt_netlist::generators::{cascade, figure1};
     use ltt_netlist::GateKind;
 
@@ -1005,14 +821,14 @@ mod profile_tests {
         let c = figure1(10);
         let s = c.outputs()[0];
         let deltas: Vec<i64> = (0..=8).map(|k| k * 10 + 1).collect();
-        let profile = delay_profile(&c, s, &deltas);
         let config = VerifyConfig {
             stem_correlation: false,
             case_analysis: false,
             ..Default::default()
         };
-        for p in &profile {
-            let individual = verify(&c, s, p.delta, &config);
+        let session = CheckSession::new(&c, config);
+        for p in &session.delay_profile(s, &deltas) {
+            let individual = session.verify(s, p.delta);
             assert_eq!(
                 p.possible,
                 !individual.verdict.is_no_violation(),
@@ -1026,7 +842,8 @@ mod profile_tests {
     fn profile_is_monotone_and_tight_on_cascade() {
         let c = cascade(GateKind::And, 4, 10);
         let s = c.outputs()[0];
-        let profile = delay_profile(&c, s, &[10, 20, 30, 40, 41, 50]);
+        let session = CheckSession::new(&c, VerifyConfig::default());
+        let profile = session.delay_profile(s, &[10, 20, 30, 40, 41, 50]);
         let flips: Vec<bool> = profile.iter().map(|p| p.possible).collect();
         assert_eq!(flips, vec![true, true, true, true, false, false]);
     }
@@ -1035,51 +852,32 @@ mod profile_tests {
     #[should_panic]
     fn profile_rejects_unsorted_deltas() {
         let c = cascade(GateKind::And, 2, 10);
-        let _ = delay_profile(&c, c.outputs()[0], &[20, 10]);
+        let session = CheckSession::new(&c, VerifyConfig::default());
+        let _ = session.delay_profile(c.outputs()[0], &[20, 10]);
     }
-}
-
-/// The exact floating-mode delay of the whole circuit: the maximum
-/// [`exact_delay`] over all primary outputs, sharing one [`CheckSession`]
-/// (learning table, SCOAP, base fixpoint). This is the quantity the
-/// paper's Table 1 reports per circuit ("the value of δ for which a test
-/// vector is found represents the exact floating-mode delay of the circuit
-/// when the constraint system is inconsistent for (δ + 1) on all
-/// outputs").
-///
-/// Returns the per-output searches alongside the circuit-level result.
-///
-/// # Examples
-///
-/// ```
-/// use ltt_core::{exact_circuit_delay, VerifyConfig};
-/// use ltt_netlist::suite::c17_nor;
-///
-/// let c = c17_nor(10);
-/// let (delay, proven, _per_output) = exact_circuit_delay(&c, &VerifyConfig::default());
-/// assert_eq!(delay, 50);
-/// assert!(proven);
-/// ```
-pub fn exact_circuit_delay(
-    circuit: &Circuit,
-    config: &VerifyConfig,
-) -> (i64, bool, Vec<DelaySearch>) {
-    let session = CheckSession::new(circuit, config.clone());
-    let searches = crate::batch::BatchRunner::serial().exact_delays(&session);
-    let delay = searches.iter().map(|s| s.delay).max().unwrap_or(0);
-    let proven = searches.iter().all(|s| s.proven_exact);
-    (delay, proven, searches)
 }
 
 #[cfg(test)]
 mod circuit_delay_tests {
     use super::*;
+    use crate::{BatchRunner, CheckSession};
     use ltt_netlist::generators::{carry_skip_adder, figure1};
+    use ltt_netlist::Circuit;
+
+    /// The exact floating-mode delay of the whole circuit (the quantity
+    /// Table 1 reports): the maximum per-output exact delay, and whether
+    /// every per-output search was proven exact.
+    fn circuit_delay(c: &Circuit) -> (i64, bool, Vec<DelaySearch>) {
+        let session = CheckSession::new(c, VerifyConfig::default());
+        let searches = BatchRunner::serial().exact_delays(&session);
+        let delay = searches.iter().map(|s| s.delay).max().unwrap_or(0);
+        let proven = searches.iter().all(|s| s.proven_exact);
+        (delay, proven, searches)
+    }
 
     #[test]
     fn figure1_circuit_delay_is_60() {
-        let (delay, proven, per_output) =
-            exact_circuit_delay(&figure1(10), &VerifyConfig::default());
+        let (delay, proven, per_output) = circuit_delay(&figure1(10));
         assert_eq!(delay, 60);
         assert!(proven);
         assert_eq!(per_output.len(), 1);
@@ -1089,7 +887,7 @@ mod circuit_delay_tests {
     #[cfg_attr(debug_assertions, ignore = "slow without optimizations")]
     fn carry_skip_circuit_delay_covers_all_outputs() {
         let c = carry_skip_adder(8, 4, 10);
-        let (delay, proven, per_output) = exact_circuit_delay(&c, &VerifyConfig::default());
+        let (delay, proven, per_output) = circuit_delay(&c);
         assert!(proven);
         assert_eq!(per_output.len(), c.outputs().len());
         // The circuit delay dominates every per-output delay.

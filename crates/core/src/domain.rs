@@ -80,9 +80,6 @@ pub struct SignalStore {
     empty_nets: usize,
 }
 
-/// The pre-rewrite name of [`SignalStore`], kept for callers and tests.
-pub type DomainStore = SignalStore;
-
 impl SignalStore {
     /// Creates a store with every net's domain set to the full signal.
     pub fn new(circuit: &Circuit) -> Self {

@@ -23,16 +23,16 @@
 //!    splitting that finds a certified violating test vector or proves no
 //!    violation is possible (§5).
 //!
-//! The top-level entry points are [`verify`] (one check, with the per-stage
-//! verdicts of the paper's Table 1), [`verify_all_outputs`], and
-//! [`exact_delay`] (binary search for the exact floating-mode delay).
-//!
-//! Workloads with many checks per circuit — all outputs at one δ, a delay
-//! search, a benchmark suite — should open a [`CheckSession`] (which
-//! computes every per-circuit analysis once via [`PreparedCircuit`] and
-//! seeds each check from a shared base fixpoint) and fan the checks out
-//! with a [`BatchRunner`]; parallel results are bit-identical to serial
-//! ones by construction.
+//! Every check runs through a [`CheckSession`]: it computes each
+//! per-circuit analysis once (via [`PreparedCircuit`]), seeds each check
+//! from a shared base fixpoint, and runs a check of output `s` on `s`'s
+//! fanin cone only. Its methods are [`CheckSession::verify`] (one check,
+//! with the per-stage verdicts of the paper's Table 1),
+//! [`CheckSession::exact_delay`] (binary search for the exact
+//! floating-mode delay) and [`CheckSession::delay_profile`]. A
+//! [`BatchRunner`] fans the checks of a session out over worker threads —
+//! all outputs at one δ, every output's delay search — and its parallel
+//! results are bit-identical to serial ones by construction.
 //!
 //! # Example
 //!
@@ -40,18 +40,18 @@
 //! floating-mode delay 60 because the longest path is false.
 //!
 //! ```
-//! use ltt_core::{exact_delay, verify, VerifyConfig};
+//! use ltt_core::{CheckSession, VerifyConfig};
 //! use ltt_netlist::generators::figure1;
 //!
 //! let circuit = figure1(10);
 //! let s = circuit.outputs()[0];
-//! let config = VerifyConfig::default();
+//! let session = CheckSession::new(&circuit, VerifyConfig::default());
 //!
 //! // δ = 61: proven impossible (the 70-path cannot propagate).
-//! assert!(verify(&circuit, s, 61, &config).verdict.is_no_violation());
+//! assert!(session.verify(s, 61).verdict.is_no_violation());
 //!
 //! // Exact delay: 60, with a certified witness vector.
-//! let search = exact_delay(&circuit, s, &config);
+//! let search = session.exact_delay(s);
 //! assert_eq!(search.delay, 60);
 //! assert!(search.proven_exact);
 //! ```
@@ -79,12 +79,10 @@ pub mod stems;
 pub use batch::{available_jobs, BatchCheck, BatchError, BatchOutcome, BatchRunner, BatchSummary};
 pub use budget::{ArmedBudget, Budget, CancelToken, TripReason};
 pub use check::{
-    delay_profile, exact_circuit_delay, exact_delay, verify, verify_all_outputs, verify_under,
-    verify_with_learning, Completeness, ConeMode, DelayMode, DelaySearch, Engine, LearningMode,
-    ProfilePoint, Stage, StageEffort, StageTimes, StageVerdict, Verdict, VerifyConfig,
-    VerifyReport,
+    Completeness, DelayMode, DelaySearch, Engine, LearningMode, ProfilePoint, Stage, StageEffort,
+    StageTimes, StageVerdict, Verdict, VerifyConfig, VerifyReport,
 };
-pub use domain::{Checkpoint, DomainStore, SignalStore};
+pub use domain::{Checkpoint, SignalStore};
 pub use error::{CheckError, Error};
 pub use explain::{explain, Explanation};
 pub use fan::{fill_level, CaseConfig, CaseOutcome, CaseScope, CaseStats};

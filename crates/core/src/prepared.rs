@@ -25,8 +25,8 @@
 use crate::budget::Budget;
 use crate::carriers::fixpoint_with_dominators;
 use crate::check::{
-    run_pipeline, ConeMode, DelayMode, DelaySearch, LearningMode, PipelineScope, ProfilePoint,
-    Verdict, VerifyConfig, VerifyReport,
+    run_pipeline, DelayMode, DelaySearch, LearningMode, PipelineScope, ProfilePoint, Verdict,
+    VerifyConfig, VerifyReport,
 };
 use crate::domain::SignalStore;
 use crate::fan::{fill_level, CaseScope};
@@ -74,13 +74,13 @@ struct OutputAnalysis {
 }
 
 /// Everything a cone-scoped check of one output needs, derived once per
-/// output and shared by every check (and both cone modes):
+/// output and shared by every check (and by the masked reference run):
 ///
 /// * the [`ConeView`] — the output's transitive fanin as a dense,
-///   order-preservingly renumbered sub-circuit (the *sliced* mode's
-///   circuit);
+///   order-preservingly renumbered sub-circuit (the circuit a sliced
+///   check runs on);
 /// * whole-circuit-indexed masks restricting propagation and decisions to
-///   the cone (the *masked* mode's scope);
+///   the cone (the masked reference run's scope);
 /// * the cone-local reconvergent-stem candidates and fanout-stem flags
 ///   (reader counts *inside* the cone — a net with one in-cone and two
 ///   out-of-cone readers is a whole-circuit stem but not a cone stem);
@@ -172,7 +172,7 @@ pub struct PreparedCircuit<'c> {
     stem_mask: OnceLock<Vec<bool>>,
     per_output: Vec<OnceLock<OutputAnalysis>>,
     /// Per-output cone analyses (`None` once computed = the cone covers
-    /// the whole circuit, where cone modes degenerate to the legacy path).
+    /// the whole circuit, where a check runs on the whole circuit).
     cones: Vec<OnceLock<Option<Arc<ConeAnalysis>>>>,
     /// Observability sink for the lazy per-circuit analyses. Disabled by
     /// default; [`CheckSession::with_prepared`] installs the session
@@ -294,7 +294,7 @@ impl<'c> PreparedCircuit<'c> {
     /// The fanin-cone analysis of `output`, cached per output. `None` when
     /// no cone-scoped run applies: `output` is not a primary output, or its
     /// cone covers the whole circuit (slicing would be the identity and the
-    /// legacy path is strictly cheaper).
+    /// whole-circuit run is strictly cheaper).
     pub fn cone(&self, output: NetId) -> Option<&Arc<ConeAnalysis>> {
         let pos = self.circuit().outputs().iter().position(|&o| o == output)?;
         self.cones[pos]
@@ -363,8 +363,8 @@ impl<'c> PreparedCircuit<'c> {
     }
 }
 
-/// One circuit + one configuration + the shared base fixpoint: the unit a
-/// batch of checks runs against.
+/// One circuit + one configuration + the shared base fixpoint: the entry
+/// point of every timing check.
 ///
 /// Every check method seeds a fresh [`Narrower`] from the cached base
 /// fixpoint (inputs + learning constants, no δ), applies the δ constraint
@@ -372,6 +372,11 @@ impl<'c> PreparedCircuit<'c> {
 /// fixpoint of a constraint system is unique, so verdicts and witness
 /// vectors are identical to running each check from scratch — only the
 /// redundant re-propagation is gone.
+///
+/// A check of output `s` depends only on `s`'s transitive fanin cone, so
+/// it runs on that cone alone: a cached sub-session over the cone
+/// renumbered as a dense sub-circuit (DESIGN.md §14). When the cone is the
+/// whole circuit the check runs on the whole circuit directly.
 ///
 /// `CheckSession` is `Sync`; [`BatchRunner`](crate::BatchRunner) shares one
 /// session across worker threads.
@@ -396,10 +401,10 @@ pub struct CheckSession<'c> {
     /// The base-fixpoint store prototype: planes derived once, cloned (two
     /// flat memcpys) into every per-check narrower.
     base: OnceLock<SignalStore>,
-    /// Per-output cone-sliced sub-sessions (the `ConeMode::Sliced` path):
-    /// each wraps the cone's renumbered sub-circuit with a base store
-    /// sliced from the whole-circuit base fixpoint, so a sliced check
-    /// seeds with two memcpys *sized to the cone*. `Arc` so an ECO rebase
+    /// Per-output cone-sliced sub-sessions: each wraps the cone's
+    /// renumbered sub-circuit with a base store sliced from the
+    /// whole-circuit base fixpoint, so a sliced check seeds with two
+    /// memcpys *sized to the cone*. `Arc` so an ECO rebase
     /// can transplant untouched cone sessions wholesale.
     cone_sessions: Vec<OnceLock<Arc<CheckSession<'static>>>>,
 }
@@ -637,31 +642,31 @@ impl<'c> CheckSession<'c> {
         nw
     }
 
-    /// Runs one check under an explicit pipeline config (used internally
-    /// by the delay search's search-free fallback; `config` must agree
-    /// with the session on `delay_mode` and learning for the shared base
-    /// to be sound).
-    pub(crate) fn verify_cfg(
+    /// Runs one check under an explicit pipeline config (the delay
+    /// search's search-free fallback and budgeted checks pass their own;
+    /// `config` must agree with the session on `delay_mode` and learning
+    /// for the shared base to be sound) along `route`.
+    fn run_check(
         &self,
+        route: Route,
         output: NetId,
         delta: i64,
         config: &VerifyConfig,
         assumptions: &[(NetId, Level)],
     ) -> VerifyReport {
-        if config.cone != ConeMode::Off {
+        if route != Route::Whole {
             if let Some((pos, ca)) = self.cone_target(output, assumptions) {
                 let ca = ca.clone();
-                return if config.cone == ConeMode::Masked {
-                    self.verify_masked(&ca, output, delta, config, assumptions)
-                } else {
-                    self.verify_sliced(pos, &ca, output, delta, config, assumptions)
+                return match route {
+                    Route::Masked => self.verify_masked(&ca, output, delta, config, assumptions),
+                    _ => self.verify_sliced(pos, &ca, output, delta, config, assumptions),
                 };
             }
         }
         self.verify_whole(output, delta, config, assumptions)
     }
 
-    /// The legacy whole-circuit pipeline run.
+    /// The whole-circuit pipeline run.
     fn verify_whole(
         &self,
         output: NetId,
@@ -684,7 +689,7 @@ impl<'c> CheckSession<'c> {
     /// net lies inside it, and the whole-circuit base fixpoint is
     /// consistent — a contradiction on an out-of-cone net refutes *every*
     /// check, but a cone-sized store cannot see it, so such (degenerate)
-    /// circuits take the legacy path.
+    /// circuits run on the whole circuit.
     fn cone_target(
         &self,
         output: NetId,
@@ -705,7 +710,7 @@ impl<'c> CheckSession<'c> {
     /// (gate scheduling, implication firing) and case-analysis decisions
     /// restricted to the cone. Bit-identical to [`Self::verify_sliced`] by
     /// construction — the sliced run executes the same event schedule on
-    /// renumbered ids — while sharing the legacy path's store layout, so it
+    /// renumbered ids — while sharing the whole-circuit store layout, so it
     /// serves as the identity-testing reference.
     fn verify_masked(
         &self,
@@ -761,12 +766,8 @@ impl<'c> CheckSession<'c> {
             .iter()
             .map(|&(n, l)| (view.net_to_sub(n).expect("assumption net in cone"), l))
             .collect();
-        let sub_config = VerifyConfig {
-            cone: ConeMode::Off,
-            ..config.clone()
-        };
-        let mut report =
-            session.verify_cfg(view.sub_output(), delta, &sub_config, &sub_assumptions);
+        // The sub-circuit is the cone itself: run it whole.
+        let mut report = session.verify_whole(view.sub_output(), delta, config, &sub_assumptions);
         report.output = output;
         if let Verdict::Violation { vector } = &mut report.verdict {
             *vector = self.widen_cone_vector(view, vector);
@@ -782,11 +783,7 @@ impl<'c> CheckSession<'c> {
                 CircuitHandle::Shared(view.circuit().clone()),
                 ca.table.clone(),
             );
-            let config = VerifyConfig {
-                cone: ConeMode::Off,
-                ..self.config.clone()
-            };
-            let session = CheckSession::with_prepared(prepared, config);
+            let session = CheckSession::with_prepared(prepared, self.config.clone());
             // Seed the sub base by slicing the whole base fixpoint — NOT by
             // re-running narrowing on the sub-circuit, which would lose the
             // backward pressure out-of-cone learning constants exert on
@@ -823,20 +820,55 @@ impl<'c> CheckSession<'c> {
     }
 
     /// Runs the timing check `(output, δ)` through the session's pipeline.
+    ///
+    /// # Examples
+    ///
+    /// The paper's Example 2: the Figure 1 circuit has topological delay 70
+    /// but the 70-path is false; δ = 61 is proven safe by narrowing alone and
+    /// δ = 60 yields a test vector.
+    ///
+    /// ```
+    /// use ltt_core::{CheckSession, VerifyConfig};
+    /// use ltt_netlist::generators::figure1;
+    ///
+    /// let c = figure1(10);
+    /// let s = c.outputs()[0];
+    /// let session = CheckSession::new(&c, VerifyConfig::default());
+    /// assert!(session.verify(s, 61).verdict.is_no_violation());
+    /// assert!(session.verify(s, 60).verdict.is_violation());
+    /// ```
     pub fn verify(&self, output: NetId, delta: i64) -> VerifyReport {
-        self.verify_cfg(output, delta, &self.config, &[])
+        self.run_check(Route::Cone, output, delta, &self.config, &[])
     }
 
     /// [`CheckSession::verify`] under assumptions: each `(net, level)` pins
     /// a net's settling class before propagation (the `set_case_analysis`
-    /// idiom).
+    /// idiom: constant mode pins, unused inputs, scan enables).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ltt_core::{CheckSession, VerifyConfig};
+    /// use ltt_netlist::generators::figure1;
+    /// use ltt_waveform::Level;
+    ///
+    /// let c = figure1(10);
+    /// let s = c.outputs()[0];
+    /// let e5 = c.net_by_name("e5").unwrap();
+    /// let session = CheckSession::new(&c, VerifyConfig::default());
+    /// // Unconstrained, δ = 60 is violated…
+    /// assert!(session.verify(s, 60).verdict.is_violation());
+    /// // …but pinning e5 = 0 blocks the critical AND g4: no violation.
+    /// let r = session.verify_under(s, 60, &[(e5, Level::Zero)]);
+    /// assert!(r.verdict.is_no_violation());
+    /// ```
     pub fn verify_under(
         &self,
         output: NetId,
         delta: i64,
         assumptions: &[(NetId, Level)],
     ) -> VerifyReport {
-        self.verify_cfg(output, delta, &self.config, assumptions)
+        self.run_check(Route::Cone, output, delta, &self.config, assumptions)
     }
 
     /// [`CheckSession::verify`] under an extra [`Budget`] merged
@@ -857,18 +889,25 @@ impl<'c> CheckSession<'c> {
         extra: &Budget,
     ) -> VerifyReport {
         if extra.is_unlimited() {
-            return self.verify_cfg(output, delta, &self.config, assumptions);
+            return self.run_check(Route::Cone, output, delta, &self.config, assumptions);
         }
         let config = VerifyConfig {
             budget: self.config.budget.merged(extra),
             ..self.config.clone()
         };
-        self.verify_cfg(output, delta, &config, assumptions)
+        self.run_check(Route::Cone, output, delta, &config, assumptions)
     }
 
     /// Finds the exact floating-mode delay of `output` by binary search
-    /// over δ, sharing every per-circuit analysis (and the base fixpoint)
-    /// across probes. Semantics match [`exact_delay`](crate::exact_delay).
+    /// over δ in `[0, top + 1]`, sharing every per-circuit analysis (and the
+    /// base fixpoint) across probes.
+    ///
+    /// Each probe is a full [`CheckSession::verify`] run; `Violation` raises
+    /// the lower bound, `NoViolation` lowers the upper bound, and
+    /// `Abandoned`/`Possible` ends the bisection with `proven_exact =
+    /// false` (see [`CheckSession::exact_delay_budgeted`]). The circuit's
+    /// delay — the quantity Table 1 reports — is the maximum over
+    /// [`BatchRunner::exact_delays`](crate::BatchRunner::exact_delays).
     pub fn exact_delay(&self, output: NetId) -> DelaySearch {
         self.exact_delay_budgeted(output, &Budget::unlimited())
     }
@@ -884,6 +923,12 @@ impl<'c> CheckSession<'c> {
     /// tightest completed impossibility proof (at worst the topological
     /// bound).
     pub fn exact_delay_budgeted(&self, output: NetId, extra: &Budget) -> DelaySearch {
+        self.delay_search(Route::Cone, output, extra)
+    }
+
+    /// The bisection behind [`CheckSession::exact_delay_budgeted`], with
+    /// every probe run along `route`.
+    fn delay_search(&self, route: Route, output: NetId, extra: &Budget) -> DelaySearch {
         let budget = self.config.budget.merged(extra);
         let config = if budget.is_unlimited() {
             self.config.clone()
@@ -903,7 +948,7 @@ impl<'c> CheckSession<'c> {
         // Invariant: violation possible at lo, impossible at hi.
         while lo + 1 < hi {
             let mid = lo + (hi - lo) / 2;
-            let report = self.verify_cfg(output, mid, &config, &[]);
+            let report = self.run_check(route, output, mid, &config, &[]);
             backtracks = backtracks.saturating_add(report.backtracks);
             let verdict = report.verdict.clone();
             probes.push(report);
@@ -937,7 +982,7 @@ impl<'c> CheckSession<'c> {
             let (mut plo, mut phi) = (lo, hi);
             while plo + 1 < phi {
                 let mid = plo + (phi - plo) / 2;
-                let report = self.verify_cfg(output, mid, &no_ca, &[]);
+                let report = self.run_check(route, output, mid, &no_ca, &[]);
                 // The fallback probes' effort counts like any other probe's.
                 backtracks = backtracks.saturating_add(report.backtracks);
                 let proved = report.verdict.is_no_violation();
@@ -978,14 +1023,34 @@ impl<'c> CheckSession<'c> {
     /// Sweeps δ over `deltas` (must be strictly ascending) with one
     /// narrower seeded from the session base, recording per-δ consistency
     /// of narrowing plus (per the session config) dominator implications.
+    /// The session's delay mode and learning constants apply.
     ///
-    /// Unlike the free function [`delay_profile`](crate::delay_profile) —
-    /// which always runs plain floating-mode narrowing — this respects the
-    /// session's delay mode, learning constants, and `dominators` flag.
+    /// Because `violation(δ₂) ⊆ violation(δ₁)` for `δ₂ ≥ δ₁`, each step's
+    /// constraint refines the previous fixpoint and the whole profile costs
+    /// little more than the largest single check. There is no search, so
+    /// `possible = false` is a proof and `possible = true` is the stages'
+    /// residual pessimism. Once a δ is refuted every later δ is refuted too
+    /// (monotonicity), so the sweep stops early and fills the tail.
     ///
     /// # Panics
     ///
     /// Panics if `deltas` is not strictly ascending.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ltt_core::{CheckSession, VerifyConfig};
+    /// use ltt_netlist::generators::figure1;
+    ///
+    /// let c = figure1(10);
+    /// let s = c.outputs()[0];
+    /// let session = CheckSession::new(&c, VerifyConfig::default());
+    /// let profile = session.delay_profile(s, &[40, 60, 61, 70]);
+    /// assert!(profile[0].possible);  // δ = 40: yes (true delay is 60)
+    /// assert!(profile[1].possible);  // δ = 60: yes
+    /// assert!(!profile[2].possible); // δ = 61: refuted
+    /// assert!(!profile[3].possible); // δ = 70: refuted (filled by monotonicity)
+    /// ```
     pub fn delay_profile(&self, output: NetId, deltas: &[i64]) -> Vec<ProfilePoint> {
         assert!(
             deltas.windows(2).all(|w| w[0] < w[1]),
@@ -1015,10 +1080,52 @@ impl<'c> CheckSession<'c> {
     }
 }
 
+/// Where a check runs. Every public check method takes [`Route::Cone`];
+/// the other two are the references the cone path is tested against,
+/// reachable only through the test-support methods below.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Route {
+    /// The output's cone sub-session (the whole circuit when the cone
+    /// covers it).
+    Cone,
+    /// The whole-circuit store with propagation and decisions masked to
+    /// the cone: bit-identical to `Cone`.
+    Masked,
+    /// The whole circuit, unmasked: verdict-identical to `Cone`, but it
+    /// also schedules the fringe gates reading cone nets and decides
+    /// out-of-cone inputs, so effort counters and witnesses may differ.
+    Whole,
+}
+
+/// Test support: the reference runs cone slicing is checked against
+/// (DESIGN.md §14). These are not part of the API and no configuration
+/// selects them.
+impl CheckSession<'_> {
+    /// [`CheckSession::verify`] on the whole-circuit store masked to the
+    /// output's cone — the bit-identity reference of the sliced run.
+    #[doc(hidden)]
+    pub fn verify_masked_reference(&self, output: NetId, delta: i64) -> VerifyReport {
+        self.run_check(Route::Masked, output, delta, &self.config, &[])
+    }
+
+    /// [`CheckSession::verify`] on the whole circuit — the verdict
+    /// reference of the sliced run.
+    #[doc(hidden)]
+    pub fn verify_whole_reference(&self, output: NetId, delta: i64) -> VerifyReport {
+        self.run_check(Route::Whole, output, delta, &self.config, &[])
+    }
+
+    /// [`CheckSession::exact_delay`] with every probe on the whole circuit.
+    #[doc(hidden)]
+    pub fn exact_delay_whole_reference(&self, output: NetId) -> DelaySearch {
+        self.delay_search(Route::Whole, output, &Budget::unlimited())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{verify, Verdict};
+    use crate::Verdict;
     use ltt_netlist::generators::{carry_skip_adder, false_path_chain, figure1};
 
     /// Compile-time guarantee that sessions can be shared across threads.
@@ -1030,6 +1137,8 @@ mod tests {
         assert_sync::<CheckSession<'static>>();
     }
 
+    /// A session reused across checks agrees with a fresh one-check
+    /// session per check.
     #[test]
     fn session_matches_free_verify_verdicts() {
         let config = VerifyConfig::default();
@@ -1043,7 +1152,7 @@ mod tests {
             for &s in c.outputs() {
                 for delta in [top / 2, top, top + 1] {
                     let a = session.verify(s, delta);
-                    let b = verify(&c, s, delta, &config);
+                    let b = CheckSession::new(&c, config.clone()).verify(s, delta);
                     assert_eq!(a.verdict, b.verdict, "{} δ = {delta}", c.name());
                 }
             }

@@ -38,8 +38,8 @@ pub enum FixpointResult {
     Interrupted,
 }
 
-/// Restriction of propagation to a fanin cone, for *masked* cone-scoped
-/// checks (see [`ConeMode`](crate::ConeMode)): gates outside the mask are
+/// Restriction of propagation to a fanin cone, for the *masked* reference
+/// run of a cone-scoped check (DESIGN.md §14): gates outside the mask are
 /// never scheduled and learned implications never narrow nets outside it.
 ///
 /// The masked narrower operates on the whole-circuit store, but because the
@@ -47,7 +47,7 @@ pub enum FixpointResult {
 /// blocked fringe gates could only ever have *read* cone nets — so skipping
 /// them leaves the fixpoint on cone nets untouched while making the event
 /// schedule identical, gate for gate, to a run on the extracted sub-circuit
-/// (the *sliced* mode).
+/// (the *sliced* run every check takes).
 #[derive(Debug)]
 pub struct NarrowScope {
     gates: Vec<bool>,
@@ -142,7 +142,8 @@ pub struct Narrower<'c> {
     store: SignalStore,
     queue: VecDeque<GateId>,
     queued: Vec<bool>,
-    /// Optional cone restriction (masked cone mode); `None` = whole circuit.
+    /// Optional cone restriction (the masked reference run); `None` = whole
+    /// circuit.
     scope: Option<Arc<NarrowScope>>,
     implications: Option<Arc<ImplicationTable>>,
     stats: SolverStats,
@@ -162,34 +163,18 @@ impl<'c> Narrower<'c> {
         Self::from_store(circuit, SignalStore::new(circuit))
     }
 
-    /// Creates a narrower whose domains start from `domains` — typically a
+    /// Creates a narrower whose domains start from `store` — typically a
     /// base fixpoint computed once and shared by many checks (see
     /// [`CheckSession`](crate::CheckSession)) — instead of full signals.
     /// The queue starts empty: a seeded fixpoint needs no re-propagation
-    /// until a new constraint narrows some net.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `domains.len() != circuit.num_nets()`.
-    pub fn with_domains(circuit: &'c Circuit, domains: &[Signal]) -> Self {
-        assert_eq!(
-            domains.len(),
-            circuit.num_nets(),
-            "one seeded domain per net"
-        );
-        Self::from_store(circuit, SignalStore::from_domains(domains))
-    }
-
-    /// Creates a narrower around an already-built store. This is the
-    /// cheap seeding path for batch sessions: `CheckSession` derives the
+    /// until a new constraint narrows some net. A session derives the
     /// store planes once for its base fixpoint and hands every check a
-    /// clone (a pair of flat memcpys), skipping the per-check lattice
-    /// derivation that [`Narrower::with_domains`] performs.
+    /// clone (a pair of flat memcpys).
     ///
     /// # Panics
     ///
     /// Panics if the store's net count differs from the circuit's.
-    pub(crate) fn from_store(circuit: &'c Circuit, store: SignalStore) -> Self {
+    pub fn from_store(circuit: &'c Circuit, store: SignalStore) -> Self {
         assert_eq!(
             store.all().len(),
             circuit.num_nets(),
@@ -635,7 +620,7 @@ mod tests {
         let base = fresh.domains().to_vec();
         // Seeding from the base fixpoint and then adding the δ constraint
         // reaches the same greatest fixpoint as narrowing from scratch.
-        let mut seeded = Narrower::with_domains(&c, &base);
+        let mut seeded = Narrower::from_store(&c, SignalStore::from_domains(&base));
         seeded.narrow_net(s, Signal::violation(Time::new(60)));
         seeded.reach_fixpoint();
         let mut scratch = Narrower::new(&c);
@@ -716,11 +701,11 @@ mod tests {
         };
         // One narrower: a δ = 61 contradiction pass (rolled back, queue
         // drained mid-flight), then a δ = 60 pass.
-        let mut backtracked = Narrower::with_domains(&c, &base);
+        let mut backtracked = Narrower::from_store(&c, SignalStore::from_domains(&base));
         let _ = delta_pass(&mut backtracked, 61);
         let with_backtrack = delta_pass(&mut backtracked, 60);
         // Fresh narrower: only the δ = 60 pass, never backtracked.
-        let mut fresh = Narrower::with_domains(&c, &base);
+        let mut fresh = Narrower::from_store(&c, SignalStore::from_domains(&base));
         let without_backtrack = delta_pass(&mut fresh, 60);
         assert_eq!(with_backtrack, without_backtrack);
         // And re-running the same pass on the backtracked narrower again

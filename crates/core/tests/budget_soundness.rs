@@ -9,8 +9,7 @@
 //!   `[lower, upper]` interval containing the exact delay.
 
 use ltt_core::{
-    verify, Budget, CancelToken, CheckSession, Completeness, Stage, TripReason, Verdict,
-    VerifyConfig,
+    Budget, CancelToken, CheckSession, Completeness, Stage, TripReason, Verdict, VerifyConfig,
 };
 use ltt_netlist::generators::{random_circuit, serial_false_path_gadgets, RandomCircuitConfig};
 use ltt_sta::{exhaustive_floating_delay, vector_violates};
@@ -59,7 +58,7 @@ proptest! {
             max_backtracks: 10_000,
             ..Default::default()
         };
-        let report = verify(&c, s, delta, &config);
+        let report = CheckSession::new(&c, config.clone()).verify(s, delta);
         match &report.verdict {
             Verdict::NoViolation { .. } => {
                 prop_assert!(
@@ -124,7 +123,7 @@ fn cancelled_token_aborts_without_claiming() {
         budget: Budget::unlimited().with_cancel(token),
         ..Default::default()
     };
-    let report = verify(&c, s, 241, &config);
+    let report = CheckSession::new(&c, config).verify(s, 241);
     assert_eq!(report.verdict, Verdict::Abandoned);
     assert!(matches!(
         report.completeness,
@@ -143,7 +142,7 @@ fn event_cap_trips_in_the_named_stage() {
         budget: Budget::unlimited().with_events(1),
         ..Default::default()
     };
-    let report = verify(&c, s, 241, &config);
+    let report = CheckSession::new(&c, config).verify(s, 241);
     assert_eq!(report.verdict, Verdict::Abandoned);
     assert_eq!(
         report.completeness,

@@ -1,20 +1,23 @@
 //! Bit-identity and soundness of cone-scoped checking (DESIGN.md §14).
 //!
-//! The contract under test:
+//! Every check runs on its output's sliced fanin cone. The contract under
+//! test, against the two references a session exposes for testing only:
 //!
-//! * `ConeMode::Sliced` and `ConeMode::Masked` produce **bit-identical**
-//!   reports — verdict, witness vector, per-stage verdicts, backtracks and
-//!   every deterministic effort counter — because slicing renumbers the
-//!   cone order-preservingly, making the two event schedules isomorphic.
-//! * Either cone mode agrees with the legacy whole-circuit pipeline on
-//!   verdicts, and any violation vector it reports is a real violation
-//!   (witness vectors may differ: the legacy search also decides
-//!   out-of-cone inputs, the cone modes fill them deterministically).
-//! * Batch runs are identical at any job count, cone modes included.
+//! * The sliced check and the masked reference (the whole-circuit store
+//!   with propagation and decisions masked to the cone) produce
+//!   **bit-identical** reports — verdict, witness vector, per-stage
+//!   verdicts, backtracks and every deterministic effort counter — because
+//!   slicing renumbers the cone order-preservingly, making the two event
+//!   schedules isomorphic.
+//! * Both agree with the whole-circuit reference on verdicts, and any
+//!   violation vector they report is a real violation (witness vectors may
+//!   differ: the whole-circuit search also decides out-of-cone inputs, the
+//!   cone runs fill them deterministically).
+//! * Batch runs are identical at any job count.
 //! * An ECO rebase ([`CheckSession::rebase`]) followed by re-verification
 //!   equals a cold re-register + full re-check, bit for bit.
 
-use ltt_core::{BatchRunner, CheckSession, ConeMode, Verdict, VerifyConfig, VerifyReport};
+use ltt_core::{BatchRunner, CheckSession, Verdict, VerifyConfig, VerifyReport};
 use ltt_netlist::generators::{
     carry_skip_adder, false_path_chain, figure1, random_circuit, RandomCircuitConfig,
 };
@@ -22,13 +25,6 @@ use ltt_netlist::suite::c17;
 use ltt_netlist::{Circuit, CircuitEdit, NetId};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-fn config_with(cone: ConeMode) -> VerifyConfig {
-    VerifyConfig {
-        cone,
-        ..VerifyConfig::default()
-    }
-}
 
 fn random_dag(seed: u64) -> Circuit {
     random_circuit(&RandomCircuitConfig {
@@ -65,18 +61,19 @@ fn assert_bit_identical(a: &VerifyReport, b: &VerifyReport, what: &str) {
     assert_eq!(a.delta, b.delta, "{what}: delta");
 }
 
-/// Runs every output × probe-δ through `Sliced`, `Masked` and legacy `Off`
-/// sessions and checks the cross-mode contracts on one circuit.
+/// Runs every output × probe-δ as a sliced check and through the masked
+/// and whole-circuit references, and checks the contracts on one circuit.
+/// Each run gets its own session, so no run sees another's caches.
 fn check_all_modes(c: &Circuit) {
-    let sliced = CheckSession::new(c, config_with(ConeMode::Sliced));
-    let masked = CheckSession::new(c, config_with(ConeMode::Masked));
-    let legacy = CheckSession::new(c, config_with(ConeMode::Off));
+    let sliced = CheckSession::new(c, VerifyConfig::default());
+    let masked = CheckSession::new(c, VerifyConfig::default());
+    let legacy = CheckSession::new(c, VerifyConfig::default());
     for &s in c.outputs() {
         let top = legacy.prepared().arrival_times()[s.index()];
         for delta in probe_deltas(top) {
             let rs = sliced.verify(s, delta);
-            let rm = masked.verify(s, delta);
-            let rl = legacy.verify(s, delta);
+            let rm = masked.verify_masked_reference(s, delta);
+            let rl = legacy.verify_whole_reference(s, delta);
             let what = format!("{} output {} δ={delta}", c.name(), c.net(s).name());
             assert_bit_identical(&rs, &rm, &what);
             assert_eq!(
@@ -117,11 +114,11 @@ fn named_circuits_cone_modes_agree() {
 #[test]
 fn exact_delay_agrees_through_cones() {
     for c in [figure1(10), carry_skip_adder(6, 2, 10), c17(10)] {
-        let auto = CheckSession::new(&c, config_with(ConeMode::Auto));
-        let legacy = CheckSession::new(&c, config_with(ConeMode::Off));
+        let auto = CheckSession::new(&c, VerifyConfig::default());
+        let legacy = CheckSession::new(&c, VerifyConfig::default());
         for &s in c.outputs() {
             let a = auto.exact_delay(s);
-            let l = legacy.exact_delay(s);
+            let l = legacy.exact_delay_whole_reference(s);
             assert_eq!(a.delay, l.delay, "{} output {}", c.name(), c.net(s).name());
             assert_eq!(a.proven_exact, l.proven_exact);
             assert_eq!(a.upper_bound, l.upper_bound);
@@ -132,7 +129,7 @@ fn exact_delay_agrees_through_cones() {
 #[test]
 fn batch_reports_identical_at_any_job_count() {
     let c = carry_skip_adder(6, 2, 10);
-    let session = CheckSession::new(&c, config_with(ConeMode::Sliced));
+    let session = CheckSession::new(&c, VerifyConfig::default());
     let checks: Vec<(NetId, i64)> = c
         .outputs()
         .iter()
@@ -174,7 +171,7 @@ fn rebase_matches_cold_session() {
     .into_iter()
     .enumerate()
     {
-        let old = CheckSession::new(&c, config_with(ConeMode::Auto));
+        let old = CheckSession::new(&c, VerifyConfig::default());
         // Warm the old session so the rebase has analyses to transplant.
         for &s in c.outputs() {
             let top = old.prepared().arrival_times()[s.index()];
@@ -183,7 +180,7 @@ fn rebase_matches_cold_session() {
         let (edited, dirty, structural) = bump_one_delay(&c);
         assert!(!structural);
         let rebased = old.rebase(edited.clone(), &dirty, structural);
-        let cold = CheckSession::new_shared(edited, config_with(ConeMode::Auto));
+        let cold = CheckSession::new_shared(edited, VerifyConfig::default());
         for &s in c.outputs() {
             let top = cold.prepared().arrival_times()[s.index()];
             for delta in probe_deltas(top) {
@@ -213,11 +210,11 @@ fn structural_rebase_matches_cold_session() {
         }])
         .expect("swap rewire is valid");
     assert!(outcome.structural);
-    let old = CheckSession::new(&c, config_with(ConeMode::Auto));
+    let old = CheckSession::new(&c, VerifyConfig::default());
     old.warm_up();
     let edited = Arc::new(outcome.circuit);
     let rebased = old.rebase(edited.clone(), &outcome.dirty, outcome.structural);
-    let cold = CheckSession::new_shared(edited, config_with(ConeMode::Auto));
+    let cold = CheckSession::new_shared(edited, VerifyConfig::default());
     for &s in c.outputs() {
         let top = cold.prepared().arrival_times()[s.index()];
         for delta in probe_deltas(top) {
@@ -239,14 +236,14 @@ proptest! {
     #[test]
     fn random_dag_rebase_reverify_matches_cold(seed in 0u64..2000) {
         let c = random_dag(seed);
-        let old = CheckSession::new(&c, config_with(ConeMode::Auto));
+        let old = CheckSession::new(&c, VerifyConfig::default());
         for &s in c.outputs() {
             let top = old.prepared().arrival_times()[s.index()];
             let _ = old.verify(s, top);
         }
         let (edited, dirty, structural) = bump_one_delay(&c);
         let rebased = old.rebase(edited.clone(), &dirty, structural);
-        let cold = CheckSession::new_shared(edited, config_with(ConeMode::Auto));
+        let cold = CheckSession::new_shared(edited, VerifyConfig::default());
         for &s in c.outputs() {
             let top = cold.prepared().arrival_times()[s.index()];
             for delta in probe_deltas(top) {

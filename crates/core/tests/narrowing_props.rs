@@ -8,7 +8,7 @@
 //! * the fixpoint domains always contain the trajectory of every concrete
 //!   floating-mode simulation (settle bounds are respected).
 
-use ltt_core::{verify, FixpointResult, LearningMode, Narrower, Verdict, VerifyConfig};
+use ltt_core::{CheckSession, FixpointResult, LearningMode, Narrower, Verdict, VerifyConfig};
 use ltt_netlist::generators::{random_circuit, RandomCircuitConfig};
 use ltt_sta::{exhaustive_floating_delay, floating_settle, vector_violates};
 use ltt_waveform::{Level, Signal, Time};
@@ -48,7 +48,7 @@ proptest! {
             max_backtracks: 10_000,
             ..Default::default()
         };
-        let report = verify(&c, s, delta, &config);
+        let report = CheckSession::new(&c, config).verify(s, delta);
         match &report.verdict {
             Verdict::NoViolation { .. } => {
                 prop_assert!(
@@ -78,14 +78,14 @@ proptest! {
         let c = small_random(seed);
         let s = c.outputs()[0];
         let oracle = exhaustive_floating_delay(&c, s).expect("7 inputs");
-        let config = VerifyConfig::default();
-        let at = verify(&c, s, oracle.delay, &config);
+        let session = CheckSession::new(&c, VerifyConfig::default());
+        let at = session.verify(s, oracle.delay);
         prop_assert!(
             oracle.delay == 0 || at.verdict.is_violation(),
             "must find a vector at the exact delay {}",
             oracle.delay
         );
-        let above = verify(&c, s, oracle.delay + 1, &config);
+        let above = session.verify(s, oracle.delay + 1);
         prop_assert!(above.verdict.is_no_violation());
     }
 
@@ -222,19 +222,19 @@ proptest! {
     /// exact delay (and at the exact delay itself it must stay possible).
     #[test]
     fn delay_profile_brackets_exact_delay(seed in 0u64..10_000) {
-        use ltt_core::{delay_profile, exact_delay, VerifyConfig};
         let c = small_random(seed);
         let s = c.outputs()[0];
         let top = c.arrival_times()[s.index()];
         let deltas: Vec<i64> = (0..=top / 10 + 1).map(|k| k * 10).collect();
-        let profile = delay_profile(&c, s, &deltas);
+        let session = CheckSession::new(&c, VerifyConfig::default());
+        let profile = session.delay_profile(s, &deltas);
         let narrowing_bound = profile
             .iter()
             .filter(|p| p.possible)
             .map(|p| p.delta)
             .max()
             .unwrap_or(0);
-        let search = exact_delay(&c, s, &VerifyConfig::default());
+        let search = session.exact_delay(s);
         prop_assert!(search.proven_exact);
         prop_assert!(
             narrowing_bound >= search.delay,

@@ -3,7 +3,7 @@
 //! domains exactly (the correctness bedrock under backtracking, stem
 //! correlation and case analysis).
 
-use ltt_core::{DomainStore, Narrower};
+use ltt_core::{Narrower, SignalStore};
 use ltt_netlist::generators::{random_circuit, RandomCircuitConfig};
 use ltt_netlist::NetId;
 use ltt_waveform::{Aw, Signal, Time};
@@ -54,7 +54,7 @@ proptest! {
             seed,
         });
         let nets = c.num_nets();
-        let mut store = DomainStore::new(&c);
+        let mut store = SignalStore::new(&c);
         // (checkpoint, full snapshot of domains at that moment)
         let mut stack: Vec<(ltt_core::Checkpoint, Vec<Signal>)> = Vec::new();
         for op in ops {

@@ -48,6 +48,10 @@ use ltt_netlist::{Circuit, GateKind, NetId};
 /// reconvergence with incommensurate delays can explode it).
 const MAX_THRESHOLD_VARS: usize = 4_000_000;
 
+/// The value variable of a gate output whose grid is sized but whose
+/// variables are not allocated yet (never handed to the solver).
+const UNALLOCATED: Var = Var::MAX;
+
 /// A literal or a constant-folded truth value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Plit {
@@ -199,8 +203,11 @@ pub fn encode_check(
         }
     }
 
-    // First pass: grids in topological order, with the blow-up guard.
+    // First pass: grids in topological order, with the blow-up guard. Every
+    // grid is sized before any threshold variable is allocated, so an
+    // over-cap grid costs no solver memory.
     let mut thresh_budget = MAX_THRESHOLD_VARS;
+    let mut cone_outputs: Vec<NetId> = Vec::new();
     for &gid in circuit.topo_gates() {
         if let Some(reason) = armed.poll(0) {
             return Err(EncodeError::Budget(reason));
@@ -224,17 +231,22 @@ pub fn encode_check(
             return Err(EncodeError::GridTooLarge { needed });
         }
         thresh_budget -= need;
-        let value = solver.new_var();
-        let thresh: Vec<Var> = (0..need).map(|_| solver.new_var()).collect();
-        // Monotonicity ladder: settle ≥ grid[j+1] implies settle ≥ grid[j].
-        for w in thresh.windows(2) {
-            solver.add_clause(&[Lit::neg(w[1]), Lit::pos(w[0])]);
-        }
         nets[o.index()] = Some(NetEnc {
             grid,
-            thresh,
-            value,
+            thresh: Vec::new(),
+            value: UNALLOCATED,
         });
+        cone_outputs.push(o);
+    }
+    // Value and threshold variables, gate by gate in the same order.
+    for o in cone_outputs {
+        let enc = nets[o.index()].as_mut().expect("grid sized above");
+        enc.value = solver.new_var();
+        enc.thresh = (1..enc.grid.len()).map(|_| solver.new_var()).collect();
+        // Monotonicity ladder: settle ≥ grid[j+1] implies settle ≥ grid[j].
+        for w in enc.thresh.windows(2) {
+            solver.add_clause(&[Lit::neg(w[1]), Lit::pos(w[0])]);
+        }
     }
 
     // The check is one threshold query on the output.

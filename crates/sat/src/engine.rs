@@ -53,9 +53,7 @@ pub fn sat_decide(circuit: &Circuit, output: NetId, delta: i64, budget: &Budget)
             stats: CdclStats::default(),
         },
         Err(EncodeError::GridTooLarge { .. }) => SatCheck {
-            // The exact grid is a resource like any other; map its cap to
-            // the event-cap trip so callers see a uniform budget story.
-            verdict: SatVerdict::Unknown(TripReason::Events),
+            verdict: SatVerdict::Unknown(TripReason::GridTooLarge),
             stats: CdclStats::default(),
         },
         Ok(Encoded::AlwaysViolated) => SatCheck {
@@ -387,6 +385,61 @@ mod tests {
         let r = verify(&hybrid, s, 61);
         assert!(r.verdict.is_no_violation());
         assert!(r.completeness.is_exact());
+    }
+
+    /// A reconvergent ladder with power-of-two gate delays: stage `k`
+    /// joins `x_k` with a copy of itself delayed by `2^k`, so every subset
+    /// sum of the delays is a distinct settle time and the settle grid of
+    /// `x_k` doubles per stage. Twenty-one stages put the cumulative grid
+    /// past the encoder's threshold-variable cap.
+    fn power_of_two_ladder(stages: u32) -> Circuit {
+        use ltt_netlist::{CircuitBuilder, DelayInterval, GateKind};
+        let mut b = CircuitBuilder::new("pow2_ladder");
+        let mut x = b.input("x0");
+        for k in 0..stages {
+            let p = b.gate(
+                format!("p{k}"),
+                GateKind::Delay,
+                &[x],
+                DelayInterval::fixed(1 << k),
+            );
+            x = b.gate(
+                format!("x{}", k + 1),
+                GateKind::And,
+                &[x, p],
+                DelayInterval::fixed(1),
+            );
+        }
+        b.mark_output(x);
+        b.build().expect("valid ladder")
+    }
+
+    #[test]
+    fn grid_cap_is_its_own_reason_and_never_a_verdict() {
+        let c = power_of_two_ladder(21);
+        let s = c.outputs()[0];
+        let top = c.arrival_times()[s.index()];
+        for delta in [top / 2, top, top + 1] {
+            let check = sat_decide(&c, s, delta, &Budget::unlimited());
+            assert_eq!(
+                check.verdict,
+                SatVerdict::Unknown(TripReason::GridTooLarge),
+                "δ={delta}"
+            );
+        }
+        let r = verify(&session_with(&c, Engine::Sat), s, top);
+        assert_eq!(r.verdict, Verdict::Abandoned);
+        assert_eq!(
+            r.completeness,
+            Completeness::BudgetExhausted {
+                stage: Stage::Sat,
+                reason: TripReason::GridTooLarge,
+            }
+        );
+        assert_eq!(
+            TripReason::GridTooLarge.to_string(),
+            "settle grid too large"
+        );
     }
 
     #[test]

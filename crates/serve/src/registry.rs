@@ -14,7 +14,7 @@
 //! normally and the entry is freed when the last one completes.
 
 use crate::proto::{EditSpec, ErrorCode, ProtoError};
-use ltt_core::{CheckSession, Completeness, ConeMode, VerifyConfig, VerifyReport};
+use ltt_core::{CheckSession, Completeness, VerifyConfig, VerifyReport};
 use ltt_netlist::bench_format::parse_bench;
 use ltt_netlist::verilog::parse_verilog;
 use ltt_netlist::{Circuit, CircuitEdit, DelayInterval, NetId};
@@ -111,16 +111,11 @@ pub fn patched_id(parent_id: &str, edits: &[EditSpec]) -> String {
 }
 
 /// The [`VerifyConfig`] every registry session runs under: the default
-/// full pipeline with cone-sliced checking in `Auto` mode. All served
-/// reports — and the local oracles the equivalence tests compare against —
-/// must use this exact configuration: cone-sliced runs agree with the
-/// legacy whole-circuit path on verdicts but not on effort counters, so
-/// mixing configurations breaks bit-identity.
+/// full pipeline. All served reports — and the local oracles the
+/// equivalence tests compare against — use this configuration, so served
+/// and in-process reports are bit-identical.
 pub fn session_config() -> VerifyConfig {
-    VerifyConfig {
-        cone: ConeMode::Auto,
-        ..VerifyConfig::default()
-    }
+    VerifyConfig::default()
 }
 
 /// One registered circuit: identity, parsed netlist, and the shared

@@ -680,14 +680,14 @@ fn router_worker_loop(shared: &Arc<RouterShared>) {
         };
         let Some(job) = job else { return };
         let started = Instant::now();
-        let reply_line =
+        let (reply_line, kind) =
             forward_with_retry(shared, &job.line, &job.key, &job.route, job.id.as_ref());
         shared.latency.observe(started.elapsed());
         // A patch a backend accepted becomes routable and replayable: the
         // cache learns the child id (ring-placed at the chain's root) and
         // the replay chain grows by one line.
         if let Some(meta) = &job.patch {
-            if reply_is_ok(&reply_line) {
+            if kind == ReplyKind::Ok {
                 shared
                     .reg_cache
                     .lock()
@@ -705,18 +705,10 @@ fn router_worker_loop(shared: &Arc<RouterShared>) {
     }
 }
 
-/// Whether a backend reply line is an `"ok":true` response.
-fn reply_is_ok(reply: &str) -> bool {
-    decode(reply.trim())
-        .ok()
-        .and_then(|json| json.get("ok").and_then(Json::as_bool))
-        == Some(true)
-}
-
 /// The reply classification a forwarding attempt can produce.
 enum Attempt {
-    /// A reply to forward verbatim.
-    Done(String),
+    /// A reply to forward verbatim, with its classification.
+    Done(String, ReplyKind),
     /// The backend shed the request (`overloaded`) — try elsewhere, and
     /// if everyone sheds, forward the last such reply honestly.
     Overloaded(String),
@@ -731,7 +723,7 @@ fn attempt(shared: &RouterShared, backend: &Backend, line: &str, key: &str) -> A
         Err(_) => Attempt::Failed,
         Ok(reply) => match classify(&reply) {
             ReplyKind::Overloaded => Attempt::Overloaded(reply),
-            ReplyKind::UnknownCircuit => {
+            kind @ ReplyKind::UnknownCircuit => {
                 // The backend is alive but empty-handed (typically: it
                 // died and restarted, or it is a fresh failover target).
                 // Replay the cached registration — the root `register`
@@ -743,7 +735,7 @@ fn attempt(shared: &RouterShared, backend: &Backend, line: &str, key: &str) -> A
                     .expect("reg cache lock poisoned")
                     .resolve(key);
                 let Some((_, entry)) = cached else {
-                    return Attempt::Done(reply);
+                    return Attempt::Done(reply, kind);
                 };
                 shared
                     .counters
@@ -758,29 +750,38 @@ fn attempt(shared: &RouterShared, backend: &Backend, line: &str, key: &str) -> A
                     Err(_) => Attempt::Failed,
                     Ok(retry) => match classify(&retry) {
                         ReplyKind::Overloaded => Attempt::Overloaded(retry),
-                        _ => Attempt::Done(retry),
+                        kind => Attempt::Done(retry, kind),
                     },
                 }
             }
-            ReplyKind::Other => Attempt::Done(reply),
+            kind => Attempt::Done(reply, kind),
         },
     }
 }
 
+/// What a backend reply says, read once per reply.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ReplyKind {
+    /// `"ok":true`.
+    Ok,
+    /// `"ok":false` with error code `overloaded`.
     Overloaded,
+    /// `"ok":false` with error code `unknown_circuit`.
     UnknownCircuit,
+    /// Any other error, or a line that is not a JSON response.
     Other,
 }
 
-/// Inspects a backend reply's error code without disturbing the raw text
-/// (which is what actually gets forwarded).
+/// Inspects a backend reply's `ok` flag and error code without disturbing
+/// the raw text (which is what actually gets forwarded).
 fn classify(reply: &str) -> ReplyKind {
     let Ok(json) = decode(reply.trim()) else {
         return ReplyKind::Other;
     };
-    if json.get("ok").and_then(Json::as_bool) != Some(false) {
-        return ReplyKind::Other;
+    match json.get("ok").and_then(Json::as_bool) {
+        Some(true) => return ReplyKind::Ok,
+        Some(false) => {}
+        None => return ReplyKind::Other,
     }
     match json
         .get("error")
@@ -795,16 +796,17 @@ fn classify(reply: &str) -> ReplyKind {
 
 /// Walks the candidate list with breaker gating, backing off between
 /// rounds, until a reply is obtained or every option is exhausted.
-/// Always returns exactly one reply line. `key` drives the
-/// `unknown_circuit` replay; `route` drives ring placement (they differ
-/// only for patched revisions, which colocate with their root).
+/// Always returns exactly one reply line, with its classification. `key`
+/// drives the `unknown_circuit` replay; `route` drives ring placement
+/// (they differ only for patched revisions, which colocate with their
+/// root).
 fn forward_with_retry(
     shared: &Arc<RouterShared>,
     line: &str,
     key: &str,
     route: &str,
     id: Option<&Json>,
-) -> String {
+) -> (String, ReplyKind) {
     let candidates = shared.candidates(route);
     let config = &shared.config;
     let mut last_overloaded: Option<String> = None;
@@ -840,12 +842,12 @@ fn forward_with_retry(
                     .fetch_add(1, Ordering::Relaxed);
             }
             match attempt(shared, backend, line, key) {
-                Attempt::Done(reply) => {
+                Attempt::Done(reply, kind) => {
                     shared
                         .counters
                         .forwarded_total
                         .fetch_add(1, Ordering::Relaxed);
-                    return reply;
+                    return (reply, kind);
                 }
                 Attempt::Overloaded(reply) => {
                     last_overloaded = Some(reply);
@@ -872,13 +874,13 @@ fn forward_with_retry(
             .counters
             .forwarded_total
             .fetch_add(1, Ordering::Relaxed);
-        return reply;
+        return (reply, ReplyKind::Overloaded);
     }
     shared
         .counters
         .unavailable_total
         .fetch_add(1, Ordering::Relaxed);
-    error_response(
+    let reply = error_response(
         id,
         &ProtoError::new(
             ErrorCode::Unavailable,
@@ -889,7 +891,8 @@ fn forward_with_retry(
             ),
         ),
     )
-    .encode()
+    .encode();
+    (reply, ReplyKind::Other)
 }
 
 fn router_connection(stream: TcpStream, shared: &Arc<RouterShared>) {
@@ -1668,10 +1671,16 @@ mod tests {
             classify(r#"{"ok":false,"error":{"code":"unknown_circuit","message":"m"}}"#),
             ReplyKind::UnknownCircuit
         ));
-        assert!(matches!(
-            classify(r#"{"ok":true,"op":"check"}"#),
+        assert_eq!(classify(r#"{"ok":true,"op":"check"}"#), ReplyKind::Ok);
+        assert_eq!(
+            classify(r#"{"ok":true,"op":"patch","id":"abc"}"#),
+            ReplyKind::Ok
+        );
+        assert_eq!(
+            classify(r#"{"ok":false,"error":{"code":"bad_request","message":"m"}}"#),
             ReplyKind::Other
-        ));
-        assert!(matches!(classify("not json"), ReplyKind::Other));
+        );
+        assert_eq!(classify(r#"{"op":"check"}"#), ReplyKind::Other);
+        assert_eq!(classify("not json"), ReplyKind::Other);
     }
 }

@@ -190,7 +190,19 @@ fn killing_a_backend_fails_over_and_reregisters() {
         .map(|(k, &t)| strip_timing(&ask(&mut client, k, t)).encode())
         .collect();
 
-    handle.kill_backend(0);
+    // Kill a backend that owns registered circuits. Ring placement hashes
+    // the backends' ephemeral addresses, so which backend owns which
+    // circuit changes from run to run; a fixed index can own none.
+    let owned: Vec<usize> = handle
+        .spawned_backends()
+        .iter()
+        .map(|b| b.registry_stats().entries)
+        .collect();
+    let victim = (0..owned.len())
+        .max_by_key(|&i| (owned[i], std::cmp::Reverse(i)))
+        .expect("three backends");
+    assert!(owned[victim] > 0, "some backend owns a circuit: {owned:?}");
+    handle.kill_backend(victim);
 
     // Every circuit still answers — identically. Some of these walk the
     // failover path (dead owner), some the re-registration path (the

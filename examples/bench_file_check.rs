@@ -6,7 +6,7 @@
 //! `cargo run --release -p ltt-bench --example bench_file_check -- <file.bench> [gate-delay]`
 //! (with no arguments it analyzes the embedded c17).
 
-use ltt_core::{exact_delay, VerifyConfig};
+use ltt_core::{CheckSession, VerifyConfig};
 use ltt_netlist::bench_format::parse_bench;
 use ltt_netlist::suite::c17;
 use ltt_netlist::{Circuit, DelayInterval};
@@ -37,10 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_backtracks: 10_000,
         ..Default::default()
     };
+    let session = CheckSession::new(&circuit, config);
     let arrival = circuit.arrival_times();
     for &o in circuit.outputs() {
         let top = arrival[o.index()];
-        let search = exact_delay(&circuit, o, &config);
+        let search = session.exact_delay(o);
         let label = if !search.proven_exact {
             format!("<= {} (search abandoned)", search.upper_bound)
         } else if search.delay < top {

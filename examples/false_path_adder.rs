@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release -p ltt-bench --example false_path_adder`.
 
-use ltt_core::{exact_delay, verify, Verdict, VerifyConfig};
+use ltt_core::{CheckSession, Verdict, VerifyConfig};
 use ltt_netlist::generators::carry_skip_adder;
 use ltt_sta::{exhaustive_floating_delay, topological_check};
 
@@ -36,15 +36,15 @@ fn main() {
     // 3. The waveform-narrowing verifier proves the same bound without
     //    enumerating 2^17 vectors, and finds a certified witness at the
     //    exact delay.
-    let config = VerifyConfig::default();
-    let search = exact_delay(&c, cout, &config);
+    let session = CheckSession::new(&c, VerifyConfig::default());
+    let search = session.exact_delay(cout);
     println!(
         "waveform narrowing: exact delay {} proven with {} backtracks",
         search.delay, search.backtracks
     );
     assert_eq!(search.delay, oracle.delay);
 
-    let r = verify(&c, cout, search.delay + 1, &config);
+    let r = session.verify(cout, search.delay + 1);
     match r.verdict {
         Verdict::NoViolation { stage } => println!(
             "δ = {}: proven impossible by the {stage:?} stage in {:.2} ms",

@@ -4,7 +4,7 @@
 //! Run with `cargo run --release -p ltt-bench --example iscas_suite`.
 
 use ltt_bench::table1::critical_output;
-use ltt_core::{exact_delay, VerifyConfig};
+use ltt_core::{CheckSession, VerifyConfig};
 use ltt_netlist::suite::iscas85_suite;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
         }
         let s = critical_output(&entry.circuit);
         let top = entry.circuit.arrival_times()[s.index()];
-        let search = exact_delay(&entry.circuit, s, &config);
+        let search = CheckSession::new(&entry.circuit, config.clone()).exact_delay(s);
         let exact = if search.proven_exact {
             search.delay.to_string()
         } else {

@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --release -p ltt-bench --example mux_sdf`.
 
-use ltt_core::{exact_delay, VerifyConfig};
+use ltt_core::{CheckSession, VerifyConfig};
 use ltt_netlist::generators::shared_select_mux_chain;
 use ltt_netlist::sdf::apply_sdf;
 
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let config = VerifyConfig::default();
     let s = chain.outputs()[0];
-    let search = exact_delay(&chain, s, &config);
+    let search = CheckSession::new(&chain, config.clone()).exact_delay(s);
     println!(
         "uniform delays: exact floating-mode delay {} (a settled select lets\n\
          at most one unstable stage output propagate one further level)",
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "after SDF back-annotation: topological delay {}",
         annotated.topological_delay()
     );
-    let search = exact_delay(&annotated, annotated.outputs()[0], &config);
+    let search = CheckSession::new(&annotated, config.clone()).exact_delay(annotated.outputs()[0]);
     println!(
         "annotated exact floating-mode delay: {} (proven: {})",
         search.delay, search.proven_exact

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release -p ltt-bench --example paper_walkthrough`.
 
-use ltt_core::{explain, project, verify, Narrower, VerifyConfig};
+use ltt_core::{explain, project, CheckSession, Narrower, VerifyConfig};
 use ltt_netlist::generators::figure1;
 use ltt_netlist::GateKind;
 use ltt_waveform::{Aw, Level, Signal, Time};
@@ -91,9 +91,9 @@ fn main() {
     println!("  full fixpoint: {result:?}  (paper: D_e3 = (phi, phi) ⇒ D_s = (phi, phi))");
 
     // The packaged pipeline agrees, and δ = 60 yields the witness.
-    let config = VerifyConfig::default();
-    assert!(verify(&c, s, 61, &config).verdict.is_no_violation());
-    let r = verify(&c, s, 60, &config);
+    let session = CheckSession::new(&c, VerifyConfig::default());
+    assert!(session.verify(s, 61).verdict.is_no_violation());
+    let r = session.verify(s, 60);
     println!(
         "  verify(ξ, s, 61): no violation; verify(ξ, s, 60): {:?}",
         r.verdict

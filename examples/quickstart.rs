@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release -p ltt-bench --example quickstart`.
 
-use ltt_core::{exact_delay, verify, Verdict, VerifyConfig};
+use ltt_core::{CheckSession, Verdict, VerifyConfig};
 use ltt_netlist::{CircuitBuilder, DelayInterval, GateKind};
 use ltt_sta::describe_vector;
 
@@ -41,9 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Ask the paper's timing-check question directly: can y still
     // transition at or after δ?
-    let config = VerifyConfig::default();
+    // A session prepares the per-circuit analyses once for all its checks.
+    let session = CheckSession::new(&circuit, VerifyConfig::default());
     for delta in [top, top - 10] {
-        let report = verify(&circuit, y, delta, &config);
+        let report = session.verify(y, delta);
         match &report.verdict {
             Verdict::NoViolation { stage } => {
                 println!("δ = {delta}: impossible (proved by {stage:?})");
@@ -60,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Or search for the exact floating-mode delay in one call.
-    let search = exact_delay(&circuit, y, &config);
+    let search = session.exact_delay(y);
     println!(
         "exact floating-mode delay: {} (topological {top}) — the longest path is {}",
         search.delay,

@@ -2,14 +2,14 @@
 //! any job count, [`BatchRunner`] must produce **bit-identical** reports to
 //! the serial run — same verdicts, same witness vectors, same stage
 //! columns, same effort counters — on the paper's circuits, the false-path
-//! gadgets, carry-skip adders, and property-tested random DAGs. The
-//! session layer must also agree with the legacy one-shot entry points
-//! (which it now implements), so this doubles as a regression net for the
-//! shared-base-fixpoint seeding.
+//! gadgets, carry-skip adders, and property-tested random DAGs. A session
+//! reused across checks must also agree with a fresh one-check session,
+//! so this doubles as a regression net for the shared-base-fixpoint
+//! seeding.
 
 use ltt_core::{
-    delay_profile, verify, BatchRunner, CaseStats, CheckSession, SolverStats, StageVerdict,
-    StemStats, Verdict, VerifyConfig, VerifyReport,
+    BatchRunner, CaseStats, CheckSession, LearningMode, SolverStats, StageVerdict, StemStats,
+    Verdict, VerifyConfig, VerifyReport,
 };
 use ltt_netlist::generators::{
     carry_skip_adder, false_path_chain, figure1, random_circuit, RandomCircuitConfig,
@@ -100,7 +100,7 @@ fn assert_session_matches_legacy(c: &Circuit) {
     for delta in probe_deltas(c) {
         for &o in c.outputs() {
             let s = session.verify(o, delta);
-            let l = verify(c, o, delta, &cfg);
+            let l = CheckSession::new(c, cfg.clone()).verify(o, delta);
             assert_eq!(
                 s.verdict,
                 l.verdict,
@@ -121,11 +121,15 @@ fn assert_profiles_identical(c: &Circuit) {
         let parallel = BatchRunner::new(test_jobs()).delay_profile(&session, o, &deltas);
         assert_eq!(serial, parallel, "{} output {}", c.name(), o.index());
     }
-    // The default-config session profile also agrees with the legacy
-    // (always-dominators, no-learning) sweep on `possible` flags, because
-    // learning constants are sound and dominators match.
+    // The default-config session profile also agrees with a no-learning
+    // sweep on `possible` flags, because learning constants are sound and
+    // dominators match.
     let o = c.outputs()[0];
-    let legacy = delay_profile(c, o, &deltas);
+    let no_learning = VerifyConfig {
+        learning: LearningMode::Off,
+        ..config()
+    };
+    let legacy = CheckSession::new(c, no_learning).delay_profile(o, &deltas);
     let session_profile = session.delay_profile(o, &deltas);
     for (a, b) in legacy.iter().zip(&session_profile) {
         assert_eq!(a.delta, b.delta);

@@ -2,7 +2,7 @@
 //! `.bench`-format round trip with identical logic function, identical
 //! timing analysis, and identical verifier verdicts.
 
-use ltt_core::{verify, VerifyConfig};
+use ltt_core::{CheckSession, VerifyConfig};
 use ltt_netlist::bench_format::{parse_bench, write_bench};
 use ltt_netlist::generators::{
     carry_skip_adder, false_path_chain, figure1, random_circuit, RandomCircuitConfig,
@@ -62,8 +62,14 @@ fn figure1_roundtrips() {
     let s_a = c.outputs()[0];
     let s_b = r.net_by_name(c.net(s_a).name()).unwrap();
     assert_eq!(
-        verify(&c, s_a, 61, &config).verdict.is_no_violation(),
-        verify(&r, s_b, 61, &config).verdict.is_no_violation()
+        CheckSession::new(&c, config.clone())
+            .verify(s_a, 61)
+            .verdict
+            .is_no_violation(),
+        CheckSession::new(&r, config.clone())
+            .verify(s_b, 61)
+            .verdict
+            .is_no_violation()
     );
 }
 

@@ -3,7 +3,7 @@
 //! verifier's exact-delay search must agree with the floating-mode oracle —
 //! for random circuits, classic structures, and every false-path gadget.
 
-use ltt_core::{exact_delay, VerifyConfig};
+use ltt_core::{CheckSession, VerifyConfig};
 use ltt_netlist::generators::{
     array_multiplier, carry_skip_adder, cascade, false_path_chain, figure1,
     forked_false_path_chain, parity_tree, random_circuit, ripple_carry_adder,
@@ -19,7 +19,7 @@ fn assert_agrees(c: &Circuit) {
         let Some(oracle) = exhaustive_floating_delay(c, o) else {
             continue; // cone too wide for the oracle
         };
-        let search = exact_delay(c, o, &config);
+        let search = CheckSession::new(c, config.clone()).exact_delay(o);
         assert!(
             search.proven_exact,
             "{} output {}: search not decided",
@@ -200,7 +200,7 @@ fn serial_false_path_gadgets_agree() {
         let s = c.outputs()[0];
         let oracle = exhaustive_floating_delay(&c, s).expect("small enough");
         assert_eq!(oracle.delay, 60 * k as i64, "serial({k}) oracle");
-        let search = exact_delay(&c, s, &VerifyConfig::default());
+        let search = CheckSession::new(&c, VerifyConfig::default()).exact_delay(s);
         assert!(search.proven_exact);
         assert_eq!(search.delay, oracle.delay, "serial({k}) verifier");
     }

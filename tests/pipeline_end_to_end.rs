@@ -1,7 +1,7 @@
 //! End-to-end integration of the full pipeline: the paper's worked
 //! examples, cross-crate, through the public API only.
 
-use ltt_core::{exact_delay, verify, Stage, StageVerdict, Verdict, VerifyConfig};
+use ltt_core::{CheckSession, Stage, StageVerdict, Verdict, VerifyConfig};
 use ltt_netlist::generators::{
     carry_skip_adder, figure1, forked_false_path_chain, stem_conflict_circuit,
 };
@@ -15,7 +15,7 @@ fn example2_full_pipeline() {
     let s = c.outputs()[0];
     let config = VerifyConfig::default();
 
-    let r = verify(&c, s, 61, &config);
+    let r = CheckSession::new(&c, config.clone()).verify(s, 61);
     assert_eq!(
         r.verdict,
         Verdict::NoViolation {
@@ -24,7 +24,7 @@ fn example2_full_pipeline() {
         "plain narrowing proves δ = 61, as in the paper's trace"
     );
 
-    let r = verify(&c, s, 60, &config);
+    let r = CheckSession::new(&c, config.clone()).verify(s, 60);
     let Verdict::Violation { vector } = &r.verdict else {
         panic!("expected a violation at δ = 60, got {:?}", r.verdict);
     };
@@ -37,7 +37,7 @@ fn c17_exact_is_50_on_nor_netlist() {
     let c = c17_nor(10);
     let config = VerifyConfig::default();
     for &o in c.outputs() {
-        let search = exact_delay(&c, o, &config);
+        let search = CheckSession::new(&c, config.clone()).exact_delay(o);
         assert!(search.proven_exact);
         assert_eq!(search.delay, c.arrival_times()[o.index()]);
     }
@@ -50,7 +50,7 @@ fn dominator_gadget_settles_at_the_dominator_stage() {
     let s = c.outputs()[0];
     let config = VerifyConfig::default();
     let exact = 10 * (10 + 2);
-    let r = verify(&c, s, exact + 1, &config);
+    let r = CheckSession::new(&c, config.clone()).verify(s, exact + 1);
     assert_eq!(
         r.verdict,
         Verdict::NoViolation {
@@ -59,7 +59,7 @@ fn dominator_gadget_settles_at_the_dominator_stage() {
     );
     assert_eq!(r.before_gitd, StageVerdict::Possible);
     // And the exact δ yields a certified vector.
-    let r = verify(&c, s, exact, &config);
+    let r = CheckSession::new(&c, config.clone()).verify(s, exact);
     assert!(matches!(r.verdict, Verdict::Violation { .. }));
 }
 
@@ -68,7 +68,7 @@ fn stem_gadget_settles_at_the_stem_stage() {
     let c = stem_conflict_circuit(12, 10);
     let s = c.outputs()[0];
     let config = VerifyConfig::default();
-    let r = verify(&c, s, 111, &config);
+    let r = CheckSession::new(&c, config.clone()).verify(s, 111);
     assert_eq!(
         r.verdict,
         Verdict::NoViolation {
@@ -98,7 +98,7 @@ fn ablation_stage_order_is_monotone() {
             case_analysis: ca,
             ..Default::default()
         };
-        let r = verify(&c, s, delta, &config);
+        let r = CheckSession::new(&c, config.clone()).verify(s, delta);
         outcomes.push(r.verdict.is_no_violation());
     }
     // Once a configuration proves it, every stronger one does too.
@@ -117,7 +117,7 @@ fn carry_skip_pipeline_matches_oracle() {
     let c = carry_skip_adder(8, 4, 10);
     let cout = c.net_by_name("cout").unwrap();
     let oracle = ltt_sta::exhaustive_floating_delay(&c, cout).unwrap();
-    let search = exact_delay(&c, cout, &VerifyConfig::default());
+    let search = CheckSession::new(&c, VerifyConfig::default()).exact_delay(cout);
     assert!(search.proven_exact);
     assert_eq!(search.delay, oracle.delay);
     let v = search.vector.unwrap();
@@ -135,8 +135,11 @@ fn transition_mode_is_sound_wrt_topology() {
         ..Default::default()
     };
     // Beyond the topological delay nothing can transition in any mode.
-    assert!(verify(&c, s, 71, &config).verdict.is_no_violation());
+    assert!(CheckSession::new(&c, config.clone())
+        .verify(s, 71)
+        .verdict
+        .is_no_violation());
     // At small δ the system stays consistent (transitions at 0 exist).
-    let r = verify(&c, s, 10, &config);
+    let r = CheckSession::new(&c, config.clone()).verify(s, 10);
     assert!(!r.verdict.is_no_violation());
 }

@@ -2,7 +2,7 @@
 //! engineered delays must be confirmed by the pipeline itself (the Table 1
 //! regeneration in miniature), and the stage structure must match the spec.
 
-use ltt_core::{exact_delay, verify, Stage, Verdict, VerifyConfig};
+use ltt_core::{CheckSession, Stage, Verdict, VerifyConfig};
 use ltt_netlist::suite::{standin, standin_specs, SpineKind};
 
 fn critical_output(c: &ltt_netlist::Circuit) -> ltt_netlist::NetId {
@@ -27,7 +27,7 @@ fn every_standin_has_the_engineered_exact_delay() {
     for spec in standin_specs() {
         let c = standin(&spec, 10);
         let s = critical_output(&c);
-        let search = exact_delay(&c, s, &config);
+        let search = CheckSession::new(&c, config.clone()).exact_delay(s);
         assert!(search.proven_exact, "{}: search undecided", spec.name);
         assert_eq!(
             search.delay,
@@ -52,7 +52,7 @@ fn standins_settle_at_their_designed_stage() {
         let c = standin(&spec, 10);
         let s = critical_output(&c);
         let delta = 10 * spec.exact_levels as i64 + 1;
-        let r = verify(&c, s, delta, &config);
+        let r = CheckSession::new(&c, config.clone()).verify(s, delta);
         let Verdict::NoViolation { stage } = r.verdict else {
             panic!("{}: δ = {delta} not proven", spec.name);
         };
@@ -85,7 +85,7 @@ fn filler_outputs_never_exceed_the_exact_delay() {
             if o == critical {
                 continue;
             }
-            let r = verify(&c, o, exact, &config);
+            let r = CheckSession::new(&c, config.clone()).verify(o, exact);
             assert!(
                 r.verdict.is_no_violation(),
                 "{}: filler output {} can reach {exact}",
