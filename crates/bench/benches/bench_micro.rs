@@ -115,6 +115,9 @@ fn learning_preprocess(c: &mut Criterion) {
     group.bench_function("stems_400_gates", |b| {
         b.iter(|| black_box(ImplicationTable::learn_stems(&circuit)))
     });
+    group.bench_function("reconvergent_stems", |b| {
+        b.iter(|| black_box(circuit.reconvergent_stems()))
+    });
     group.finish();
 }
 

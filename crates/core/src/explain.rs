@@ -5,7 +5,7 @@
 
 use crate::carriers::{dynamic_carriers, fixpoint_with_dominators, timing_dominators};
 use crate::solver::{FixpointResult, Narrower};
-use crate::stems::correlation_stems;
+use crate::stems::correlation_stems_masked;
 use ltt_netlist::{Circuit, NetId};
 use ltt_waveform::{Signal, Time};
 use std::fmt;
@@ -145,7 +145,7 @@ pub fn explain(circuit: &Circuit, output: NetId, delta: i64) -> Explanation {
         })
         .collect();
 
-    explanation.stems = correlation_stems(&nw, output, delta)
+    explanation.stems = correlation_stems_masked(&nw, output, delta, &circuit.reconvergent_stems())
         .into_iter()
         .map(name)
         .collect();

@@ -11,9 +11,10 @@
 //! the domain of a net, learning tables are used to impose class
 //! restrictions on other domains").
 
-use ltt_netlist::{Circuit, GateKind, NetId};
+use ltt_netlist::{Circuit, GateId, GateKind, NetId, Topology};
 use ltt_waveform::Level;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const CAN0: u8 = 1;
 const CAN1: u8 = 2;
@@ -94,22 +95,27 @@ fn forward_classes(kind: GateKind, ins: &[u8]) -> u8 {
     }
 }
 
-fn backward_classes(kind: GateKind, ins: &[u8], out: u8, j: usize) -> u8 {
+/// The classes input `j` may still take given the input classes `ins` and
+/// the allowed output classes `out`. Substitutes into `ins[j]` in place
+/// and restores it, so one reused snapshot buffer serves gates of any
+/// fan-in without allocating.
+fn backward_classes(kind: GateKind, ins: &mut [u8], out: u8, j: usize) -> u8 {
     if out == 0 || ins.contains(&0) {
         return 0;
     }
+    let own = ins[j];
     let mut allowed = 0u8;
     for v in Level::BOTH {
-        if ins[j] & bit(v) == 0 {
+        if own & bit(v) == 0 {
             continue;
         }
         // Is there a combo with input j = v whose output class is allowed?
-        let mut trial: Vec<u8> = ins.to_vec();
-        trial[j] = bit(v);
-        if forward_classes(kind, &trial) & out != 0 {
+        ins[j] = bit(v);
+        if forward_classes(kind, ins) & out != 0 {
             allowed |= bit(v);
         }
     }
+    ins[j] = own;
     allowed
 }
 
@@ -139,11 +145,12 @@ fn backward_classes(kind: GateKind, ins: &[u8], out: u8, j: usize) -> u8 {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ImplicationTable {
-    /// `table[net][level] = implied (net, level) pairs`.
-    table: Vec<[Vec<(NetId, Level)>; 2]>,
+    /// `offsets[b]..offsets[b + 1]` indexes `implied` for bucket
+    /// `b = 2·net + level`: the pairs implied by fixing `net` to `level`.
+    offsets: Vec<u32>,
+    implied: Vec<(NetId, Level)>,
     /// Nets proven constant (one class can never be produced).
     constants: Vec<(NetId, Level)>,
-    len: usize,
 }
 
 impl ImplicationTable {
@@ -151,66 +158,85 @@ impl ImplicationTable {
     /// source. Exhaustive (quadratic in circuit size); prefer
     /// [`ImplicationTable::learn_stems`] on large circuits.
     pub fn learn(circuit: &Circuit) -> ImplicationTable {
-        let sources: Vec<NetId> = circuit.net_ids().collect();
-        Self::learn_scoped(circuit, &sources)
+        Self::learn_from(circuit, &vec![true; circuit.num_nets()])
     }
 
     /// Runs the learning pre-process with only the reconvergent fanout
-    /// stems as assumption sources — where non-local implications live and
-    /// the table stays small.
+    /// stems ([`Circuit::reconvergent_stems`]) as assumption sources —
+    /// where non-local implications live and the table stays small.
     pub fn learn_stems(circuit: &Circuit) -> ImplicationTable {
-        let sources: Vec<NetId> = circuit
-            .net_ids()
-            .filter(|&n| circuit.net(n).is_fanout_stem() && circuit.is_reconvergent_stem(n))
-            .collect();
-        Self::learn_scoped(circuit, &sources)
+        Self::learn_from(circuit, &circuit.reconvergent_stems())
     }
 
-    fn learn_scoped(circuit: &Circuit, sources: &[NetId]) -> ImplicationTable {
+    /// Fixes every net flagged in `sources` (in net order) to each class
+    /// in turn and records the unique classes the kernel derives, direct
+    /// and contrapositive, each pair once, in first-insertion order.
+    fn learn_from(circuit: &Circuit, sources: &[bool]) -> ImplicationTable {
         let n = circuit.num_nets();
-        let mut table: Vec<[Vec<(NetId, Level)>; 2]> = vec![Default::default(); n];
+        assert!(n < 1 << 31, "implication keys pack two net ids");
+        let topo = circuit.topology();
+        let mut kernel = Kernel::new(circuit, &topo);
         let mut constants = Vec::new();
-        let mut seen: HashSet<(usize, usize, usize, usize)> = HashSet::new();
-        let mut len = 0usize;
+        // (bucket, implied pair) in insertion order; bucketed at the end.
+        let mut entries: Vec<(u32, (NetId, Level))> = Vec::new();
+        let mut seen: HashSet<u64, BuildHasherDefault<KeyHasher>> = HashSet::default();
+        // Direct pairs never repeat (one assumption per (y, v), one trail
+        // entry per x), nor do contrapositives. A direct pair y=v ⇒ x=w can
+        // only coincide with the contrapositive learned under x=¬w, so
+        // only pairs whose target x is itself a source go through `seen`.
+        let mut insert = |y: NetId, v: Level, x: NetId, w: Level, dedup: bool| {
+            let (src, tgt) = (bucket(y, v), bucket(x, w));
+            if !dedup || seen.insert(u64::from(src) << 32 | u64::from(tgt)) {
+                entries.push((src, (x, w)));
+            }
+        };
 
-        for &y in sources {
+        for y in circuit.net_ids().filter(|y| sources[y.index()]) {
             for v in Level::BOTH {
-                match propagate_assumption(circuit, y, v) {
-                    None => {
-                        // y can never settle to v: it is constant ¬v.
-                        constants.push((y, !v));
-                    }
-                    Some(classes) => {
-                        for x in circuit.net_ids() {
-                            if x == y {
-                                continue;
-                            }
-                            let s = classes[x.index()];
-                            let w = match s {
-                                CAN0 => Level::Zero,
-                                CAN1 => Level::One,
-                                _ => continue,
-                            };
-                            // Direct: y=v ⇒ x=w.
-                            if seen.insert((y.index(), v.index(), x.index(), w.index())) {
-                                table[y.index()][v.index()].push((x, w));
-                                len += 1;
-                            }
-                            // Contrapositive: x=¬w ⇒ y=¬v.
-                            let (cx, cv) = (!w, !v);
-                            if seen.insert((x.index(), cx.index(), y.index(), cv.index())) {
-                                table[x.index()][cx.index()].push((y, cv));
-                                len += 1;
-                            }
+                if kernel.propagate(y, v) {
+                    kernel.trail.sort_unstable();
+                    for &x in &kernel.trail {
+                        if x == y {
+                            continue;
                         }
+                        let w = match kernel.classes[x.index()] {
+                            CAN0 => Level::Zero,
+                            CAN1 => Level::One,
+                            _ => continue,
+                        };
+                        let dedup = sources[x.index()];
+                        // Direct: y=v ⇒ x=w.
+                        insert(y, v, x, w, dedup);
+                        // Contrapositive: x=¬w ⇒ y=¬v.
+                        insert(x, !w, y, !v, dedup);
                     }
+                } else {
+                    // y can never settle to v: it is constant ¬v.
+                    constants.push((y, !v));
                 }
+                kernel.reset();
             }
         }
+
+        u32::try_from(entries.len()).expect("< 4G implications");
+        let mut offsets = vec![0u32; 2 * n + 1];
+        for &(b, _) in &entries {
+            offsets[b as usize + 1] += 1;
+        }
+        for b in 1..offsets.len() {
+            offsets[b] += offsets[b - 1];
+        }
+        let mut fill = offsets.clone();
+        let mut implied = vec![(NetId::from_index(0), Level::Zero); entries.len()];
+        for (b, pair) in entries {
+            let slot = &mut fill[b as usize];
+            implied[*slot as usize] = pair;
+            *slot += 1;
+        }
         ImplicationTable {
-            table,
+            offsets,
+            implied,
             constants,
-            len,
         }
     }
 
@@ -227,18 +253,18 @@ impl ImplicationTable {
     /// the sub-circuit could differ. Cone checks must slice, not re-learn.
     pub fn sliced(&self, view: &ltt_netlist::ConeView) -> ImplicationTable {
         let sub = view.circuit();
-        let num_sub = sub.num_nets();
-        let mut table: Vec<[Vec<(NetId, Level)>; 2]> = vec![Default::default(); num_sub];
-        let mut len = 0usize;
+        let mut offsets = Vec::with_capacity(2 * sub.num_nets() + 1);
+        offsets.push(0u32);
+        let mut implied = Vec::new();
         for sub_id in sub.net_ids() {
             let old = view.net_from_sub(sub_id);
             for v in Level::BOTH {
-                let bucket: Vec<(NetId, Level)> = self.table[old.index()][v.index()]
-                    .iter()
-                    .filter_map(|&(target, w)| view.net_to_sub(target).map(|t| (t, w)))
-                    .collect();
-                len += bucket.len();
-                table[sub_id.index()][v.index()] = bucket;
+                implied.extend(
+                    self.implied_by(old, v)
+                        .iter()
+                        .filter_map(|&(target, w)| view.net_to_sub(target).map(|t| (t, w))),
+                );
+                offsets.push(u32::try_from(implied.len()).expect("< 4G implications"));
             }
         }
         let constants: Vec<(NetId, Level)> = self
@@ -247,15 +273,16 @@ impl ImplicationTable {
             .filter_map(|&(net, v)| view.net_to_sub(net).map(|n| (n, v)))
             .collect();
         ImplicationTable {
-            table,
+            offsets,
+            implied,
             constants,
-            len,
         }
     }
 
     /// The implications fired by fixing `net` to `level`.
     pub fn implied_by(&self, net: NetId, level: Level) -> &[(NetId, Level)] {
-        &self.table[net.index()][level.index()]
+        let b = bucket(net, level) as usize;
+        &self.implied[self.offsets[b] as usize..self.offsets[b + 1] as usize]
     }
 
     /// Nets proven constant by learning, with their constant value.
@@ -265,68 +292,132 @@ impl ImplicationTable {
 
     /// Total number of stored implications.
     pub fn len(&self) -> usize {
-        self.len
+        self.implied.len()
     }
 
     /// Whether no implications were learned.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.implied.is_empty()
     }
 }
 
-/// Propagates the class assumption `y = v` to a fixpoint. Returns the class
-/// sets per net, or `None` if the assumption is contradictory.
-fn propagate_assumption(circuit: &Circuit, y: NetId, v: Level) -> Option<Vec<u8>> {
-    let mut classes = vec![BOTH; circuit.num_nets()];
-    classes[y.index()] = bit(v);
-    let mut queue: Vec<_> = {
-        let net = circuit.net(y);
-        net.driver()
-            .into_iter()
-            .chain(net.readers().iter().copied())
-            .collect()
-    };
-    let mut queued = vec![false; circuit.num_gates()];
-    for &g in &queue {
-        queued[g.index()] = true;
+/// The table bucket of the class assumption `net = level`.
+fn bucket(net: NetId, level: Level) -> u32 {
+    u32::try_from(2 * net.index() + level.index()).expect("< 2G nets")
+}
+
+/// A multiply-fold hasher for the packed `u64` pair keys of the learning
+/// dedup set: one 128-bit multiply per key instead of SipHash rounds.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
     }
-    while let Some(gid) = queue.pop() {
-        queued[gid.index()] = false;
-        let gate = circuit.gate(gid);
-        let ins: Vec<u8> = gate.inputs().iter().map(|n| classes[n.index()]).collect();
-        let out_net = gate.output();
-        let mut changed_nets: Vec<NetId> = Vec::new();
-        // Forward.
-        let out_new = classes[out_net.index()] & forward_classes(gate.kind(), &ins);
-        if out_new != classes[out_net.index()] {
-            classes[out_net.index()] = out_new;
-            if out_new == 0 {
-                return None;
-            }
-            changed_nets.push(out_net);
-        }
-        // Backward.
-        for (j, &inp) in gate.inputs().iter().enumerate() {
-            let allowed = classes[inp.index()] & backward_classes(gate.kind(), &ins, out_new, j);
-            if allowed != classes[inp.index()] {
-                classes[inp.index()] = allowed;
-                if allowed == 0 {
-                    return None;
-                }
-                changed_nets.push(inp);
-            }
-        }
-        for net in changed_nets {
-            let n = circuit.net(net);
-            for g in n.driver().into_iter().chain(n.readers().iter().copied()) {
-                if !queued[g.index()] {
-                    queued[g.index()] = true;
-                    queue.push(g);
-                }
-            }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
     }
-    Some(classes)
+
+    fn write_u64(&mut self, key: u64) {
+        let m = u128::from(self.0 ^ key) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (m as u64) ^ (m >> 64) as u64;
+    }
+}
+
+/// The class-propagation kernel: the scratch state of one assumption's
+/// fixpoint on the circuit's CSR [`Topology`], allocated once per learn
+/// call and reset through the touched-net trail between assumptions.
+struct Kernel<'t> {
+    topo: &'t Topology,
+    /// Class set per net; [`BOTH`] everywhere off the trail.
+    classes: Vec<u8>,
+    /// Every net the current assumption narrowed, its source first.
+    trail: Vec<NetId>,
+    queue: Vec<GateId>,
+    queued: Vec<bool>,
+    /// Input-class snapshot of the gate being visited.
+    ins: Vec<u8>,
+}
+
+impl<'t> Kernel<'t> {
+    fn new(circuit: &Circuit, topo: &'t Topology) -> Self {
+        Kernel {
+            topo,
+            classes: vec![BOTH; circuit.num_nets()],
+            trail: Vec::new(),
+            queue: Vec::new(),
+            queued: vec![false; circuit.num_gates()],
+            ins: Vec::new(),
+        }
+    }
+
+    /// Propagates the class assumption `y = v` to a fixpoint (LIFO gate
+    /// queue, forward then backward per visit). Returns `false` if the
+    /// assumption is contradictory. Either way the trail lists the
+    /// narrowed nets; call [`Kernel::reset`] before the next assumption.
+    fn propagate(&mut self, y: NetId, v: Level) -> bool {
+        let topo = self.topo;
+        self.classes[y.index()] = bit(v);
+        self.trail.push(y);
+        self.queue.extend_from_slice(topo.touching(y));
+        for &g in topo.touching(y) {
+            self.queued[g.index()] = true;
+        }
+        while let Some(g) = self.queue.pop() {
+            self.queued[g.index()] = false;
+            let inputs = topo.gate_inputs(g);
+            self.ins.clear();
+            self.ins
+                .extend(inputs.iter().map(|n| self.classes[n.index()]));
+            let kind = topo.gate_kind(g);
+            // Forward.
+            let out = topo.gate_output(g);
+            let out_new = self.classes[out.index()] & forward_classes(kind, &self.ins);
+            if out_new != self.classes[out.index()] && !self.narrow(out, out_new) {
+                return false;
+            }
+            // Backward.
+            for (j, &inp) in inputs.iter().enumerate() {
+                let cur = self.classes[inp.index()];
+                let allowed = cur & backward_classes(kind, &mut self.ins, out_new, j);
+                if allowed != cur && !self.narrow(inp, allowed) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Narrows `net` to `classes` and schedules every gate touching it.
+    /// Returns `false` when the class set empties.
+    fn narrow(&mut self, net: NetId, classes: u8) -> bool {
+        self.classes[net.index()] = classes;
+        self.trail.push(net);
+        if classes == 0 {
+            return false;
+        }
+        for &g in self.topo.touching(net) {
+            if !self.queued[g.index()] {
+                self.queued[g.index()] = true;
+                self.queue.push(g);
+            }
+        }
+        true
+    }
+
+    /// Restores the all-[`BOTH`] plane and an empty queue.
+    fn reset(&mut self) {
+        for net in self.trail.drain(..) {
+            self.classes[net.index()] = BOTH;
+        }
+        for g in self.queue.drain(..) {
+            self.queued[g.index()] = false;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -361,20 +452,24 @@ mod tests {
     fn backward_classes_and() {
         // AND with output forced 1: every input must be 1.
         assert_eq!(
-            backward_classes(GateKind::And, &[BOTH, BOTH], CAN1, 0),
+            backward_classes(GateKind::And, &mut [BOTH, BOTH], CAN1, 0),
             CAN1
         );
         // AND with output forced 0 and the other input forced 1: this input
         // must be 0.
         assert_eq!(
-            backward_classes(GateKind::And, &[BOTH, CAN1], CAN0, 0),
+            backward_classes(GateKind::And, &mut [BOTH, CAN1], CAN0, 0),
             CAN0
         );
         // AND with output forced 0 and the other input free: both classes OK.
         assert_eq!(
-            backward_classes(GateKind::And, &[BOTH, BOTH], CAN0, 0),
+            backward_classes(GateKind::And, &mut [BOTH, BOTH], CAN0, 0),
             BOTH
         );
+        // The substituted snapshot is restored.
+        let mut ins = [BOTH, CAN1];
+        backward_classes(GateKind::And, &mut ins, CAN0, 0);
+        assert_eq!(ins, [BOTH, CAN1]);
     }
 
     #[test]

@@ -109,19 +109,20 @@ impl ConeAnalysis {
             .copied()
             .filter(|&i| view.contains_net(i))
             .collect();
+        let sub_candidates = sub.reconvergent_stems();
         let mut stems = vec![false; circuit.num_nets()];
         let mut stem_candidates = vec![false; circuit.num_nets()];
         for m in sub.net_ids() {
             let old = view.net_from_sub(m).index();
             stems[old] = sub.net(m).is_fanout_stem();
-            stem_candidates[old] = stems[old] && sub.is_reconvergent_stem(m);
+            stem_candidates[old] = sub_candidates[m.index()];
         }
         let sliced = table.map(|t| Arc::new(t.sliced(&view)));
         ConeAnalysis {
-            scope: Arc::new(NarrowScope::new(gates, nets.clone())),
+            scope: Arc::new(NarrowScope::new(gates.clone(), nets.clone())),
             case: CaseScope {
                 nets,
-                gates: circuit.gate_ids().map(|g| view.contains_gate(g)).collect(),
+                gates,
                 inputs,
                 stems,
             },
@@ -136,6 +137,12 @@ impl ConeAnalysis {
         &self.view
     }
 
+    /// The cone's reconvergent-stem candidates: computed on the
+    /// sub-circuit (reader counts inside the cone), whole-circuit indexed.
+    pub fn stem_candidates(&self) -> &[bool] {
+        &self.stem_candidates
+    }
+
     /// Whether the cone contains any of the given (whole-circuit) nets —
     /// the ECO invalidation test.
     pub fn intersects(&self, nets: &[NetId]) -> bool {
@@ -146,7 +153,7 @@ impl ConeAnalysis {
 /// All check-independent analyses of one circuit, computed at most once.
 ///
 /// The fields are lazy ([`OnceLock`]), so a narrowing-only configuration
-/// never pays for SCOAP or the stem reconvergence BFS, while a full
+/// never pays for SCOAP or the reconvergent-stem mask, while a full
 /// pipeline computes each exactly once no matter how many checks run —
 /// serially or from many threads at once.
 ///
@@ -256,16 +263,10 @@ impl<'c> PreparedCircuit<'c> {
     }
 
     /// Per-net mask of reconvergent fanout stems — the stem-correlation
-    /// candidate set, cached (the reconvergence test is a BFS per stem, by
-    /// far the most expensive of the per-check re-derivations it replaces).
+    /// candidate set ([`Circuit::reconvergent_stems`]), cached.
     pub fn stem_candidates(&self) -> &[bool] {
-        self.stem_mask.get_or_init(|| {
-            let circuit = self.circuit();
-            circuit
-                .net_ids()
-                .map(|n| circuit.net(n).is_fanout_stem() && circuit.is_reconvergent_stem(n))
-                .collect()
-        })
+        self.stem_mask
+            .get_or_init(|| self.circuit().reconvergent_stems())
     }
 
     /// Longest-path distances from every net to `output`, cached per
@@ -782,6 +783,13 @@ impl<'c> CheckSession<'c> {
             let prepared = PreparedCircuit::from_handle(
                 CircuitHandle::Shared(view.circuit().clone()),
                 ca.table.clone(),
+            );
+            // The cone's stem mask was computed on this very sub-circuit.
+            let _ = prepared.stem_mask.set(
+                view.nets()
+                    .iter()
+                    .map(|old| ca.stem_candidates[old.index()])
+                    .collect(),
             );
             let session = CheckSession::with_prepared(prepared, self.config.clone());
             // Seed the sub base by slicing the whole base fixpoint — NOT by

@@ -29,45 +29,22 @@ pub struct StemStats {
 /// decreasing dynamic distance (stems furthest from the output first, so
 /// their narrowing feeds the later ones).
 ///
-/// Runs the reconvergence test (a BFS per candidate stem) on the fly; when
-/// many checks share one circuit, precompute the stem set once and use
-/// [`correlation_stems_masked`] instead.
-pub fn correlation_stems(nw: &Narrower, s: NetId, delta: i64) -> Vec<NetId> {
-    select_stems(nw, s, delta, |circuit, n| circuit.is_reconvergent_stem(n))
-}
-
-/// [`correlation_stems`] with a precomputed candidate mask:
-/// `mask[n.index()]` must say whether net `n` is a reconvergent fanout stem
-/// (see [`PreparedCircuit::stem_candidates`](crate::PreparedCircuit::stem_candidates)).
-/// Produces exactly the same stems in the same order as
-/// [`correlation_stems`].
+/// `mask[n.index()]` must say whether net `n` is a reconvergent fanout
+/// stem: [`Circuit::reconvergent_stems`](ltt_netlist::Circuit::reconvergent_stems),
+/// cached per circuit as
+/// [`PreparedCircuit::stem_candidates`](crate::PreparedCircuit::stem_candidates).
 ///
 /// # Panics
 ///
 /// Panics if `mask.len()` is smaller than the circuit's net count.
 pub fn correlation_stems_masked(nw: &Narrower, s: NetId, delta: i64, mask: &[bool]) -> Vec<NetId> {
-    assert!(
-        mask.len() >= nw.circuit().num_nets(),
-        "one mask bit per net"
-    );
-    select_stems(nw, s, delta, |_, n| mask[n.index()])
-}
-
-fn select_stems(
-    nw: &Narrower,
-    s: NetId,
-    delta: i64,
-    is_reconvergent: impl Fn(&ltt_netlist::Circuit, NetId) -> bool,
-) -> Vec<NetId> {
     let circuit = nw.circuit();
+    assert!(mask.len() >= circuit.num_nets(), "one mask bit per net");
     let carriers = dynamic_carriers(circuit, nw.domains(), s, delta);
     let mut stems: Vec<(i64, NetId)> = circuit
         .net_ids()
         .filter(|&n| {
-            carriers[n.index()].is_some()
-                && circuit.net(n).is_fanout_stem()
-                && is_reconvergent(circuit, n)
-                && nw.domain(n).fixed_class().is_none()
+            carriers[n.index()].is_some() && mask[n.index()] && nw.domain(n).fixed_class().is_none()
         })
         .map(|n| (carriers[n.index()].expect("carrier"), n))
         .collect();
@@ -198,7 +175,7 @@ mod tests {
         }
         nw.narrow_net(s, Signal::violation(Time::new(1)));
         nw.reach_fixpoint();
-        let stems = correlation_stems(&nw, s, 1);
+        let stems = correlation_stems_masked(&nw, s, 1, &c.reconvergent_stems());
         assert!(stems.contains(&y), "y is a reconvergent carrier stem");
     }
 
@@ -220,7 +197,7 @@ mod tests {
             nw.narrow_net(s, Signal::violation(Time::new(delta)));
             let mut r = fixpoint_with_dominators(&mut nw, s, delta, true);
             if r == FixpointResult::Fixpoint {
-                let stems = correlation_stems(&nw, s, delta);
+                let stems = correlation_stems_masked(&nw, s, delta, &c.reconvergent_stems());
                 let mut stats = StemStats::default();
                 r = stem_correlation(&mut nw, s, delta, &stems, true, &mut stats);
             }
@@ -247,7 +224,7 @@ mod tests {
             fixpoint_with_dominators(&mut nw, s, 60, true),
             FixpointResult::Fixpoint
         );
-        let stems = correlation_stems(&nw, s, 60);
+        let stems = correlation_stems_masked(&nw, s, 60, &c.reconvergent_stems());
         let mut stats = StemStats::default();
         let r = stem_correlation(&mut nw, s, 60, &stems, true, &mut stats);
         assert_eq!(r, FixpointResult::Fixpoint);

@@ -5,7 +5,8 @@
 //! or not — and provide both the conservative delay bound and the distance
 //! metric used by static carriers and timing dominators.
 
-use crate::{Circuit, NetId};
+use crate::{Circuit, NetId, Topology};
+use std::sync::Arc;
 
 impl Circuit {
     /// The topological arrival time `top_n` of every net: the length
@@ -120,28 +121,118 @@ impl Circuit {
         in_cone
     }
 
-    /// Whether `stem` is a *reconvergent* fanout stem: it has at least two
-    /// readers and two distinct paths from it meet again at some gate.
-    pub fn is_reconvergent_stem(&self, stem: NetId) -> bool {
-        let readers = self.net(stem).readers();
+    /// Per-net mask of *reconvergent* fanout stems, indexed by
+    /// [`NetId::index`]: nets with at least two readers from which two
+    /// distinct paths meet again at some gate.
+    ///
+    /// Each stem's first 64 reader gates tag their outputs with one branch
+    /// bit each, and tags flow forward in topological order. The stem
+    /// reconverges at the first gate with at least two tagged inputs whose
+    /// combined tag (its own included) carries at least two branches. Per
+    /// stem this is one sparse forward walk: it visits only gates fed by a
+    /// tagged net, in topological order, and stops at the first
+    /// reconvergence. The tag plane and the pending-gate bitset are
+    /// allocated once per call and reset sparsely between stems.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ltt_netlist::{CircuitBuilder, DelayInterval, GateKind};
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut b = CircuitBuilder::new("r");
+    /// let a = b.input("a");
+    /// let p = b.gate("p", GateKind::Not, &[a], DelayInterval::fixed(10));
+    /// let q = b.gate("q", GateKind::Buffer, &[a], DelayInterval::fixed(10));
+    /// let y = b.gate("y", GateKind::And, &[p, q], DelayInterval::fixed(10));
+    /// b.mark_output(y);
+    /// let c = b.build()?;
+    /// let stems = c.reconvergent_stems();
+    /// assert!(stems[a.index()]);
+    /// assert!(!stems[p.index()]);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn reconvergent_stems(&self) -> Vec<bool> {
+        let mut walk = StemWalk::new(self);
+        self.net_ids().map(|stem| walk.reconverges(stem)).collect()
+    }
+}
+
+/// Scratch state of [`Circuit::reconvergent_stems`], reused across stems.
+struct StemWalk<'c> {
+    circuit: &'c Circuit,
+    topo: Arc<Topology>,
+    /// Topological position of every gate.
+    pos: Vec<u32>,
+    /// Branch set per net; non-zero only on the `tagged` trail.
+    tags: Vec<u64>,
+    tagged: Vec<NetId>,
+    /// Gates waiting to be visited, one bit per topological position;
+    /// set bits lie in words `lo..=hi`.
+    pending: Vec<u64>,
+    lo: usize,
+    hi: usize,
+}
+
+impl<'c> StemWalk<'c> {
+    fn new(circuit: &'c Circuit) -> Self {
+        let mut pos = vec![0u32; circuit.num_gates()];
+        for (i, g) in circuit.topo_gates().iter().enumerate() {
+            pos[g.index()] = u32::try_from(i).expect("< 4G gates");
+        }
+        StemWalk {
+            circuit,
+            topo: circuit.topology(),
+            pos,
+            tags: vec![0; circuit.num_nets()],
+            tagged: Vec::new(),
+            pending: vec![0; circuit.num_gates().div_ceil(64)],
+            lo: usize::MAX,
+            hi: 0,
+        }
+    }
+
+    /// ORs `bits` into `net`'s tag. A net tagged for the first time
+    /// schedules its readers; their inputs are final by the time the
+    /// topological walk reaches them.
+    fn tag(&mut self, net: NetId, bits: u64) {
+        if self.tags[net.index()] == 0 {
+            self.tagged.push(net);
+            for &r in self.circuit.net(net).readers() {
+                let p = self.pos[r.index()] as usize;
+                self.pending[p / 64] |= 1u64 << (p % 64);
+                self.lo = self.lo.min(p / 64);
+                self.hi = self.hi.max(p / 64);
+            }
+        }
+        self.tags[net.index()] |= bits;
+    }
+
+    fn reconverges(&mut self, stem: NetId) -> bool {
+        let readers = self.circuit.net(stem).readers();
         if readers.len() < 2 {
             return false;
         }
-        // Tag each net reachable from `stem` with the set of first-level
-        // branches (reader gates) it is reachable through; reconvergence is
-        // a net tagged with ≥ 2 branches. Branch sets are capped at 64.
-        let mut tags = vec![0u64; self.num_nets()];
-        for (b, &gid) in readers.iter().enumerate().take(64) {
-            let gate = self.gate(gid);
-            tags[gate.output().index()] |= 1u64 << b;
+        for (b, &g) in readers.iter().enumerate().take(64) {
+            self.tag(self.topo.gate_output(g), 1u64 << b);
         }
         let mut reconv = false;
-        for &gid in self.topo_gates() {
-            let gate = self.gate(gid);
-            let mut acc = tags[gate.output().index()];
+        // Visits pending gates in topological order. A visit only
+        // schedules later positions, so the scan never moves backwards.
+        let mut w = self.lo;
+        while w <= self.hi {
+            let bits = self.pending[w];
+            if bits == 0 {
+                w += 1;
+                continue;
+            }
+            self.pending[w] = bits & (bits - 1);
+            let g = self.circuit.topo_gates()[w * 64 + bits.trailing_zeros() as usize];
+            let out = self.topo.gate_output(g);
+            let mut acc = self.tags[out.index()];
             let mut arms = 0u32;
-            for n in gate.inputs() {
-                let t = tags[n.index()];
+            for n in self.topo.gate_inputs(g) {
+                let t = self.tags[n.index()];
                 if t != 0 {
                     arms += 1;
                 }
@@ -152,8 +243,18 @@ impl Circuit {
             // plus this gate seeing several arms.
             if arms >= 2 && acc.count_ones() >= 2 {
                 reconv = true;
+                break;
             }
-            tags[gate.output().index()] |= acc;
+            if acc != 0 {
+                self.tag(out, acc);
+            }
+        }
+        if self.lo <= self.hi {
+            self.pending[self.lo..=self.hi].fill(0);
+        }
+        (self.lo, self.hi) = (usize::MAX, 0);
+        for net in self.tagged.drain(..) {
+            self.tags[net.index()] = 0;
         }
         reconv
     }
@@ -240,8 +341,9 @@ mod tests {
         let y = b.gate("y", GateKind::And, &[p, q], d(10));
         b.mark_output(y);
         let c = b.build().unwrap();
-        assert!(c.is_reconvergent_stem(a));
-        assert!(!c.is_reconvergent_stem(p));
+        let stems = c.reconvergent_stems();
+        assert!(stems[a.index()]);
+        assert!(!stems[p.index()]);
 
         // Fanout without reconvergence.
         let mut b = CircuitBuilder::new("nr");
@@ -251,7 +353,7 @@ mod tests {
         b.mark_output(p);
         b.mark_output(q);
         let c = b.build().unwrap();
-        assert!(!c.is_reconvergent_stem(a));
+        assert!(!c.reconvergent_stems()[a.index()]);
     }
 }
 

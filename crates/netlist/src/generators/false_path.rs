@@ -502,6 +502,6 @@ mod tests {
         let c = false_path_chain(5, 3, 10);
         let shared = c.net_by_name("shared").unwrap();
         assert!(c.net(shared).is_fanout_stem());
-        assert!(c.is_reconvergent_stem(shared));
+        assert!(c.reconvergent_stems()[shared.index()]);
     }
 }
