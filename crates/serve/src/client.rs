@@ -1,7 +1,8 @@
 //! A small blocking client for the serving protocol.
 //!
-//! Used by `ltt client`, the `loadgen` load generator, the router's
-//! health checker, and the integration tests. One [`Client`] is one
+//! Used by `ltt client`, the `loadgen` load generator, and the
+//! integration tests (the router talks to its backends through
+//! [`Backend::rpc`](crate::Backend::rpc) instead). One [`Client`] is one
 //! connection; requests can be pipelined ([`Client::send`] several lines,
 //! then [`Client::recv`] the replies) or issued RPC-style with
 //! [`Client::call`].

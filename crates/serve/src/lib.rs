@@ -18,24 +18,27 @@
 //!   [`CheckSession`](ltt_core::CheckSession) so every later request
 //!   reuses the same prepared analyses. Re-registering identical content
 //!   is a cache hit (no re-parse, no re-prepare).
-//! * [`server`] — connection handling on a bounded worker pool with
-//!   **admission control**: a full queue yields a structured
-//!   `overloaded` reply instead of unbounded buffering; a client that
-//!   disconnects mid-request has its in-flight work cancelled through
-//!   the [`CancelToken`](ltt_core::CancelToken) plumbing; a `shutdown`
-//!   request drains gracefully (in-flight and queued work completes, new
-//!   work is refused).
+//! * `service` — the skeleton both serving tiers run on: the accept
+//!   loop, one reader thread per connection, a bounded worker pool with
+//!   **admission control** (a full queue yields a structured
+//!   `overloaded` reply instead of unbounded buffering), disconnect
+//!   cancellation through the [`CancelToken`](ltt_core::CancelToken)
+//!   plumbing, graceful drain on `shutdown` (in-flight and queued work
+//!   completes, new work is refused), and the shared `status`/`metrics`
+//!   counters.
+//! * [`server`] — the daemon on that skeleton: registry operations and
+//!   the check, delay and patch jobs.
 //! * [`client`] — a small blocking client used by `ltt client`, the
 //!   `loadgen` load generator, and the integration tests.
-//! * [`router`] — a fault-tolerant **sharded-fleet front tier**:
-//!   consistent-hash placement over N backends, per-backend circuit
-//!   breakers and health probes, backoff retry with failover
-//!   re-registration, and graceful drain — speaking the same wire
+//! * [`router`] — a fault-tolerant **sharded-fleet front tier** on the
+//!   same skeleton: consistent-hash placement over N backends,
+//!   per-backend circuit breakers and health probes, backoff retry with
+//!   failover re-registration, and graceful drain — speaking the same wire
 //!   protocol, forwarding backend replies verbatim so the bit-identity
 //!   contract survives the extra hop ([`backend`] holds the pooled
 //!   per-backend transport).
 //! * [`metrics`] — Prometheus-text exposition primitives: the lock-free
-//!   latency [`Histogram`] behind the daemon's `metrics` operation and
+//!   latency [`Histogram`] behind both tiers' `metrics` operation and
 //!   the shared [`percentile`] helper.
 //!
 //! Verdicts served over the socket are **bit-identical** to running the
@@ -55,6 +58,7 @@ pub mod proto;
 pub mod registry;
 pub mod router;
 pub mod server;
+mod service;
 pub mod wire;
 
 pub use backend::{Backend, BackendOpts, Breaker, RpcError};

@@ -36,28 +36,28 @@
 //! again. Graceful drain reuses `shutdown`: the router stops accepting,
 //! answers everything admitted, then (for in-process fleets) drains its
 //! backends.
+//!
+//! The connection machinery — accept loop, capped-line readers, the
+//! bounded forwarding queue and its worker pool, drain, and the shared
+//! `status`/`metrics` counters — is the service skeleton (`service.rs`)
+//! the daemon runs on too; this module holds only the ring, the
+//! registration cache, forwarding, and health probes.
 
 use crate::backend::{Backend, BackendOpts};
-use crate::lineio::{CappedLineReader, LineRead};
-use crate::metrics::{render_family, render_gauge_f64, render_labeled, render_sample, Histogram};
-use crate::proto::{
-    error_response, ok_response, EditSpec, ErrorCode, ProtoError, Request, RequestBody,
-};
+use crate::metrics::{render_family, render_labeled, render_sample};
+use crate::proto::{error_response, EditSpec, ErrorCode, ProtoError, RequestBody};
 use crate::registry::{content_id, patched_id};
 use crate::server::{ServeConfig, Server, ServerHandle, DEFAULT_MAX_LINE_BYTES};
+use crate::service::{self, int, Conn, ReplyHandle, Service, Snapshot, Tier, POLL};
 use crate::wire::{decode, Json};
 use ltt_core::available_jobs;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::io::{ErrorKind, Write};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often blocked readers, idle workers, the accept loop, and the
-/// health thread re-check the drain flag.
-const POLL: Duration = Duration::from_millis(100);
 
 /// Virtual nodes per backend on the hash ring. 64 vnodes keep the load
 /// split within a few percent of even for small fleets while the ring
@@ -251,18 +251,15 @@ impl RegCache {
     }
 }
 
-/// Monotonic router counters (all relaxed; no cross-counter identity is
-/// claimed — forwarding outcomes are attributed exactly once each).
+/// The router's own monotonic counters (all relaxed; forwarding outcomes
+/// are attributed exactly once each). Parsing, admission and completion
+/// are counted by the service skeleton.
 #[derive(Default)]
 struct RouterCounters {
-    /// Request lines that parsed (any op).
-    requests_total: AtomicU64,
-    /// Check-work replies obtained from a backend and forwarded verbatim.
+    /// Replies obtained from a backend and forwarded verbatim.
     forwarded_total: AtomicU64,
     /// Requests answered `unavailable` after exhausting every candidate.
     unavailable_total: AtomicU64,
-    /// Requests shed at the *router's* admission queue.
-    shed_total: AtomicU64,
     /// Extra attempts after the first (next candidate or next round).
     retries_total: AtomicU64,
     /// Attempts abandoned because a transport error moved the request to
@@ -271,10 +268,6 @@ struct RouterCounters {
     /// `unknown_circuit` failovers repaired by replaying a cached
     /// registration.
     reregister_total: AtomicU64,
-    /// Request lines refused for exceeding the line cap.
-    too_large_total: AtomicU64,
-    /// Request lines that failed to parse.
-    bad_request_total: AtomicU64,
 }
 
 /// What the router must record about a `patch` once a backend accepts
@@ -290,8 +283,8 @@ struct PatchMeta {
     replay_line: String,
 }
 
-/// One queued forward: the raw request line plus routing metadata.
-struct RouterJob {
+/// One admitted forward: the raw request line plus routing metadata.
+struct Forward {
     /// The raw request text, forwarded to backends byte-for-byte.
     line: String,
     /// The repair key (canonical content id when resolvable): what the
@@ -304,57 +297,22 @@ struct RouterJob {
     /// Set on `patch` forwards: cached on success so later requests can
     /// route to and replay the patched revision.
     patch: Option<PatchMeta>,
-    /// Correlation id for router-generated error replies.
-    id: Option<Json>,
-    reply: ClientReply,
 }
 
-/// The client-side writer half (same locked line-granularity discipline
-/// as the single daemon).
-#[derive(Clone)]
-struct ClientReply(Arc<Mutex<TcpStream>>);
-
-impl ClientReply {
-    fn send_line(&self, line: &str) {
-        let mut stream = self.0.lock().expect("reply lock poisoned");
-        let _ = writeln!(stream, "{line}");
-        let _ = stream.flush();
-    }
-
-    fn send(&self, response: &Json) {
-        self.send_line(&response.encode());
-    }
-}
-
-/// State shared by the router's accept loop, readers, workers, health
-/// thread, and handles.
-struct RouterShared {
+/// The router's half of the service: the ring, the registration cache,
+/// and the per-backend transport.
+struct Fleet {
     backends: Vec<Arc<Backend>>,
     /// Sorted (hash, backend index) ring.
     ring: Vec<(u64, usize)>,
     reg_cache: Mutex<RegCache>,
-    queue: Mutex<VecDeque<RouterJob>>,
-    job_ready: Condvar,
-    draining: AtomicBool,
     counters: RouterCounters,
-    /// Admission-to-reply latency of forwarded requests.
-    latency: Histogram,
     /// Monotonic per-request salt for backoff jitter.
     jitter_salt: AtomicU64,
     config: RouterConfig,
-    started: Instant,
 }
 
-impl RouterShared {
-    fn draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
-    }
-
-    fn begin_drain(&self) {
-        self.draining.store(true, Ordering::Release);
-        self.job_ready.notify_all();
-    }
-
+impl Fleet {
     /// The candidate backends for `key`: every distinct backend, in ring
     /// order starting at the owner. The first `replicas` are the
     /// registration fan-out set; retry walks the whole list.
@@ -425,7 +383,7 @@ fn xorshift64(mut x: u64) -> u64 {
 /// A control handle onto a running router.
 #[derive(Clone)]
 pub struct RouterHandle {
-    shared: Arc<RouterShared>,
+    shared: Arc<Service<Fleet>>,
     addr: SocketAddr,
     /// Handles of in-process backends (empty for external fleets) — the
     /// chaos surface: tests kill or drain individual backends through
@@ -447,6 +405,7 @@ impl RouterHandle {
     /// The backend addresses, in ring-index order.
     pub fn backend_addrs(&self) -> Vec<String> {
         self.shared
+            .tier
             .backends
             .iter()
             .map(|b| b.addr().to_string())
@@ -471,7 +430,7 @@ impl RouterHandle {
 /// completes.
 pub struct Router {
     listener: TcpListener,
-    shared: Arc<RouterShared>,
+    shared: Arc<Service<Fleet>>,
     spawned: Arc<Vec<ServerHandle>>,
     backend_threads: Vec<JoinHandle<std::io::Result<()>>>,
 }
@@ -518,19 +477,21 @@ impl Router {
             .collect();
         let ring = build_ring(&backends);
         let listener = TcpListener::bind(&config.addr)?;
-        let shared = Arc::new(RouterShared {
+        let (queue_cap, max_line_bytes) = (config.queue_cap, config.max_line_bytes);
+        let fleet = Fleet {
             backends,
             ring,
             reg_cache: Mutex::new(RegCache::default()),
-            queue: Mutex::new(VecDeque::new()),
-            job_ready: Condvar::new(),
-            draining: AtomicBool::new(false),
             counters: RouterCounters::default(),
-            latency: Histogram::new(),
             jitter_salt: AtomicU64::new(0x9e37_79b9_7f4a_7c15),
             config,
-            started: Instant::now(),
-        });
+        };
+        let shared = Arc::new(Service::new(
+            fleet,
+            listener.local_addr()?.to_string(),
+            queue_cap,
+            max_line_bytes,
+        ));
         Ok(Router {
             listener,
             shared,
@@ -566,49 +527,15 @@ impl Router {
             spawned,
             backend_threads,
         } = self;
-        let worker_count = if shared.config.jobs == 0 {
-            available_jobs().max(4)
-        } else {
-            shared.config.jobs
+        let workers = match shared.tier.config.jobs {
+            0 => available_jobs().max(4),
+            jobs => jobs,
         };
-        let workers: Vec<_> = (0..worker_count)
-            .map(|_| {
-                let shared = shared.clone();
-                std::thread::spawn(move || router_worker_loop(&shared))
-            })
-            .collect();
         let health = {
             let shared = shared.clone();
             std::thread::spawn(move || health_loop(&shared))
         };
-        listener.set_nonblocking(true)?;
-        let mut readers = Vec::new();
-        loop {
-            if shared.draining() {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nodelay(true).ok();
-                    let shared = shared.clone();
-                    readers.push(std::thread::spawn(move || {
-                        router_connection(stream, &shared);
-                    }));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // Refuse new connections at the OS level from here on.
-        drop(listener);
-        for worker in workers {
-            let _ = worker.join();
-        }
-        for reader in readers {
-            let _ = reader.join();
-        }
+        let served = service::run(&shared, listener, workers);
         let _ = health.join();
         // The router's own clients are all answered; now drain the
         // in-process fleet (killed backends just return immediately).
@@ -618,7 +545,7 @@ impl Router {
         for thread in backend_threads {
             let _ = thread.join();
         }
-        Ok(())
+        served
     }
 }
 
@@ -637,71 +564,307 @@ pub fn route(config: RouterConfig) -> std::io::Result<()> {
 /// The health thread: probes every backend with a `status` rpc each
 /// interval. Probes share the request path's transport accounting, so a
 /// recovered backend's first good probe closes its breaker.
-fn health_loop(shared: &RouterShared) {
+fn health_loop(svc: &Service<Fleet>) {
+    let fleet = &svc.tier;
     let probe = Json::obj([
         ("op", Json::str("status")),
         ("id", Json::str("__ltt_router_health")),
     ])
     .encode();
-    let mut last = Instant::now() - shared.config.health_interval;
-    while !shared.draining() {
-        if last.elapsed() < shared.config.health_interval {
-            std::thread::sleep(POLL.min(shared.config.health_interval));
+    let mut last = Instant::now() - fleet.config.health_interval;
+    while !svc.draining() {
+        if last.elapsed() < fleet.config.health_interval {
+            std::thread::sleep(POLL.min(fleet.config.health_interval));
             continue;
         }
         last = Instant::now();
-        for backend in &shared.backends {
+        for backend in &fleet.backends {
             let healthy = backend.rpc(&probe).is_ok();
             backend.set_healthy(healthy);
-            if shared.draining() {
+            if svc.draining() {
                 return;
             }
         }
     }
 }
 
-fn router_worker_loop(shared: &Arc<RouterShared>) {
-    loop {
-        let job = {
-            let mut queue = shared.queue.lock().expect("queue lock poisoned");
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break Some(job);
-                }
-                if shared.draining() {
-                    break None;
-                }
-                queue = shared
-                    .job_ready
-                    .wait_timeout(queue, POLL)
-                    .expect("queue lock poisoned")
-                    .0;
+impl Tier for Fleet {
+    type Work = Forward;
+    const ROLE: &'static str = "router";
+    const METRICS_PREFIX: &'static str = "ltt_router";
+
+    /// Routes one request: `register` fanned out inline, everything else
+    /// admitted for the forwarding pool.
+    fn handle(svc: &Service<Self>, conn: &Conn, line: &str, id: Option<Json>, body: RequestBody) {
+        let fleet = &svc.tier;
+        let (circuit, patch) = match body {
+            RequestBody::Register {
+                name,
+                format,
+                source,
+                delay,
+            } => {
+                return register_fanout(
+                    fleet,
+                    &conn.reply,
+                    id.as_ref(),
+                    name,
+                    format,
+                    source,
+                    delay,
+                    line,
+                )
+            }
+            RequestBody::Check { circuit, .. }
+            | RequestBody::BatchCheck { circuit, .. }
+            | RequestBody::Delay { circuit, .. } => (circuit, None),
+            RequestBody::Patch {
+                circuit,
+                name,
+                edits,
+                ..
+            } => (circuit, Some((name, edits))),
+            RequestBody::Status | RequestBody::Metrics | RequestBody::Shutdown => {
+                unreachable!("control operations are answered by the service skeleton")
             }
         };
-        let Some(job) = job else { return };
-        let started = Instant::now();
-        let (reply_line, kind) =
-            forward_with_retry(shared, &job.line, &job.key, &job.route, job.id.as_ref());
-        shared.latency.observe(started.elapsed());
+        // Canonicalize the routing key: a name known to the cache hashes
+        // as its content id, so by-name and by-hash requests for the same
+        // circuit land on the same owner — and a patched revision rides
+        // its chain's root placement.
+        let resolved = fleet
+            .reg_cache
+            .lock()
+            .expect("reg cache lock poisoned")
+            .resolve(&circuit);
+        let (key, route, patch) = match resolved {
+            // A patch routes where its parent lives (the chain's root
+            // owner set), so the backend applying it holds the warm
+            // session the rebase transplants from. The child id is
+            // computed router-side with the same incremental fold the
+            // backend uses, so both sides agree before the reply lands.
+            Some((canonical, entry)) => {
+                let patch = patch.map(|(name, edits)| {
+                    let mut fields = vec![
+                        ("op", Json::str("patch")),
+                        ("circuit", Json::str(canonical.clone())),
+                    ];
+                    if let Some(n) = &name {
+                        fields.push(("name", Json::str(n.clone())));
+                    }
+                    fields.push((
+                        "edits",
+                        Json::Arr(edits.iter().map(EditSpec::to_json).collect()),
+                    ));
+                    PatchMeta {
+                        parent_id: canonical.clone(),
+                        child_id: patched_id(&canonical, &edits),
+                        alias: name,
+                        replay_line: Json::obj(fields).encode(),
+                    }
+                });
+                (canonical, entry.route.clone(), patch)
+            }
+            // Unknown circuit: forward anyway (the backend may still know
+            // it); nothing to cache or re-route.
+            None => (circuit.clone(), circuit, None),
+        };
+        let forward = Forward {
+            line: line.to_string(),
+            key,
+            route,
+            patch,
+        };
+        svc.admit(conn, id, forward);
+    }
+
+    fn work(svc: &Service<Self>, job: Forward, id: Option<&Json>) -> String {
+        let (reply, kind) = forward_with_retry(svc, &job.line, &job.key, &job.route, id);
         // A patch a backend accepted becomes routable and replayable: the
         // cache learns the child id (ring-placed at the chain's root) and
         // the replay chain grows by one line.
-        if let Some(meta) = &job.patch {
-            if kind == ReplyKind::Ok {
-                shared
-                    .reg_cache
-                    .lock()
-                    .expect("reg cache lock poisoned")
-                    .insert_patched(
-                        &meta.parent_id,
-                        meta.child_id.clone(),
-                        meta.alias.as_deref(),
-                        meta.replay_line.clone(),
-                        shared.config.reg_cache_cap,
-                    );
+        if let (Some(meta), ReplyKind::Ok) = (&job.patch, kind) {
+            svc.tier
+                .reg_cache
+                .lock()
+                .expect("reg cache lock poisoned")
+                .insert_patched(
+                    &meta.parent_id,
+                    meta.child_id.clone(),
+                    meta.alias.as_deref(),
+                    meta.replay_line.clone(),
+                    svc.tier.config.reg_cache_cap,
+                );
+        }
+        reply
+    }
+
+    fn status(
+        svc: &Service<Self>,
+        snap: &Snapshot,
+        fields: &mut Vec<(String, Json)>,
+        requests: &mut Vec<(&'static str, Json)>,
+    ) {
+        let fleet = &svc.tier;
+        let c = &fleet.counters;
+        let backends: Vec<Json> = fleet
+            .backends
+            .iter()
+            .map(|b| {
+                Json::obj([
+                    ("addr", Json::str(b.addr())),
+                    ("healthy", Json::Bool(b.is_healthy())),
+                    (
+                        "breaker",
+                        Json::str(match b.breaker().state_code() {
+                            0 => "closed",
+                            1 => "open",
+                            _ => "half_open",
+                        }),
+                    ),
+                    ("breaker_opened", int(b.breaker().opened_total())),
+                    ("rpcs", int(b.rpcs_total())),
+                    ("errors", int(b.errors_total())),
+                ])
+            })
+            .collect();
+        fields.push(("role".to_string(), Json::str("router")));
+        fields.push(("backends".to_string(), Json::Arr(backends)));
+        requests.extend([
+            ("forwarded", int(c.forwarded_total.load(Ordering::Relaxed))),
+            (
+                "unavailable",
+                int(c.unavailable_total.load(Ordering::Relaxed)),
+            ),
+            // The router's historical name for `overloaded`.
+            ("shed", int(snap.overloaded)),
+            ("retries", int(c.retries_total.load(Ordering::Relaxed))),
+            ("failovers", int(c.failovers_total.load(Ordering::Relaxed))),
+            (
+                "reregistered",
+                int(c.reregister_total.load(Ordering::Relaxed)),
+            ),
+        ]);
+    }
+
+    /// The router's own families: its forwarding counters plus one labeled
+    /// series per backend for health, breaker state, transport totals, and
+    /// rpc latency.
+    fn metrics(svc: &Service<Self>, snap: &Snapshot, body: &mut String) {
+        let fleet = &svc.tier;
+        let c = &fleet.counters;
+        for (name, kind, help, value) in [
+            (
+                "ltt_router_backends",
+                "gauge",
+                "backends on the hash ring",
+                fleet.backends.len() as u64,
+            ),
+            (
+                "ltt_router_forwarded_total",
+                "counter",
+                "backend replies forwarded verbatim",
+                c.forwarded_total.load(Ordering::Relaxed),
+            ),
+            (
+                "ltt_router_unavailable_total",
+                "counter",
+                "requests answered `unavailable` after exhausting every candidate",
+                c.unavailable_total.load(Ordering::Relaxed),
+            ),
+            (
+                "ltt_router_shed_total",
+                "counter",
+                "requests shed at the router's own admission queue",
+                snap.overloaded,
+            ),
+            (
+                "ltt_router_retries_total",
+                "counter",
+                "forwarding attempts after the first (other candidates or rounds)",
+                c.retries_total.load(Ordering::Relaxed),
+            ),
+            (
+                "ltt_router_failovers_total",
+                "counter",
+                "attempts abandoned to a transport failure (moved to next backend)",
+                c.failovers_total.load(Ordering::Relaxed),
+            ),
+            (
+                "ltt_router_reregister_total",
+                "counter",
+                "unknown_circuit failovers repaired from the registration cache",
+                c.reregister_total.load(Ordering::Relaxed),
+            ),
+            (
+                "ltt_router_too_large_total",
+                "counter",
+                "request lines refused for exceeding the line-length cap",
+                snap.too_large,
+            ),
+            (
+                "ltt_router_bad_request_total",
+                "counter",
+                "request lines that failed to parse",
+                snap.bad_request,
+            ),
+        ] {
+            render_sample(body, name, kind, help, value);
+        }
+        // Per-backend families: one header each, one labeled series per
+        // backend.
+        type Read = fn(&Backend) -> u64;
+        let families: [(&str, &str, &str, Read); 5] = [
+            (
+                "ltt_backend_healthy",
+                "gauge",
+                "1 when the last status probe of this backend succeeded",
+                |b| u64::from(b.is_healthy()),
+            ),
+            (
+                "ltt_backend_breaker_state",
+                "gauge",
+                "circuit-breaker state: 0 closed, 1 open, 2 half-open",
+                |b| b.breaker().state_code(),
+            ),
+            (
+                "ltt_backend_breaker_opened_total",
+                "counter",
+                "times this backend's breaker has opened",
+                |b| b.breaker().opened_total(),
+            ),
+            (
+                "ltt_backend_rpcs_total",
+                "counter",
+                "round trips attempted against this backend",
+                Backend::rpcs_total,
+            ),
+            (
+                "ltt_backend_errors_total",
+                "counter",
+                "round trips that failed at the transport level",
+                Backend::errors_total,
+            ),
+        ];
+        for (name, kind, help, read) in families {
+            render_family(body, name, kind, help);
+            for b in &fleet.backends {
+                render_labeled(body, name, &[("backend", b.addr())], read(b));
             }
         }
-        job.reply.send_line(&reply_line);
+        render_family(
+            body,
+            "ltt_backend_rpc_duration_seconds",
+            "histogram",
+            "round-trip latency of successful rpcs per backend",
+        );
+        for b in &fleet.backends {
+            b.latency().render_series(
+                body,
+                "ltt_backend_rpc_duration_seconds",
+                &[("backend", b.addr())],
+            );
+        }
     }
 }
 
@@ -718,7 +881,7 @@ enum Attempt {
 
 /// One rpc to one backend, including the `unknown_circuit` re-register
 /// repair.
-fn attempt(shared: &RouterShared, backend: &Backend, line: &str, key: &str) -> Attempt {
+fn attempt(fleet: &Fleet, backend: &Backend, line: &str, key: &str) -> Attempt {
     match backend.rpc(line) {
         Err(_) => Attempt::Failed,
         Ok(reply) => match classify(&reply) {
@@ -729,7 +892,7 @@ fn attempt(shared: &RouterShared, backend: &Backend, line: &str, key: &str) -> A
                 // Replay the cached registration — the root `register`
                 // plus any patch chain — and retry once, on this same
                 // backend.
-                let cached = shared
+                let cached = fleet
                     .reg_cache
                     .lock()
                     .expect("reg cache lock poisoned")
@@ -737,7 +900,7 @@ fn attempt(shared: &RouterShared, backend: &Backend, line: &str, key: &str) -> A
                 let Some((_, entry)) = cached else {
                     return Attempt::Done(reply, kind);
                 };
-                shared
+                fleet
                     .counters
                     .reregister_total
                     .fetch_add(1, Ordering::Relaxed);
@@ -801,17 +964,18 @@ fn classify(reply: &str) -> ReplyKind {
 /// (they differ only for patched revisions, which colocate with their
 /// root).
 fn forward_with_retry(
-    shared: &Arc<RouterShared>,
+    svc: &Service<Fleet>,
     line: &str,
     key: &str,
     route: &str,
     id: Option<&Json>,
 ) -> (String, ReplyKind) {
-    let candidates = shared.candidates(route);
-    let config = &shared.config;
+    let fleet = &svc.tier;
+    let candidates = fleet.candidates(route);
+    let config = &fleet.config;
     let mut last_overloaded: Option<String> = None;
     let mut seed = fnv64(line.as_bytes())
-        ^ shared
+        ^ fleet
             .jitter_salt
             .fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed);
     let mut attempts = 0u64;
@@ -830,20 +994,17 @@ fn forward_with_retry(
             std::thread::sleep(jittered);
         }
         for &index in &candidates {
-            let backend = &shared.backends[index];
+            let backend = &fleet.backends[index];
             if !backend.breaker().admit() {
                 continue;
             }
             attempts += 1;
             if attempts > 1 {
-                shared
-                    .counters
-                    .retries_total
-                    .fetch_add(1, Ordering::Relaxed);
+                fleet.counters.retries_total.fetch_add(1, Ordering::Relaxed);
             }
-            match attempt(shared, backend, line, key) {
+            match attempt(fleet, backend, line, key) {
                 Attempt::Done(reply, kind) => {
-                    shared
+                    fleet
                         .counters
                         .forwarded_total
                         .fetch_add(1, Ordering::Relaxed);
@@ -853,13 +1014,13 @@ fn forward_with_retry(
                     last_overloaded = Some(reply);
                 }
                 Attempt::Failed => {
-                    shared
+                    fleet
                         .counters
                         .failovers_total
                         .fetch_add(1, Ordering::Relaxed);
                 }
             }
-            if shared.draining() && round > 0 {
+            if svc.draining() && round > 0 {
                 // Draining: stop the backoff dance after the current
                 // sweep so shutdown is not held up by a dead backend.
                 break;
@@ -870,13 +1031,13 @@ fn forward_with_retry(
     // that — it is the truthful state of the fleet and tells the client
     // to retry later. Otherwise nobody answered at all: `unavailable`.
     if let Some(reply) = last_overloaded {
-        shared
+        fleet
             .counters
             .forwarded_total
             .fetch_add(1, Ordering::Relaxed);
         return (reply, ReplyKind::Overloaded);
     }
-    shared
+    fleet
         .counters
         .unavailable_total
         .fetch_add(1, Ordering::Relaxed);
@@ -895,248 +1056,14 @@ fn forward_with_retry(
     (reply, ReplyKind::Other)
 }
 
-fn router_connection(stream: TcpStream, shared: &Arc<RouterShared>) {
-    if stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    let reply = match stream.try_clone() {
-        Ok(w) => ClientReply(Arc::new(Mutex::new(w))),
-        Err(_) => return,
-    };
-    let mut reader = CappedLineReader::new(BufReader::new(stream), shared.config.max_line_bytes);
-    loop {
-        match reader.read_line() {
-            Ok(LineRead::Line(text)) => {
-                let text = text.trim();
-                if !text.is_empty() {
-                    router_dispatch(text, shared, &reply);
-                }
-            }
-            Ok(LineRead::TooLarge) => {
-                shared
-                    .counters
-                    .too_large_total
-                    .fetch_add(1, Ordering::Relaxed);
-                reply.send(&error_response(
-                    None,
-                    &ProtoError::new(
-                        ErrorCode::TooLarge,
-                        format!(
-                            "request line exceeds the {}-byte limit",
-                            shared.config.max_line_bytes
-                        ),
-                    ),
-                ));
-            }
-            Ok(LineRead::TimedOut) => {
-                if shared.draining() {
-                    return;
-                }
-            }
-            Ok(LineRead::Eof) | Err(_) => return,
-        }
-    }
-}
-
-/// Parses one request line and routes it: control ops answered by the
-/// router itself, `register` fanned out inline, check work queued for
-/// the forwarding pool.
-fn router_dispatch(text: &str, shared: &Arc<RouterShared>, reply: &ClientReply) {
-    let json = match decode(text) {
-        Ok(json) => json,
-        Err(e) => {
-            shared
-                .counters
-                .bad_request_total
-                .fetch_add(1, Ordering::Relaxed);
-            reply.send(&error_response(
-                None,
-                &ProtoError::new(ErrorCode::BadRequest, format!("invalid JSON: {e}")),
-            ));
-            return;
-        }
-    };
-    let request = match Request::parse(&json) {
-        Ok(request) => request,
-        Err(e) => {
-            shared
-                .counters
-                .bad_request_total
-                .fetch_add(1, Ordering::Relaxed);
-            reply.send(&error_response(json.get("id"), &e));
-            return;
-        }
-    };
-    shared
-        .counters
-        .requests_total
-        .fetch_add(1, Ordering::Relaxed);
-    let id = request.id;
-    match request.body {
-        RequestBody::Status => reply.send(&router_status(shared, id.as_ref())),
-        RequestBody::Metrics => reply.send(&router_metrics(shared, id.as_ref())),
-        RequestBody::Shutdown => {
-            shared.begin_drain();
-            reply.send(&ok_response("shutdown", id.as_ref(), vec![]));
-        }
-        RequestBody::Register {
-            name,
-            format,
-            source,
-            delay,
-        } => {
-            if refuse_if_draining(shared, reply, id.as_ref(), "register") {
-                return;
-            }
-            register_fanout(
-                shared,
-                reply,
-                id.as_ref(),
-                name,
-                format,
-                source,
-                delay,
-                text,
-            );
-        }
-        RequestBody::Check { ref circuit, .. }
-        | RequestBody::BatchCheck { ref circuit, .. }
-        | RequestBody::Delay { ref circuit, .. } => {
-            if refuse_if_draining(shared, reply, id.as_ref(), "check work") {
-                return;
-            }
-            // Canonicalize the routing key: a name known to the cache
-            // hashes as its content id, so by-name and by-hash requests
-            // for the same circuit land on the same owner — and a patched
-            // revision rides its chain's root placement.
-            let resolved = shared
-                .reg_cache
-                .lock()
-                .expect("reg cache lock poisoned")
-                .resolve(circuit);
-            let (key, route) = match resolved {
-                Some((canonical, entry)) => (canonical, entry.route.clone()),
-                None => (circuit.clone(), circuit.clone()),
-            };
-            enqueue_forward(shared, reply, text, key, route, None, id);
-        }
-        RequestBody::Patch {
-            ref circuit,
-            ref name,
-            ref edits,
-            ..
-        } => {
-            if refuse_if_draining(shared, reply, id.as_ref(), "patch work") {
-                return;
-            }
-            // A patch routes where its parent lives (the chain's root
-            // owner set), so the backend applying it holds the warm
-            // session the rebase transplants from. The child id is
-            // computed router-side with the same incremental fold the
-            // backend uses, so both sides agree before the reply lands.
-            let resolved = shared
-                .reg_cache
-                .lock()
-                .expect("reg cache lock poisoned")
-                .resolve(circuit);
-            let (key, route, patch) = match resolved {
-                Some((canonical, entry)) => {
-                    let child_id = patched_id(&canonical, edits);
-                    let mut fields = vec![
-                        ("op", Json::str("patch")),
-                        ("circuit", Json::str(canonical.clone())),
-                    ];
-                    if let Some(n) = name {
-                        fields.push(("name", Json::str(n.clone())));
-                    }
-                    fields.push((
-                        "edits",
-                        Json::Arr(edits.iter().map(EditSpec::to_json).collect()),
-                    ));
-                    let meta = PatchMeta {
-                        parent_id: canonical.clone(),
-                        child_id,
-                        alias: name.clone(),
-                        replay_line: Json::obj(fields).encode(),
-                    };
-                    (canonical, entry.route.clone(), Some(meta))
-                }
-                // Unknown parent: forward anyway (the backend may still
-                // know it); nothing to cache or re-route.
-                None => (circuit.clone(), circuit.clone(), None),
-            };
-            enqueue_forward(shared, reply, text, key, route, patch, id);
-        }
-    }
-}
-
-/// Admits one forward into the router queue (or sheds it).
-fn enqueue_forward(
-    shared: &Arc<RouterShared>,
-    reply: &ClientReply,
-    text: &str,
-    key: String,
-    route: String,
-    patch: Option<PatchMeta>,
-    id: Option<Json>,
-) {
-    let job = RouterJob {
-        line: text.to_string(),
-        key,
-        route,
-        patch,
-        id,
-        reply: reply.clone(),
-    };
-    let mut queue = shared.queue.lock().expect("queue lock poisoned");
-    if queue.len() >= shared.config.queue_cap.max(1) {
-        shared.counters.shed_total.fetch_add(1, Ordering::Relaxed);
-        drop(queue);
-        reply.send(&error_response(
-            job.id.as_ref(),
-            &ProtoError::new(
-                ErrorCode::Overloaded,
-                format!(
-                    "router queue is full ({} pending); retry later",
-                    shared.config.queue_cap
-                ),
-            ),
-        ));
-        return;
-    }
-    queue.push_back(job);
-    drop(queue);
-    shared.job_ready.notify_one();
-}
-
-fn refuse_if_draining(
-    shared: &RouterShared,
-    reply: &ClientReply,
-    id: Option<&Json>,
-    what: &str,
-) -> bool {
-    if shared.draining() {
-        reply.send(&error_response(
-            id,
-            &ProtoError::new(
-                ErrorCode::ShuttingDown,
-                format!("router is draining; {what} refused"),
-            ),
-        ));
-        true
-    } else {
-        false
-    }
-}
-
 /// `register`: compute the content id router-side (the same FNV the
 /// backends use, so ids agree), cache the registration for failover,
 /// then register on the owner plus `replicas - 1` successors. The first
 /// successful backend reply is forwarded verbatim.
 #[allow(clippy::too_many_arguments)]
 fn register_fanout(
-    shared: &Arc<RouterShared>,
-    reply: &ClientReply,
+    fleet: &Fleet,
+    reply: &ReplyHandle,
     id: Option<&Json>,
     name: String,
     format: String,
@@ -1145,7 +1072,7 @@ fn register_fanout(
     raw_line: &str,
 ) {
     let cid = content_id(&format, delay, &source);
-    shared
+    fleet
         .reg_cache
         .lock()
         .expect("reg cache lock poisoned")
@@ -1159,14 +1086,14 @@ fn register_fanout(
                 route: cid.clone(),
                 patches: Vec::new(),
             },
-            shared.config.reg_cache_cap,
+            fleet.config.reg_cache_cap,
         );
-    let candidates = shared.candidates(&cid);
-    let replicas = shared.config.replicas.clamp(1, candidates.len());
+    let candidates = fleet.candidates(&cid);
+    let replicas = fleet.config.replicas.clamp(1, candidates.len());
     let mut first_reply: Option<String> = None;
     let mut placed = 0usize;
     for &index in &candidates {
-        let backend = &shared.backends[index];
+        let backend = &fleet.backends[index];
         if !backend.breaker().admit() {
             continue;
         }
@@ -1181,7 +1108,7 @@ fn register_fanout(
                 }
             }
             Err(_) => {
-                shared
+                fleet
                     .counters
                     .failovers_total
                     .fetch_add(1, Ordering::Relaxed);
@@ -1190,14 +1117,14 @@ fn register_fanout(
     }
     match first_reply {
         Some(line) => {
-            shared
+            fleet
                 .counters
                 .forwarded_total
                 .fetch_add(1, Ordering::Relaxed);
             reply.send_line(&line);
         }
         None => {
-            shared
+            fleet
                 .counters
                 .unavailable_total
                 .fetch_add(1, Ordering::Relaxed);
@@ -1212,288 +1139,10 @@ fn register_fanout(
     }
 }
 
-fn router_status(shared: &RouterShared, id: Option<&Json>) -> Json {
-    let c = &shared.counters;
-    let int = |v: u64| Json::Int(v.min(i64::MAX as u64) as i64);
-    let backends: Vec<Json> = shared
-        .backends
-        .iter()
-        .map(|b| {
-            Json::obj([
-                ("addr", Json::str(b.addr())),
-                ("healthy", Json::Bool(b.is_healthy())),
-                (
-                    "breaker",
-                    Json::str(match b.breaker().state_code() {
-                        0 => "closed",
-                        1 => "open",
-                        _ => "half_open",
-                    }),
-                ),
-                ("breaker_opened", int(b.breaker().opened_total())),
-                ("rpcs", int(b.rpcs_total())),
-                ("errors", int(b.errors_total())),
-            ])
-        })
-        .collect();
-    let queued = shared.queue.lock().expect("queue lock poisoned").len();
-    ok_response(
-        "status",
-        id,
-        vec![
-            ("role".to_string(), Json::str("router")),
-            (
-                "uptime_ms".to_string(),
-                Json::Int(shared.started.elapsed().as_millis().min(i64::MAX as u128) as i64),
-            ),
-            ("draining".to_string(), Json::Bool(shared.draining())),
-            ("backends".to_string(), Json::Arr(backends)),
-            (
-                "queue".to_string(),
-                Json::obj([
-                    (
-                        "depth",
-                        Json::Int(i64::try_from(queued).unwrap_or(i64::MAX)),
-                    ),
-                    // Saturate rather than wrap: a queue cap above
-                    // `i64::MAX` must not report as negative capacity.
-                    (
-                        "capacity",
-                        Json::Int(
-                            i64::try_from(shared.config.queue_cap.max(1)).unwrap_or(i64::MAX),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "requests".to_string(),
-                Json::obj([
-                    ("total", int(c.requests_total.load(Ordering::Relaxed))),
-                    ("forwarded", int(c.forwarded_total.load(Ordering::Relaxed))),
-                    (
-                        "unavailable",
-                        int(c.unavailable_total.load(Ordering::Relaxed)),
-                    ),
-                    ("shed", int(c.shed_total.load(Ordering::Relaxed))),
-                    ("retries", int(c.retries_total.load(Ordering::Relaxed))),
-                    ("failovers", int(c.failovers_total.load(Ordering::Relaxed))),
-                    (
-                        "reregistered",
-                        int(c.reregister_total.load(Ordering::Relaxed)),
-                    ),
-                    ("too_large", int(c.too_large_total.load(Ordering::Relaxed))),
-                    (
-                        "bad_request",
-                        int(c.bad_request_total.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-        ],
-    )
-}
-
-/// The router's Prometheus exposition: its own counters plus one labeled
-/// series per backend for health, breaker state, transport totals, and
-/// rpc latency.
-fn router_metrics(shared: &RouterShared, id: Option<&Json>) -> Json {
-    let c = &shared.counters;
-    let mut body = String::new();
-    render_gauge_f64(
-        &mut body,
-        "ltt_router_uptime_seconds",
-        "seconds since the router started",
-        shared.started.elapsed().as_secs_f64(),
-    );
-    render_sample(
-        &mut body,
-        "ltt_router_draining",
-        "gauge",
-        "1 while the router is draining after shutdown",
-        u64::from(shared.draining()),
-    );
-    render_sample(
-        &mut body,
-        "ltt_router_backends",
-        "gauge",
-        "backends on the hash ring",
-        shared.backends.len() as u64,
-    );
-    render_sample(
-        &mut body,
-        "ltt_router_requests_total",
-        "counter",
-        "request lines parsed (any op)",
-        c.requests_total.load(Ordering::Relaxed),
-    );
-    render_sample(
-        &mut body,
-        "ltt_router_forwarded_total",
-        "counter",
-        "backend replies forwarded verbatim",
-        c.forwarded_total.load(Ordering::Relaxed),
-    );
-    render_sample(
-        &mut body,
-        "ltt_router_unavailable_total",
-        "counter",
-        "requests answered `unavailable` after exhausting every candidate",
-        c.unavailable_total.load(Ordering::Relaxed),
-    );
-    render_sample(
-        &mut body,
-        "ltt_router_shed_total",
-        "counter",
-        "requests shed at the router's own admission queue",
-        c.shed_total.load(Ordering::Relaxed),
-    );
-    render_sample(
-        &mut body,
-        "ltt_router_retries_total",
-        "counter",
-        "forwarding attempts after the first (other candidates or rounds)",
-        c.retries_total.load(Ordering::Relaxed),
-    );
-    render_sample(
-        &mut body,
-        "ltt_router_failovers_total",
-        "counter",
-        "attempts abandoned to a transport failure (moved to next backend)",
-        c.failovers_total.load(Ordering::Relaxed),
-    );
-    render_sample(
-        &mut body,
-        "ltt_router_reregister_total",
-        "counter",
-        "unknown_circuit failovers repaired from the registration cache",
-        c.reregister_total.load(Ordering::Relaxed),
-    );
-    render_sample(
-        &mut body,
-        "ltt_router_too_large_total",
-        "counter",
-        "request lines refused for exceeding the line-length cap",
-        c.too_large_total.load(Ordering::Relaxed),
-    );
-    render_sample(
-        &mut body,
-        "ltt_router_bad_request_total",
-        "counter",
-        "request lines that failed to parse",
-        c.bad_request_total.load(Ordering::Relaxed),
-    );
-    render_sample(
-        &mut body,
-        "ltt_router_queue_depth",
-        "gauge",
-        "admitted forwards waiting for a worker",
-        shared.queue.lock().expect("queue lock poisoned").len() as u64,
-    );
-    // Per-backend families: one header each, one labeled series per
-    // backend.
-    render_family(
-        &mut body,
-        "ltt_backend_healthy",
-        "gauge",
-        "1 when the last status probe of this backend succeeded",
-    );
-    for b in &shared.backends {
-        render_labeled(
-            &mut body,
-            "ltt_backend_healthy",
-            &[("backend", b.addr())],
-            u64::from(b.is_healthy()),
-        );
-    }
-    render_family(
-        &mut body,
-        "ltt_backend_breaker_state",
-        "gauge",
-        "circuit-breaker state: 0 closed, 1 open, 2 half-open",
-    );
-    for b in &shared.backends {
-        render_labeled(
-            &mut body,
-            "ltt_backend_breaker_state",
-            &[("backend", b.addr())],
-            b.breaker().state_code(),
-        );
-    }
-    render_family(
-        &mut body,
-        "ltt_backend_breaker_opened_total",
-        "counter",
-        "times this backend's breaker has opened",
-    );
-    for b in &shared.backends {
-        render_labeled(
-            &mut body,
-            "ltt_backend_breaker_opened_total",
-            &[("backend", b.addr())],
-            b.breaker().opened_total(),
-        );
-    }
-    render_family(
-        &mut body,
-        "ltt_backend_rpcs_total",
-        "counter",
-        "round trips attempted against this backend",
-    );
-    for b in &shared.backends {
-        render_labeled(
-            &mut body,
-            "ltt_backend_rpcs_total",
-            &[("backend", b.addr())],
-            b.rpcs_total(),
-        );
-    }
-    render_family(
-        &mut body,
-        "ltt_backend_errors_total",
-        "counter",
-        "round trips that failed at the transport level",
-    );
-    for b in &shared.backends {
-        render_labeled(
-            &mut body,
-            "ltt_backend_errors_total",
-            &[("backend", b.addr())],
-            b.errors_total(),
-        );
-    }
-    render_family(
-        &mut body,
-        "ltt_backend_rpc_duration_seconds",
-        "histogram",
-        "round-trip latency of successful rpcs per backend",
-    );
-    for b in &shared.backends {
-        b.latency().render_series(
-            &mut body,
-            "ltt_backend_rpc_duration_seconds",
-            &[("backend", b.addr())],
-        );
-    }
-    shared.latency.render(
-        &mut body,
-        "ltt_router_request_duration_seconds",
-        "admission-to-reply latency of forwarded check work",
-    );
-    ok_response(
-        "metrics",
-        id,
-        vec![
-            (
-                "content_type".to_string(),
-                Json::str("text/plain; version=0.0.4"),
-            ),
-            ("body".to_string(), Json::str(body)),
-        ],
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Request;
 
     fn test_backends(addrs: &[&str]) -> Vec<Arc<Backend>> {
         let opts = BackendOpts {
@@ -1509,21 +1158,16 @@ mod tests {
             .collect()
     }
 
-    fn test_shared(addrs: &[&str]) -> RouterShared {
+    fn test_shared(addrs: &[&str]) -> Fleet {
         let backends = test_backends(addrs);
         let ring = build_ring(&backends);
-        RouterShared {
+        Fleet {
             backends,
             ring,
             reg_cache: Mutex::new(RegCache::default()),
-            queue: Mutex::new(VecDeque::new()),
-            job_ready: Condvar::new(),
-            draining: AtomicBool::new(false),
             counters: RouterCounters::default(),
-            latency: Histogram::new(),
             jitter_salt: AtomicU64::new(1),
             config: RouterConfig::default(),
-            started: Instant::now(),
         }
     }
 

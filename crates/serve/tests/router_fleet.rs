@@ -11,7 +11,10 @@
 //! * with *every* backend dead, requests get a structured `unavailable`
 //!   error — bounded by the retry budget, never a hang — and the
 //!   breakers open;
-//! * a `shutdown` request drains the router and its spawned fleet.
+//! * a `shutdown` request drains the router and its spawned fleet;
+//! * forwarded work obeys the daemon's admission identity
+//!   `submitted == completed_ok + panicked + overloaded + queued +
+//!   in_flight`, with parse failures and oversize lines outside it.
 
 use ltt_netlist::bench_format::write_bench;
 use ltt_netlist::generators::{figure1, random_circuit, RandomCircuitConfig};
@@ -322,4 +325,105 @@ fn shutdown_op_drains_router_and_fleet() {
     } // a torn-down connection is equally acceptable
 
     join.join().expect("router thread").expect("clean drain");
+}
+
+#[test]
+fn forwarded_work_obeys_the_admission_identity() {
+    use ltt_netlist::generators::carry_skip_adder;
+    use std::io::{BufRead, BufReader, Write};
+
+    // One forwarding worker and a one-slot queue, so a pipelined burst of
+    // slow requests is partly shed at the router's own admission point.
+    let mut config = test_config(1);
+    config.jobs = 1;
+    config.queue_cap = 1;
+    config.max_line_bytes = 64 * 1024;
+    let (addr, _handle, join) = start_router(config);
+    let mut client = Client::connect(&addr).expect("connect");
+    let c17_key = register(&mut client, "c17", &write_bench(&c17(10)));
+    let adder = register(
+        &mut client,
+        "adder",
+        &write_bench(&carry_skip_adder(6, 3, 10)),
+    );
+
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect raw");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut lines = vec![
+        Json::obj([
+            ("op", Json::str("batch_check")),
+            ("circuit", Json::str(c17_key.clone())),
+            ("delta", Json::Int(31)),
+        ])
+        .encode(),
+        Json::obj([("op", Json::str("status"))]).encode(),
+        "{not json".to_string(),
+        r#"{"op":"no_such_op"}"#.to_string(),
+        format!(r#"{{"op":"status","pad":"{}"}}"#, "x".repeat(128 * 1024)),
+    ];
+    let burst = 8;
+    for _ in 0..burst {
+        lines.push(
+            Json::obj([
+                ("op", Json::str("delay")),
+                ("circuit", Json::str(adder.clone())),
+            ])
+            .encode(),
+        );
+    }
+    for line in &lines {
+        writeln!(stream, "{line}").expect("write");
+    }
+    stream.flush().expect("flush");
+    let mut codes = Vec::new();
+    for _ in &lines {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("one reply per line");
+        let reply = ltt_serve::decode(line.trim()).expect("json reply");
+        codes.push(
+            reply
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str)
+                .unwrap_or("ok")
+                .to_string(),
+        );
+    }
+    let count = |code: &str| codes.iter().filter(|c| *c == code).count() as i64;
+    assert_eq!(count("bad_request"), 2, "{codes:?}");
+    assert_eq!(count("too_large"), 1, "{codes:?}");
+    assert!(count("overloaded") >= 1, "the burst must shed: {codes:?}");
+
+    let status = client
+        .call(&Json::obj([("op", Json::str("status"))]))
+        .expect("status");
+    let field = |group: &str, name: &str| {
+        status
+            .get(group)
+            .and_then(|g| g.get(name))
+            .and_then(Json::as_i64)
+            .unwrap_or_else(|| panic!("missing {group}.{name}: {}", status.encode()))
+    };
+    // Every admitted forward was answered, so nothing is queued or in
+    // flight, and everything submitted completed, panicked or was shed.
+    assert_eq!(field("queue", "depth"), 0);
+    assert_eq!(field("requests", "in_flight"), 0);
+    assert_eq!(
+        field("requests", "submitted"),
+        field("requests", "completed_ok")
+            + field("requests", "panicked")
+            + field("requests", "overloaded"),
+        "{}",
+        status.encode()
+    );
+    // One check plus the burst reached admission; control ops, the
+    // registrations and the refused lines did not.
+    assert_eq!(field("requests", "submitted"), 1 + burst);
+    assert_eq!(field("requests", "overloaded"), count("overloaded"));
+    assert_eq!(field("requests", "shed"), count("overloaded"));
+    assert_eq!(field("requests", "too_large"), 1);
+    assert_eq!(field("requests", "bad_request"), 2);
+
+    let _ = client.call(&Json::obj([("op", Json::str("shutdown"))]));
+    join.join().expect("router thread").expect("drain");
 }

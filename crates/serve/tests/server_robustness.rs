@@ -1,7 +1,9 @@
-//! Single-daemon robustness, observed from outside the process:
+//! Serving-tier robustness, observed from outside the process. The first
+//! two contracts hold for both tiers — a daemon, and a router fronting
+//! one spawned daemon — because both run on the same service skeleton:
 //!
 //! * an oversize request line yields a structured `too_large` error and
-//!   the connection keeps working — the daemon never buffers the line;
+//!   the connection keeps working — the tier never buffers the line;
 //! * a graceful drain answers everything admitted, refuses late work
 //!   with `shutting_down`, and refuses *new connections* at the OS level
 //!   (the listener is dropped, so peers see `connection refused`, not a
@@ -12,16 +14,45 @@
 use ltt_netlist::bench_format::write_bench;
 use ltt_netlist::generators::carry_skip_adder;
 use ltt_netlist::suite::c17;
-use ltt_serve::{Client, Json, ServeConfig, Server};
+use ltt_serve::{Client, Json, Router, RouterConfig, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-fn start_server(config: ServeConfig) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
+fn start_server(config: ServeConfig) -> (String, JoinHandle<std::io::Result<()>>) {
     let server = Server::bind(&config).expect("bind");
     let addr = server.local_addr().expect("addr").to_string();
     let join = std::thread::spawn(move || server.run());
     (addr, join)
+}
+
+/// The two serving tiers.
+#[derive(Clone, Copy, Debug)]
+enum Tier {
+    Daemon,
+    /// A router in front of one spawned daemon configured like `Daemon`.
+    Router,
+}
+
+const TIERS: [Tier; 2] = [Tier::Daemon, Tier::Router];
+
+fn start(tier: Tier, config: ServeConfig) -> (String, JoinHandle<std::io::Result<()>>) {
+    match tier {
+        Tier::Daemon => start_server(config),
+        Tier::Router => {
+            let router = Router::bind(RouterConfig {
+                spawn: 1,
+                backend_jobs: config.jobs,
+                backend_queue_cap: config.queue_cap,
+                max_line_bytes: config.max_line_bytes,
+                ..Default::default()
+            })
+            .expect("bind router");
+            let addr = router.local_addr().expect("addr").to_string();
+            (addr, std::thread::spawn(move || router.run()))
+        }
+    }
 }
 
 fn counter(status: &Json, group: &str, field: &str) -> i64 {
@@ -34,10 +65,19 @@ fn counter(status: &Json, group: &str, field: &str) -> i64 {
 
 #[test]
 fn oversize_line_gets_too_large_and_the_connection_survives() {
-    let (addr, join) = start_server(ServeConfig {
-        max_line_bytes: 1024,
-        ..Default::default()
-    });
+    for tier in TIERS {
+        oversize_line_on(tier);
+    }
+}
+
+fn oversize_line_on(tier: Tier) {
+    let (addr, join) = start(
+        tier,
+        ServeConfig {
+            max_line_bytes: 1024,
+            ..Default::default()
+        },
+    );
     let mut stream = TcpStream::connect(&addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
 
@@ -52,14 +92,18 @@ fn oversize_line_gets_too_large_and_the_connection_survives() {
     let mut line = String::new();
     reader.read_line(&mut line).expect("reply");
     let reply = ltt_serve::decode(line.trim()).expect("json");
-    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{line}");
+    assert_eq!(
+        reply.get("ok"),
+        Some(&Json::Bool(false)),
+        "{tier:?}: {line}"
+    );
     assert_eq!(
         reply
             .get("error")
             .and_then(|e| e.get("code"))
             .and_then(Json::as_str),
         Some("too_large"),
-        "{line}"
+        "{tier:?}: {line}"
     );
 
     // The same connection still serves normal traffic afterwards.
@@ -68,27 +112,48 @@ fn oversize_line_gets_too_large_and_the_connection_survives() {
     line.clear();
     reader.read_line(&mut line).expect("status reply");
     let status = ltt_serve::decode(line.trim()).expect("json");
-    assert_eq!(status.get("ok"), Some(&Json::Bool(true)), "{line}");
-    assert_eq!(counter(&status, "requests", "too_large"), 1, "{line}");
+    assert_eq!(
+        status.get("ok"),
+        Some(&Json::Bool(true)),
+        "{tier:?}: {line}"
+    );
+    assert_eq!(
+        counter(&status, "requests", "too_large"),
+        1,
+        "{tier:?}: {line}"
+    );
     // `too_large` is refused before admission, so the accounting identity
     // (submitted = overloaded + queued + in_flight + completed + panicked)
     // must not count it as submitted.
-    assert_eq!(counter(&status, "requests", "submitted"), 0, "{line}");
+    assert_eq!(
+        counter(&status, "requests", "submitted"),
+        0,
+        "{tier:?}: {line}"
+    );
 
     writeln!(stream, r#"{{"op":"shutdown"}}"#).expect("write");
     stream.flush().expect("flush");
     line.clear();
     reader.read_line(&mut line).expect("shutdown reply");
-    join.join().expect("server thread").expect("clean drain");
+    join.join().expect("tier thread").expect("clean drain");
 }
 
 #[test]
 fn graceful_drain_answers_admitted_work_and_refuses_the_rest() {
-    let (addr, join) = start_server(ServeConfig {
-        jobs: 1,
-        queue_cap: 8,
-        ..Default::default()
-    });
+    for tier in TIERS {
+        graceful_drain_on(tier);
+    }
+}
+
+fn graceful_drain_on(tier: Tier) {
+    let (addr, join) = start(
+        tier,
+        ServeConfig {
+            jobs: 1,
+            queue_cap: 8,
+            ..Default::default()
+        },
+    );
     let mut client = Client::connect(&addr).expect("connect");
     let source = write_bench(&carry_skip_adder(6, 3, 10));
     let reply = client
@@ -149,21 +214,24 @@ fn graceful_drain_answers_admitted_work_and_refuses_the_rest() {
                     .and_then(|e| e.get("code"))
                     .and_then(Json::as_str),
                 Some("shutting_down"),
-                "{}",
+                "{tier:?}: {}",
                 reply.encode()
             );
             refused += 1;
         }
     }
     assert_eq!(completed + refused, pipelined);
-    assert!(completed >= 1, "the in-flight request must complete");
-    join.join().expect("server thread").expect("clean drain");
+    assert!(
+        completed >= 1,
+        "{tier:?}: the in-flight request must complete"
+    );
+    join.join().expect("tier thread").expect("clean drain");
 
     // The listener is gone with the drain: connecting now fails at the OS
     // level instead of parking in a dead backlog.
     assert!(
         TcpStream::connect(&addr).is_err(),
-        "post-drain connections must be refused"
+        "{tier:?}: post-drain connections must be refused"
     );
 }
 
