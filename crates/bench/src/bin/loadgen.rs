@@ -30,7 +30,11 @@
 //! separate from the steady-state check latencies. Churned revisions
 //! chain off the base circuit, so the plain-check oracle stays valid;
 //! patched replies are checked for well-formedness, not against the
-//! (pre-edit) oracle.
+//! (pre-edit) oracle. A daemon's registry is an LRU cache, so churn (or
+//! more variants than the registry holds) can evict a circuit a client
+//! registered; a request answered `unknown_circuit` re-registers the
+//! variant and is retried once, and is counted as a re-registration, not
+//! a failure.
 //!
 //! Exit code 0 when every request was answered correctly (violations are
 //! expected — the load mix probes around each output's exact delay;
@@ -270,6 +274,9 @@ struct Tally {
     rejected: u64,
     /// `--verify` replies whose outcome differed from the local oracle.
     mismatched: u64,
+    /// `unknown_circuit` replies (registry evictions) repaired by
+    /// re-registering the variant and retrying the request once.
+    reregistered: u64,
 }
 
 fn run_client(
@@ -287,17 +294,7 @@ fn run_client(
     // workload (and, through a router, exercises the replica fan-out).
     let mut ids: HashMap<usize, String> = HashMap::new();
     for (v, variant) in variants.iter().enumerate() {
-        let reply = client.call(&Json::obj([
-            ("op", Json::str("register")),
-            ("name", Json::str(variant.name.clone())),
-            ("source", Json::str(variant.source.clone())),
-        ]))?;
-        let circuit = reply
-            .get("circuit")
-            .and_then(Json::as_str)
-            .ok_or_else(|| std::io::Error::other(format!("register failed: {}", reply.encode())))?
-            .to_string();
-        ids.insert(v, circuit);
+        ids.insert(v, register(&mut client, variant)?);
     }
     let mut rng = (client_index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let mut tally = Tally::default();
@@ -311,37 +308,49 @@ fn run_client(
         let oi = (client_index + i) % variant.outputs.len();
         let di = (client_index + i / variant.outputs.len()) % variant.deltas.len();
         let is_churn = churn > 0 && (i + 1) % churn == 0;
-        let request = if is_churn {
-            // An ECO patch chained off the *base* revision (so the plain
-            // checks keep hitting the unedited circuit the oracle knows):
-            // re-annotate the first output's driver, alternating between
-            // two delays, and bundle an all-outputs re-check at δ = top.
+        if is_churn {
             patches_sent += 1;
-            let delay = 11 + (patches_sent % 2) as i64;
-            Json::obj([
-                ("op", Json::str("patch")),
-                ("circuit", Json::str(ids[&v].clone())),
-                (
-                    "edits",
-                    Json::Arr(vec![Json::obj([
-                        ("gate", Json::str(variant.outputs[0].clone())),
-                        ("delay", Json::Int(delay)),
-                    ])]),
-                ),
-                ("delta", Json::Int(variant.deltas[2])),
-                ("id", Json::Int(i as i64)),
-            ])
-        } else {
-            Json::obj([
-                ("op", Json::str("check")),
-                ("circuit", Json::str(ids[&v].clone())),
-                ("output", Json::str(variant.outputs[oi].clone())),
-                ("delta", Json::Int(variant.deltas[di])),
-                ("id", Json::Int(i as i64)),
-            ])
+        }
+        let request = |circuit: &str| {
+            if is_churn {
+                // An ECO patch chained off the *base* revision (so the
+                // plain checks keep hitting the unedited circuit the
+                // oracle knows): re-annotate the first output's driver,
+                // alternating between two delays, and bundle an
+                // all-outputs re-check at δ = top.
+                let delay = 11 + (patches_sent % 2) as i64;
+                Json::obj([
+                    ("op", Json::str("patch")),
+                    ("circuit", Json::str(circuit)),
+                    (
+                        "edits",
+                        Json::Arr(vec![Json::obj([
+                            ("gate", Json::str(variant.outputs[0].clone())),
+                            ("delay", Json::Int(delay)),
+                        ])]),
+                    ),
+                    ("delta", Json::Int(variant.deltas[2])),
+                    ("id", Json::Int(i as i64)),
+                ])
+            } else {
+                Json::obj([
+                    ("op", Json::str("check")),
+                    ("circuit", Json::str(circuit)),
+                    ("output", Json::str(variant.outputs[oi].clone())),
+                    ("delta", Json::Int(variant.deltas[di])),
+                    ("id", Json::Int(i as i64)),
+                ])
+            }
         };
         let start = Instant::now();
-        let reply = client.call(&request)?;
+        let mut reply = client.call(&request(&ids[&v]))?;
+        if error_code(&reply) == Some("unknown_circuit") {
+            // Evicted from the registry: register again, retry once.
+            tally.reregistered += 1;
+            let id = register(&mut client, variant)?;
+            reply = client.call(&request(&id))?;
+            ids.insert(v, id);
+        }
         let elapsed = start.elapsed();
         if is_churn {
             tally.churn_latencies.push(elapsed);
@@ -373,23 +382,38 @@ fn run_client(
                     );
                 }
             }
-            None => {
-                let code = reply
-                    .get("error")
-                    .and_then(|e| e.get("code"))
-                    .and_then(Json::as_str)
-                    .unwrap_or("");
-                match code {
-                    "overloaded" | "unavailable" | "shutting_down" => tally.rejected += 1,
-                    _ => {
-                        tally.failures += 1;
-                        eprintln!("loadgen: request failed: {}", reply.encode());
-                    }
+            None => match error_code(&reply).unwrap_or("") {
+                "overloaded" | "unavailable" | "shutting_down" => tally.rejected += 1,
+                _ => {
+                    tally.failures += 1;
+                    eprintln!("loadgen: request failed: {}", reply.encode());
                 }
-            }
+            },
         }
     }
     Ok(tally)
+}
+
+/// Registers `variant` and returns its circuit id.
+fn register(client: &mut Client, variant: &Variant) -> std::io::Result<String> {
+    let reply = client.call(&Json::obj([
+        ("op", Json::str("register")),
+        ("name", Json::str(variant.name.clone())),
+        ("source", Json::str(variant.source.clone())),
+    ]))?;
+    reply
+        .get("circuit")
+        .and_then(Json::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| std::io::Error::other(format!("register failed: {}", reply.encode())))
+}
+
+/// The error code of an error reply.
+fn error_code(reply: &Json) -> Option<&str> {
+    reply
+        .get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Json::as_str)
 }
 
 /// The in-process target started when no `--addr` is given: a single
@@ -517,6 +541,7 @@ fn main() -> ExitCode {
                 total.failures += tally.failures;
                 total.rejected += tally.rejected;
                 total.mismatched += tally.mismatched;
+                total.reregistered += tally.reregistered;
             }
             Err(e) => {
                 eprintln!("loadgen: client failed: {e}");
@@ -530,7 +555,8 @@ fn main() -> ExitCode {
     let throughput = answered as f64 / wall.as_secs_f64().max(1e-9);
     println!(
         "answered {answered} checks in {:.3}s ({throughput:.0} req/s): \
-         {} violation, {} safe, {} undecided, {} failed, {} rejected, {} mismatched",
+         {} violation, {} safe, {} undecided, {} failed, {} rejected, {} mismatched, \
+         {} re-registered",
         wall.as_secs_f64(),
         total.violations,
         total.safe,
@@ -538,6 +564,7 @@ fn main() -> ExitCode {
         total.failures,
         total.rejected,
         total.mismatched,
+        total.reregistered,
     );
     println!(
         "latency p50 {:?}  p90 {:?}  p99 {:?}  max {:?}",

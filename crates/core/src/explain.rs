@@ -3,7 +3,7 @@
 //! nets gate it (timing dominators), and which stems the correlation stage
 //! would split — the reporting layer on top of the §4 machinery.
 
-use crate::carriers::{dynamic_carriers, fixpoint_with_dominators, timing_dominators};
+use crate::carriers::fixpoint_with_dominators;
 use crate::solver::{FixpointResult, Narrower};
 use crate::stems::correlation_stems_masked;
 use ltt_netlist::{Circuit, NetId};
@@ -129,7 +129,8 @@ pub fn explain(circuit: &Circuit, output: NetId, delta: i64) -> Explanation {
         return explanation;
     }
 
-    let carriers = dynamic_carriers(circuit, nw.domains(), output, delta);
+    let kernel = nw.dominator_kernel(output, delta);
+    let carriers = kernel.carriers();
     let mut carrier_list: Vec<(String, i64)> = circuit
         .net_ids()
         .filter_map(|n| carriers[n.index()].map(|k| (name(n), k)))
@@ -137,18 +138,20 @@ pub fn explain(circuit: &Circuit, output: NetId, delta: i64) -> Explanation {
     carrier_list.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     explanation.carriers = carrier_list;
 
-    explanation.dominators = timing_dominators(circuit, &carriers, output)
-        .into_iter()
-        .map(|d| {
+    explanation.dominators = kernel
+        .dominators()
+        .iter()
+        .map(|&d| {
             let k = carriers[d.index()].expect("dominators are carriers");
             (name(d), k, delta - k)
         })
         .collect();
 
-    explanation.stems = correlation_stems_masked(&nw, output, delta, &circuit.reconvergent_stems())
-        .into_iter()
-        .map(name)
-        .collect();
+    explanation.stems =
+        correlation_stems_masked(&mut nw, output, delta, &circuit.reconvergent_stems())
+            .into_iter()
+            .map(name)
+            .collect();
 
     let mut localized: Vec<(String, i64)> = circuit
         .net_ids()

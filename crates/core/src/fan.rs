@@ -22,7 +22,7 @@
 //! * the backtrace is re-initiated whenever the decision stack shrinks
 //!   (each backtrack changes Ψ, the source of the violation).
 
-use crate::carriers::{dynamic_carriers, fixpoint_with_dominators, timing_dominators};
+use crate::carriers::{fixpoint_with_dominators, CarrierDistances};
 use crate::scoap::Controllability;
 use crate::solver::{FixpointResult, Narrower};
 use ltt_netlist::{Circuit, NetId};
@@ -126,6 +126,9 @@ pub struct CaseScope {
     /// Cone-local fanout-stem flags: `stems[n]` iff net `n` has ≥ 2
     /// readers *inside* the cone.
     pub stems: Vec<bool>,
+    /// Bound on the decision-stack depth: 1 (the output) plus the cone's
+    /// primary inputs and cone-local fanout stems.
+    pub depth_bound: usize,
 }
 
 /// The deterministic settling value assigned to a primary input the search
@@ -188,17 +191,21 @@ pub fn case_analysis_scoped(
     scope: Option<&CaseScope>,
 ) -> CaseOutcome {
     let circuit = nw.circuit();
-    let plan = DecisionPlan::new(circuit, nw.domains(), s, delta, scope);
+    let plan = DecisionPlan::new(
+        circuit,
+        nw.dominator_kernel(s, delta).dominators(),
+        s,
+        scope,
+    );
+    let mut scratch = DecisionScratch::new(circuit);
     // Every live frame fixes the class of a distinct net, and decisions
     // only ever land on fanout stems, primary inputs, or the checked
     // output (backtrace stops there) — so the stack depth is bounded by
     // their count. Preallocate once instead of growing mid-search.
-    let depth_bound = 1
-        + circuit.inputs().len()
-        + circuit
-            .net_ids()
-            .filter(|&n| circuit.net(n).is_fanout_stem())
-            .count();
+    let depth_bound = match scope {
+        Some(scope) => scope.depth_bound,
+        None => 1 + circuit.inputs().len() + circuit.topology().num_fanout_stems(),
+    };
     let mut stack: Vec<Frame> = Vec::with_capacity(depth_bound);
     // The narrower's budget can carry its own backtrack cap; the effective
     // cap is the tighter of the two.
@@ -234,8 +241,11 @@ pub fn case_analysis_scoped(
                 // Fall through to backtracking: this complete assignment
                 // does not actually violate the check.
             } else {
-                // Decide the next net.
-                let (net, level, phase) = choose_decision(nw, &plan, cc, s, delta, scope)
+                // Decide the next net. The refresh is exact in any case,
+                // and free with dominators on: the fixpoint loop wrote
+                // nothing since its last carrier sweep.
+                nw.refresh_carriers(s, delta);
+                let (net, level, phase) = choose_decision(nw, &plan, &mut scratch, cc, scope)
                     .expect("an unfixed primary input exists");
                 stats.decisions += 1;
                 stats.decisions_by_phase[phase as usize] += 1;
@@ -292,6 +302,12 @@ fn full_input_assignment(
     domains: &[Signal],
     scope: Option<&CaseScope>,
 ) -> Option<Vec<bool>> {
+    let decided = |i: &NetId| {
+        scope.is_some_and(|sc| !sc.nets[i.index()]) || domains[i.index()].fixed_class().is_some()
+    };
+    if !circuit.inputs().iter().all(decided) {
+        return None;
+    }
     match scope {
         None => circuit
             .inputs()
@@ -314,50 +330,75 @@ fn full_input_assignment(
 
 /// The three-phase decision plan (computed once, before any decision).
 struct DecisionPlan {
-    /// Phase-1 regions: nets of the cone of `d_i` excluding the cone of
-    /// `d_{i+1}`, for the initial dominator chain `d_0 = s, d_1, …`.
-    regions: Vec<Vec<bool>>,
+    /// Phase-1 regions, for the initial dominator chain `d_0 = s, d_1, …,
+    /// d_{m−1}`: region `i < m − 1` is the cone of `d_i` minus the cone of
+    /// `d_{i+1}`, and region `m − 1` is the cone of `d_{m−1}`. The cones
+    /// are nested (each `d_{i+1}` lies on every carrier path into `d_i`),
+    /// so a net belongs to region `innermost[net]`: the largest `i` with
+    /// the net in the cone of `d_i`, or [`NO_REGION`] outside them all.
+    innermost: Vec<u32>,
     /// Phase-3 list: the output then the primary inputs.
     tail: Vec<NetId>,
 }
 
+/// [`DecisionPlan::innermost`] of a net outside every dominator cone.
+const NO_REGION: u32 = u32::MAX;
+
 impl DecisionPlan {
     fn new(
         circuit: &Circuit,
-        domains: &[Signal],
+        dominators: &[NetId],
         s: NetId,
-        delta: i64,
         scope: Option<&CaseScope>,
     ) -> DecisionPlan {
-        let carriers = dynamic_carriers(circuit, domains, s, delta);
-        let doms = timing_dominators(circuit, &carriers, s);
-        let mut regions = Vec::new();
-        for w in doms.windows(2) {
-            let (di, di1) = (w[0], w[1]);
-            let cone_i = circuit.fanin_cone(di);
-            let cone_i1 = circuit.fanin_cone(di1);
-            let region: Vec<bool> = cone_i
-                .iter()
-                .zip(&cone_i1)
-                .map(|(&a, &b)| a && !b)
-                .collect();
-            regions.push(region);
+        // One reverse sweep labels every net with its innermost dominator
+        // cone: a label flows from each gate output to its inputs, and the
+        // deeper (larger) label wins.
+        let mut innermost = vec![NO_REGION; circuit.num_nets()];
+        for (i, d) in dominators.iter().enumerate() {
+            innermost[d.index()] = i as u32;
         }
-        if let Some(&last) = doms.last() {
-            regions.push(circuit.fanin_cone(last));
+        if !dominators.is_empty() {
+            let topo = circuit.topology();
+            for &gid in circuit.topo_gates().iter().rev() {
+                let label = innermost[topo.gate_output(gid).index()];
+                if label == NO_REGION {
+                    continue;
+                }
+                for &x in topo.gate_inputs(gid) {
+                    let slot = &mut innermost[x.index()];
+                    if *slot == NO_REGION || *slot < label {
+                        *slot = label;
+                    }
+                }
+            }
         }
-        // Phase 2: the whole circuit — or, cone-scoped, the whole cone
-        // (its sliced twin's "whole circuit" *is* the cone).
-        regions.push(match scope {
-            Some(scope) => scope.nets.clone(),
-            None => vec![true; circuit.num_nets()],
-        });
         let mut tail = vec![s];
         match scope {
             Some(scope) => tail.extend_from_slice(&scope.inputs),
             None => tail.extend_from_slice(circuit.inputs()),
         }
-        DecisionPlan { regions, tail }
+        DecisionPlan { innermost, tail }
+    }
+}
+
+/// Buffers [`choose_decision`] reuses across the decisions of one search.
+struct DecisionScratch {
+    /// Per net, the best enabled path delay for each settling value.
+    enabled: Vec<[i64; 2]>,
+    /// Nets whose `enabled` entry was touched by the current decision.
+    touched: Vec<NetId>,
+    /// Backtraced objectives: `(weight, tie, target, value)`.
+    candidates: Vec<(i64, u32, NetId, Level)>,
+}
+
+impl DecisionScratch {
+    fn new(circuit: &Circuit) -> Self {
+        DecisionScratch {
+            enabled: vec![[i64::MIN; 2]; circuit.num_nets()],
+            touched: Vec::new(),
+            candidates: Vec::new(),
+        }
     }
 }
 
@@ -366,41 +407,61 @@ impl DecisionPlan {
 /// any unfixed primary input. The returned index (0, 1 or 2) names the
 /// FAN phase that produced the decision, for the per-phase counters in
 /// [`CaseStats::decisions_by_phase`].
+///
+/// Reads the dynamic carriers from the narrower's kernel, which the caller
+/// has refreshed for the current domains.
 fn choose_decision(
     nw: &Narrower,
     plan: &DecisionPlan,
+    scratch: &mut DecisionScratch,
     cc: &Controllability,
-    s: NetId,
-    delta: i64,
     scope: Option<&CaseScope>,
 ) -> Option<(NetId, Level, u8)> {
     let circuit = nw.circuit();
+    let domains = nw.domains();
     let stems = scope.map(|sc| sc.stems.as_slice());
     // Phases 1 and 2: objectives from the *current* dynamic-carrier circuit,
-    // backtraced to stems/inputs, restricted to each region in turn. The
-    // final region is the whole circuit — that is FAN phase 2; the
-    // dominator-cone regions before it are phase 1.
-    let objectives = raise_objectives(nw, s, delta);
-    for (ri, region) in plan.regions.iter().enumerate() {
-        let mut best: Option<(i64, u32, NetId, Level)> = None;
-        for &(net, level, weight) in &objectives {
-            let Some((target, value)) = backtrace(circuit, nw.domains(), cc, net, level, stems)
-            else {
-                continue;
-            };
-            if !region[target.index()] || nw.domain(target).fixed_class().is_some() {
-                continue;
-            }
-            let tie = cc.of(target, value);
-            let cand = (weight, tie, target, value);
-            if best.is_none_or(|b| (cand.0, cand.1) > (b.0, b.1)) {
-                best = Some(cand);
-            }
+    // backtraced to stems/inputs once, then restricted to each region in
+    // turn. The final region is the whole circuit — that is FAN phase 2;
+    // the dominator-cone regions before it are phase 1. Regions are tried
+    // in order, so the first region holding any candidate — the smallest
+    // innermost label, else the whole circuit — supplies the decision.
+    // Cone-scoped, the whole circuit is the whole cone (its sliced twin's
+    // "whole circuit" *is* the cone).
+    raise_objectives(circuit, domains, nw.kernel().carriers(), scratch);
+    let DecisionScratch {
+        enabled,
+        touched,
+        candidates,
+    } = scratch;
+    candidates.clear();
+    for &net in touched.iter() {
+        let (level, weight) = objective(enabled[net.index()]);
+        let Some((target, value)) = backtrace(circuit, domains, cc, net, level, stems) else {
+            continue;
+        };
+        if domains[target.index()].fixed_class().is_none() {
+            candidates.push((weight, cc.of(target, value), target, value));
         }
-        if let Some((_, _, net, level)) = best {
-            let phase = if ri + 1 == plan.regions.len() { 1 } else { 0 };
-            return Some((net, level, phase));
+    }
+    let first_region = candidates
+        .iter()
+        .map(|c| plan.innermost[c.2.index()])
+        .min()
+        .filter(|&r| r != NO_REGION);
+    let in_region = |target: NetId| match first_region {
+        Some(r) => plan.innermost[target.index()] == r,
+        None => scope.is_none_or(|sc| sc.nets[target.index()]),
+    };
+    let mut best: Option<(i64, u32, NetId, Level)> = None;
+    for &cand in candidates.iter() {
+        if in_region(cand.2) && best.is_none_or(|b| (cand.0, cand.1) > (b.0, b.1)) {
+            best = Some(cand);
         }
+    }
+    if let Some((_, _, net, level)) = best {
+        let phase = if first_region.is_some() { 0 } else { 1 };
+        return Some((net, level, phase));
     }
     // Phase 3: the output, then the primary inputs — reached by complete
     // backtrace from *unjustified* gate outputs (§5: a class-fixed output
@@ -412,72 +473,70 @@ fn choose_decision(
                 continue;
             }
         }
-        let Some(out_class) = nw.domain(circuit.gate(gid).output()).fixed_class() else {
+        let Some(out_class) = domains[circuit.gate(gid).output().index()].fixed_class() else {
             continue;
         };
-        if !is_unjustified(nw, gid) {
+        if !is_unjustified(circuit, domains, gid, out_class) {
             continue;
         }
         // Backtrace the justification objective (output = its fixed class)
         // to a stem or primary input.
         if let Some((target, value)) = backtrace(
             circuit,
-            nw.domains(),
+            domains,
             cc,
             circuit.gate(gid).output(),
             out_class,
             stems,
         ) {
-            if nw.domain(target).fixed_class().is_none() {
+            if domains[target.index()].fixed_class().is_none() {
                 return Some((target, value, 2));
             }
         }
     }
     for &net in &plan.tail {
-        if nw.domain(net).fixed_class().is_none() {
+        if domains[net.index()].fixed_class().is_none() {
             // Prefer the class that keeps the check satisfiable: the one
             // whose last-transition interval reaches latest.
-            let d = nw.domain(net);
-            let level = if d[Level::One].max() >= d[Level::Zero].max() {
-                Level::One
-            } else {
-                Level::Zero
-            };
-            return Some((net, level, 2));
+            return Some((net, fill_level(&domains[net.index()]), 2));
         }
     }
     None
 }
 
 /// The paper's §5 *unjustified* test: the gate's output is restricted to
-/// one class, yet some class combination still allowed on the inputs is
+/// `out_class`, yet some class combination still allowed on the inputs is
 /// inconsistent with the gate constraint — so decisions below this gate
-/// are still needed.
-fn is_unjustified(nw: &Narrower, gid: ltt_netlist::GateId) -> bool {
-    let circuit = nw.circuit();
+/// are still needed. Gates with more than 8 inputs are never unjustified
+/// (combinational blow-up guard); the rest run on fixed-size arrays.
+fn is_unjustified(
+    circuit: &Circuit,
+    domains: &[Signal],
+    gid: ltt_netlist::GateId,
+    out_class: Level,
+) -> bool {
     let gate = circuit.gate(gid);
-    let output = nw.domain(gate.output());
-    let Some(out_class) = output.fixed_class() else {
-        return false;
-    };
-    let input_domains: Vec<_> = gate.inputs().iter().map(|&n| nw.domain(n)).collect();
-    let k = input_domains.len();
+    let inputs = gate.inputs();
+    let k = inputs.len();
     if k > 8 {
-        return false; // combinational blow-up guard
+        return false;
     }
-    for combo in 0u32..(1 << k) {
-        let classes: Vec<Level> = (0..k)
-            .map(|i| Level::from_bool((combo >> i) & 1 == 1))
-            .collect();
-        if classes
-            .iter()
-            .zip(&input_domains)
-            .any(|(&v, d)| d[v].is_empty())
-        {
-            continue; // combo not allowed by the current domains
+    // allowed[i][v]: input i may still settle to value v.
+    let mut allowed = [[false; 2]; 8];
+    for (slot, &n) in allowed.iter_mut().zip(inputs) {
+        let d = domains[n.index()];
+        *slot = [!d[Level::Zero].is_empty(), !d[Level::One].is_empty()];
+    }
+    let mut vals = [false; 8];
+    'combos: for combo in 0u32..(1 << k) {
+        for (i, val) in vals[..k].iter_mut().enumerate() {
+            let v = (combo >> i) & 1 == 1;
+            if !allowed[i][usize::from(v)] {
+                continue 'combos; // combo not allowed by the current domains
+            }
+            *val = v;
         }
-        let vals: Vec<bool> = classes.iter().map(|v| v.to_bool()).collect();
-        if Level::from_bool(gate.kind().eval(&vals)) != out_class {
+        if Level::from_bool(gate.kind().eval(&vals[..k])) != out_class {
             return true; // an allowed combo contradicts the fixed output
         }
     }
@@ -490,47 +549,55 @@ fn is_unjustified(nw: &Narrower, gid: ltt_netlist::GateId) -> bool {
 /// paper's triplets `(k, n₀(k), n₁(k))`: per net `k`, `n_v` is the largest
 /// path delay potentially enabled by setting `k` to `v` — merged with
 /// **max** (not sum) at fanout stems, the paper's modification of FAN.
-fn raise_objectives(nw: &Narrower, s: NetId, delta: i64) -> Vec<(NetId, Level, i64)> {
-    let circuit = nw.circuit();
-    let carriers = dynamic_carriers(circuit, nw.domains(), s, delta);
-    // n[net][value] = best enabled path delay when net settles to value.
-    let mut n: Vec<[i64; 2]> = vec![[i64::MIN; 2]; circuit.num_nets()];
+///
+/// Fills `scratch.enabled` for the nets listed, in ascending net order, in
+/// `scratch.touched`; [`objective`] reads each one's objective off.
+fn raise_objectives(
+    circuit: &Circuit,
+    domains: &[Signal],
+    carriers: &CarrierDistances,
+    scratch: &mut DecisionScratch,
+) {
+    for net in scratch.touched.drain(..) {
+        scratch.enabled[net.index()] = [i64::MIN; 2];
+    }
+    let topo = circuit.topology();
     for gid in circuit.gate_ids() {
-        let gate = circuit.gate(gid);
-        let out = gate.output();
-        let Some(k) = carriers[out.index()] else {
+        let Some(k) = carriers[topo.gate_output(gid).index()] else {
             continue;
         };
-        let Some(ctrl) = gate.kind().controlling_value() else {
+        let Some(ctrl) = topo.gate_kind(gid).controlling_value() else {
             continue; // XOR/unary gates are always transparent
         };
         let nc = !Level::from_bool(ctrl);
-        let weight = k + i64::from(gate.dmax());
-        for &x in gate.inputs() {
+        let weight = k + i64::from(topo.gate_dmax(gid));
+        for &x in topo.gate_inputs(gid) {
             if carriers[x.index()].is_some() {
                 continue; // carriers are path candidates, not side inputs
             }
-            if nw.domain(x).fixed_class().is_some() {
+            if domains[x.index()].fixed_class().is_some() {
                 continue;
             }
             // Fanout: max-merge into the nc-value slot.
-            let slot = &mut n[x.index()][nc.index()];
-            *slot = (*slot).max(weight);
+            let slots = &mut scratch.enabled[x.index()];
+            if *slots == [i64::MIN; 2] {
+                scratch.touched.push(x);
+            }
+            slots[nc.index()] = slots[nc.index()].max(weight);
         }
     }
-    n.iter()
-        .enumerate()
-        .filter_map(|(i, vals)| {
-            // The objective value is the better of n₀/n₁; ties break to 1
-            // (keeping AND-family paths transparent first).
-            let (v, w) = if vals[1] >= vals[0] {
-                (Level::One, vals[1])
-            } else {
-                (Level::Zero, vals[0])
-            };
-            (w > i64::MIN).then(|| (NetId::from_index(i), v, w))
-        })
-        .collect()
+    scratch.touched.sort_unstable();
+}
+
+/// The objective of one touched net's `(n₀, n₁)`: the better value and
+/// its weight, ties breaking to 1 (keeping AND-family paths transparent
+/// first).
+fn objective(enabled: [i64; 2]) -> (Level, i64) {
+    if enabled[1] >= enabled[0] {
+        (Level::One, enabled[1])
+    } else {
+        (Level::Zero, enabled[0])
+    }
 }
 
 /// FAN-style backtrace of one objective `(net, value)` to a fanout stem or

@@ -121,6 +121,7 @@ impl ConeAnalysis {
         ConeAnalysis {
             scope: Arc::new(NarrowScope::new(gates.clone(), nets.clone())),
             case: CaseScope {
+                depth_bound: 1 + inputs.len() + stems.iter().filter(|&&stem| stem).count(),
                 nets,
                 gates,
                 inputs,

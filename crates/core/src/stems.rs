@@ -7,8 +7,16 @@
 //! classes), so the step is sound, while removing waveforms that are
 //! incompatible with *both* classes — pessimism that no local projection
 //! can see. No decision is taken.
+//!
+//! The union is sparse. Each branch keeps only its *delta*: the nets it
+//! changed, read off the trail since the branch checkpoint, with their
+//! branch-final domains. A net changed by one branch only unions back to
+//! its live domain (the branch value is a subset of it), so only nets
+//! changed by both branches — or, when one branch dies, every net changed
+//! by the survivor — are narrowed, in ascending net order, exactly as a
+//! dense per-net loop would narrow them.
 
-use crate::carriers::{dynamic_carriers, fixpoint_with_dominators};
+use crate::carriers::fixpoint_with_dominators;
 use crate::solver::{FixpointResult, Narrower};
 use ltt_netlist::NetId;
 use ltt_waveform::{Level, Signal};
@@ -37,10 +45,16 @@ pub struct StemStats {
 /// # Panics
 ///
 /// Panics if `mask.len()` is smaller than the circuit's net count.
-pub fn correlation_stems_masked(nw: &Narrower, s: NetId, delta: i64, mask: &[bool]) -> Vec<NetId> {
+pub fn correlation_stems_masked(
+    nw: &mut Narrower,
+    s: NetId,
+    delta: i64,
+    mask: &[bool],
+) -> Vec<NetId> {
     let circuit = nw.circuit();
     assert!(mask.len() >= circuit.num_nets(), "one mask bit per net");
-    let carriers = dynamic_carriers(circuit, nw.domains(), s, delta);
+    nw.refresh_carriers(s, delta);
+    let carriers = nw.kernel().carriers();
     let mut stems: Vec<(i64, NetId)> = circuit
         .net_ids()
         .filter(|&n| {
@@ -74,46 +88,47 @@ pub fn stem_correlation(
     use_dominators: bool,
     stats: &mut StemStats,
 ) -> FixpointResult {
-    let num_nets = nw.circuit().num_nets();
+    // Each branch's changed nets, reused across stems: `(net,
+    // branch-final domain)` in ascending net order.
+    let mut zero: Vec<(NetId, Signal)> = Vec::new();
+    let mut one: Vec<(NetId, Signal)> = Vec::new();
     for &stem in stems {
         if nw.domain(stem).fixed_class().is_some() {
             continue; // became fixed through an earlier stem's narrowing
         }
         stats.stems += 1;
-        // A branch result: `Err(())` = interrupted, `Ok(None)` = dead
-        // (contradictory), `Ok(Some(domains))` = narrowed fixpoint.
-        let branch = |nw: &mut Narrower, level: Level| -> Result<Option<Vec<Signal>>, ()> {
-            let mark = nw.checkpoint();
-            let restriction = nw.domain(stem).restrict_to_class(level);
-            nw.narrow_net(stem, restriction);
-            let result = match fixpoint_with_dominators(nw, s, delta, use_dominators) {
-                FixpointResult::Contradiction => Ok(None),
-                FixpointResult::Fixpoint => Ok(Some(nw.domains().to_vec())),
-                FixpointResult::Interrupted => Err(()),
-            };
-            nw.rollback(mark);
-            result
-        };
-        let Ok(zero) = branch(nw, Level::Zero) else {
+        let Ok(zero_alive) = branch(nw, s, delta, stem, Level::Zero, use_dominators, &mut zero)
+        else {
             return FixpointResult::Interrupted;
         };
-        let Ok(one) = branch(nw, Level::One) else {
+        let Ok(one_alive) = branch(nw, s, delta, stem, Level::One, use_dominators, &mut one) else {
             return FixpointResult::Interrupted;
         };
-        if zero.is_none() {
-            stats.dead_branches += 1;
-        }
-        if one.is_none() {
-            stats.dead_branches += 1;
-        }
-        let union: Vec<Signal> = match (&zero, &one) {
-            (None, None) => return FixpointResult::Contradiction,
-            (Some(d), None) | (None, Some(d)) => d.clone(),
-            (Some(d0), Some(d1)) => (0..num_nets).map(|i| d0[i].union(d1[i])).collect(),
-        };
+        stats.dead_branches += u64::from(!zero_alive) + u64::from(!one_alive);
         let mut changed = false;
-        for (i, target) in union.into_iter().enumerate() {
-            changed |= nw.narrow_net(NetId::from_index(i), target);
+        match (zero_alive, one_alive) {
+            (false, false) => return FixpointResult::Contradiction,
+            (true, false) | (false, true) => {
+                let survivor = if zero_alive { &zero } else { &one };
+                for &(net, domain) in survivor {
+                    changed |= nw.narrow_net(net, domain);
+                }
+            }
+            (true, true) => {
+                // Merge-join the two ascending deltas: only nets both
+                // branches changed can narrow.
+                let mut rest = one.as_slice();
+                for &(net, d0) in &zero {
+                    while rest.first().is_some_and(|&(n, _)| n < net) {
+                        rest = &rest[1..];
+                    }
+                    if let Some(&(n, d1)) = rest.first() {
+                        if n == net {
+                            changed |= nw.narrow_net(net, d0.union(d1));
+                        }
+                    }
+                }
+            }
         }
         if changed {
             stats.effective_stems += 1;
@@ -125,6 +140,36 @@ pub fn stem_correlation(
         }
     }
     FixpointResult::Fixpoint
+}
+
+/// One split branch of `stem`: restricts it to `level`, narrows to the
+/// fixpoint, records the nets it changed with their branch-final domains
+/// into `changed` (sorted by net) and rolls back. `Ok(true)` = narrowed
+/// fixpoint, `Ok(false)` = dead (contradictory), `Err(())` = interrupted.
+fn branch(
+    nw: &mut Narrower,
+    s: NetId,
+    delta: i64,
+    stem: NetId,
+    level: Level,
+    use_dominators: bool,
+    changed: &mut Vec<(NetId, Signal)>,
+) -> Result<bool, ()> {
+    let mark = nw.checkpoint();
+    let restriction = nw.domain(stem).restrict_to_class(level);
+    nw.narrow_net(stem, restriction);
+    let result = match fixpoint_with_dominators(nw, s, delta, use_dominators) {
+        FixpointResult::Contradiction => Ok(false),
+        FixpointResult::Fixpoint => {
+            changed.clear();
+            changed.extend(nw.changed_since(mark).map(|n| (n, nw.domain(n))));
+            changed.sort_unstable_by_key(|&(n, _)| n);
+            Ok(true)
+        }
+        FixpointResult::Interrupted => Err(()),
+    };
+    nw.rollback(mark);
+    result
 }
 
 #[cfg(test)]
@@ -175,7 +220,7 @@ mod tests {
         }
         nw.narrow_net(s, Signal::violation(Time::new(1)));
         nw.reach_fixpoint();
-        let stems = correlation_stems_masked(&nw, s, 1, &c.reconvergent_stems());
+        let stems = correlation_stems_masked(&mut nw, s, 1, &c.reconvergent_stems());
         assert!(stems.contains(&y), "y is a reconvergent carrier stem");
     }
 
@@ -197,7 +242,7 @@ mod tests {
             nw.narrow_net(s, Signal::violation(Time::new(delta)));
             let mut r = fixpoint_with_dominators(&mut nw, s, delta, true);
             if r == FixpointResult::Fixpoint {
-                let stems = correlation_stems_masked(&nw, s, delta, &c.reconvergent_stems());
+                let stems = correlation_stems_masked(&mut nw, s, delta, &c.reconvergent_stems());
                 let mut stats = StemStats::default();
                 r = stem_correlation(&mut nw, s, delta, &stems, true, &mut stats);
             }
@@ -224,7 +269,7 @@ mod tests {
             fixpoint_with_dominators(&mut nw, s, 60, true),
             FixpointResult::Fixpoint
         );
-        let stems = correlation_stems_masked(&nw, s, 60, &c.reconvergent_stems());
+        let stems = correlation_stems_masked(&mut nw, s, 60, &c.reconvergent_stems());
         let mut stats = StemStats::default();
         let r = stem_correlation(&mut nw, s, 60, &stems, true, &mut stats);
         assert_eq!(r, FixpointResult::Fixpoint);

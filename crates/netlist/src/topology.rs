@@ -39,6 +39,8 @@ pub struct Adjacency {
     /// `touch_off[n]..touch_off[n+1]` indexes `touch` for net `n`.
     touch_off: Vec<u32>,
     touch: Vec<GateId>,
+    /// Number of nets with at least two readers.
+    fanout_stems: usize,
 }
 
 impl Adjacency {
@@ -59,9 +61,11 @@ impl Adjacency {
         }
         let mut touch_off = Vec::with_capacity(nn + 1);
         let mut touch = Vec::new();
+        let mut fanout_stems = 0;
         touch_off.push(0u32);
         for nid in c.net_ids() {
             let net = c.net(nid);
+            fanout_stems += usize::from(net.is_fanout_stem());
             if let Some(driver) = net.driver() {
                 touch.push(driver);
             }
@@ -75,6 +79,7 @@ impl Adjacency {
             in_nets,
             touch_off,
             touch,
+            fanout_stems,
         })
     }
 }
@@ -132,6 +137,12 @@ impl Topology {
     pub fn gate_inputs(&self, g: GateId) -> &[NetId] {
         let gi = g.index();
         &self.adj.in_nets[self.adj.in_off[gi] as usize..self.adj.in_off[gi + 1] as usize]
+    }
+
+    /// Number of fanout stems (nets with at least two readers).
+    #[inline]
+    pub fn num_fanout_stems(&self) -> usize {
+        self.adj.fanout_stems
     }
 
     /// Every gate touching `net`: its driver first (if any), then its
