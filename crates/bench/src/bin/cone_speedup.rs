@@ -10,17 +10,14 @@
 //! 8 parallel chains, re-proving every chain at δ = 6·k·d + 1.
 //!
 //! ```text
-//! cone_speedup [--reps N] [--json FILE]
+//! cone_speedup [--reps N]
 //! ```
 //!
-//! `--json FILE` writes the measurements as a machine-readable rollup
-//! (the `BENCH_cone.json` CI artifact). Exits 1 if any served report
-//! disagrees with the cold one.
+//! Exits 1 if any served report disagrees with the cold one.
 
 use ltt_bench::cone::{blowup800, blowup_delta, s6288_standin, smallest_cone_output};
 use ltt_core::{BatchRunner, CheckSession, Verdict, VerifyConfig};
 use ltt_netlist::{Circuit, CircuitEdit, DelayInterval, NetId};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -155,7 +152,6 @@ fn arrival_sweep(circuit: &Circuit) -> Vec<(NetId, i64)> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut reps = 5usize;
-    let mut json_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -165,7 +161,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .expect("--reps needs an integer")
             }
-            "--json" => json_path = Some(it.next().expect("--json needs a file").clone()),
             other => {
                 eprintln!("cone_speedup: unknown option `{other}`");
                 std::process::exit(2);
@@ -215,30 +210,6 @@ fn main() {
             row.incremental_ms / row.cold_ms.max(1e-9),
             if row.identical { "identical" } else { "MISMATCHED" }
         );
-    }
-
-    if let Some(path) = &json_path {
-        let mut json = String::new();
-        let _ = writeln!(json, "{{\n  \"suite\": \"cone\",\n  \"reps\": {reps},");
-        let _ = writeln!(json, "  \"eco_incremental\": [");
-        for (i, row) in ecos.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "    {{ \"name\": \"{}\", \"checks\": {}, \"reverified\": {}, \"transplanted\": {}, \"cold_ms\": {:.4}, \"incremental_ms\": {:.4}, \"ratio\": {:.4}, \"identical\": {} }}{}",
-                row.name,
-                row.checks,
-                row.reverified,
-                row.transplanted,
-                row.cold_ms,
-                row.incremental_ms,
-                row.incremental_ms / row.cold_ms.max(1e-9),
-                row.identical,
-                if i + 1 == ecos.len() { "" } else { "," }
-            );
-        }
-        let _ = writeln!(json, "  ]\n}}");
-        std::fs::write(path, json).expect("write json file");
-        eprintln!("[json] cone rollup -> {path}");
     }
 
     if ecos.iter().any(|r| !r.identical) {

@@ -12,9 +12,6 @@
 //! as Chrome-trace JSON (load in chrome://tracing), plus a per-stage
 //! wall-clock rollup — the Table 1 time columns broken down by pipeline
 //! stage. Verdicts are identical with or without tracing.
-//! `--bench-json FILE` writes the same rollup as a machine-readable
-//! benchmark artifact (suite wall-clock plus per-stage span counts and
-//! totals) for CI trend tracking; it implies recording.
 //! `--engine narrow|sat|hybrid` re-runs the table through the selected
 //! verification backend (DESIGN.md §15) — the narrow-vs-sat wall-clock
 //! comparison in EXPERIMENTS.md is two invocations of this flag.
@@ -64,17 +61,13 @@ fn main() {
         .iter()
         .position(|a| a == "--trace")
         .map(|i| args.get(i + 1).expect("--trace needs a file").clone());
-    let bench_json: Option<String> = args
-        .iter()
-        .position(|a| a == "--bench-json")
-        .map(|i| args.get(i + 1).expect("--bench-json needs a file").clone());
     let engine = args
         .iter()
         .position(|a| a == "--engine")
         .map(|i| args.get(i + 1).expect("--engine needs a name"))
         .map(|name| Engine::parse(name).expect("--engine needs narrow, sat, or hybrid"))
         .unwrap_or(Engine::Narrow);
-    let recorder = (trace.is_some() || bench_json.is_some()).then(|| Arc::new(Recorder::new()));
+    let recorder = trace.is_some().then(|| Arc::new(Recorder::new()));
     let config = VerifyConfig {
         max_backtracks: MAX_BACKTRACKS,
         engine,
@@ -117,7 +110,7 @@ fn main() {
         ),
     }
 
-    if let Some(recorder) = &recorder {
+    if let (Some(recorder), Some(path)) = (&recorder, &trace) {
         let spans = recorder.spans();
         let mut totals: std::collections::BTreeMap<&'static str, (u64, u64)> =
             std::collections::BTreeMap::new();
@@ -126,39 +119,14 @@ fn main() {
             entry.0 += 1;
             entry.1 += span.dur_us;
         }
-        if let Some(path) = &trace {
-            std::fs::write(path, recorder.chrome_trace()).expect("write trace file");
-            println!();
-            println!("per-stage breakdown ({} spans -> {path}):", spans.len());
-            for (name, &(count, dur_us)) in &totals {
-                println!(
-                    "  {name:<24} {count:>8} spans  {:>10.3} s",
-                    dur_us as f64 / 1e6
-                );
-            }
-        }
-        if let Some(path) = &bench_json {
-            // Machine-readable rollup for CI trend tracking. Stage names
-            // are static identifiers (no escaping needed).
-            use std::fmt::Write;
-            let mut json = String::new();
-            let _ = write!(
-                json,
-                "{{\n  \"suite\": \"table1\",\n  \"quick\": {quick},\n  \"jobs\": {},\n  \"wall_s\": {:.6},\n  \"stages\": {{",
-                runner.jobs(),
-                wall.as_secs_f64()
+        std::fs::write(path, recorder.chrome_trace()).expect("write trace file");
+        println!();
+        println!("per-stage breakdown ({} spans -> {path}):", spans.len());
+        for (name, &(count, dur_us)) in &totals {
+            println!(
+                "  {name:<24} {count:>8} spans  {:>10.3} s",
+                dur_us as f64 / 1e6
             );
-            for (i, (name, &(count, dur_us))) in totals.iter().enumerate() {
-                let _ = write!(
-                    json,
-                    "{}\n    \"{name}\": {{ \"spans\": {count}, \"total_s\": {:.6} }}",
-                    if i == 0 { "" } else { "," },
-                    dur_us as f64 / 1e6
-                );
-            }
-            let _ = writeln!(json, "\n  }}\n}}");
-            std::fs::write(path, json).expect("write bench-json file");
-            eprintln!("[json] per-stage rollup -> {path}");
         }
     }
 }

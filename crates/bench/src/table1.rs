@@ -4,8 +4,7 @@
 //! prove no violation).
 
 use ltt_core::{
-    BatchRunner, Budget, CheckSession, Engine, Stage, StageEffort, Verdict, VerifyConfig,
-    VerifyReport,
+    BatchRunner, CheckSession, Stage, StageEffort, Verdict, VerifyConfig, VerifyReport,
 };
 use ltt_netlist::suite::SuiteEntry;
 use ltt_netlist::{Circuit, NetId};
@@ -77,7 +76,7 @@ fn stage_columns(reports: &[VerifyReport]) -> (char, char, char, Option<u64>, ch
                         case_ran = true;
                         4
                     }
-                    // Not produced by the narrowing pipeline.
+                    // The SAT engine has no stage columns.
                     Stage::Sat => 4,
                 };
                 worst = worst.max(s);
@@ -167,29 +166,13 @@ pub fn run_entry_with(
     let top = circuit.topological_delay();
     let s = critical_output(circuit);
     let session = CheckSession::new(circuit, config.clone());
-    // Engine dispatch (DESIGN.md §15): `ltt_sat::exact_delay` routes by
-    // `config.engine` and is the narrowing search verbatim for `narrow`.
-    let search = ltt_sat::exact_delay(&session, s);
+    let search = session.exact_delay(s);
     let mut rows = Vec::new();
 
     if search.proven_exact {
         let exact = search.delay;
-        // Row 1: δ = exact + 1 over all outputs, fanned over the runner
-        // (serially through the SAT/hybrid path — it is the cross-check
-        // engine, not the throughput one).
-        let batch = if config.engine == Engine::Narrow {
-            runner.verify_all_outputs(&session, exact + 1)
-        } else {
-            let checks: Vec<(NetId, i64)> =
-                circuit.outputs().iter().map(|&o| (o, exact + 1)).collect();
-            ltt_sat::run_checks(
-                &session,
-                config.engine,
-                &checks,
-                &Budget::unlimited(),
-                false,
-            )
-        };
+        // Row 1: δ = exact + 1 over all outputs, fanned over the runner.
+        let batch = runner.verify_all_outputs(&session, exact + 1);
         let (b, g, st, btr, res) = stage_columns(&batch.reports);
         rows.push(Table1Row {
             name: entry.name.to_string(),
@@ -207,7 +190,7 @@ pub fn run_entry_with(
         });
         // Row 2: δ = exact on the critical output.
         let t0 = std::time::Instant::now();
-        let report = ltt_sat::verify(&session, s, exact);
+        let report = session.verify(s, exact);
         let (b, g, st, btr, res) = stage_columns(std::slice::from_ref(&report));
         rows.push(Table1Row {
             name: entry.name.to_string(),
@@ -229,7 +212,7 @@ pub fn run_entry_with(
         // that was abandoned, taken straight from the search's reports.
         let ub = search.upper_bound;
         let t0 = std::time::Instant::now();
-        let report = ltt_sat::verify(&session, s, ub + 1);
+        let report = session.verify(s, ub + 1);
         let (b, g, st, btr, res) = stage_columns(std::slice::from_ref(&report));
         rows.push(Table1Row {
             name: entry.name.to_string(),

@@ -1,8 +1,8 @@
 //! Argument parsing and subcommand implementations for the `ltt` binary.
 
 use ltt_core::{
-    explain, BatchRunner, Budget, CheckError, CheckSession, Completeness, DelayMode, DelaySearch,
-    Engine, Error, LearningMode, Obs, Recorder, Stage, Verdict, VerifyConfig,
+    explain, BatchRunner, Budget, CheckSession, Completeness, DelayMode, Engine, Error,
+    LearningMode, Obs, Recorder, Stage, Verdict, VerifyConfig,
 };
 use ltt_netlist::bench_format::{parse_bench, write_bench};
 use ltt_netlist::sdf::apply_sdf;
@@ -732,31 +732,20 @@ fn cmd_check(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
     let mut config = config_from(opts);
     let recorder = trace_recorder(opts, &mut config);
     let assumptions = resolve_assumptions(circuit, opts)?;
+    // The CNF encoder has no notion of pinned nets, and silently ignoring
+    // pins would let it report witnesses the assumption set rules out.
+    if !assumptions.is_empty() && matches!(opts.engine, Engine::Sat | Engine::Hybrid) {
+        return Err(Error::usage(
+            "--assume requires --engine narrow (the CNF encoder does not support pins)",
+        ));
+    }
     let session = CheckSession::new(circuit, config);
-    let runner = runner_from(opts);
     let checks: Vec<(NetId, i64)> = resolve_outputs(circuit, opts)?
         .into_iter()
         .map(|o| (o, delta))
         .collect();
-    let batch = if opts.engine == Engine::Narrow {
-        runner.run_under(&session, &checks, &assumptions)
-    } else {
-        // The CNF encoder has no notion of pinned nets, and silently
-        // ignoring pins would let it report witnesses the assumption
-        // set rules out.
-        if !assumptions.is_empty() {
-            return Err(Error::usage(
-                "--assume requires --engine narrow (the CNF encoder does not support pins)",
-            ));
-        }
-        let extra = match opts.deadline_ms {
-            Some(ms) => {
-                Budget::unlimited().with_deadline(Instant::now() + Duration::from_millis(ms))
-            }
-            None => Budget::unlimited(),
-        };
-        ltt_sat::run_checks(&session, opts.engine, &checks, &extra, opts.fail_fast)
-    };
+    let runner = runner_from(opts);
+    let batch = runner.run_under(&session, &checks, &assumptions);
     let mut any_violation = false;
     let mut any_open = false;
     for r in &batch.reports {
@@ -1020,37 +1009,7 @@ fn cmd_delay(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
     let arrival = circuit.arrival_times();
     let session = CheckSession::new(circuit, config);
     let outputs = resolve_outputs(circuit, opts)?;
-    // The all-outputs case fans the per-output searches over the runner's
-    // workers; a single --output just runs in place (under the same
-    // wall-clock budget, if one was given).
-    let results: Vec<Result<DelaySearch, CheckError>> = if opts.engine != Engine::Narrow {
-        // SAT and hybrid searches run in place: the SAT backend is the
-        // cross-check path, so sequential + budget-shared beats fanning
-        // encoder memory over workers.
-        let budget = match opts.deadline_ms {
-            Some(ms) => {
-                Budget::unlimited().with_deadline(Instant::now() + Duration::from_millis(ms))
-            }
-            None => Budget::unlimited(),
-        };
-        outputs
-            .iter()
-            .map(|&o| Ok(ltt_sat::exact_delay_budgeted(&session, o, &budget)))
-            .collect()
-    } else if outputs.len() == circuit.outputs().len() {
-        runner_from(opts).try_exact_delays(&session)
-    } else {
-        let budget = match opts.deadline_ms {
-            Some(ms) => {
-                Budget::unlimited().with_deadline(Instant::now() + Duration::from_millis(ms))
-            }
-            None => Budget::unlimited(),
-        };
-        outputs
-            .iter()
-            .map(|&o| Ok(session.exact_delay_budgeted(o, &budget)))
-            .collect()
-    };
+    let results = runner_from(opts).try_exact_delays_of(&session, &outputs);
     let mut incomplete = false;
     for (&out, result) in outputs.iter().zip(&results) {
         let name = circuit.net(out).name();
@@ -1314,6 +1273,34 @@ mod tests {
             ])),
             Ok(RunStatus::Clean)
         );
+        // Without search, narrowing cannot certify the violation; the SAT
+        // engine re-checks the patched circuit and does.
+        assert_eq!(
+            run(&args(&[
+                "patch",
+                &path,
+                "--delta",
+                "31",
+                "--set-delay",
+                "16=11",
+                "--no-search",
+            ])),
+            Ok(RunStatus::Incomplete)
+        );
+        assert_eq!(
+            run(&args(&[
+                "patch",
+                &path,
+                "--delta",
+                "31",
+                "--set-delay",
+                "16=11",
+                "--no-search",
+                "--engine",
+                "sat",
+            ])),
+            Ok(RunStatus::Violation)
+        );
         // A structural rewire goes through the same incremental path.
         assert_eq!(
             run(&args(&[
@@ -1522,6 +1509,15 @@ mod tests {
             ]))),
             3
         );
+        // The CNF encoder cannot pin nets.
+        for engine in ["sat", "hybrid"] {
+            assert_eq!(
+                usage_exit(run(&args(&[
+                    "check", &path, "--delta", "30", "--assume", "2=0", "--engine", engine
+                ]))),
+                3
+            );
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! started checks become [`CheckError::Skipped`]).
 
 use crate::budget::{Budget, CancelToken};
-use crate::check::{DelaySearch, ProfilePoint, StageTimes, Verdict, VerifyReport};
+use crate::check::{DelaySearch, Engine, ProfilePoint, StageTimes, Verdict, VerifyReport};
 use crate::error::CheckError;
 use crate::fan::CaseStats;
 use crate::prepared::CheckSession;
@@ -291,7 +291,9 @@ impl BatchCheck {
 /// Fans the checks of a batch out over worker threads.
 ///
 /// Deterministic by construction (see the module docs): any `jobs` value
-/// produces the same reports as [`BatchRunner::serial`].
+/// produces the same reports as [`BatchRunner::serial`]. Every engine runs
+/// through it, so SAT and hybrid checks get the same per-slot isolation,
+/// deadline, fail-fast and worker count as narrowing ones.
 ///
 /// # Examples
 ///
@@ -315,6 +317,9 @@ pub struct BatchRunner {
     /// Extra per-check budget (and external cancellation sources) merged
     /// into every check this runner executes.
     extra: Budget,
+    /// The engine answering this runner's checks in place of the
+    /// session's own (`None`: the session config's).
+    engine: Option<Engine>,
 }
 
 impl Default for BatchRunner {
@@ -332,6 +337,7 @@ impl BatchRunner {
             fail_fast: false,
             deadline: None,
             extra: Budget::unlimited(),
+            engine: None,
         }
     }
 
@@ -387,6 +393,19 @@ impl BatchRunner {
         self
     }
 
+    /// Answer every check and delay search of this runner with `engine`
+    /// instead of the session config's — how a serving layer applies a
+    /// request's engine to a session shared by all requests.
+    pub fn with_engine(mut self, engine: Engine) -> Self {
+        self.engine = Some(engine);
+        self
+    }
+
+    /// The engine this runner's checks against `session` run on.
+    fn engine(&self, session: &CheckSession) -> Engine {
+        self.engine.unwrap_or(session.config().engine)
+    }
+
     /// The shared cancel token and extra per-check budget of one batch run,
     /// or `None` when this runner needs neither (keeping the default path
     /// free of any budget machinery).
@@ -400,19 +419,6 @@ impl BatchRunner {
             extra = extra.with_deadline(start + d);
         }
         Some((cancel, extra))
-    }
-
-    /// The extra per-check [`Budget`] this runner would apply to a batch
-    /// started now: the external budget (cancel tokens, caps) plus the
-    /// batch deadline anchored at the current instant. For callers that
-    /// invoke session APIs directly (e.g. a single delay search) but want
-    /// resource behavior consistent with this runner's batches.
-    pub fn per_check_budget(&self) -> Budget {
-        let mut budget = self.extra.clone();
-        if let Some(d) = self.deadline {
-            budget = budget.with_deadline(Instant::now() + d);
-        }
-        budget
     }
 
     /// The tokens whose firing should *skip* not-yet-started items: the
@@ -431,6 +437,11 @@ impl BatchRunner {
 
     /// [`BatchRunner::run`] with shared assumptions: every check pins each
     /// `(net, level)` before propagation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assumptions` is not empty and the runner's engine is not
+    /// [`Engine::Narrow`] (see [`CheckSession::verify_under`]).
     pub fn run_under(
         &self,
         session: &CheckSession,
@@ -438,10 +449,12 @@ impl BatchRunner {
         assumptions: &[(NetId, Level)],
     ) -> BatchCheck {
         let start = Instant::now();
+        let engine = self.engine(session);
+        crate::engine::require_narrow_for_pins(engine, assumptions);
         // Force the base fixpoint once before fan-out so workers never race
         // to compute it (OnceLock would serialize them anyway; this keeps
         // the cost out of the parallel region's critical path).
-        session.warm_up();
+        session.warm_up_for(engine);
         let controls = self.batch_controls(start);
         let (cancel, extra) = match &controls {
             Some((cancel, extra)) => (Some(cancel), extra.clone()),
@@ -449,7 +462,7 @@ impl BatchRunner {
         };
         let skips = self.skip_tokens(cancel);
         let results = run_map_isolated(checks, self.jobs, &skips, |&(output, delta)| {
-            let report = session.verify_under_budgeted(output, delta, assumptions, &extra);
+            let report = session.check(engine, output, delta, assumptions, &extra);
             if self.fail_fast && report.verdict.is_violation() {
                 if let Some(cancel) = cancel {
                     cancel.cancel();
@@ -543,7 +556,17 @@ impl BatchRunner {
     /// become [`CheckError::Skipped`]. Fail-fast does not apply (a delay
     /// search has no violation to stop on).
     pub fn try_exact_delays(&self, session: &CheckSession) -> Vec<Result<DelaySearch, CheckError>> {
-        session.warm_up();
+        self.try_exact_delays_of(session, session.circuit().outputs())
+    }
+
+    /// [`BatchRunner::try_exact_delays`] for the given outputs, in order.
+    pub fn try_exact_delays_of(
+        &self,
+        session: &CheckSession,
+        outputs: &[NetId],
+    ) -> Vec<Result<DelaySearch, CheckError>> {
+        let engine = self.engine(session);
+        session.warm_up_for(engine);
         let start = Instant::now();
         let no_fail_fast = BatchRunner {
             fail_fast: false,
@@ -555,8 +578,8 @@ impl BatchRunner {
             None => (None, Budget::unlimited()),
         };
         let skips = no_fail_fast.skip_tokens(cancel);
-        run_map_isolated(session.circuit().outputs(), self.jobs, &skips, |&o| {
-            session.exact_delay_budgeted(o, &extra)
+        run_map_isolated(outputs, self.jobs, &skips, |&o| {
+            session.search(engine, o, &extra)
         })
     }
 

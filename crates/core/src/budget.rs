@@ -219,9 +219,9 @@ impl Budget {
         }
     }
 
-    /// Arms the budget: fixes the start of the per-check wall window.
-    /// Public so out-of-crate engines (the `ltt-sat` CDCL core) can poll
-    /// the same limits the narrowing pipeline honours.
+    /// Arms the budget: fixes the start of the per-check wall window. The
+    /// narrowing pipeline and the CNF/CDCL backend poll the same limits
+    /// through it.
     pub fn arm(&self) -> ArmedBudget {
         ArmedBudget {
             budget: self.clone(),

@@ -49,18 +49,16 @@ pub enum LearningMode {
 
 /// Which verification backend answers a check.
 ///
-/// The narrowing pipeline is the only engine this crate implements; the
-/// field is carried here as plain configuration data so that front-ends
-/// (CLI, serve) and the `ltt-sat` crate can dispatch on it without a
-/// dependency cycle. Code in this crate treats every value as
-/// [`Engine::Narrow`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// [`CheckSession`](crate::CheckSession) dispatches every check and delay
+/// search on it; a [`BatchRunner`](crate::BatchRunner) may override it per
+/// batch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// Waveform narrowing + FAN case analysis (the paper's method).
     #[default]
     Narrow,
     /// CNF unrolling of the floating-mode semantics, solved by CDCL
-    /// (`ltt-sat`).
+    /// ([`sat`](crate::sat)).
     Sat,
     /// Narrowing first; on [`Completeness::BudgetExhausted`] fall back to
     /// SAT to decide the check or tighten the delay interval.
@@ -111,9 +109,7 @@ pub struct VerifyConfig {
     /// [`Completeness::BudgetExhausted`] instead of hanging; the default is
     /// unlimited.
     pub budget: Budget,
-    /// Which backend front-ends should route the check through. This
-    /// crate always runs the narrowing pipeline; `Sat`/`Hybrid` are
-    /// honoured by dispatchers layered on top (see `ltt-sat`).
+    /// Which backend answers the session's checks.
     pub engine: Engine,
     /// Observability sink. The default is disabled (a no-op handle);
     /// attach a recorder with [`Obs::recording`] to capture per-stage
@@ -175,8 +171,8 @@ pub enum Stage {
     StemCorrelation,
     /// Case analysis.
     CaseAnalysis,
-    /// CNF/CDCL backend (`ltt-sat`); never produced by this crate's
-    /// pipeline, only by engine dispatchers layered on top.
+    /// The CNF/CDCL backend ([`Engine::Sat`], or a [`Engine::Hybrid`]
+    /// fallback).
     Sat,
 }
 

@@ -1,0 +1,445 @@
+//! Engine dispatch: [`CheckSession`] answers each check with the engine
+//! its config (or a [`BatchRunner`](crate::BatchRunner) override) names.
+//!
+//! The hybrid contract: run the narrowing pipeline first; when (and only
+//! when) it returns [`Completeness::BudgetExhausted`], re-decide the
+//! check with the CNF/CDCL backend under the same per-check budget. A
+//! SAT decision upgrades the verdict to an exact one; a SAT budget trip
+//! leaves the narrowing report untouched. Delay searches tighten the
+//! `[lower, upper]` interval the same way — every SAT probe either
+//! raises the certified lower bound (a model is a concrete witness
+//! vector) or lowers the proven upper bound (UNSAT at δ rules out every
+//! δ′ ≥ δ by monotonicity of `settle ≥`), so the hybrid interval is
+//! always at least as tight as the narrowing one.
+
+use crate::budget::Budget;
+use crate::check::{Completeness, DelaySearch, Engine, Stage, StageVerdict, Verdict, VerifyReport};
+use crate::prepared::CheckSession;
+use crate::sat::{sat_decide, SatCheck, SatVerdict};
+use crate::solver::SolverStats;
+use ltt_netlist::{Circuit, NetId};
+use ltt_sta::vector_delay;
+use ltt_waveform::Level;
+use std::time::Instant;
+
+impl CheckSession<'_> {
+    /// Runs the check `(output, δ)` through `engine`, with `extra` merged
+    /// into the session's budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assumptions` is not empty and `engine` is not
+    /// [`Engine::Narrow`] (the CNF encoder cannot pin nets).
+    pub(crate) fn check(
+        &self,
+        engine: Engine,
+        output: NetId,
+        delta: i64,
+        assumptions: &[(NetId, Level)],
+        extra: &Budget,
+    ) -> VerifyReport {
+        require_narrow_for_pins(engine, assumptions);
+        match engine {
+            Engine::Narrow => self.narrow_check(output, delta, assumptions, extra),
+            Engine::Sat => self.sat_check(output, delta, extra),
+            Engine::Hybrid => {
+                let report = self.narrow_check(output, delta, &[], extra);
+                if report.completeness.is_exact() {
+                    return report;
+                }
+                // Narrowing exhausted its budget: one SAT attempt under the
+                // same per-check limits. A decision replaces the abandoned
+                // verdict; another trip keeps the narrowing report.
+                let sat = self.sat_check(output, delta, extra);
+                if !sat.completeness.is_exact() {
+                    return report;
+                }
+                // Keep the narrowing effort visible in the upgrade.
+                VerifyReport {
+                    verdict: sat.verdict,
+                    completeness: sat.completeness,
+                    backtracks: sat.backtracks.saturating_add(report.backtracks),
+                    solver: sat.solver.saturating_add(&report.solver),
+                    elapsed: report.elapsed.saturating_add(sat.elapsed),
+                    ..report
+                }
+            }
+        }
+    }
+
+    /// The CNF/CDCL answer to one check.
+    fn sat_check(&self, output: NetId, delta: i64, extra: &Budget) -> VerifyReport {
+        let started = Instant::now();
+        let budget = self.config().budget.merged(extra);
+        let check = sat_decide(self.circuit(), output, delta, &budget);
+        sat_report(output, delta, check, started)
+    }
+
+    /// The exact-delay search of `output` through `engine`:
+    ///
+    /// * `Narrow` runs the session's bisection.
+    /// * `Sat` bisects with SAT probes only.
+    /// * `Hybrid` runs the narrowing search first and, when it comes back
+    ///   inexact, keeps bisecting the remaining `[lower, upper]` gap with
+    ///   SAT probes (each under the per-check budget) — tightening the
+    ///   interval instead of giving up.
+    pub(crate) fn search(&self, engine: Engine, output: NetId, extra: &Budget) -> DelaySearch {
+        let search = match engine {
+            Engine::Narrow => return self.narrow_search(output, extra),
+            Engine::Hybrid => self.narrow_search(output, extra),
+            Engine::Sat => DelaySearch {
+                delay: 0,
+                vector: None,
+                proven_exact: false,
+                upper_bound: self.circuit().topological_delay(),
+                backtracks: 0,
+                probes: Vec::new(),
+            },
+        };
+        if search.proven_exact {
+            return search;
+        }
+        let budget = self.config().budget.merged(extra);
+        sat_bisect(self.circuit(), output, &budget, search)
+    }
+}
+
+/// Panics unless `engine` can honour `assumptions`: the CNF encoder has no
+/// notion of pinned nets, and ignoring the pins could report a witness
+/// they rule out.
+pub(crate) fn require_narrow_for_pins(engine: Engine, assumptions: &[(NetId, Level)]) {
+    assert!(
+        assumptions.is_empty() || engine == Engine::Narrow,
+        "assumptions need the narrow engine, not {}",
+        engine.name()
+    );
+}
+
+/// Builds a [`VerifyReport`] from a SAT decision (stage = [`Stage::Sat`]).
+fn sat_report(output: NetId, delta: i64, check: SatCheck, started: Instant) -> VerifyReport {
+    let (verdict, completeness) = match check.verdict {
+        SatVerdict::Violated(vector) => (Verdict::Violation { vector }, Completeness::Exact),
+        SatVerdict::Safe => (
+            Verdict::NoViolation { stage: Stage::Sat },
+            Completeness::Exact,
+        ),
+        SatVerdict::Unknown(reason) => (
+            Verdict::Abandoned,
+            Completeness::BudgetExhausted {
+                stage: Stage::Sat,
+                reason,
+            },
+        ),
+    };
+    // Propagations are the SAT analogue of narrowing events; surfacing
+    // them keeps `effort`-style accounting meaningful across engines.
+    let solver = SolverStats {
+        events: check.stats.propagations,
+        ..Default::default()
+    };
+    VerifyReport {
+        output,
+        delta,
+        verdict,
+        completeness,
+        before_gitd: StageVerdict::Possible,
+        after_gitd: None,
+        after_stems: None,
+        backtracks: check.stats.conflicts,
+        solver,
+        stems: Default::default(),
+        case: Default::default(),
+        stage_times: Default::default(),
+        effort: Default::default(),
+        elapsed: started.elapsed(),
+    }
+}
+
+/// Bisects the violation frontier with SAT probes, starting from (and
+/// never loosening) the interval carried by `search`: a model at δ is a
+/// certified witness raising `delay`, an UNSAT at δ proves every δ′ ≥ δ
+/// safe, lowering `upper_bound` to δ − 1. A probe trip stops the search
+/// with the interval proven so far.
+fn sat_bisect(
+    circuit: &Circuit,
+    output: NetId,
+    budget: &Budget,
+    mut search: DelaySearch,
+) -> DelaySearch {
+    // Invariant: a violation at `lo` is demonstrated (or lo = 0, trivially
+    // demonstrated by any vector settling at ≥ 0) and hi = upper_bound + 1
+    // is proven violation-free.
+    let mut lo = search.delay.max(0);
+    let mut hi = search.upper_bound + 1;
+    while lo + 1 < hi {
+        let mid = lo + (hi - lo) / 2;
+        let started = Instant::now();
+        let check = sat_decide(circuit, output, mid, budget);
+        search.backtracks += check.stats.conflicts;
+        match check.verdict.clone() {
+            SatVerdict::Violated(vector) => {
+                // The witness's true delay can beat the probe point;
+                // credit the whole jump.
+                lo = lo.max(vector_delay(circuit, &vector, output)).max(mid);
+                search.vector = Some(vector);
+            }
+            SatVerdict::Safe => hi = mid,
+            SatVerdict::Unknown(_) => {
+                search.probes.push(sat_report(output, mid, check, started));
+                break;
+            }
+        }
+        search.probes.push(sat_report(output, mid, check, started));
+    }
+    search.delay = lo;
+    search.upper_bound = hi - 1;
+    search.proven_exact = lo + 1 == hi;
+    search
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{BatchRunner, LearningMode, Obs, Recorder, TripReason, VerifyConfig};
+    use ltt_netlist::generators::{figure1, serial_false_path_gadgets};
+    use std::sync::Arc;
+
+    fn session_with(circuit: &Circuit, engine: Engine) -> CheckSession<'_> {
+        let config = VerifyConfig {
+            engine,
+            ..Default::default()
+        };
+        CheckSession::new(circuit, config)
+    }
+
+    #[test]
+    fn sat_engine_matches_narrowing_on_figure1() {
+        let c = figure1(10);
+        let s = c.outputs()[0];
+        let sat = session_with(&c, Engine::Sat);
+        let narrow = session_with(&c, Engine::Narrow);
+        for delta in [50, 60, 61, 70, 71] {
+            let rs = sat.verify(s, delta);
+            let rn = narrow.verify(s, delta);
+            assert_eq!(
+                rs.verdict.is_violation(),
+                rn.verdict.is_violation(),
+                "δ={delta}"
+            );
+            assert_eq!(
+                rs.verdict.is_no_violation(),
+                rn.verdict.is_no_violation(),
+                "δ={delta}"
+            );
+        }
+    }
+
+    #[test]
+    fn sat_exact_delay_is_60_on_figure1() {
+        let c = figure1(10);
+        let s = c.outputs()[0];
+        let session = session_with(&c, Engine::Sat);
+        let search = session.exact_delay(s);
+        assert!(search.proven_exact);
+        assert_eq!(search.delay, 60);
+        assert_eq!(search.upper_bound, 60);
+        let w = search.vector.expect("witness");
+        assert_eq!(vector_delay(&c, &w, s), 60);
+    }
+
+    /// Every entry point of a SAT session answers with the SAT engine, and
+    /// a runner's engine override reaches a narrowing session's checks.
+    #[test]
+    fn sat_session_answers_through_every_entry_point() {
+        let c = figure1(10);
+        let s = c.outputs()[0];
+        // A SAT report runs no dominator stage; narrowing's default does.
+        let by_sat = |r: &VerifyReport| match r.verdict {
+            Verdict::NoViolation { stage } => stage == Stage::Sat,
+            Verdict::Violation { .. } => r.after_gitd.is_none(),
+            _ => false,
+        };
+        let session = session_with(&c, Engine::Sat);
+        assert_eq!(
+            session.verify(s, 61).verdict,
+            Verdict::NoViolation { stage: Stage::Sat }
+        );
+        let batch = BatchRunner::new(2).run(&session, &[(s, 61), (s, 70)]);
+        assert!(batch
+            .reports
+            .iter()
+            .all(|r| r.verdict == Verdict::NoViolation { stage: Stage::Sat }));
+        let searches = BatchRunner::new(2).try_exact_delays(&session);
+        let search = searches[0].as_ref().expect("search ran");
+        assert_eq!(search.delay, 60);
+        assert!(search.probes.iter().all(by_sat));
+        assert!(search
+            .probes
+            .iter()
+            .any(|p| p.verdict == Verdict::NoViolation { stage: Stage::Sat }));
+
+        let narrow = session_with(&c, Engine::Narrow);
+        let batch = BatchRunner::serial()
+            .with_engine(Engine::Sat)
+            .run(&narrow, &[(s, 61)]);
+        assert_eq!(
+            batch.reports[0].verdict,
+            Verdict::NoViolation { stage: Stage::Sat }
+        );
+    }
+
+    /// A SAT session never learns the implication table nor computes the
+    /// base fixpoint: not when opened, warmed, checked or rebased.
+    #[test]
+    fn sat_session_prepares_nothing_narrowing_reads() {
+        let c = Arc::new(figure1(10));
+        let s = c.outputs()[0];
+        let recorder = Arc::new(Recorder::new());
+        let config = VerifyConfig {
+            engine: Engine::Sat,
+            obs: Obs::recording(recorder.clone()),
+            ..Default::default()
+        };
+        let session = CheckSession::new_shared(c.clone(), config);
+        session.warm_up();
+        assert!(session.verify(s, 60).verdict.is_violation());
+        assert_eq!(session.exact_delay(s).delay, 60);
+        let gate = c.net(s).driver().expect("driven output");
+        let delay = c.gate(gate).delay();
+        let edit = c
+            .apply_edit(&[ltt_netlist::CircuitEdit::SetDelay {
+                gate,
+                delay: ltt_netlist::DelayInterval::new(delay.min() + 1, delay.max() + 1),
+            }])
+            .expect("delay edit applies");
+        let rebased = session.rebase(Arc::new(edit.circuit), &edit.dirty, edit.structural);
+        assert_eq!(rebased.exact_delay(s).delay, 61);
+        let prepared: Vec<&str> = recorder
+            .spans()
+            .iter()
+            .map(|span| span.name)
+            .filter(|name| *name == "prepare.static_learning" || *name == "prepare.base_fixpoint")
+            .collect();
+        assert!(prepared.is_empty(), "{prepared:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "assumptions need the narrow engine")]
+    fn sat_session_rejects_assumptions() {
+        let c = figure1(10);
+        let s = c.outputs()[0];
+        let e5 = c.net_by_name("e5").expect("figure1 has e5");
+        let _ = session_with(&c, Engine::Sat).verify_under(s, 60, &[(e5, Level::Zero)]);
+    }
+
+    #[test]
+    fn hybrid_without_pressure_equals_narrowing() {
+        let c = figure1(10);
+        let s = c.outputs()[0];
+        let hybrid = session_with(&c, Engine::Hybrid);
+        let r = hybrid.verify(s, 61);
+        assert!(r.verdict.is_no_violation());
+        assert!(r.completeness.is_exact());
+    }
+
+    /// A reconvergent ladder with power-of-two gate delays: stage `k`
+    /// joins `x_k` with a copy of itself delayed by `2^k`, so every subset
+    /// sum of the delays is a distinct settle time and the settle grid of
+    /// `x_k` doubles per stage. Twenty-one stages put the cumulative grid
+    /// past the encoder's threshold-variable cap.
+    fn power_of_two_ladder(stages: u32) -> Circuit {
+        use ltt_netlist::{CircuitBuilder, DelayInterval, GateKind};
+        let mut b = CircuitBuilder::new("pow2_ladder");
+        let mut x = b.input("x0");
+        for k in 0..stages {
+            let p = b.gate(
+                format!("p{k}"),
+                GateKind::Delay,
+                &[x],
+                DelayInterval::fixed(1 << k),
+            );
+            x = b.gate(
+                format!("x{}", k + 1),
+                GateKind::And,
+                &[x, p],
+                DelayInterval::fixed(1),
+            );
+        }
+        b.mark_output(x);
+        b.build().expect("valid ladder")
+    }
+
+    #[test]
+    fn grid_cap_is_its_own_reason_and_never_a_verdict() {
+        let c = power_of_two_ladder(21);
+        let s = c.outputs()[0];
+        let top = c.arrival_times()[s.index()];
+        for delta in [top / 2, top, top + 1] {
+            let check = sat_decide(&c, s, delta, &Budget::unlimited());
+            assert_eq!(
+                check.verdict,
+                SatVerdict::Unknown(TripReason::GridTooLarge),
+                "δ={delta}"
+            );
+        }
+        let r = session_with(&c, Engine::Sat).verify(s, top);
+        assert_eq!(r.verdict, Verdict::Abandoned);
+        assert_eq!(
+            r.completeness,
+            Completeness::BudgetExhausted {
+                stage: Stage::Sat,
+                reason: TripReason::GridTooLarge,
+            }
+        );
+        assert_eq!(
+            TripReason::GridTooLarge.to_string(),
+            "settle grid too large"
+        );
+    }
+
+    #[test]
+    fn hybrid_decides_when_narrowing_budget_trips() {
+        // A backtrack budget of 1 exhausts narrowing case analysis almost
+        // immediately on the gadget chain; the SAT fallback must still
+        // decide the check exactly.
+        let c = serial_false_path_gadgets(6, 10);
+        let s = c.outputs()[0];
+        // Reference: full-budget narrowing bisection (proven exact), which
+        // the SAT bisection must independently reproduce.
+        let reference = CheckSession::new(&c, VerifyConfig::default()).exact_delay(s);
+        assert!(reference.proven_exact);
+        let exact = reference.delay;
+        let sat_session = session_with(&c, Engine::Sat);
+        let sat_search = sat_session.exact_delay(s);
+        assert!(sat_search.proven_exact);
+        assert_eq!(sat_search.delay, exact, "SAT vs narrowing exact delay");
+        // Strip the §4/§5 stages so the check truly rides on case
+        // analysis, then cap it at one backtrack.
+        let config = VerifyConfig {
+            engine: Engine::Hybrid,
+            max_backtracks: 1,
+            dominators: false,
+            stem_correlation: false,
+            learning: LearningMode::Off,
+            ..Default::default()
+        };
+        let session = CheckSession::new(&c, config.clone());
+        let r = session.verify(s, exact + 1);
+        assert!(r.verdict.is_no_violation(), "{:?}", r.verdict);
+        assert!(r.completeness.is_exact());
+
+        // Narrowing alone abandons the same check.
+        let narrow = CheckSession::new(
+            &c,
+            VerifyConfig {
+                engine: Engine::Narrow,
+                ..config
+            },
+        );
+        let rn = narrow.verify(s, exact + 1);
+        assert!(!rn.completeness.is_exact(), "{:?}", rn.completeness);
+        // The upgrade keeps the narrowing run's per-stage effort and clocks.
+        assert_eq!(r.effort, rn.effort);
+        assert!(r.stage_times.case_analysis > std::time::Duration::ZERO);
+    }
+}

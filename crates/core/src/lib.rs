@@ -34,6 +34,10 @@
 //! all outputs at one δ, every output's delay search — and its parallel
 //! results are bit-identical to serial ones by construction.
 //!
+//! The session also answers with a second, independent decider: the
+//! CNF/CDCL backend of the [`sat`] module. The config's [`Engine`] picks
+//! narrowing, SAT, or narrowing with a SAT fallback when its budget trips.
+//!
 //! # Example
 //!
 //! The paper's running example (Fig. 1 / Example 2): topological delay 70,
@@ -62,8 +66,11 @@
 pub mod batch;
 pub mod budget;
 pub mod carriers;
+mod cdcl;
 mod check;
 pub mod domain;
+mod encode;
+mod engine;
 pub mod error;
 pub mod explain;
 pub mod failpoint;
@@ -72,6 +79,7 @@ pub mod learning;
 pub mod obs;
 pub mod prepared;
 pub mod projection;
+pub mod sat;
 pub mod scoap;
 pub mod solver;
 pub mod stems;

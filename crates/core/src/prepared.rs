@@ -12,12 +12,13 @@
 //! harness runs whole suites.
 //!
 //! [`PreparedCircuit`] computes each of these **once per circuit** (lazily,
-//! so ablated configurations pay nothing for stages they skip) and hands
-//! shared references to every check. [`CheckSession`] pairs a prepared
-//! circuit with one [`VerifyConfig`] and additionally caches the **base
-//! fixpoint** — the greatest fixpoint of the input-and-learning constraints
-//! *without* any δ constraint — which every check of the session starts
-//! from. Both types are `Sync`: a batch executor
+//! so ablated configurations — and the SAT engine, which reads none of
+//! them — pay nothing for stages they skip) and hands shared references to
+//! every check. [`CheckSession`] pairs a prepared circuit with one
+//! [`VerifyConfig`] and additionally caches the **base fixpoint** — the
+//! greatest fixpoint of the input-and-learning constraints *without* any δ
+//! constraint — which every narrowing check of the session starts from.
+//! Both types are `Sync`: a batch executor
 //! ([`BatchRunner`](crate::BatchRunner)) can fan checks out across threads
 //! with no per-thread re-preparation, and because each check still runs on
 //! its own [`Narrower`], parallel results are identical to serial ones.
@@ -25,8 +26,8 @@
 use crate::budget::Budget;
 use crate::carriers::fixpoint_with_dominators;
 use crate::check::{
-    run_pipeline, DelayMode, DelaySearch, LearningMode, PipelineScope, ProfilePoint, Verdict,
-    VerifyConfig, VerifyReport,
+    run_pipeline, DelayMode, DelaySearch, Engine, LearningMode, PipelineScope, ProfilePoint,
+    Verdict, VerifyConfig, VerifyReport,
 };
 use crate::domain::SignalStore;
 use crate::fan::{fill_level, CaseScope};
@@ -154,9 +155,10 @@ impl ConeAnalysis {
 /// All check-independent analyses of one circuit, computed at most once.
 ///
 /// The fields are lazy ([`OnceLock`]), so a narrowing-only configuration
-/// never pays for SCOAP or the reconvergent-stem mask, while a full
-/// pipeline computes each exactly once no matter how many checks run —
-/// serially or from many threads at once.
+/// never pays for SCOAP or the reconvergent-stem mask, and a SAT session
+/// never pays for the implication table, while a full pipeline computes
+/// each exactly once no matter how many checks run — serially or from many
+/// threads at once.
 ///
 /// # Examples
 ///
@@ -173,7 +175,9 @@ impl ConeAnalysis {
 /// ```
 pub struct PreparedCircuit<'c> {
     circuit: CircuitHandle<'c>,
-    table: Option<Arc<ImplicationTable>>,
+    learning: LearningMode,
+    /// The static-learning table per `learning` (`None` when off).
+    table: OnceLock<Option<Arc<ImplicationTable>>>,
     arrival: OnceLock<Vec<i64>>,
     controllability: OnceLock<Controllability>,
     observability: OnceLock<Observability>,
@@ -189,22 +193,10 @@ pub struct PreparedCircuit<'c> {
 }
 
 impl<'c> PreparedCircuit<'c> {
-    /// Prepares a circuit, learning the implication table per `learning`
-    /// (the one analysis that is *not* lazy: its constants restrict every
-    /// check's base state, so it is always needed up front).
+    /// Prepares a circuit whose implication table is learned per
+    /// `learning` on first use.
     pub fn new(circuit: &'c Circuit, learning: LearningMode) -> Self {
-        let table = match learning {
-            LearningMode::Off => None,
-            LearningMode::Stems => Some(Arc::new(ImplicationTable::learn_stems(circuit))),
-            LearningMode::All => Some(Arc::new(ImplicationTable::learn(circuit))),
-        };
-        Self::with_table(circuit, table)
-    }
-
-    /// Prepares a circuit around an already-learned implication table
-    /// (or none), for callers that manage learning themselves.
-    pub fn with_table(circuit: &'c Circuit, table: Option<Arc<ImplicationTable>>) -> Self {
-        Self::from_handle(CircuitHandle::Borrowed(circuit), table)
+        Self::from_handle(CircuitHandle::Borrowed(circuit), learning)
     }
 
     /// [`PreparedCircuit::new`] with shared ownership: the prepared circuit
@@ -213,19 +205,15 @@ impl<'c> PreparedCircuit<'c> {
     /// `PreparedCircuit<'static>` entries and each entry's analyses are
     /// computed once, shared by every request that names the circuit.
     pub fn new_shared(circuit: Arc<Circuit>, learning: LearningMode) -> PreparedCircuit<'static> {
-        let table = match learning {
-            LearningMode::Off => None,
-            LearningMode::Stems => Some(Arc::new(ImplicationTable::learn_stems(&circuit))),
-            LearningMode::All => Some(Arc::new(ImplicationTable::learn(&circuit))),
-        };
-        PreparedCircuit::from_handle(CircuitHandle::Shared(circuit), table)
+        PreparedCircuit::from_handle(CircuitHandle::Shared(circuit), learning)
     }
 
-    fn from_handle(circuit: CircuitHandle<'c>, table: Option<Arc<ImplicationTable>>) -> Self {
+    fn from_handle(circuit: CircuitHandle<'c>, learning: LearningMode) -> Self {
         let num_outputs = circuit.get().outputs().len();
         PreparedCircuit {
             circuit,
-            table,
+            learning,
+            table: OnceLock::new(),
             arrival: OnceLock::new(),
             controllability: OnceLock::new(),
             observability: OnceLock::new(),
@@ -241,9 +229,22 @@ impl<'c> PreparedCircuit<'c> {
         self.circuit.get()
     }
 
-    /// The shared static-learning table, if learning is enabled.
+    /// The shared static-learning table, if learning is enabled, learned
+    /// on first use.
     pub fn implication_table(&self) -> Option<&Arc<ImplicationTable>> {
-        self.table.as_ref()
+        self.table
+            .get_or_init(|| {
+                let span = self.obs.start();
+                let table = match self.learning {
+                    LearningMode::Off => None,
+                    LearningMode::Stems => Some(ImplicationTable::learn_stems(self.circuit())),
+                    LearningMode::All => Some(ImplicationTable::learn(self.circuit())),
+                };
+                self.obs
+                    .span("prepare.static_learning", "prepare", span, &[]);
+                table.map(Arc::new)
+            })
+            .as_ref()
     }
 
     /// Topological arrival times (`max` delay to each net), cached.
@@ -301,8 +302,10 @@ impl<'c> PreparedCircuit<'c> {
         let pos = self.circuit().outputs().iter().position(|&o| o == output)?;
         self.cones[pos]
             .get_or_init(|| {
+                // Learn first, so the span below times the cone alone.
+                let table = self.implication_table();
                 let span = self.obs.start();
-                let ca = ConeAnalysis::build(self.circuit(), output, self.table.as_ref());
+                let ca = ConeAnalysis::build(self.circuit(), output, table);
                 self.obs.span(
                     "prepare.cone",
                     "prepare",
@@ -366,9 +369,13 @@ impl<'c> PreparedCircuit<'c> {
 }
 
 /// One circuit + one configuration + the shared base fixpoint: the entry
-/// point of every timing check.
+/// point of every timing check, whichever [`Engine`] answers it.
 ///
-/// Every check method seeds a fresh [`Narrower`] from the cached base
+/// The check methods dispatch on the config's [`Engine`] (DESIGN.md §15):
+/// `Narrow` runs the staged pipeline, `Sat` the CNF/CDCL backend, and
+/// `Hybrid` the pipeline with a SAT fallback when its budget trips.
+///
+/// A narrowing check seeds a fresh [`Narrower`] from the cached base
 /// fixpoint (inputs + learning constants, no δ), applies the δ constraint
 /// (and any assumptions), and runs the staged pipeline. The greatest
 /// fixpoint of a constraint system is unique, so verdicts and witness
@@ -413,13 +420,10 @@ pub struct CheckSession<'c> {
 
 impl<'c> CheckSession<'c> {
     /// Opens a session: prepares the circuit per the config's learning
-    /// mode. The base fixpoint is computed lazily on the first check.
+    /// mode. The implication table and the base fixpoint are computed
+    /// lazily, on the first narrowing check.
     pub fn new(circuit: &'c Circuit, config: VerifyConfig) -> Self {
-        let span = config.obs.start();
         let prepared = PreparedCircuit::new(circuit, config.learning);
-        config
-            .obs
-            .span("prepare.static_learning", "prepare", span, &[]);
         Self::with_prepared(prepared, config)
     }
 
@@ -427,11 +431,7 @@ impl<'c> CheckSession<'c> {
     /// session carries its own reference count, so it can live in a
     /// long-lived registry (`CheckSession<'static>`) and be dropped freely.
     pub fn new_shared(circuit: Arc<Circuit>, config: VerifyConfig) -> CheckSession<'static> {
-        let span = config.obs.start();
         let prepared = PreparedCircuit::new_shared(circuit, config.learning);
-        config
-            .obs
-            .span("prepare.static_learning", "prepare", span, &[]);
         CheckSession::with_prepared(prepared, config)
     }
 
@@ -466,10 +466,18 @@ impl<'c> CheckSession<'c> {
     }
 
     /// Forces the base fixpoint now (it is otherwise computed on the first
-    /// check). A batch executor calls this before fanning out so workers
-    /// start from a warm cache instead of serializing on its computation.
+    /// narrowing check). A batch executor calls this before fanning out so
+    /// workers start from a warm cache instead of serializing on its
+    /// computation. A no-op on a SAT session, which never reads it.
     pub fn warm_up(&self) {
-        let _ = self.base_store();
+        self.warm_up_for(self.config.engine);
+    }
+
+    /// [`CheckSession::warm_up`] for checks answered by `engine`.
+    pub(crate) fn warm_up_for(&self, engine: Engine) {
+        if engine != Engine::Sat {
+            let _ = self.base_store();
+        }
     }
 
     /// Opens a session for an edited revision of this session's circuit,
@@ -494,8 +502,9 @@ impl<'c> CheckSession<'c> {
     ///   domains): the distance/dominator analysis, the cone analysis, and
     ///   the warmed cone sub-session, wholesale.
     ///
-    /// A `structural` edit keeps nothing: connectivity-derived analyses
-    /// are rebuilt lazily, and the table is re-learned here.
+    /// Only what this session has computed so far transfers. A
+    /// `structural` edit keeps nothing: every analysis, the table included,
+    /// is rebuilt lazily.
     ///
     /// # Panics
     ///
@@ -513,34 +522,23 @@ impl<'c> CheckSession<'c> {
             (self.circuit().num_nets(), self.circuit().num_gates()),
             "rebase requires an edited revision of the same circuit"
         );
-        let table = if structural {
-            match self.config.learning {
-                LearningMode::Off => None,
-                LearningMode::Stems => Some(Arc::new(ImplicationTable::learn_stems(&circuit))),
-                LearningMode::All => Some(Arc::new(ImplicationTable::learn(&circuit))),
-            }
-        } else {
-            self.prepared.table.clone()
-        };
-        let prepared = PreparedCircuit::from_handle(CircuitHandle::Shared(circuit), table);
+        let mut prepared =
+            PreparedCircuit::from_handle(CircuitHandle::Shared(circuit), self.prepared.learning);
+        if !structural {
+            prepared.table = self.prepared.table.clone();
+            prepared.controllability = self.prepared.controllability.clone();
+            prepared.observability = self.prepared.observability.clone();
+            prepared.stem_mask = self.prepared.stem_mask.clone();
+        }
         let session = CheckSession::with_prepared(prepared, self.config.clone());
         if structural {
             return session;
         }
-        if let Some(cc) = self.prepared.controllability.get() {
-            let _ = session.prepared.controllability.set(cc.clone());
-        }
-        if let Some(ob) = self.prepared.observability.get() {
-            let _ = session.prepared.observability.set(ob.clone());
-        }
-        if let Some(mask) = self.prepared.stem_mask.get() {
-            let _ = session.prepared.stem_mask.set(mask.clone());
-        }
         // Per-output transplants need the base divergence, which forces
-        // both base fixpoints — work the new session's first check pays
-        // anyway.
-        let mut stale: Vec<NetId> = dirty.to_vec();
-        stale.extend(self.base_divergence(&session));
+        // both base fixpoints — work the new session's first narrowing
+        // check pays anyway. Without a cached cone there is nothing to
+        // transplant, so a session that never narrowed forces neither.
+        let mut stale: Option<Vec<NetId>> = None;
         for pos in 0..self.prepared.cones.len() {
             let ca = match self.prepared.cones[pos].get() {
                 None => continue,
@@ -552,7 +550,12 @@ impl<'c> CheckSession<'c> {
                 }
                 Some(Some(ca)) => ca,
             };
-            if ca.intersects(&stale) {
+            let stale = stale.get_or_insert_with(|| {
+                let mut stale = dirty.to_vec();
+                stale.extend(self.base_divergence(&session));
+                stale
+            });
+            if ca.intersects(stale) {
                 continue;
             }
             let _ = session.prepared.cones[pos].set(Some(ca.clone()));
@@ -615,6 +618,8 @@ impl<'c> CheckSession<'c> {
     /// The session's base-fixpoint store (computed once).
     fn base_store(&self) -> &SignalStore {
         self.base.get_or_init(|| {
+            // Learn first, so the span below times the fixpoint alone.
+            let _ = self.prepared.implication_table();
             let span = self.config.obs.start();
             let mut nw = self.fresh_narrower();
             nw.reach_fixpoint();
@@ -783,8 +788,9 @@ impl<'c> CheckSession<'c> {
             let view = ca.view();
             let prepared = PreparedCircuit::from_handle(
                 CircuitHandle::Shared(view.circuit().clone()),
-                ca.table.clone(),
+                self.prepared.learning,
             );
+            let _ = prepared.table.set(ca.table.clone());
             // The cone's stem mask was computed on this very sub-circuit.
             let _ = prepared.stem_mask.set(
                 view.nets()
@@ -828,7 +834,7 @@ impl<'c> CheckSession<'c> {
             .collect()
     }
 
-    /// Runs the timing check `(output, δ)` through the session's pipeline.
+    /// Runs the timing check `(output, δ)` through the session's engine.
     ///
     /// # Examples
     ///
@@ -847,12 +853,18 @@ impl<'c> CheckSession<'c> {
     /// assert!(session.verify(s, 60).verdict.is_violation());
     /// ```
     pub fn verify(&self, output: NetId, delta: i64) -> VerifyReport {
-        self.run_check(Route::Cone, output, delta, &self.config, &[])
+        self.verify_budgeted(output, delta, &Budget::unlimited())
     }
 
     /// [`CheckSession::verify`] under assumptions: each `(net, level)` pins
     /// a net's settling class before propagation (the `set_case_analysis`
     /// idiom: constant mode pins, unused inputs, scan enables).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assumptions` is not empty and the session's engine is
+    /// not [`Engine::Narrow`]: the CNF encoder has no notion of pinned
+    /// nets, and ignoring the pins could report a witness they rule out.
     ///
     /// # Examples
     ///
@@ -877,7 +889,13 @@ impl<'c> CheckSession<'c> {
         delta: i64,
         assumptions: &[(NetId, Level)],
     ) -> VerifyReport {
-        self.run_check(Route::Cone, output, delta, &self.config, assumptions)
+        self.check(
+            self.config.engine,
+            output,
+            delta,
+            assumptions,
+            &Budget::unlimited(),
+        )
     }
 
     /// [`CheckSession::verify`] under an extra [`Budget`] merged
@@ -885,12 +903,12 @@ impl<'c> CheckSession<'c> {
     /// applies a whole-batch deadline or a fail-fast cancel token to each
     /// check without cloning the session.
     pub fn verify_budgeted(&self, output: NetId, delta: i64, extra: &Budget) -> VerifyReport {
-        self.verify_under_budgeted(output, delta, &[], extra)
+        self.check(self.config.engine, output, delta, &[], extra)
     }
 
-    /// [`CheckSession::verify_budgeted`] with assumptions (the batch
-    /// runner's workhorse).
-    pub(crate) fn verify_under_budgeted(
+    /// The narrowing pipeline's answer to one check, under `assumptions`
+    /// and `extra` merged into the session's budget.
+    pub(crate) fn narrow_check(
         &self,
         output: NetId,
         delta: i64,
@@ -909,7 +927,7 @@ impl<'c> CheckSession<'c> {
 
     /// Finds the exact floating-mode delay of `output` by binary search
     /// over δ in `[0, top + 1]`, sharing every per-circuit analysis (and the
-    /// base fixpoint) across probes.
+    /// base fixpoint) across probes, with the session's engine.
     ///
     /// Each probe is a full [`CheckSession::verify`] run; `Violation` raises
     /// the lower bound, `NoViolation` lowers the upper bound, and
@@ -930,8 +948,14 @@ impl<'c> CheckSession<'c> {
     /// exact delay — `delay` from the best *simulated* violating vector
     /// (bisection witnesses, then Monte-Carlo), `upper_bound` from the
     /// tightest completed impossibility proof (at worst the topological
-    /// bound).
+    /// bound). The SAT engine bisects with SAT probes only; the hybrid
+    /// engine keeps bisecting an inexact narrowing interval with them.
     pub fn exact_delay_budgeted(&self, output: NetId, extra: &Budget) -> DelaySearch {
+        self.search(self.config.engine, output, extra)
+    }
+
+    /// The narrowing bisection of [`CheckSession::exact_delay_budgeted`].
+    pub(crate) fn narrow_search(&self, output: NetId, extra: &Budget) -> DelaySearch {
         self.delay_search(Route::Cone, output, extra)
     }
 
@@ -1032,7 +1056,8 @@ impl<'c> CheckSession<'c> {
     /// Sweeps δ over `deltas` (must be strictly ascending) with one
     /// narrower seeded from the session base, recording per-δ consistency
     /// of narrowing plus (per the session config) dominator implications.
-    /// The session's delay mode and learning constants apply.
+    /// The session's delay mode and learning constants apply; its engine
+    /// does not (the profile is a narrowing measure on every engine).
     ///
     /// Because `violation(δ₂) ⊆ violation(δ₁)` for `δ₂ ≥ δ₁`, each step's
     /// constraint refines the previous fixpoint and the whole profile costs

@@ -1,27 +1,61 @@
-//! Second verification backend: CNF/CDCL differential oracle.
+//! The CNF/CDCL backend's former crate, kept as a facade.
 //!
-//! This crate re-decides the floating-mode timing check σ = (ξ, s, δ)
-//! with a completely independent method: [`encode`] unrolls the
-//! last-transition-time semantics into CNF over per-net settle grids, and
-//! [`cdcl`] is a clean-room CDCL solver (two-watched literals, first-UIP
-//! learning, Luby restarts) that polls the core's `Budget`/`CancelToken`
-//! so it composes with the resilience layer.
-//!
-//! [`engine`] layers the `--engine {narrow, sat, hybrid}` dispatch on
-//! top of `ltt-core`'s narrowing pipeline: `hybrid` falls back to SAT
-//! when narrowing exhausts its budget, tightening the delay interval
-//! instead of giving up. Because the two backends share no code beyond
-//! the netlist, agreement between them (fuzzed in
-//! `tests/engine_differential.rs`) is strong evidence against soundness
-//! bugs in either.
+//! The backend now lives in `ltt-core`'s [`sat`](ltt_core::sat) module,
+//! and [`CheckSession`] dispatches on [`Engine`] itself (DESIGN.md §15).
+//! These names re-export or forward to it for the callers that still
+//! import them from here.
 
-pub mod cdcl;
-pub mod encode;
-pub mod engine;
+use ltt_core::{BatchRunner, Budget, CheckSession, DelaySearch, Engine, VerifyReport};
+use ltt_netlist::NetId;
 
-pub use cdcl::{CdclStats, Lit, SatResult, Solver, Var};
-pub use encode::{encode_check, CnfCheck, EncodeError, Encoded};
-pub use engine::{
-    exact_delay, exact_delay_budgeted, exact_delay_with_engine, run_checks, sat_decide, verify,
-    verify_budgeted, verify_with_engine, SatCheck, SatVerdict,
-};
+pub use ltt_core::sat::{encode_check, sat_decide, CnfCheck, Encoded, SatVerdict, Solver};
+
+/// [`CheckSession::verify`].
+pub fn verify(session: &CheckSession<'_>, output: NetId, delta: i64) -> VerifyReport {
+    session.verify(output, delta)
+}
+
+/// [`CheckSession::verify_budgeted`].
+pub fn verify_budgeted(
+    session: &CheckSession<'_>,
+    output: NetId,
+    delta: i64,
+    extra: &Budget,
+) -> VerifyReport {
+    session.verify_budgeted(output, delta, extra)
+}
+
+/// [`CheckSession::exact_delay`].
+pub fn exact_delay(session: &CheckSession<'_>, output: NetId) -> DelaySearch {
+    session.exact_delay(output)
+}
+
+/// [`CheckSession::exact_delay_budgeted`].
+pub fn exact_delay_budgeted(
+    session: &CheckSession<'_>,
+    output: NetId,
+    extra: &Budget,
+) -> DelaySearch {
+    session.exact_delay_budgeted(output, extra)
+}
+
+/// [`CheckSession::exact_delay_budgeted`] answered by `engine` instead of
+/// the session's own.
+///
+/// # Panics
+///
+/// Panics if the search panics.
+pub fn exact_delay_with_engine(
+    session: &CheckSession<'_>,
+    engine: Engine,
+    output: NetId,
+    extra: &Budget,
+) -> DelaySearch {
+    let runner = BatchRunner::serial()
+        .with_engine(engine)
+        .with_budget(extra.clone());
+    match runner.try_exact_delays_of(session, &[output]).pop() {
+        Some(Ok(search)) => search,
+        other => panic!("delay search failed: {other:?}"),
+    }
+}

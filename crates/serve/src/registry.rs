@@ -14,7 +14,7 @@
 //! normally and the entry is freed when the last one completes.
 
 use crate::proto::{EditSpec, ErrorCode, ProtoError};
-use ltt_core::{CheckSession, Completeness, VerifyConfig, VerifyReport};
+use ltt_core::{CheckSession, Completeness, Engine, VerifyConfig, VerifyReport};
 use ltt_netlist::bench_format::parse_bench;
 use ltt_netlist::verilog::parse_verilog;
 use ltt_netlist::{Circuit, CircuitEdit, DelayInterval, NetId};
@@ -131,25 +131,30 @@ pub struct CircuitEntry {
     /// The shared check session (the [`session_config`] configuration).
     pub session: CheckSession<'static>,
     /// Exact per-check results already produced against this entry, keyed
-    /// `(output, δ)`. Only [`Completeness::Exact`] reports are cached —
+    /// `(output, δ, engine)`. Only [`Completeness::Exact`] reports are cached —
     /// budget-tripped reports depend on the request's budget, exact ones
     /// are the deterministic fixed answer regardless of it. A `patch`
     /// transplants the subset whose fanin cone the edit cannot reach.
-    results: Mutex<HashMap<(NetId, i64), VerifyReport>>,
+    results: Mutex<HashMap<(NetId, i64, Engine), VerifyReport>>,
 }
 
 impl CircuitEntry {
-    /// The cached exact report for `(output, delta)`, if any.
-    pub fn cached_report(&self, output: NetId, delta: i64) -> Option<VerifyReport> {
+    /// The cached exact report `engine` gave for `(output, delta)`, if any.
+    pub fn cached_report(&self, engine: Engine, output: NetId, delta: i64) -> Option<VerifyReport> {
         self.results
             .lock()
             .expect("result cache lock poisoned")
-            .get(&(output, delta))
+            .get(&(output, delta, engine))
             .cloned()
     }
 
-    /// Caches every exact report in `reports` (up to the cache cap).
-    pub fn cache_reports<'a>(&self, reports: impl IntoIterator<Item = &'a VerifyReport>) {
+    /// Caches every exact report `engine` gave in `reports` (up to the
+    /// cache cap).
+    pub fn cache_reports<'a>(
+        &self,
+        engine: Engine,
+        reports: impl IntoIterator<Item = &'a VerifyReport>,
+    ) {
         let mut cache = self.results.lock().expect("result cache lock poisoned");
         for report in reports {
             if cache.len() >= RESULT_CACHE_CAP {
@@ -157,7 +162,7 @@ impl CircuitEntry {
             }
             if matches!(report.completeness, Completeness::Exact) {
                 cache
-                    .entry((report.output, report.delta))
+                    .entry((report.output, report.delta, engine))
                     .or_insert_with(|| report.clone());
             }
         }
@@ -369,9 +374,9 @@ impl CircuitRegistry {
                 .collect();
             if !clean.is_empty() {
                 let parent_cache = parent.results.lock().expect("result cache lock poisoned");
-                for (&(out, delta), report) in parent_cache.iter() {
+                for (&(out, delta, engine), report) in parent_cache.iter() {
                     if clean.contains(&out) {
-                        results.insert((out, delta), report.clone());
+                        results.insert((out, delta, engine), report.clone());
                     }
                 }
             }
@@ -731,7 +736,7 @@ mod tests {
         let y = parent.circuit.outputs()[0];
         // Warm the parent's result cache with an exact answer.
         let safe = parent.session.verify(y, 11);
-        parent.cache_reports([&safe]);
+        parent.cache_reports(Engine::Narrow, [&safe]);
         let outcome = registry.patch("tiny", None, &[set_delay("y", 20)]).unwrap();
         assert!(!outcome.resident);
         assert!(!outcome.structural);
@@ -794,16 +799,19 @@ mod tests {
         let z = parent.circuit.outputs()[1];
         let ry = parent.session.verify(y, 11);
         let rz = parent.session.verify(z, 11);
-        parent.cache_reports([&ry, &rz]);
+        parent.cache_reports(Engine::Narrow, [&ry, &rz]);
         assert_eq!(parent.cached_results(), 2);
         let outcome = registry
             .patch("two", Some("two-v2"), &[set_delay("y", 25)])
             .unwrap();
         assert_eq!(outcome.transplanted, 1);
-        let cached = outcome.entry.cached_report(z, 11).expect("z transplanted");
+        let cached = outcome
+            .entry
+            .cached_report(Engine::Narrow, z, 11)
+            .expect("z transplanted");
         assert_eq!(cached.verdict, rz.verdict);
         assert_eq!(cached.effort, rz.effort);
-        assert!(outcome.entry.cached_report(y, 11).is_none());
+        assert!(outcome.entry.cached_report(Engine::Narrow, y, 11).is_none());
         // The transplanted report is bit-identical to a fresh run on the
         // patched entry (the §14 contract the transplant leans on).
         let fresh = outcome.entry.session.verify(z, 11);

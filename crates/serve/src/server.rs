@@ -407,12 +407,14 @@ fn tripped(batch: &BatchCheck) -> usize {
         .count()
 }
 
-/// Builds the per-request batch engine: the connection's cancel token
-/// always rides along; the request's opts add deadline, backtrack cap, and
-/// fail-fast on top.
+/// Builds the per-request batch runner: the connection's cancel token
+/// always rides along; the request's opts add the engine, deadline,
+/// backtrack cap, and fail-fast on top (the registered session is shared
+/// by requests of every engine).
 fn build_runner(opts: &RunOpts, cancel: &CancelToken) -> BatchRunner {
     let mut runner = BatchRunner::new(opts.jobs.max(1))
         .with_cancel(cancel.clone())
+        .with_engine(opts.engine)
         .with_fail_fast(opts.fail_fast);
     if let Some(ms) = opts.deadline_ms {
         runner = runner.with_deadline(Duration::from_millis(ms));
@@ -448,22 +450,10 @@ fn submit_checks(
         conn,
         id,
         Box::new(move |id| {
-            let batch = if opts.engine == Engine::Narrow {
-                runner.run(&entry.session, &checks)
-            } else {
-                // The registered session is engine-agnostic; the
-                // request's `opts.engine` picks the backend per call.
-                ltt_sat::run_checks(
-                    &entry.session,
-                    opts.engine,
-                    &checks,
-                    &runner.per_check_budget(),
-                    opts.fail_fast,
-                )
-            };
+            let batch = runner.run(&entry.session, &checks);
             // Feed the entry's result cache: a later `patch` transplants
             // these for outputs its edits cannot reach.
-            entry.cache_reports(&batch.reports);
+            entry.cache_reports(opts.engine, &batch.reports);
             let reply = ok_response(op, id, batch_json(&batch, &names));
             (reply, tripped(&batch))
         }),
@@ -494,27 +484,7 @@ fn submit_delay(
         conn,
         id,
         Box::new(move |id| {
-            // A whole-circuit narrowing request uses the batch engine's
-            // isolated all-outputs search. A single output, and every
-            // SAT/hybrid search, runs in place under the same merged
-            // budget (deadline, cancel, backtrack cap): the second backend
-            // is the cross-check path, not the throughput path.
-            let searches = if opts.engine == Engine::Narrow && output.is_none() {
-                runner.try_exact_delays(&entry.session)
-            } else {
-                let budget = runner.per_check_budget();
-                targets
-                    .iter()
-                    .map(|&o| {
-                        Ok(ltt_sat::exact_delay_with_engine(
-                            &entry.session,
-                            opts.engine,
-                            o,
-                            &budget,
-                        ))
-                    })
-                    .collect()
-            };
+            let searches = runner.try_exact_delays_of(&entry.session, &targets);
             let tripped = searches
                 .iter()
                 .filter(|s| matches!(s, Ok(search) if !search.proven_exact))
@@ -599,7 +569,7 @@ fn submit_patch(
         conn,
         id,
         Box::new(move |id| {
-            let (batch, reused) = run_with_reuse(&runner, &entry, &checks);
+            let (batch, reused) = run_with_reuse(&runner, opts.engine, &entry, &checks);
             let mut fields = patch_fields;
             fields.append(&mut batch_json_with_reuse(&batch, &names, &reused));
             (ok_response("patch", id, fields), tripped(&batch))
@@ -607,24 +577,26 @@ fn submit_patch(
     );
 }
 
-/// Runs `checks` against `entry`, serving any check whose exact report is
-/// already cached (transplanted across a patch, or produced by an earlier
-/// request) without re-executing it. Returns the merged batch — reports
-/// and errors in *request* order — plus the per-report reuse flags.
+/// Runs `checks` against `entry` on `runner` (whose engine is `engine`),
+/// serving any check whose exact report from the same engine is already
+/// cached (transplanted across a patch, or produced by an earlier request)
+/// without re-executing it. Returns the merged batch — reports and errors
+/// in *request* order — plus the per-report reuse flags.
 fn run_with_reuse(
     runner: &BatchRunner,
+    engine: Engine,
     entry: &Arc<CircuitEntry>,
     checks: &[(NetId, i64)],
 ) -> (BatchCheck, Vec<bool>) {
     let cached: Vec<Option<VerifyReport>> = checks
         .iter()
-        .map(|&(output, delta)| entry.cached_report(output, delta))
+        .map(|&(output, delta)| entry.cached_report(engine, output, delta))
         .collect();
     // Positions (in request order) of the checks that must actually run.
     let to_run_pos: Vec<usize> = (0..checks.len()).filter(|&i| cached[i].is_none()).collect();
     let to_run: Vec<(NetId, i64)> = to_run_pos.iter().map(|&i| checks[i]).collect();
     let mut batch = runner.run(&entry.session, &to_run);
-    entry.cache_reports(&batch.reports);
+    entry.cache_reports(engine, &batch.reports);
     // Remap the fresh slots back to request-order indices.
     for error in &mut batch.errors {
         error.index = to_run_pos[error.index];

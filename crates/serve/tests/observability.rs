@@ -160,18 +160,18 @@ fn status_snapshots_stay_coherent_under_concurrent_load() {
 fn panicked_handler_counts_once_not_as_completed() {
     let (addr, join) = start_server(1, 4);
     let mut client = Client::connect(&addr).expect("connect");
-    // figure1's only output is `s`; arming the failpoint on that context
-    // keeps the fault away from every other test in this binary.
     let (key, outputs) = register(&mut client, "fig1", &write_bench(&figure1(10)));
     assert_eq!(outputs, vec!["s".to_string()]);
 
+    // The batch runner isolates every check and delay search per slot, so
+    // only the worker's own chaos site reaches the worker's catch_unwind.
+    // Arming it on this server's address keeps the fault away from every
+    // other test in this binary.
     ltt_core::failpoint::set(
-        "check::narrowing",
-        Some("s"),
+        "serve::worker",
+        Some(&addr),
         ltt_core::failpoint::FailAction::Panic("injected".to_string()),
     );
-    // The single-output delay path runs un-isolated on the worker thread,
-    // so the injected panic exercises the worker's own catch_unwind.
     let reply = client
         .call(&Json::obj([
             ("op", Json::str("delay")),

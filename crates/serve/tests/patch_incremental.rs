@@ -5,7 +5,7 @@
 //! survive the router hop, and chained patches must land on the same
 //! content id as one batched patch.
 
-use ltt_core::{BatchRunner, CheckSession};
+use ltt_core::{BatchRunner, CheckSession, Engine};
 use ltt_netlist::bench_format::parse_bench;
 use ltt_netlist::{CircuitEdit, DelayInterval, NetId};
 use ltt_serve::proto::{batch_json, ok_response};
@@ -279,6 +279,127 @@ fn patched_reports_match_a_cold_session_and_reuse_clean_cones() {
             reply.encode()
         );
     }
+
+    let _ = client.call(&Json::obj([("op", Json::str("shutdown"))]));
+    drop(client);
+    join.join().expect("server thread").expect("clean drain");
+}
+
+/// The cold oracle of a patched reply's checks: a fresh session on the
+/// edited circuit, answered by `engine`, serialized like the daemon does.
+fn cold_checks(edits: &[CircuitEdit], names: &[&str], deltas: &[i64], engine: Engine) -> Json {
+    let parsed = parse_bench("two-cone", TWO_CONE, DelayInterval::fixed(10)).expect("parse");
+    let edited = parsed.apply_edit(edits).expect("edit").circuit;
+    let session = CheckSession::new(&edited, ltt_serve::session_config());
+    let checks: Vec<(NetId, i64)> = names
+        .iter()
+        .flat_map(|&n| {
+            let net = edited.net_by_name(n).expect("output");
+            deltas.iter().map(move |&d| (net, d))
+        })
+        .collect();
+    let check_names: Vec<String> = names
+        .iter()
+        .flat_map(|&n| deltas.iter().map(move |_| n.to_string()))
+        .collect();
+    let batch = BatchRunner::new(1)
+        .with_engine(engine)
+        .run(&session, &checks);
+    Json::Obj(batch_json(&batch, &check_names))
+}
+
+/// A patch's checks answer with the request's `opts.engine`, and the
+/// result cache it transplants from is keyed by engine: reports a `sat`
+/// request cached are never served to a `narrow` re-check, which must
+/// equal a cold re-registration.
+#[test]
+fn patched_checks_honour_the_request_engine() {
+    let (addr, join) = start_server();
+    let mut client = Client::connect(&addr).expect("connect");
+    let parent_key = register(&mut client, "two-cone", TWO_CONE);
+    let deltas = [5i64, 20, 21];
+    let names = ["y", "z"];
+    let sat_opts = || Json::obj([("engine", Json::str("sat"))]);
+
+    // Warm the parent's cache with SAT reports only.
+    let warm = client
+        .call(&Json::obj([
+            ("op", Json::str("batch_check")),
+            ("circuit", Json::str(parent_key.clone())),
+            ("checks", Json::Arr(check_items(&names, &deltas))),
+            ("opts", sat_opts()),
+        ]))
+        .expect("warm batch");
+    assert_eq!(warm.get("ok"), Some(&Json::Bool(true)), "{}", warm.encode());
+
+    let parsed = parse_bench("two-cone", TWO_CONE, DelayInterval::fixed(10)).expect("parse");
+    let u = parsed
+        .net_by_name("u")
+        .and_then(|n| parsed.net(n).driver())
+        .expect("gate u");
+    let edits = [CircuitEdit::SetDelay {
+        gate: u,
+        delay: DelayInterval::fixed(35),
+    }];
+    let edit = Json::obj([("gate", Json::str("u")), ("delay", Json::Int(35))]);
+    // The reply's check payload, without timing, reuse markers, or the
+    // patch envelope.
+    let checks_of = |reply: &Json| {
+        let Json::Obj(fields) = strip(reply, true) else {
+            panic!("reply is an object: {}", reply.encode());
+        };
+        Json::Obj(
+            fields
+                .into_iter()
+                .filter(|(k, _)| {
+                    !matches!(
+                        k.as_str(),
+                        "ok" | "op"
+                            | "id"
+                            | "circuit"
+                            | "name"
+                            | "cached"
+                            | "structural"
+                            | "dirty"
+                            | "transplanted"
+                    )
+                })
+                .collect(),
+        )
+    };
+
+    // A narrowing re-check reuses none of the SAT reports.
+    let narrow = client
+        .call(&patch_request(
+            &parent_key,
+            None,
+            vec![edit.clone()],
+            Some(check_items(&names, &deltas)),
+        ))
+        .expect("narrow patch");
+    assert_eq!(reused_flags(&narrow), [false; 6], "{}", narrow.encode());
+    assert_eq!(
+        checks_of(&narrow).encode(),
+        strip(&cold_checks(&edits, &names, &deltas, Engine::Narrow), false).encode(),
+        "a narrowing patch re-check equals a cold narrowing session"
+    );
+
+    // A SAT re-check runs on SAT.
+    let mut sat_request = patch_request(
+        &parent_key,
+        None,
+        vec![edit],
+        Some(check_items(&names, &deltas)),
+    );
+    if let Json::Obj(fields) = &mut sat_request {
+        fields.push(("opts".to_string(), sat_opts()));
+    }
+    let sat = client.call(&sat_request).expect("sat patch");
+    assert_eq!(
+        checks_of(&sat).encode(),
+        strip(&cold_checks(&edits, &names, &deltas, Engine::Sat), false).encode(),
+        "a SAT patch re-check equals a cold SAT session"
+    );
 
     let _ = client.call(&Json::obj([("op", Json::str("shutdown"))]));
     drop(client);

@@ -2,14 +2,15 @@
 //! any job count, [`BatchRunner`] must produce **bit-identical** reports to
 //! the serial run — same verdicts, same witness vectors, same stage
 //! columns, same effort counters — on the paper's circuits, the false-path
-//! gadgets, carry-skip adders, and property-tested random DAGs. A session
+//! gadgets, carry-skip adders, and property-tested random DAGs, for checks
+//! and delay searches on every engine (narrowing, SAT, hybrid). A session
 //! reused across checks must also agree with a fresh one-check session,
 //! so this doubles as a regression net for the shared-base-fixpoint
 //! seeding.
 
 use ltt_core::{
-    BatchRunner, CaseStats, CheckSession, LearningMode, SolverStats, StageVerdict, StemStats,
-    Verdict, VerifyConfig, VerifyReport,
+    BatchRunner, CaseStats, CheckError, CheckSession, DelaySearch, Engine, LearningMode,
+    SolverStats, StageVerdict, StemStats, Verdict, VerifyConfig, VerifyReport,
 };
 use ltt_netlist::generators::{
     carry_skip_adder, false_path_chain, figure1, random_circuit, RandomCircuitConfig,
@@ -65,6 +66,21 @@ fn fingerprint(r: &VerifyReport) -> Fingerprint {
     )
 }
 
+/// Everything a delay search reports except wall-clock.
+type SearchFingerprint = (i64, Option<Vec<bool>>, bool, i64, u64, Vec<Fingerprint>);
+
+fn search_fingerprint(r: &Result<DelaySearch, CheckError>) -> SearchFingerprint {
+    let s = r.as_ref().expect("no search fails");
+    (
+        s.delay,
+        s.vector.clone(),
+        s.proven_exact,
+        s.upper_bound,
+        s.backtracks,
+        s.probes.iter().map(fingerprint).collect(),
+    )
+}
+
 /// The δ points worth probing on a circuit: around half, around the
 /// topological delay, and past it.
 fn probe_deltas(c: &Circuit) -> Vec<i64> {
@@ -76,21 +92,34 @@ fn probe_deltas(c: &Circuit) -> Vec<i64> {
 }
 
 fn assert_batches_identical(c: &Circuit) {
-    let session = CheckSession::new(c, config());
     let serial = BatchRunner::serial();
     let parallel = BatchRunner::new(test_jobs());
-    for delta in probe_deltas(c) {
-        let a = serial.verify_all_outputs(&session, delta);
-        let b = parallel.verify_all_outputs(&session, delta);
-        let fa: Vec<Fingerprint> = a.reports.iter().map(fingerprint).collect();
-        let fb: Vec<Fingerprint> = b.reports.iter().map(fingerprint).collect();
-        assert_eq!(fa, fb, "{} δ = {delta}", c.name());
-        assert_eq!(a.outcome(), b.outcome(), "{} δ = {delta}", c.name());
-        // Aggregates are sums of identical parts.
-        assert_eq!(a.summary.checks, b.summary.checks);
-        assert_eq!(a.summary.violations, b.summary.violations);
-        assert_eq!(a.summary.backtracks, b.summary.backtracks);
-        assert_eq!(a.summary.solver, b.summary.solver);
+    for engine in [Engine::Narrow, Engine::Sat, Engine::Hybrid] {
+        let session = CheckSession::new(c, VerifyConfig { engine, ..config() });
+        for delta in probe_deltas(c) {
+            let a = serial.verify_all_outputs(&session, delta);
+            let b = parallel.verify_all_outputs(&session, delta);
+            let fa: Vec<Fingerprint> = a.reports.iter().map(fingerprint).collect();
+            let fb: Vec<Fingerprint> = b.reports.iter().map(fingerprint).collect();
+            assert_eq!(fa, fb, "{} {engine:?} δ = {delta}", c.name());
+            assert_eq!(a.outcome(), b.outcome(), "{} δ = {delta}", c.name());
+            // Aggregates are sums of identical parts.
+            assert_eq!(a.summary.checks, b.summary.checks);
+            assert_eq!(a.summary.violations, b.summary.violations);
+            assert_eq!(a.summary.backtracks, b.summary.backtracks);
+            assert_eq!(a.summary.solver, b.summary.solver);
+        }
+        let sa: Vec<SearchFingerprint> = serial
+            .try_exact_delays(&session)
+            .iter()
+            .map(search_fingerprint)
+            .collect();
+        let sb: Vec<SearchFingerprint> = parallel
+            .try_exact_delays(&session)
+            .iter()
+            .map(search_fingerprint)
+            .collect();
+        assert_eq!(sa, sb, "{} {engine:?} delay searches", c.name());
     }
 }
 
