@@ -30,7 +30,7 @@ fn main() {
         "exact floating-mode delay: {} (proven: {}), {} backtracks total, {:.1} ms",
         search.delay,
         search.proven_exact,
-        search.backtracks,
+        search.backtracks(),
         elapsed.as_secs_f64() * 1e3
     );
     println!(
@@ -45,7 +45,7 @@ fn main() {
         "δ = {}: {:?} ({} backtracks)",
         search.delay + 1,
         verdict_name(&r_hi.verdict),
-        r_hi.backtracks
+        r_hi.backtracks()
     );
     let r_lo = session.verify(cout, search.delay);
     match &r_lo.verdict {
@@ -53,7 +53,8 @@ fn main() {
             assert!(vector_violates(&c, vector, cout, search.delay));
             println!(
                 "δ = {}: test vector found ({} backtracks), certified by the simulator",
-                search.delay, r_lo.backtracks
+                search.delay,
+                r_lo.backtracks()
             );
         }
         other => println!("δ = {}: {other:?}", search.delay),

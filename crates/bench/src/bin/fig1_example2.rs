@@ -23,9 +23,8 @@ fn main() {
     let session = CheckSession::new(&c, VerifyConfig::default());
     let r61 = session.verify(s, 61);
     println!(
-        "verify(ξ, s, 61): {:?}  [before G.I.T.D.: {:?}] in {:.3} ms",
+        "verify(ξ, s, 61): {:?} in {:.3} ms",
         r61.verdict,
-        r61.before_gitd,
         r61.elapsed.as_secs_f64() * 1e3
     );
     let r60 = session.verify(s, 60);
@@ -43,7 +42,9 @@ fn main() {
     let search = session.exact_delay(s);
     println!(
         "exact_delay search: {} (proven: {}), {} backtracks",
-        search.delay, search.proven_exact, search.backtracks
+        search.delay,
+        search.proven_exact,
+        search.backtracks()
     );
 
     // The path-enumeration baseline sees the false path explicitly.

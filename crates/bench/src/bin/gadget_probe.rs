@@ -107,7 +107,7 @@ fn probe(name: &str, c: &Circuit) {
     };
     println!(
         "{name}: top={top} exact={exact} (oracle {oracle:?}, proven={}) stage@exact+1={stage} backtracks={}",
-        search.proven_exact, search.backtracks
+        search.proven_exact, search.backtracks()
     );
 }
 
@@ -136,7 +136,7 @@ fn probe_critical(name: &str, c: &Circuit) {
         println!(
             "{name}: top={top} exact={} stage@exact+1={stage} backtracks={} ({} ms)",
             search.delay,
-            search.backtracks,
+            search.backtracks(),
             t0.elapsed().as_millis()
         );
     } else {
@@ -144,7 +144,7 @@ fn probe_critical(name: &str, c: &Circuit) {
             "{name}: top={top} ABANDONED, bounds [{}, {}], backtracks={} ({} ms)",
             search.delay,
             search.upper_bound,
-            search.backtracks,
+            search.backtracks(),
             t0.elapsed().as_millis()
         );
     }

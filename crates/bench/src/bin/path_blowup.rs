@@ -60,7 +60,7 @@ fn main() -> ExitCode {
             top.to_string(),
             exact.to_string(),
             count.to_string(),
-            r.solver.events.to_string(),
+            r.effort.total().events.to_string(),
             stage,
             format!("{:.2}", r.elapsed.as_secs_f64() * 1e3),
         ]);

@@ -4,11 +4,11 @@
 //! prove no violation).
 
 use ltt_core::{
-    BatchRunner, CheckSession, Stage, StageEffort, Verdict, VerifyConfig, VerifyReport,
+    BatchRunner, CheckSession, Engine, Stage, StageEffort, Verdict, VerifyConfig, VerifyReport,
 };
 use ltt_netlist::suite::SuiteEntry;
 use ltt_netlist::{Circuit, NetId};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The `--quick` suite: the entries of at most this many gates.
 pub const QUICK_MAX_GATES: usize = 2000;
@@ -49,15 +49,13 @@ pub struct Table1Row {
     pub paper: Option<(i64, Option<i64>, Option<u64>)>,
 }
 
-/// Per-stage effort summed over a row's checks.
-fn row_effort(reports: &[VerifyReport]) -> StageEffort {
-    reports.iter().fold(StageEffort::default(), |sum, r| {
-        sum.saturating_add(&r.effort)
-    })
-}
-
 /// The stage at which a no-violation proof landed, as Table 1 columns.
-fn stage_columns(reports: &[VerifyReport]) -> (char, char, char, Option<u64>, char) {
+/// Under [`Engine::Sat`] no narrowing stage ran, so the three stage
+/// columns read `-`.
+fn stage_columns(
+    reports: &[VerifyReport],
+    engine: Engine,
+) -> (char, char, char, Option<u64>, char) {
     // Worst (latest) stage over the outputs that had to be proven.
     let mut worst = 0u8; // 1 narrowing, 2 dominators, 3 stems, 4 case analysis
     let mut any_violation = false;
@@ -65,7 +63,7 @@ fn stage_columns(reports: &[VerifyReport]) -> (char, char, char, Option<u64>, ch
     let mut backtracks = 0u64;
     let mut case_ran = false;
     for r in reports {
-        backtracks += r.backtracks;
+        backtracks += r.backtracks();
         match &r.verdict {
             Verdict::NoViolation { stage } => {
                 let s = match stage {
@@ -76,7 +74,6 @@ fn stage_columns(reports: &[VerifyReport]) -> (char, char, char, Option<u64>, ch
                         case_ran = true;
                         4
                     }
-                    // The SAT engine has no stage columns.
                     Stage::Sat => 4,
                 };
                 worst = worst.max(s);
@@ -121,6 +118,9 @@ fn stage_columns(reports: &[VerifyReport]) -> (char, char, char, Option<u64>, ch
         'N'
     };
     let btr = if case_ran { Some(backtracks) } else { None };
+    if engine == Engine::Sat {
+        return ('-', '-', '-', btr, result);
+    }
     (before, after_gitd, after_stems, btr, result)
 }
 
@@ -169,85 +169,55 @@ pub fn run_entry_with(
     let search = session.exact_delay(s);
     let mut rows = Vec::new();
 
+    let paper = Some((entry.paper_top, entry.paper_exact, entry.paper_backtracks));
+    let row = |delta, marker, reports: &[VerifyReport], cpu, paper| {
+        let (before_gitd, after_gitd, after_stems, backtracks, result) =
+            stage_columns(reports, config.engine);
+        Table1Row {
+            name: entry.name.to_string(),
+            top,
+            delta,
+            marker,
+            before_gitd,
+            after_gitd,
+            after_stems,
+            backtracks,
+            result,
+            effort: reports.iter().fold(StageEffort::default(), |sum, r| {
+                sum.saturating_add(&r.effort)
+            }),
+            cpu,
+            paper,
+        }
+    };
+    let timed = |delta| {
+        let t0 = Instant::now();
+        let report = session.verify(s, delta);
+        (report, t0.elapsed())
+    };
+
     if search.proven_exact {
         let exact = search.delay;
         // Row 1: δ = exact + 1 over all outputs, fanned over the runner.
         let batch = runner.verify_all_outputs(&session, exact + 1);
-        let (b, g, st, btr, res) = stage_columns(&batch.reports);
-        rows.push(Table1Row {
-            name: entry.name.to_string(),
-            top,
-            delta: exact + 1,
-            marker: ' ',
-            before_gitd: b,
-            after_gitd: g,
-            after_stems: st,
-            backtracks: btr,
-            result: res,
-            effort: row_effort(&batch.reports),
-            cpu: batch.wall,
-            paper: None,
-        });
+        rows.push(row(exact + 1, ' ', &batch.reports, batch.wall, None));
         // Row 2: δ = exact on the critical output.
-        let t0 = std::time::Instant::now();
-        let report = session.verify(s, exact);
-        let (b, g, st, btr, res) = stage_columns(std::slice::from_ref(&report));
-        rows.push(Table1Row {
-            name: entry.name.to_string(),
-            top,
-            delta: exact,
-            marker: 'E',
-            before_gitd: b,
-            after_gitd: g,
-            after_stems: st,
-            backtracks: btr,
-            result: res,
-            effort: report.effort,
-            cpu: t0.elapsed(),
-            paper: Some((entry.paper_top, entry.paper_exact, entry.paper_backtracks)),
-        });
+        let (report, cpu) = timed(exact);
+        rows.push(row(exact, 'E', std::slice::from_ref(&report), cpu, paper));
     } else {
         // Abandoned search (the c6288 pattern). Row 1: the smallest δ the
         // search-free pipeline proved (= upper bound + 1); row 2: the probe
         // that was abandoned, taken straight from the search's reports.
         let ub = search.upper_bound;
-        let t0 = std::time::Instant::now();
-        let report = session.verify(s, ub + 1);
-        let (b, g, st, btr, res) = stage_columns(std::slice::from_ref(&report));
-        rows.push(Table1Row {
-            name: entry.name.to_string(),
-            top,
-            delta: ub + 1,
-            marker: 'U',
-            before_gitd: b,
-            after_gitd: g,
-            after_stems: st,
-            backtracks: btr,
-            result: res,
-            effort: report.effort,
-            cpu: t0.elapsed(),
-            paper: None,
-        });
+        let (report, cpu) = timed(ub + 1);
+        rows.push(row(ub + 1, 'U', std::slice::from_ref(&report), cpu, None));
         if let Some(abandoned) = search
             .probes
             .iter()
             .find(|p| matches!(p.verdict, Verdict::Abandoned))
         {
-            let (b, g, st, btr, res) = stage_columns(std::slice::from_ref(abandoned));
-            rows.push(Table1Row {
-                name: entry.name.to_string(),
-                top,
-                delta: abandoned.delta,
-                marker: ' ',
-                before_gitd: b,
-                after_gitd: g,
-                after_stems: st,
-                backtracks: btr,
-                result: res,
-                effort: abandoned.effort,
-                cpu: abandoned.elapsed,
-                paper: Some((entry.paper_top, entry.paper_exact, entry.paper_backtracks)),
-            });
+            let probe = std::slice::from_ref(abandoned);
+            rows.push(row(abandoned.delta, ' ', probe, abandoned.elapsed, paper));
         }
     }
     rows
@@ -320,6 +290,42 @@ mod tests {
         assert_eq!(rows[1].top, 50); // the paper's NOR-mapped topological delay
         let rendered = render_rows(&rows);
         assert!(rendered.contains("c17"));
+    }
+
+    /// SAT rows leave the narrowing-stage columns empty; hybrid rows keep
+    /// them (narrowing ran first).
+    #[test]
+    fn sat_rows_have_no_narrowing_stage_columns() {
+        let entry = SuiteEntry {
+            name: "c17",
+            circuit: c17_nor(10),
+            paper_top: 50,
+            paper_exact: Some(50),
+            paper_backtracks: Some(0),
+            standin: false,
+        };
+        let config = |engine| VerifyConfig {
+            engine,
+            ..Default::default()
+        };
+        let sat = run_entry(&entry, &config(Engine::Sat));
+        assert_eq!(sat.len(), 2);
+        for row in &sat {
+            assert_eq!(
+                (row.before_gitd, row.after_gitd, row.after_stems),
+                ('-', '-', '-')
+            );
+        }
+        assert_eq!((sat[0].result, sat[1].result), ('N', 'V'));
+        let narrow = run_entry(&entry, &config(Engine::Narrow));
+        let hybrid = run_entry(&entry, &config(Engine::Hybrid));
+        for (h, n) in hybrid.iter().zip(&narrow) {
+            assert_eq!(
+                (h.before_gitd, h.after_gitd, h.after_stems),
+                (n.before_gitd, n.after_gitd, n.after_stems)
+            );
+        }
+        assert_eq!(narrow[0].before_gitd, 'N');
     }
 
     #[test]

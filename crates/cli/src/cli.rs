@@ -766,7 +766,7 @@ fn cmd_check(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
                     .collect();
                 println!(
                     "{name}: VIOLATED — certified vector after {} backtracks: {}",
-                    r.backtracks,
+                    r.backtracks(),
                     pretty.join(" ")
                 );
             }
@@ -780,11 +780,11 @@ fn cmd_check(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
                     Completeness::BudgetExhausted { stage, reason } => println!(
                         "{name}: undecided — budget exhausted ({reason}) in {} after {} backtracks",
                         stage_name(stage),
-                        r.backtracks
+                        r.backtracks()
                     ),
                     Completeness::Exact => println!(
                         "{name}: undecided — case analysis abandoned after {} backtracks",
-                        r.backtracks
+                        r.backtracks()
                     ),
                 }
             }
@@ -807,8 +807,8 @@ fn cmd_check(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
     );
     println!(
         "  effort: {} events, {} backtracks · stage ms: narrowing {:.2}, dominators {:.2}, stems {:.2}, search {:.2}",
-        s.solver.events,
-        s.backtracks,
+        s.stage_effort.total().events,
+        batch.backtracks(),
         s.stage_wall.narrowing.as_secs_f64() * 1e3,
         s.stage_wall.dominators.as_secs_f64() * 1e3,
         s.stage_wall.stems.as_secs_f64() * 1e3,
@@ -1023,14 +1023,17 @@ fn cmd_delay(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
                 };
                 println!(
                     "{name}: exact {} (topological {top}, {} backtracks){marker}",
-                    search.delay, search.backtracks
+                    search.delay,
+                    search.backtracks()
                 );
             }
             Ok(search) => {
                 incomplete = true;
                 println!(
                     "{name}: bounds [{}, {}] (topological {top}; search incomplete after {} backtracks)",
-                    search.delay, search.upper_bound, search.backtracks
+                    search.delay,
+                    search.upper_bound,
+                    search.backtracks()
                 );
             }
             Err(e) => {

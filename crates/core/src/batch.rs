@@ -32,11 +32,11 @@
 //! started checks become [`CheckError::Skipped`]).
 
 use crate::budget::{Budget, CancelToken};
+use crate::cdcl::CdclStats;
 use crate::check::{DelaySearch, Engine, ProfilePoint, StageTimes, Verdict, VerifyReport};
 use crate::error::CheckError;
 use crate::fan::CaseStats;
 use crate::prepared::CheckSession;
-use crate::solver::SolverStats;
 use crate::stems::StemStats;
 use ltt_netlist::NetId;
 use ltt_waveform::Level;
@@ -159,10 +159,10 @@ pub enum BatchOutcome {
     Undecided,
 }
 
-/// Saturating aggregate of a batch's per-check reports.
-#[derive(Clone, Debug, Default)]
+/// Saturating aggregate of a batch's per-check reports and failed slots.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct BatchSummary {
-    /// Checks in the batch.
+    /// Checks in the batch (reports plus failed slots).
     pub checks: u64,
     /// Checks proved safe.
     pub no_violation: u64,
@@ -174,14 +174,12 @@ pub struct BatchSummary {
     pub failed: u64,
     /// Checks skipped because the batch was cancelled before they ran.
     pub skipped: u64,
-    /// Case-analysis backtracks, summed.
-    pub backtracks: u64,
-    /// Solver effort counters, summed.
-    pub solver: SolverStats,
     /// Stem-correlation counters, summed.
     pub stems: StemStats,
     /// Case-analysis counters, summed.
     pub case: CaseStats,
+    /// CDCL counters, summed.
+    pub sat: CdclStats,
     /// Per-stage wall-clock, summed over checks (CPU-time-like: with N
     /// workers this exceeds the batch wall-clock by up to a factor N).
     pub stage_wall: StageTimes,
@@ -193,12 +191,19 @@ pub struct BatchSummary {
 }
 
 impl BatchSummary {
-    /// Aggregates the reports with saturating arithmetic (a batch summary
-    /// must never panic on pathological counter values). `failed` and
-    /// `skipped` stay zero — errored slots have no report; the batch
-    /// runner fills those counts from its error list.
-    pub fn aggregate(reports: &[VerifyReport]) -> Self {
+    /// Aggregates a batch's reports and failed slots with saturating
+    /// arithmetic (a batch summary must never panic on pathological
+    /// counter values). Every requested check is either a report or an
+    /// error, so `checks` counts both.
+    pub fn aggregate(reports: &[VerifyReport], errors: &[BatchError]) -> Self {
         let mut sum = BatchSummary::default();
+        for e in errors {
+            sum.checks = sum.checks.saturating_add(1);
+            match e.error {
+                CheckError::Panicked { .. } => sum.failed = sum.failed.saturating_add(1),
+                CheckError::Skipped => sum.skipped = sum.skipped.saturating_add(1),
+            }
+        }
         for r in reports {
             sum.checks = sum.checks.saturating_add(1);
             match &r.verdict {
@@ -212,8 +217,6 @@ impl BatchSummary {
                     sum.undecided = sum.undecided.saturating_add(1);
                 }
             }
-            sum.backtracks = sum.backtracks.saturating_add(r.backtracks);
-            sum.solver = sum.solver.saturating_add(&r.solver);
             sum.stems.stems = sum.stems.stems.saturating_add(r.stems.stems);
             sum.stems.effective_stems = sum
                 .stems
@@ -224,6 +227,7 @@ impl BatchSummary {
                 .dead_branches
                 .saturating_add(r.stems.dead_branches);
             sum.case = sum.case.saturating_add(&r.case);
+            sum.sat = sum.sat.saturating_add(&r.sat);
             sum.stage_wall = sum.stage_wall.saturating_add(&r.stage_times);
             sum.stage_effort = sum.stage_effort.saturating_add(&r.effort);
             sum.check_wall = sum.check_wall.saturating_add(r.elapsed);
@@ -277,6 +281,13 @@ impl BatchCheck {
         } else {
             BatchOutcome::AllSafe
         }
+    }
+
+    /// [`VerifyReport::backtracks`] summed (saturating) over the reports.
+    pub fn backtracks(&self) -> u64 {
+        self.reports
+            .iter()
+            .fold(0, |sum, r| sum.saturating_add(r.backtracks()))
     }
 
     /// Whether every requested check finished and decided (no errors, no
@@ -483,18 +494,10 @@ impl BatchRunner {
                 }),
             }
         }
-        let mut summary = BatchSummary::aggregate(&reports);
-        summary.checks = checks.len() as u64;
-        for e in &errors {
-            match e.error {
-                CheckError::Panicked { .. } => summary.failed = summary.failed.saturating_add(1),
-                CheckError::Skipped => summary.skipped = summary.skipped.saturating_add(1),
-            }
-        }
         BatchCheck {
+            summary: BatchSummary::aggregate(&reports, &errors),
             reports,
             errors,
-            summary,
             wall: start.elapsed(),
         }
     }
@@ -702,11 +705,8 @@ mod tests {
             for (a, b) in serial.reports.iter().zip(&par.reports) {
                 assert_eq!(a.output, b.output);
                 assert_eq!(a.verdict, b.verdict);
-                assert_eq!(a.before_gitd, b.before_gitd);
-                assert_eq!(a.after_gitd, b.after_gitd);
-                assert_eq!(a.after_stems, b.after_stems);
-                assert_eq!(a.backtracks, b.backtracks);
-                assert_eq!(a.solver, b.solver);
+                assert_eq!(a.case, b.case);
+                assert_eq!(a.effort, b.effort);
             }
             assert_eq!(serial.outcome(), par.outcome());
         }
@@ -805,7 +805,7 @@ mod tests {
             assert_eq!(a.proven_exact, b.proven_exact);
             assert_eq!(a.upper_bound, b.upper_bound);
             assert_eq!(a.vector, b.vector);
-            assert_eq!(a.backtracks, b.backtracks);
+            assert_eq!(a.backtracks(), b.backtracks());
         }
     }
 }

@@ -275,7 +275,7 @@ impl ArmedBudget {
 
     /// Polls every limit; `events` is the caller's narrowing-event counter.
     /// Returns the (sticky) trip reason, or `None` while within budget.
-    /// Wall-clock is read once per [`CLOCK_STRIDE`] polls.
+    /// Wall-clock is read once per `CLOCK_STRIDE` polls.
     pub fn poll(&mut self, events: u64) -> Option<TripReason> {
         if let Some(reason) = self.tripped {
             return Some(reason);

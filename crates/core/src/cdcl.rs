@@ -195,6 +195,18 @@ pub struct CdclStats {
     pub restarts: u64,
 }
 
+impl CdclStats {
+    /// Field-wise saturating sum (aggregation must never panic).
+    pub fn saturating_add(&self, other: &CdclStats) -> CdclStats {
+        CdclStats {
+            propagations: self.propagations.saturating_add(other.propagations),
+            conflicts: self.conflicts.saturating_add(other.conflicts),
+            decisions: self.decisions.saturating_add(other.decisions),
+            restarts: self.restarts.saturating_add(other.restarts),
+        }
+    }
+}
+
 /// The solver. Add variables and clauses, then [`Solver::solve`].
 pub struct Solver {
     num_vars: u32,

@@ -11,6 +11,7 @@
 
 use crate::budget::{Budget, TripReason};
 use crate::carriers::fixpoint_with_dominators;
+use crate::cdcl::CdclStats;
 use crate::failpoint;
 use crate::fan::{CaseConfig, CaseOutcome, CaseStats};
 use crate::obs::Obs;
@@ -149,15 +150,6 @@ impl VerifyConfig {
             ..Default::default()
         }
     }
-}
-
-/// Verdict of one stage (`P` / `N` in Table 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StageVerdict {
-    /// `P`: a violation is still possible after this stage.
-    Possible,
-    /// `N`: no violation of the timing check is possible.
-    NoViolation,
 }
 
 /// Which stage settled the check.
@@ -311,6 +303,12 @@ impl Completeness {
 }
 
 /// Full report of one timing check, mirroring a Table 1 row.
+///
+/// Each engine fills only its own counters: the narrowing pipeline writes
+/// `stems`, `case`, `stage_times` and `effort`; the CNF/CDCL backend
+/// writes `sat`. A hybrid check that SAT upgraded carries both (the
+/// narrowing run's counters and the SAT run's). The Table 1 stage columns
+/// follow from `verdict` and `completeness`.
 #[derive(Clone, Debug)]
 pub struct VerifyReport {
     /// The checked output net.
@@ -321,27 +319,26 @@ pub struct VerifyReport {
     pub verdict: Verdict,
     /// Whether the verdict is exact or budget-truncated.
     pub completeness: Completeness,
-    /// Stage verdict before global implications (Table 1 col. 4).
-    pub before_gitd: StageVerdict,
-    /// Stage verdict after global implications (col. 5; `None` if the
-    /// stage did not run).
-    pub after_gitd: Option<StageVerdict>,
-    /// Stage verdict after stem correlation (col. 6).
-    pub after_stems: Option<StageVerdict>,
-    /// Backtracks spent in case analysis (col. 7).
-    pub backtracks: u64,
-    /// Solver effort counters.
-    pub solver: SolverStats,
     /// Stem-correlation counters.
     pub stems: StemStats,
     /// Case-analysis counters.
     pub case: CaseStats,
+    /// CDCL counters of the SAT run (default when SAT did not run).
+    pub sat: CdclStats,
     /// Wall-clock per pipeline stage.
     pub stage_times: StageTimes,
     /// Deterministic solver effort per pipeline stage.
     pub effort: StageEffort,
     /// Wall-clock time of the whole check.
     pub elapsed: Duration,
+}
+
+impl VerifyReport {
+    /// The search effort of the check (Table 1's backtrack column, the
+    /// wire's `backtracks`): case-analysis backtracks plus CDCL conflicts.
+    pub fn backtracks(&self) -> u64 {
+        self.case.backtracks.saturating_add(self.sat.conflicts)
+    }
 }
 
 /// Clamps a `u64` counter into the `i64` range of a span argument.
@@ -402,20 +399,14 @@ pub(crate) fn run_pipeline(
         delta,
         verdict: Verdict::Possible,
         completeness: Completeness::Exact,
-        before_gitd: StageVerdict::Possible,
-        after_gitd: None,
-        after_stems: None,
-        backtracks: 0,
-        solver: SolverStats::default(),
         stems: StemStats::default(),
         case: CaseStats::default(),
+        sat: CdclStats::default(),
         stage_times: StageTimes::default(),
         effort: StageEffort::default(),
         elapsed: Duration::ZERO,
     };
-    let base_stats = nw.stats();
-    let finish = |mut report: VerifyReport, nw: &Narrower, start: Instant| {
-        report.solver = nw.stats().since(&base_stats);
+    let finish = |mut report: VerifyReport| {
         report.elapsed = start.elapsed();
         report
     };
@@ -447,16 +438,15 @@ pub(crate) fn run_pipeline(
     );
     match narrowed {
         FixpointResult::Contradiction => {
-            report.before_gitd = StageVerdict::NoViolation;
             report.verdict = Verdict::NoViolation {
                 stage: Stage::Narrowing,
             };
-            return finish(report, nw, start);
+            return finish(report);
         }
         FixpointResult::Interrupted => {
             let reason = nw.budget_tripped().unwrap_or(TripReason::Deadline);
             (report.verdict, report.completeness) = exhausted(Stage::Narrowing, reason);
-            return finish(report, nw, start);
+            return finish(report);
         }
         FixpointResult::Fixpoint => {}
     }
@@ -478,20 +468,18 @@ pub(crate) fn run_pipeline(
         );
         match implied {
             FixpointResult::Contradiction => {
-                report.after_gitd = Some(StageVerdict::NoViolation);
                 report.verdict = Verdict::NoViolation {
                     stage: Stage::Dominators,
                 };
-                return finish(report, nw, start);
+                return finish(report);
             }
             FixpointResult::Interrupted => {
                 let reason = nw.budget_tripped().unwrap_or(TripReason::Deadline);
                 (report.verdict, report.completeness) = exhausted(Stage::Dominators, reason);
-                return finish(report, nw, start);
+                return finish(report);
             }
             FixpointResult::Fixpoint => {}
         }
-        report.after_gitd = Some(StageVerdict::Possible);
     }
 
     // Stage 3: stem correlation.
@@ -530,20 +518,18 @@ pub(crate) fn run_pipeline(
         );
         match correlated {
             FixpointResult::Contradiction => {
-                report.after_stems = Some(StageVerdict::NoViolation);
                 report.verdict = Verdict::NoViolation {
                     stage: Stage::StemCorrelation,
                 };
-                return finish(report, nw, start);
+                return finish(report);
             }
             FixpointResult::Interrupted => {
                 let reason = nw.budget_tripped().unwrap_or(TripReason::Deadline);
                 (report.verdict, report.completeness) = exhausted(Stage::StemCorrelation, reason);
-                return finish(report, nw, start);
+                return finish(report);
             }
             FixpointResult::Fixpoint => {}
         }
-        report.after_stems = Some(StageVerdict::Possible);
     }
 
     // Stage 4: case analysis.
@@ -592,7 +578,6 @@ pub(crate) fn run_pipeline(
                 ),
             ],
         );
-        report.backtracks = report.case.backtracks;
         report.verdict = match outcome {
             CaseOutcome::Vector(vector) => Verdict::Violation { vector },
             CaseOutcome::NoViolation => Verdict::NoViolation {
@@ -610,11 +595,11 @@ pub(crate) fn run_pipeline(
                 Verdict::Abandoned
             }
         };
-        return finish(report, nw, start);
+        return finish(report);
     }
 
     report.verdict = Verdict::Possible;
-    finish(report, nw, start)
+    finish(report)
 }
 
 /// Result of an exact-delay search on one output.
@@ -630,10 +615,17 @@ pub struct DelaySearch {
     pub proven_exact: bool,
     /// Best proven upper bound (δ values above it are impossible).
     pub upper_bound: i64,
-    /// Total backtracks across all probes.
-    pub backtracks: u64,
     /// Reports of every probe, in probe order.
     pub probes: Vec<VerifyReport>,
+}
+
+impl DelaySearch {
+    /// [`VerifyReport::backtracks`] summed (saturating) over every probe.
+    pub fn backtracks(&self) -> u64 {
+        self.probes
+            .iter()
+            .fold(0, |sum, p| sum.saturating_add(p.backtracks()))
+    }
 }
 
 /// The per-δ result of
@@ -663,7 +655,12 @@ mod tests {
         let r61 = session.verify(s, 61);
         assert!(r61.verdict.is_no_violation());
         // Narrowing alone suffices at 61 (Example 2).
-        assert_eq!(r61.before_gitd, StageVerdict::NoViolation);
+        assert_eq!(
+            r61.verdict,
+            Verdict::NoViolation {
+                stage: Stage::Narrowing
+            }
+        );
         let r60 = session.verify(s, 60);
         match &r60.verdict {
             Verdict::Violation { vector } => {
@@ -794,9 +791,12 @@ mod tests {
         let c = figure1(10);
         let s = c.outputs()[0];
         let r = CheckSession::new(&c, VerifyConfig::default()).verify(s, 60);
-        assert_eq!(r.before_gitd, StageVerdict::Possible);
-        assert_eq!(r.after_gitd, Some(StageVerdict::Possible));
-        assert_eq!(r.after_stems, Some(StageVerdict::Possible));
+        // No stage before case analysis proved the check: it reached
+        // case analysis, which found the vector.
+        assert!(r.verdict.is_violation());
+        assert_eq!(r.backtracks(), r.case.backtracks);
+        // Narrowing never writes the SAT counters.
+        assert_eq!(r.sat, CdclStats::default());
         assert!(r.elapsed.as_nanos() > 0);
         // The stage clocks partition a subset of the check's wall-clock.
         assert!(r.stage_times.total() <= r.elapsed);

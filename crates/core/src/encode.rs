@@ -87,7 +87,7 @@ fn add_clause(solver: &mut Solver, lits: &[Plit]) {
 /// Why a check could not be encoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EncodeError {
-    /// The exact settle grid exceeded [`MAX_THRESHOLD_VARS`] variables.
+    /// The exact settle grid exceeded `MAX_THRESHOLD_VARS` variables.
     GridTooLarge {
         /// Threshold variables the grid would have needed.
         needed: usize,

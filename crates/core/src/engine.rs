@@ -13,10 +13,9 @@
 //! always at least as tight as the narrowing one.
 
 use crate::budget::Budget;
-use crate::check::{Completeness, DelaySearch, Engine, Stage, StageVerdict, Verdict, VerifyReport};
+use crate::check::{Completeness, DelaySearch, Engine, Stage, Verdict, VerifyReport};
 use crate::prepared::CheckSession;
 use crate::sat::{sat_decide, SatCheck, SatVerdict};
-use crate::solver::SolverStats;
 use ltt_netlist::{Circuit, NetId};
 use ltt_sta::vector_delay;
 use ltt_waveform::Level;
@@ -54,12 +53,12 @@ impl CheckSession<'_> {
                 if !sat.completeness.is_exact() {
                     return report;
                 }
-                // Keep the narrowing effort visible in the upgrade.
+                // The upgrade keeps the narrowing run's counters and adds
+                // the SAT run's.
                 VerifyReport {
                     verdict: sat.verdict,
                     completeness: sat.completeness,
-                    backtracks: sat.backtracks.saturating_add(report.backtracks),
-                    solver: sat.solver.saturating_add(&report.solver),
+                    sat: sat.sat,
                     elapsed: report.elapsed.saturating_add(sat.elapsed),
                     ..report
                 }
@@ -92,7 +91,6 @@ impl CheckSession<'_> {
                 vector: None,
                 proven_exact: false,
                 upper_bound: self.circuit().topological_delay(),
-                backtracks: 0,
                 probes: Vec::new(),
             },
         };
@@ -131,24 +129,14 @@ fn sat_report(output: NetId, delta: i64, check: SatCheck, started: Instant) -> V
             },
         ),
     };
-    // Propagations are the SAT analogue of narrowing events; surfacing
-    // them keeps `effort`-style accounting meaningful across engines.
-    let solver = SolverStats {
-        events: check.stats.propagations,
-        ..Default::default()
-    };
     VerifyReport {
         output,
         delta,
         verdict,
         completeness,
-        before_gitd: StageVerdict::Possible,
-        after_gitd: None,
-        after_stems: None,
-        backtracks: check.stats.conflicts,
-        solver,
         stems: Default::default(),
         case: Default::default(),
+        sat: check.stats,
         stage_times: Default::default(),
         effort: Default::default(),
         elapsed: started.elapsed(),
@@ -175,7 +163,6 @@ fn sat_bisect(
         let mid = lo + (hi - lo) / 2;
         let started = Instant::now();
         let check = sat_decide(circuit, output, mid, budget);
-        search.backtracks += check.stats.conflicts;
         match check.verdict.clone() {
             SatVerdict::Violated(vector) => {
                 // The witness's true delay can beat the probe point;
@@ -200,9 +187,13 @@ fn sat_bisect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchRunner, LearningMode, Obs, Recorder, TripReason, VerifyConfig};
+    use crate::{
+        BatchRunner, CdclStats, LearningMode, Obs, Recorder, StageEffort, StageTimes, TripReason,
+        VerifyConfig,
+    };
     use ltt_netlist::generators::{figure1, serial_false_path_gadgets};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn session_with(circuit: &Circuit, engine: Engine) -> CheckSession<'_> {
         let config = VerifyConfig {
@@ -253,10 +244,10 @@ mod tests {
     fn sat_session_answers_through_every_entry_point() {
         let c = figure1(10);
         let s = c.outputs()[0];
-        // A SAT report runs no dominator stage; narrowing's default does.
+        // A SAT report carries no narrowing effort; a narrowing one does.
         let by_sat = |r: &VerifyReport| match r.verdict {
             Verdict::NoViolation { stage } => stage == Stage::Sat,
-            Verdict::Violation { .. } => r.after_gitd.is_none(),
+            Verdict::Violation { .. } => r.effort == StageEffort::default(),
             _ => false,
         };
         let session = session_with(&c, Engine::Sat);
@@ -433,13 +424,41 @@ mod tests {
             &c,
             VerifyConfig {
                 engine: Engine::Narrow,
-                ..config
+                ..config.clone()
             },
         );
         let rn = narrow.verify(s, exact + 1);
         assert!(!rn.completeness.is_exact(), "{:?}", rn.completeness);
-        // The upgrade keeps the narrowing run's per-stage effort and clocks.
+        assert_eq!(rn.sat, CdclStats::default(), "narrowing never writes `sat`");
+
+        // SAT alone decides it and fills nothing but `sat`.
+        let sat = CheckSession::new(
+            &c,
+            VerifyConfig {
+                engine: Engine::Sat,
+                ..config
+            },
+        );
+        let rs = sat.verify(s, exact + 1);
+        assert_eq!(rs.verdict, r.verdict);
+        assert_eq!(rs.effort, StageEffort::default());
+        assert_eq!(rs.case, Default::default());
+        assert_eq!(rs.stems, Default::default());
+        assert_eq!(rs.stage_times, StageTimes::default());
+
+        // The upgrade keeps the narrowing run's counters and adds the SAT
+        // run's: deterministic counters are equal outright, and the stage
+        // clocks are narrowing's (the same stages ran).
         assert_eq!(r.effort, rn.effort);
-        assert!(r.stage_times.case_analysis > std::time::Duration::ZERO);
+        assert_eq!(r.case, rn.case);
+        assert_eq!(r.stems, rn.stems);
+        assert_eq!(r.sat, rs.sat);
+        assert_eq!(r.backtracks(), rn.backtracks() + rs.backtracks());
+        let ran = |t: &StageTimes| {
+            [t.narrowing, t.dominators, t.stems, t.case_analysis].map(|d| d > Duration::ZERO)
+        };
+        assert_eq!(ran(&r.stage_times), ran(&rn.stage_times));
+        assert!(r.stage_times.case_analysis > Duration::ZERO);
+        assert!(r.stage_times.total() <= r.elapsed);
     }
 }

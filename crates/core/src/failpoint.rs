@@ -9,7 +9,7 @@
 //!
 //! The registry is process-global; tests that configure failpoints must
 //! serialize themselves (e.g. behind a shared `Mutex`) and call
-//! [`clear_all`] when done.
+//! `clear_all` when done.
 
 #[cfg(feature = "failpoints")]
 mod imp {

@@ -86,9 +86,10 @@ pub mod stems;
 
 pub use batch::{available_jobs, BatchCheck, BatchError, BatchOutcome, BatchRunner, BatchSummary};
 pub use budget::{ArmedBudget, Budget, CancelToken, TripReason};
+pub use cdcl::CdclStats;
 pub use check::{
     Completeness, DelayMode, DelaySearch, Engine, LearningMode, ProfilePoint, Stage, StageEffort,
-    StageTimes, StageVerdict, Verdict, VerifyConfig, VerifyReport,
+    StageTimes, Verdict, VerifyConfig, VerifyReport,
 };
 pub use domain::{Checkpoint, SignalStore};
 pub use error::{CheckError, Error};

@@ -51,7 +51,7 @@ pub struct Span {
     pub start_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
-    /// Recording thread (see [`current_tid`] for the numbering scheme).
+    /// Recording thread (see `current_tid` for the numbering scheme).
     pub tid: u64,
     /// Integer counter arguments, rendered under Chrome's `args` key.
     pub args: Vec<(&'static str, i64)>,

@@ -975,14 +975,12 @@ impl<'c> CheckSession<'c> {
         let mut lo = 0i64; // delay ≥ 0 always (inputs settle at 0)
         let mut hi = top + 1; // check at top+1 must fail
         let mut vector = None;
-        let mut backtracks: u64 = 0;
         let mut probes = Vec::new();
         let mut decided = true;
         // Invariant: violation possible at lo, impossible at hi.
         while lo + 1 < hi {
             let mid = lo + (hi - lo) / 2;
             let report = self.run_check(route, output, mid, &config, &[]);
-            backtracks = backtracks.saturating_add(report.backtracks);
             let verdict = report.verdict.clone();
             probes.push(report);
             match verdict {
@@ -1016,8 +1014,6 @@ impl<'c> CheckSession<'c> {
             while plo + 1 < phi {
                 let mid = plo + (phi - plo) / 2;
                 let report = self.run_check(route, output, mid, &no_ca, &[]);
-                // The fallback probes' effort counts like any other probe's.
-                backtracks = backtracks.saturating_add(report.backtracks);
                 let proved = report.verdict.is_no_violation();
                 probes.push(report);
                 if proved {
@@ -1048,7 +1044,6 @@ impl<'c> CheckSession<'c> {
             vector,
             proven_exact: decided,
             upper_bound: hi - 1,
-            backtracks,
             probes,
         }
     }

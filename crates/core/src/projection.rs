@@ -24,11 +24,11 @@
 //!
 //! # Hot-path layout
 //!
-//! The solver calls [`project_into`] with a reusable scratch vector, so the
+//! The solver calls `project_into` with a reusable scratch vector, so the
 //! general rules allocate nothing per event. The overwhelmingly common
 //! shapes — unary gates and 2-input AND/OR/NAND/NOR — additionally bypass
 //! the general machinery through the straight-line kernels
-//! [`project_unary2`] and [`project_and2`]; the latter is table-driven on
+//! `project_unary2` and `project_and2`; the latter is table-driven on
 //! the controlling/controlled class pair of the gate kind and is checked
 //! for exact equivalence with the general rule by `kernel_matches_general`
 //! below. The public [`project`] keeps the original allocating signature

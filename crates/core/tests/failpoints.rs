@@ -46,11 +46,8 @@ fn fingerprint(r: &VerifyReport) -> impl PartialEq + std::fmt::Debug {
         r.delta,
         r.verdict.clone(),
         r.completeness,
-        r.before_gitd,
-        r.after_gitd,
-        r.after_stems,
-        r.backtracks,
-        r.solver,
+        r.backtracks(),
+        r.effort.total(),
     )
 }
 

@@ -99,7 +99,8 @@ struct BreakerInner {
     consecutive_failures: u32,
 }
 
-/// A per-backend circuit breaker (see [`BreakerState`]).
+/// A per-backend circuit breaker: `Closed` → `Open` after K consecutive
+/// transport failures → `HalfOpen` (one probe) → `Closed` or `Open`.
 pub struct Breaker {
     inner: Mutex<BreakerInner>,
     threshold: u32,

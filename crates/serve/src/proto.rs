@@ -621,7 +621,7 @@ pub fn report_json(report: &VerifyReport, output_name: &str) -> Json {
             ));
         }
     }
-    fields.push(("backtracks", int_u64(report.backtracks)));
+    fields.push(("backtracks", int_u64(report.backtracks())));
     fields.push(("elapsed_us", int_u64(micros_u64(report.elapsed))));
     fields.push((
         "stage_us",
@@ -667,7 +667,7 @@ pub fn delay_json(search: &DelaySearch, output_name: &str) -> Json {
     if let Some(vector) = &search.vector {
         fields.push(("vector", Json::str(vector_bits(vector))));
     }
-    fields.push(("backtracks", int_u64(search.backtracks)));
+    fields.push(("backtracks", int_u64(search.backtracks())));
     fields.push(("probes", Json::Int(search.probes.len() as i64)));
     Json::obj(fields)
 }
@@ -728,7 +728,7 @@ pub fn batch_json(batch: &BatchCheck, check_names: &[String]) -> Vec<(String, Js
                 ("undecided", int_u64(s.undecided)),
                 ("failed", int_u64(s.failed)),
                 ("skipped", int_u64(s.skipped)),
-                ("backtracks", int_u64(s.backtracks)),
+                ("backtracks", int_u64(batch.backtracks())),
             ]),
         ),
         ("wall_us".to_string(), int_u64(micros_u64(batch.wall))),

@@ -817,7 +817,7 @@ mod tests {
         let fresh = outcome.entry.session.verify(z, 11);
         assert_eq!(cached.verdict, fresh.verdict);
         assert_eq!(cached.effort, fresh.effort);
-        assert_eq!(cached.backtracks, fresh.backtracks);
+        assert_eq!(cached.backtracks(), fresh.backtracks());
         // The alias name resolves to the patched revision.
         assert_eq!(registry.lookup("two-v2").unwrap().id, outcome.entry.id);
         // A structural rewire transplants nothing.

@@ -20,8 +20,8 @@ use crate::registry::{CircuitEntry, CircuitRegistry, RegistryStats};
 use crate::service::{self, int, Conn, Service, Snapshot, Tier};
 use crate::wire::Json;
 use ltt_core::{
-    available_jobs, BatchCheck, BatchRunner, Budget, CancelToken, CheckSession, Engine, Verdict,
-    VerifyReport,
+    available_jobs, BatchCheck, BatchRunner, BatchSummary, Budget, CancelToken, CheckSession,
+    Engine, VerifyReport,
 };
 use ltt_netlist::NetId;
 use std::io::Write;
@@ -621,20 +621,9 @@ fn run_with_reuse(
     }
     drop(fresh);
     batch.reports = reports;
-    // Fold the served-from-cache checks into the summary so the outcome
-    // and the counters describe the whole request, not just the rerun.
-    for (report, &was_reused) in batch.reports.iter().zip(&reused) {
-        if !was_reused {
-            continue;
-        }
-        batch.summary.checks += 1;
-        batch.summary.backtracks = batch.summary.backtracks.saturating_add(report.backtracks);
-        match &report.verdict {
-            Verdict::NoViolation { .. } => batch.summary.no_violation += 1,
-            Verdict::Violation { .. } => batch.summary.violations += 1,
-            Verdict::Possible | Verdict::Abandoned => batch.summary.undecided += 1,
-        }
-    }
+    // The outcome and the counters describe the whole request, reused
+    // reports included, not just the rerun.
+    batch.summary = BatchSummary::aggregate(&batch.reports, &batch.errors);
     (batch, reused)
 }
 
@@ -666,4 +655,37 @@ fn batch_json_with_reuse(
         }
     }
     fields
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A patch batch that serves some checks from the result cache
+    /// summarizes every report it returns, not only the re-run ones.
+    #[test]
+    fn reused_reports_count_in_the_summary() {
+        let source = "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\nOUTPUT(z)\n\
+                      u = AND(a, b)\ny = NAND(u, b)\nv = OR(c, d)\nz = NOT(v)\n";
+        let registry = CircuitRegistry::new(4);
+        let (parent, _) = registry.register("two", "bench", source, 10).unwrap();
+        let (y, z) = (parent.circuit.outputs()[0], parent.circuit.outputs()[1]);
+        let checks = [(y, 20), (z, 20), (z, 21)];
+        let runner = BatchRunner::serial();
+        run_with_reuse(&runner, Engine::Narrow, &parent, &checks);
+        // The edit lies in y's cone only: z's reports transplant.
+        let edit = EditSpec::SetDelay {
+            gate: "y".into(),
+            min: 25,
+            max: 25,
+        };
+        let patched = registry.patch("two", None, &[edit]).unwrap().entry;
+        let (batch, reused) = run_with_reuse(&runner, Engine::Narrow, &patched, &checks);
+        assert_eq!(reused, [false, true, true]);
+        assert_eq!(
+            batch.summary,
+            BatchSummary::aggregate(&batch.reports, &batch.errors)
+        );
+        assert_eq!(batch.summary.checks, 3);
+    }
 }

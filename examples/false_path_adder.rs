@@ -40,7 +40,8 @@ fn main() {
     let search = session.exact_delay(cout);
     println!(
         "waveform narrowing: exact delay {} proven with {} backtracks",
-        search.delay, search.backtracks
+        search.delay,
+        search.backtracks()
     );
     assert_eq!(search.delay, oracle.delay);
 

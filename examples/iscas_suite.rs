@@ -34,7 +34,7 @@ fn main() {
             entry.circuit.num_gates(),
             top,
             exact,
-            search.backtracks,
+            search.backtracks(),
             entry.paper_top,
             entry.paper_exact.map_or("-".to_string(), |e| e.to_string()),
         );

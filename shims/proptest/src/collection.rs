@@ -40,7 +40,7 @@ pub fn vec<S: Strategy>(element: S, size: impl IntoSizeRange) -> VecStrategy<S> 
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 #[derive(Clone)]
 pub struct VecStrategy<S> {
     element: S,

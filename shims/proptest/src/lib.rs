@@ -1,7 +1,7 @@
 //! Offline stand-in for the crates.io `proptest` crate.
 //!
 //! Implements the subset of the proptest 1.x API used by this workspace's
-//! property tests: the [`Strategy`] trait with `prop_map`, range and tuple
+//! property tests: the [`Strategy`](strategy::Strategy) trait with `prop_map`, range and tuple
 //! strategies, [`strategy::Just`], weighted [`prop_oneof!`],
 //! [`collection::vec`], [`arbitrary::any`], the [`proptest!`] macro with
 //! `#![proptest_config(...)]`, and the `prop_assert*` macros.

@@ -10,7 +10,7 @@
 
 use ltt_core::{
     BatchRunner, CaseStats, CheckError, CheckSession, DelaySearch, Engine, LearningMode,
-    SolverStats, StageVerdict, StemStats, Verdict, VerifyConfig, VerifyReport,
+    SolverStats, StemStats, Verdict, VerifyConfig, VerifyReport,
 };
 use ltt_netlist::generators::{
     carry_skip_adder, false_path_chain, figure1, random_circuit, RandomCircuitConfig,
@@ -38,29 +38,15 @@ fn config() -> VerifyConfig {
 }
 
 /// Everything a check reports except wall-clock.
-type Fingerprint = (
-    usize,
-    i64,
-    Verdict,
-    StageVerdict,
-    Option<StageVerdict>,
-    Option<StageVerdict>,
-    u64,
-    SolverStats,
-    StemStats,
-    CaseStats,
-);
+type Fingerprint = (usize, i64, Verdict, u64, SolverStats, StemStats, CaseStats);
 
 fn fingerprint(r: &VerifyReport) -> Fingerprint {
     (
         r.output.index(),
         r.delta,
         r.verdict.clone(),
-        r.before_gitd,
-        r.after_gitd,
-        r.after_stems,
-        r.backtracks,
-        r.solver,
+        r.backtracks(),
+        r.effort.total(),
         r.stems,
         r.case,
     )
@@ -76,7 +62,7 @@ fn search_fingerprint(r: &Result<DelaySearch, CheckError>) -> SearchFingerprint 
         s.vector.clone(),
         s.proven_exact,
         s.upper_bound,
-        s.backtracks,
+        s.backtracks(),
         s.probes.iter().map(fingerprint).collect(),
     )
 }
@@ -106,8 +92,11 @@ fn assert_batches_identical(c: &Circuit) {
             // Aggregates are sums of identical parts.
             assert_eq!(a.summary.checks, b.summary.checks);
             assert_eq!(a.summary.violations, b.summary.violations);
-            assert_eq!(a.summary.backtracks, b.summary.backtracks);
-            assert_eq!(a.summary.solver, b.summary.solver);
+            assert_eq!(a.backtracks(), b.backtracks());
+            assert_eq!(
+                a.summary.stage_effort.total(),
+                b.summary.stage_effort.total()
+            );
         }
         let sa: Vec<SearchFingerprint> = serial
             .try_exact_delays(&session)

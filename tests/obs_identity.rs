@@ -5,8 +5,8 @@
 //! timings are exempt (and those live outside the compared fingerprint).
 
 use ltt_core::{
-    BatchRunner, CaseStats, CheckSession, Obs, Recorder, SolverStats, StageEffort, StageVerdict,
-    StemStats, Verdict, VerifyConfig, VerifyReport,
+    BatchRunner, CaseStats, CheckSession, Obs, Recorder, SolverStats, StageEffort, StemStats,
+    Verdict, VerifyConfig, VerifyReport,
 };
 use ltt_netlist::generators::{carry_skip_adder, figure1, stem_conflict_circuit};
 use ltt_netlist::suite::c17;
@@ -28,9 +28,6 @@ type Fingerprint = (
     usize,
     i64,
     Verdict,
-    StageVerdict,
-    Option<StageVerdict>,
-    Option<StageVerdict>,
     u64,
     SolverStats,
     StemStats,
@@ -43,11 +40,8 @@ fn fingerprint(r: &VerifyReport) -> Fingerprint {
         r.output.index(),
         r.delta,
         r.verdict.clone(),
-        r.before_gitd,
-        r.after_gitd,
-        r.after_stems,
-        r.backtracks,
-        r.solver,
+        r.backtracks(),
+        r.effort.total(),
         r.stems,
         r.case,
         r.effort,

@@ -1,7 +1,7 @@
 //! End-to-end integration of the full pipeline: the paper's worked
 //! examples, cross-crate, through the public API only.
 
-use ltt_core::{CheckSession, Stage, StageVerdict, Verdict, VerifyConfig};
+use ltt_core::{CheckSession, Stage, Verdict, VerifyConfig};
 use ltt_netlist::generators::{
     carry_skip_adder, figure1, forked_false_path_chain, stem_conflict_circuit,
 };
@@ -57,7 +57,6 @@ fn dominator_gadget_settles_at_the_dominator_stage() {
             stage: Stage::Dominators
         }
     );
-    assert_eq!(r.before_gitd, StageVerdict::Possible);
     // And the exact δ yields a certified vector.
     let r = CheckSession::new(&c, config.clone()).verify(s, exact);
     assert!(matches!(r.verdict, Verdict::Violation { .. }));
@@ -75,7 +74,6 @@ fn stem_gadget_settles_at_the_stem_stage() {
             stage: Stage::StemCorrelation
         }
     );
-    assert_eq!(r.after_gitd, Some(StageVerdict::Possible));
 }
 
 #[test]
