@@ -95,7 +95,7 @@ fn eco_scenario(
             .copied()
             .filter(|&(o, _)| {
                 all_stale
-                    || match rebased.prepared().cone(o) {
+                    || match rebased.cone(o) {
                         Some(ca) => ca.intersects(&stale),
                         None => true, // complete cone: everything affects it
                     }

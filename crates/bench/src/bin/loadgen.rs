@@ -33,8 +33,9 @@
 //! (pre-edit) oracle. A daemon's registry is an LRU cache, so churn (or
 //! more variants than the registry holds) can evict a circuit a client
 //! registered; a request answered `unknown_circuit` re-registers the
-//! variant and is retried once, and is counted as a re-registration, not
-//! a failure.
+//! variant and is retried (up to `MAX_REREGISTERS` times, since another
+//! client can evict the fresh entry before the retry lands), and is
+//! counted as a re-registration, not a failure.
 //!
 //! Exit code 0 when every request was answered correctly (violations are
 //! expected — the load mix probes around each output's exact delay;
@@ -52,6 +53,10 @@ use ltt_serve::{percentile, Client, Json, Router, RouterConfig, ServeConfig, Ser
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
+
+/// How many times one request re-registers an evicted circuit and
+/// retries before its `unknown_circuit` reply counts as a failure.
+const MAX_REREGISTERS: usize = 8;
 
 struct Args {
     addr: Option<String>,
@@ -275,7 +280,7 @@ struct Tally {
     /// `--verify` replies whose outcome differed from the local oracle.
     mismatched: u64,
     /// `unknown_circuit` replies (registry evictions) repaired by
-    /// re-registering the variant and retrying the request once.
+    /// re-registering the variant and retrying the request.
     reregistered: u64,
 }
 
@@ -344,8 +349,11 @@ fn run_client(
         };
         let start = Instant::now();
         let mut reply = client.call(&request(&ids[&v]))?;
-        if error_code(&reply) == Some("unknown_circuit") {
-            // Evicted from the registry: register again, retry once.
+        for _ in 0..MAX_REREGISTERS {
+            if error_code(&reply) != Some("unknown_circuit") {
+                break;
+            }
+            // Evicted from the registry: register again and retry.
             tally.reregistered += 1;
             let id = register(&mut client, variant)?;
             reply = client.call(&request(&id))?;

@@ -8,6 +8,7 @@ use ltt_core::{
 };
 use ltt_netlist::suite::SuiteEntry;
 use ltt_netlist::{Circuit, NetId};
+use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
 /// The `--quick` suite: the entries of at most this many gates.
@@ -56,59 +57,45 @@ fn stage_columns(
     reports: &[VerifyReport],
     engine: Engine,
 ) -> (char, char, char, Option<u64>, char) {
-    // Worst (latest) stage over the outputs that had to be proven.
-    let mut worst = 0u8; // 1 narrowing, 2 dominators, 3 stems, 4 case analysis
+    // Worst (latest) stage over the outputs that had to be proven. Every
+    // verdict but a proof reached case analysis.
+    let mut worst = Stage::Narrowing;
     let mut any_violation = false;
     let mut abandoned = false;
     let mut backtracks = 0u64;
     let mut case_ran = false;
     for r in reports {
-        backtracks += r.backtracks();
-        match &r.verdict {
+        backtracks = backtracks.saturating_add(r.backtracks());
+        let stage = match &r.verdict {
             Verdict::NoViolation { stage } => {
-                let s = match stage {
-                    Stage::Narrowing => 1,
-                    Stage::Dominators => 2,
-                    Stage::StemCorrelation => 3,
-                    Stage::CaseAnalysis => {
-                        case_ran = true;
-                        4
-                    }
-                    Stage::Sat => 4,
-                };
-                worst = worst.max(s);
+                case_ran |= *stage == Stage::CaseAnalysis;
+                *stage
             }
             Verdict::Violation { .. } => {
                 any_violation = true;
                 case_ran = true;
-                worst = worst.max(4);
+                Stage::CaseAnalysis
             }
             Verdict::Abandoned => {
                 abandoned = true;
                 case_ran = true;
-                worst = worst.max(4);
+                Stage::CaseAnalysis
             }
-            Verdict::Possible => {
-                worst = worst.max(4);
-            }
-        }
+            Verdict::Possible => Stage::CaseAnalysis,
+        };
+        worst = worst.max(stage);
     }
-    let before = if worst <= 1 { 'N' } else { 'P' };
-    let after_gitd = if worst <= 1 {
-        '-'
-    } else if worst <= 2 {
-        'N'
-    } else {
-        'P'
+    // A stage column reads `N` where the proofs landed, `P` before that
+    // and `-` after.
+    let column = |proved_at: Stage| match worst.cmp(&proved_at) {
+        Ordering::Less => '-',
+        Ordering::Equal => 'N',
+        Ordering::Greater => 'P',
     };
-    let after_stems = if worst <= 2 {
-        '-'
-    } else if worst <= 3 {
-        'N'
-    } else {
-        'P'
-    };
-    let result = if worst <= 3 {
+    let before = column(Stage::Narrowing);
+    let after_gitd = column(Stage::Dominators);
+    let after_stems = column(Stage::StemCorrelation);
+    let result = if worst <= Stage::StemCorrelation {
         '-'
     } else if abandoned {
         'A'

@@ -663,7 +663,6 @@ fn config_from(opts: &Options) -> VerifyConfig {
         stem_correlation: opts.stems,
         case_analysis: opts.search,
         max_backtracks: opts.max_backtracks,
-        certify_vectors: true,
         budget: Budget::unlimited(),
         engine: opts.engine,
         obs: Obs::disabled(),

@@ -14,12 +14,13 @@ use crate::carriers::fixpoint_with_dominators;
 use crate::cdcl::CdclStats;
 use crate::failpoint;
 use crate::fan::{CaseConfig, CaseOutcome, CaseStats};
-use crate::obs::Obs;
-use crate::prepared::PreparedCircuit;
+use crate::obs::{Obs, SpanStart};
+use crate::prepared::CheckSession;
 use crate::solver::{FixpointResult, Narrower, SolverStats};
 use crate::stems::{correlation_stems_masked, stem_correlation, StemStats};
 use ltt_netlist::NetId;
 use ltt_waveform::{Signal, Time};
+use std::ops::{Index, IndexMut};
 use std::time::{Duration, Instant};
 
 /// Circuit delay mode: which abstract waveforms are applied to the primary
@@ -79,8 +80,8 @@ impl Engine {
     /// Parses a CLI/wire engine name.
     pub fn parse(s: &str) -> Option<Engine> {
         match s {
-            "narrow" | "narrowing" => Some(Engine::Narrow),
-            "sat" | "cnf" => Some(Engine::Sat),
+            "narrow" => Some(Engine::Narrow),
+            "sat" => Some(Engine::Sat),
             "hybrid" => Some(Engine::Hybrid),
             _ => None,
         }
@@ -91,7 +92,9 @@ impl Engine {
 /// paper's full method.
 #[derive(Clone, Debug)]
 pub struct VerifyConfig {
-    /// Input waveform mode.
+    /// Input waveform mode. In floating mode every violating vector the
+    /// case analysis reports is certified with the exact floating-mode
+    /// simulator.
     pub delay_mode: DelayMode,
     /// Static-learning scope.
     pub learning: LearningMode,
@@ -103,8 +106,6 @@ pub struct VerifyConfig {
     pub case_analysis: bool,
     /// Backtrack budget for the case analysis.
     pub max_backtracks: u64,
-    /// Certify reported vectors with the exact floating-mode simulator.
-    pub certify_vectors: bool,
     /// Resource budget (wall-clock, events, cancellation) for each check.
     /// When it trips the check returns early with
     /// [`Completeness::BudgetExhausted`] instead of hanging; the default is
@@ -129,7 +130,6 @@ impl Default for VerifyConfig {
             stem_correlation: true,
             case_analysis: true,
             max_backtracks: 100_000,
-            certify_vectors: true,
             budget: Budget::unlimited(),
             engine: Engine::Narrow,
             obs: Obs::disabled(),
@@ -152,8 +152,9 @@ impl VerifyConfig {
     }
 }
 
-/// Which stage settled the check.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Which stage settled the check, in pipeline order (`Ord`): the four
+/// Fig. 4 stages, then the SAT backend.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
     /// Basic waveform narrowing (plus learning, if enabled).
     Narrowing,
@@ -168,78 +169,115 @@ pub enum Stage {
     Sat,
 }
 
-/// Wall-clock spent in each pipeline stage, per check — or, summed with
-/// [`StageTimes::saturating_add`], per batch (CPU-time-like under
-/// parallelism: the sum over concurrent checks exceeds the batch
-/// wall-clock).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageTimes {
-    /// Basic waveform narrowing (stage 1).
-    pub narrowing: Duration,
-    /// Global implications on timing dominators (stage 2).
-    pub dominators: Duration,
-    /// Stem correlation (stage 3).
-    pub stems: Duration,
-    /// Case analysis (stage 4).
-    pub case_analysis: Duration,
+impl Stage {
+    /// Stable lowercase name (the wire's `stage` and `tripped_stage`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Stage::Narrowing => "narrowing",
+            Stage::Dominators => "dominators",
+            Stage::StemCorrelation => "stem_correlation",
+            Stage::CaseAnalysis => "case_analysis",
+            Stage::Sat => "sat",
+        }
+    }
 }
 
-impl StageTimes {
+/// One value per pipeline stage, indexable by [`Stage`]: the record a
+/// check keeps of each stage it ran ([`StageTimes`], [`StageEffort`]),
+/// and its saturating sum over a batch.
+///
+/// # Panics
+///
+/// Indexing with [`Stage::Sat`] panics: the SAT backend is not a
+/// pipeline stage and has no slot.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PerStage<T> {
+    /// Basic waveform narrowing (stage 1).
+    pub narrowing: T,
+    /// Global implications on timing dominators (stage 2).
+    pub dominators: T,
+    /// Stem correlation (stage 3).
+    pub stems: T,
+    /// Case analysis (stage 4).
+    pub case_analysis: T,
+}
+
+/// A per-stage value that sums without panicking.
+pub trait StageValue: Copy {
+    /// The saturating sum of two values.
+    fn saturating_sum(&self, other: &Self) -> Self;
+}
+
+impl StageValue for Duration {
+    fn saturating_sum(&self, other: &Self) -> Self {
+        self.saturating_add(*other)
+    }
+}
+
+impl StageValue for SolverStats {
+    fn saturating_sum(&self, other: &Self) -> Self {
+        self.saturating_add(other)
+    }
+}
+
+impl<T: StageValue> PerStage<T> {
     /// Per-stage saturating sum (aggregation must never panic).
-    pub fn saturating_add(&self, other: &StageTimes) -> StageTimes {
-        StageTimes {
-            narrowing: self.narrowing.saturating_add(other.narrowing),
-            dominators: self.dominators.saturating_add(other.dominators),
-            stems: self.stems.saturating_add(other.stems),
-            case_analysis: self.case_analysis.saturating_add(other.case_analysis),
+    pub fn saturating_add(&self, other: &PerStage<T>) -> PerStage<T> {
+        PerStage {
+            narrowing: self.narrowing.saturating_sum(&other.narrowing),
+            dominators: self.dominators.saturating_sum(&other.dominators),
+            stems: self.stems.saturating_sum(&other.stems),
+            case_analysis: self.case_analysis.saturating_sum(&other.case_analysis),
         }
     }
 
-    /// Total time across the four stages (saturating).
-    pub fn total(&self) -> Duration {
+    /// Total across the four stages (saturating).
+    pub fn total(&self) -> T {
         self.narrowing
-            .saturating_add(self.dominators)
-            .saturating_add(self.stems)
-            .saturating_add(self.case_analysis)
+            .saturating_sum(&self.dominators)
+            .saturating_sum(&self.stems)
+            .saturating_sum(&self.case_analysis)
     }
 }
+
+impl<T> Index<Stage> for PerStage<T> {
+    type Output = T;
+
+    fn index(&self, stage: Stage) -> &T {
+        match stage {
+            Stage::Narrowing => &self.narrowing,
+            Stage::Dominators => &self.dominators,
+            Stage::StemCorrelation => &self.stems,
+            Stage::CaseAnalysis => &self.case_analysis,
+            Stage::Sat => panic!("the SAT backend is not a pipeline stage"),
+        }
+    }
+}
+
+impl<T> IndexMut<Stage> for PerStage<T> {
+    fn index_mut(&mut self, stage: Stage) -> &mut T {
+        match stage {
+            Stage::Narrowing => &mut self.narrowing,
+            Stage::Dominators => &mut self.dominators,
+            Stage::StemCorrelation => &mut self.stems,
+            Stage::CaseAnalysis => &mut self.case_analysis,
+            Stage::Sat => panic!("the SAT backend is not a pipeline stage"),
+        }
+    }
+}
+
+/// Wall-clock spent in each pipeline stage, per check — or, summed with
+/// [`PerStage::saturating_add`], per batch (CPU-time-like under
+/// parallelism: the sum over concurrent checks exceeds the batch
+/// wall-clock).
+pub type StageTimes = PerStage<Duration>;
 
 /// Deterministic solver-effort counters attributed to each pipeline
 /// stage: the [`SolverStats`] increments accumulated while that stage
 /// ran. Unlike [`StageTimes`] these are exact integer deltas, so they are
 /// identical across runs, thread counts, and machines — the per-stage
 /// breakdown the paper's Table 1 analysis attributes runtime with.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageEffort {
-    /// Basic waveform narrowing (stage 1).
-    pub narrowing: SolverStats,
-    /// Global implications on timing dominators (stage 2).
-    pub dominators: SolverStats,
-    /// Stem correlation (stage 3).
-    pub stems: SolverStats,
-    /// Case analysis (stage 4).
-    pub case_analysis: SolverStats,
-}
-
-impl StageEffort {
-    /// Per-stage saturating sum (aggregation must never panic).
-    pub fn saturating_add(&self, other: &StageEffort) -> StageEffort {
-        StageEffort {
-            narrowing: self.narrowing.saturating_add(&other.narrowing),
-            dominators: self.dominators.saturating_add(&other.dominators),
-            stems: self.stems.saturating_add(&other.stems),
-            case_analysis: self.case_analysis.saturating_add(&other.case_analysis),
-        }
-    }
-
-    /// Total effort across the four stages (saturating).
-    pub fn total(&self) -> SolverStats {
-        self.narrowing
-            .saturating_add(&self.dominators)
-            .saturating_add(&self.stems)
-            .saturating_add(&self.case_analysis)
-    }
-}
+pub type StageEffort = PerStage<SolverStats>;
 
 /// Final verdict of the pipeline.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -346,22 +384,6 @@ fn counter_arg(value: u64) -> i64 {
     i64::try_from(value).unwrap_or(i64::MAX)
 }
 
-/// A net identifier as a span argument.
-fn net_arg(net: NetId) -> i64 {
-    i64::try_from(net.index()).unwrap_or(i64::MAX)
-}
-
-/// The common span arguments of a solver-driven pipeline stage.
-fn stage_span_args(output: NetId, delta: i64, effort: &SolverStats) -> [(&'static str, i64); 5] {
-    [
-        ("output", net_arg(output)),
-        ("delta", delta),
-        ("events", counter_arg(effort.events)),
-        ("narrowings", counter_arg(effort.narrowings)),
-        ("learned", counter_arg(effort.learned_applications)),
-    ]
-}
-
 /// The cone restriction of a masked pipeline run: cone-local stem
 /// candidates for stage 3 and the case-analysis scope for stage 4 (stages
 /// 1 and 2 are restricted by the narrower's own
@@ -374,14 +396,141 @@ pub(crate) struct PipelineScope<'a> {
     pub case: &'a crate::fan::CaseScope,
 }
 
+/// How one stage left the check.
+enum StageEnd {
+    /// The system is still consistent: the next stage runs.
+    Open,
+    /// The stage proved the check safe.
+    Refuted,
+    /// Case analysis found a certified violating vector.
+    Vector(Vec<bool>),
+    /// The stage was cut short: by the budget when it tripped, otherwise
+    /// for the given reason.
+    Cut(TripReason),
+}
+
+impl From<FixpointResult> for StageEnd {
+    fn from(result: FixpointResult) -> Self {
+        match result {
+            FixpointResult::Fixpoint => StageEnd::Open,
+            FixpointResult::Contradiction => StageEnd::Refuted,
+            FixpointResult::Interrupted => StageEnd::Cut(TripReason::Deadline),
+        }
+    }
+}
+
+impl From<CaseOutcome> for StageEnd {
+    fn from(outcome: CaseOutcome) -> Self {
+        match outcome {
+            CaseOutcome::Vector(vector) => StageEnd::Vector(vector),
+            CaseOutcome::NoViolation => StageEnd::Refuted,
+            // Classic `A`-row abandonment (backtrack cap) and budget trips
+            // land here alike; the completeness marker tells them apart.
+            CaseOutcome::Abandoned => StageEnd::Cut(TripReason::Backtracks),
+        }
+    }
+}
+
+/// One check on its way through the stages: the narrower the stages
+/// share and the report they fill.
+struct Pipeline<'p, 'c> {
+    nw: &'p mut Narrower<'c>,
+    report: &'p mut VerifyReport,
+    obs: &'p Obs,
+    output_name: &'c str,
+}
+
+impl<'c> Pipeline<'_, 'c> {
+    /// Runs one stage: hits its failpoint, times it, attributes its
+    /// solver effort, records its span, and settles the verdict when the
+    /// stage decided the check. Returns whether it did.
+    fn step(
+        &mut self,
+        stage: Stage,
+        body: impl FnOnce(&mut Narrower<'c>, &mut VerifyReport) -> StageEnd,
+    ) -> bool {
+        let (site, span_name) = match stage {
+            Stage::Narrowing => ("check::narrowing", "check.narrowing"),
+            Stage::Dominators => ("check::dominators", "check.dominators"),
+            Stage::StemCorrelation => ("check::stems", "check.stems"),
+            Stage::CaseAnalysis => ("check::case-analysis", "check.case_analysis"),
+            Stage::Sat => unreachable!("the SAT backend is not a pipeline stage"),
+        };
+        failpoint::hit(site, self.output_name);
+        let before = self.nw.stats();
+        let span = self.obs.start();
+        let clock = Instant::now();
+        let end = body(self.nw, self.report);
+        self.report.stage_times[stage] = clock.elapsed();
+        self.report.effort[stage] = self.nw.stats().since(&before);
+        self.record_span(stage, span_name, span);
+        let report = &mut *self.report;
+        match end {
+            StageEnd::Open => return false,
+            StageEnd::Refuted => report.verdict = Verdict::NoViolation { stage },
+            StageEnd::Vector(vector) => report.verdict = Verdict::Violation { vector },
+            // A trip leaves the verdict `Abandoned` (sound — the domains
+            // are a superset of the fixpoint, so nothing was proven); the
+            // completeness marker records where and why.
+            StageEnd::Cut(reason) => {
+                report.verdict = Verdict::Abandoned;
+                report.completeness = Completeness::BudgetExhausted {
+                    stage,
+                    reason: self.nw.budget_tripped().unwrap_or(reason),
+                };
+            }
+        }
+        true
+    }
+
+    /// Closes a stage's span: the output, δ, and the stage's counters.
+    fn record_span(&self, stage: Stage, name: &'static str, span: SpanStart) {
+        if !self.obs.is_enabled() {
+            return;
+        }
+        let r = &*self.report;
+        let effort = &r.effort[stage];
+        let counters: &[(&'static str, u64)] = match stage {
+            Stage::StemCorrelation => &[
+                ("events", effort.events),
+                ("stems", r.stems.stems),
+                ("effective", r.stems.effective_stems),
+                ("dead_branches", r.stems.dead_branches),
+            ],
+            Stage::CaseAnalysis => &[
+                ("events", effort.events),
+                ("decisions", r.case.decisions),
+                ("backtracks", r.case.backtracks),
+                ("decisions_dominator_cones", r.case.decisions_by_phase[0]),
+                ("decisions_whole_circuit", r.case.decisions_by_phase[1]),
+                ("decisions_backtrace", r.case.decisions_by_phase[2]),
+            ],
+            _ => &[
+                ("events", effort.events),
+                ("narrowings", effort.narrowings),
+                ("learned", effort.learned_applications),
+            ],
+        };
+        let mut args = [("", 0); 8];
+        args[0] = ("output", counter_arg(r.output.index() as u64));
+        args[1] = ("delta", r.delta);
+        for (slot, &(key, value)) in args[2..].iter_mut().zip(counters) {
+            *slot = (key, counter_arg(value));
+        }
+        self.obs
+            .span(name, "stage", span, &args[..2 + counters.len()]);
+    }
+}
+
 /// Runs the staged pipeline on a narrower that already carries the input
 /// (and assumption) constraints; applies the δ constraint itself. Shared
-/// analyses (stem candidates, SCOAP controllabilities) come from the
-/// prepared circuit. `scope` masks stages 3–4 to a fanin cone (the
-/// narrower's own scope masks stages 1–2).
+/// analyses (stem candidates, SCOAP controllabilities) come from
+/// `session`; `config` is the check's own (the session's, or one with a
+/// merged budget or without case analysis). `scope` masks stages 3–4 to
+/// a fanin cone (the narrower's own scope masks stages 1–2).
 pub(crate) fn run_pipeline(
     nw: &mut Narrower,
-    prepared: &PreparedCircuit,
+    session: &CheckSession,
     output: NetId,
     delta: i64,
     config: &VerifyConfig,
@@ -406,200 +555,50 @@ pub(crate) fn run_pipeline(
         effort: StageEffort::default(),
         elapsed: Duration::ZERO,
     };
-    let finish = |mut report: VerifyReport| {
-        report.elapsed = start.elapsed();
-        report
+    let mut p = Pipeline {
+        nw,
+        report: &mut report,
+        obs: &config.obs,
+        output_name,
     };
-
-    // A budget trip inside a stage produces the same degraded report
-    // everywhere: the verdict stays `Abandoned` (sound — the domains are a
-    // superset of the fixpoint, so nothing was proven) and the completeness
-    // marker records where and why the run was cut short.
-    let exhausted = |stage: Stage, reason: TripReason| {
-        (
-            Verdict::Abandoned,
-            Completeness::BudgetExhausted { stage, reason },
-        )
-    };
-
-    // Stage 1: basic narrowing.
-    failpoint::hit("check::narrowing", output_name);
-    let stage_stats = nw.stats();
-    let span = config.obs.start();
-    let stage = Instant::now();
-    let narrowed = nw.reach_fixpoint();
-    report.stage_times.narrowing = stage.elapsed();
-    report.effort.narrowing = nw.stats().since(&stage_stats);
-    config.obs.span(
-        "check.narrowing",
-        "stage",
-        span,
-        &stage_span_args(output, delta, &report.effort.narrowing),
-    );
-    match narrowed {
-        FixpointResult::Contradiction => {
-            report.verdict = Verdict::NoViolation {
-                stage: Stage::Narrowing,
-            };
-            return finish(report);
-        }
-        FixpointResult::Interrupted => {
-            let reason = nw.budget_tripped().unwrap_or(TripReason::Deadline);
-            (report.verdict, report.completeness) = exhausted(Stage::Narrowing, reason);
-            return finish(report);
-        }
-        FixpointResult::Fixpoint => {}
-    }
-
-    // Stage 2: global implications on timing dominators.
-    if config.dominators {
-        failpoint::hit("check::dominators", output_name);
-        let stage_stats = nw.stats();
-        let span = config.obs.start();
-        let stage = Instant::now();
-        let implied = fixpoint_with_dominators(nw, output, delta, true);
-        report.stage_times.dominators = stage.elapsed();
-        report.effort.dominators = nw.stats().since(&stage_stats);
-        config.obs.span(
-            "check.dominators",
-            "stage",
-            span,
-            &stage_span_args(output, delta, &report.effort.dominators),
-        );
-        match implied {
-            FixpointResult::Contradiction => {
-                report.verdict = Verdict::NoViolation {
-                    stage: Stage::Dominators,
+    // Each stage runs only if it is enabled and no earlier one settled
+    // the check; with case analysis off an open check stays `Possible`.
+    let settled = p.step(Stage::Narrowing, |nw, _| nw.reach_fixpoint().into())
+        || (config.dominators
+            && p.step(Stage::Dominators, |nw, _| {
+                fixpoint_with_dominators(nw, output, delta, true).into()
+            }))
+        || (config.stem_correlation
+            && p.step(Stage::StemCorrelation, |nw, report| {
+                let candidates = match scope {
+                    Some(scope) => scope.stem_candidates,
+                    None => session.stem_candidates(),
                 };
-                return finish(report);
-            }
-            FixpointResult::Interrupted => {
-                let reason = nw.budget_tripped().unwrap_or(TripReason::Deadline);
-                (report.verdict, report.completeness) = exhausted(Stage::Dominators, reason);
-                return finish(report);
-            }
-            FixpointResult::Fixpoint => {}
-        }
-    }
-
-    // Stage 3: stem correlation.
-    if config.stem_correlation {
-        failpoint::hit("check::stems", output_name);
-        let stage_stats = nw.stats();
-        let span = config.obs.start();
-        let stage = Instant::now();
-        let candidates = match scope {
-            Some(scope) => scope.stem_candidates,
-            None => prepared.stem_candidates(),
-        };
-        let stems = correlation_stems_masked(nw, output, delta, candidates);
-        let correlated = stem_correlation(
-            nw,
-            output,
-            delta,
-            &stems,
-            config.dominators,
-            &mut report.stems,
-        );
-        report.stage_times.stems = stage.elapsed();
-        report.effort.stems = nw.stats().since(&stage_stats);
-        config.obs.span(
-            "check.stems",
-            "stage",
-            span,
-            &[
-                ("output", net_arg(output)),
-                ("delta", delta),
-                ("events", counter_arg(report.effort.stems.events)),
-                ("stems", counter_arg(report.stems.stems)),
-                ("effective", counter_arg(report.stems.effective_stems)),
-                ("dead_branches", counter_arg(report.stems.dead_branches)),
-            ],
-        );
-        match correlated {
-            FixpointResult::Contradiction => {
-                report.verdict = Verdict::NoViolation {
-                    stage: Stage::StemCorrelation,
+                let stems = correlation_stems_masked(nw, output, delta, candidates);
+                let dominators = config.dominators;
+                stem_correlation(nw, output, delta, &stems, dominators, &mut report.stems).into()
+            }))
+        || (config.case_analysis
+            && p.step(Stage::CaseAnalysis, |nw, report| {
+                let case_cfg = CaseConfig {
+                    max_backtracks: config.max_backtracks,
+                    use_dominators: config.dominators,
+                    certify_vectors: config.delay_mode == DelayMode::Floating,
                 };
-                return finish(report);
-            }
-            FixpointResult::Interrupted => {
-                let reason = nw.budget_tripped().unwrap_or(TripReason::Deadline);
-                (report.verdict, report.completeness) = exhausted(Stage::StemCorrelation, reason);
-                return finish(report);
-            }
-            FixpointResult::Fixpoint => {}
-        }
-    }
-
-    // Stage 4: case analysis.
-    if config.case_analysis {
-        failpoint::hit("check::case-analysis", output_name);
-        let case_cfg = CaseConfig {
-            max_backtracks: config.max_backtracks,
-            use_dominators: config.dominators,
-            certify_vectors: config.certify_vectors && config.delay_mode == DelayMode::Floating,
-        };
-        let stage_stats = nw.stats();
-        let span = config.obs.start();
-        let stage = Instant::now();
-        let outcome = crate::fan::case_analysis_scoped(
-            nw,
-            output,
-            delta,
-            &case_cfg,
-            &mut report.case,
-            prepared.controllability(),
-            scope.map(|s| s.case),
-        );
-        report.stage_times.case_analysis = stage.elapsed();
-        report.effort.case_analysis = nw.stats().since(&stage_stats);
-        config.obs.span(
-            "check.case_analysis",
-            "stage",
-            span,
-            &[
-                ("output", net_arg(output)),
-                ("delta", delta),
-                ("events", counter_arg(report.effort.case_analysis.events)),
-                ("decisions", counter_arg(report.case.decisions)),
-                ("backtracks", counter_arg(report.case.backtracks)),
-                (
-                    "decisions_dominator_cones",
-                    counter_arg(report.case.decisions_by_phase[0]),
-                ),
-                (
-                    "decisions_whole_circuit",
-                    counter_arg(report.case.decisions_by_phase[1]),
-                ),
-                (
-                    "decisions_backtrace",
-                    counter_arg(report.case.decisions_by_phase[2]),
-                ),
-            ],
-        );
-        report.verdict = match outcome {
-            CaseOutcome::Vector(vector) => Verdict::Violation { vector },
-            CaseOutcome::NoViolation => Verdict::NoViolation {
-                stage: Stage::CaseAnalysis,
-            },
-            CaseOutcome::Abandoned => {
-                // Classic `A`-row abandonment (backtrack cap) and budget
-                // trips land here alike; the completeness marker tells
-                // them apart.
-                let reason = nw.budget_tripped().unwrap_or(TripReason::Backtracks);
-                report.completeness = Completeness::BudgetExhausted {
-                    stage: Stage::CaseAnalysis,
-                    reason,
-                };
-                Verdict::Abandoned
-            }
-        };
-        return finish(report);
-    }
-
-    report.verdict = Verdict::Possible;
-    finish(report)
+                crate::fan::case_analysis_scoped(
+                    nw,
+                    output,
+                    delta,
+                    &case_cfg,
+                    &mut report.case,
+                    session.controllability(),
+                    scope.map(|s| s.case),
+                )
+                .into()
+            }));
+    debug_assert!(settled || report.verdict == Verdict::Possible);
+    report.elapsed = start.elapsed();
+    report
 }
 
 /// Result of an exact-delay search on one output.
@@ -784,6 +783,15 @@ mod tests {
                 "δ = {delta}: {verdicts:?}"
             );
         }
+    }
+
+    #[test]
+    fn engine_names_round_trip() {
+        for engine in [Engine::Narrow, Engine::Sat, Engine::Hybrid] {
+            assert_eq!(Engine::parse(engine.name()), Some(engine));
+        }
+        assert_eq!(Engine::parse("cnf"), None);
+        assert_eq!(Engine::parse("narrowing"), None);
     }
 
     #[test]

@@ -166,8 +166,9 @@ pub fn case_analysis(
 
 /// [`case_analysis`] with precomputed SCOAP controllabilities (they depend
 /// only on the circuit, so a batch of checks shares one table — see
-/// [`PreparedCircuit`](crate::PreparedCircuit)). Decisions, and therefore
-/// the outcome, are identical to [`case_analysis`].
+/// [`CheckSession::controllability`](crate::CheckSession::controllability)).
+/// Decisions, and therefore the outcome, are identical to
+/// [`case_analysis`].
 pub fn case_analysis_with(
     nw: &mut Narrower,
     s: NetId,

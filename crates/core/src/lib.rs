@@ -24,9 +24,11 @@
 //!    violation is possible (§5).
 //!
 //! Every check runs through a [`CheckSession`]: it computes each
-//! per-circuit analysis once (via [`PreparedCircuit`]), seeds each check
-//! from a shared base fixpoint, and runs a check of output `s` on `s`'s
-//! fanin cone only. Its methods are [`CheckSession::verify`] (one check,
+//! per-circuit analysis once, on first use, seeds each check from a
+//! shared base fixpoint, and runs a check of output `s` on `s`'s fanin
+//! cone only. Each check passes through the four stages in order, and
+//! each stage's wall-clock and solver effort land in a [`PerStage`]
+//! record. Its methods are [`CheckSession::verify`] (one check,
 //! with the per-stage verdicts of the paper's Table 1),
 //! [`CheckSession::exact_delay`] (binary search for the exact
 //! floating-mode delay) and [`CheckSession::delay_profile`]. A
@@ -88,8 +90,8 @@ pub use batch::{available_jobs, BatchCheck, BatchError, BatchOutcome, BatchRunne
 pub use budget::{ArmedBudget, Budget, CancelToken, TripReason};
 pub use cdcl::CdclStats;
 pub use check::{
-    Completeness, DelayMode, DelaySearch, Engine, LearningMode, ProfilePoint, Stage, StageEffort,
-    StageTimes, Verdict, VerifyConfig, VerifyReport,
+    Completeness, DelayMode, DelaySearch, Engine, LearningMode, PerStage, ProfilePoint, Stage,
+    StageEffort, StageTimes, StageValue, Verdict, VerifyConfig, VerifyReport,
 };
 pub use domain::{Checkpoint, SignalStore};
 pub use error::{CheckError, Error};
@@ -97,7 +99,7 @@ pub use explain::{explain, Explanation};
 pub use fan::{fill_level, CaseConfig, CaseOutcome, CaseScope, CaseStats};
 pub use learning::ImplicationTable;
 pub use obs::{Obs, Recorder, Span, SpanStart};
-pub use prepared::{CheckSession, ConeAnalysis, PreparedCircuit};
+pub use prepared::{CheckSession, ConeAnalysis};
 pub use projection::{project, GateProjection};
 pub use solver::{FixpointResult, NarrowScope, Narrower, SolverStats};
 pub use stems::StemStats;

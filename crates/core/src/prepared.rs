@@ -1,4 +1,5 @@
-//! Per-circuit analysis cache and check sessions.
+//! Check sessions: one circuit, one configuration, and every analysis the
+//! checks share.
 //!
 //! Every stage of the pipeline leans on analyses that depend only on the
 //! circuit, not on the individual check `σ = (ξ, s, δ)`: the static
@@ -11,14 +12,13 @@
 //! deltas, `verify_all_outputs` visits every output, and the Table 1
 //! harness runs whole suites.
 //!
-//! [`PreparedCircuit`] computes each of these **once per circuit** (lazily,
+//! [`CheckSession`] computes each of these **once per circuit** (lazily,
 //! so ablated configurations — and the SAT engine, which reads none of
 //! them — pay nothing for stages they skip) and hands shared references to
-//! every check. [`CheckSession`] pairs a prepared circuit with one
-//! [`VerifyConfig`] and additionally caches the **base fixpoint** — the
-//! greatest fixpoint of the input-and-learning constraints *without* any δ
+//! every check. It also caches the **base fixpoint** — the greatest
+//! fixpoint of the input-and-learning constraints *without* any δ
 //! constraint — which every narrowing check of the session starts from.
-//! Both types are `Sync`: a batch executor
+//! The session is `Sync`: a batch executor
 //! ([`BatchRunner`](crate::BatchRunner)) can fan checks out across threads
 //! with no per-thread re-preparation, and because each check still runs on
 //! its own [`Narrower`], parallel results are identical to serial ones.
@@ -32,7 +32,6 @@ use crate::check::{
 use crate::domain::SignalStore;
 use crate::fan::{fill_level, CaseScope};
 use crate::learning::ImplicationTable;
-use crate::obs::Obs;
 use crate::scoap::{Controllability, Observability};
 use crate::solver::{FixpointResult, NarrowScope, Narrower};
 use ltt_netlist::{Circuit, ConeView, NetId};
@@ -40,14 +39,14 @@ use ltt_waveform::{Level, Signal, Time};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// How a prepared circuit holds its netlist.
+/// How a session holds its netlist.
 ///
 /// The classic, allocation-free form borrows the caller's circuit for the
 /// scope of a run. The shared form owns an [`Arc`], which is what a
 /// long-lived circuit registry (the serving layer) needs: the resulting
-/// `PreparedCircuit<'static>` / `CheckSession<'static>` can live in a cache
-/// and outlive any one request, and dropping the cache entry frees the
-/// circuit — no leaked `'static` borrows.
+/// `CheckSession<'static>` can live in a cache and outlive any one
+/// request, and dropping the cache entry frees the circuit — no leaked
+/// `'static` borrows.
 enum CircuitHandle<'c> {
     /// Borrowed for the scope `'c` (one-shot runs, tests, the CLI).
     Borrowed(&'c Circuit),
@@ -152,31 +151,53 @@ impl ConeAnalysis {
     }
 }
 
-/// All check-independent analyses of one circuit, computed at most once.
+/// One circuit + one configuration + every check-independent analysis:
+/// the entry point of every timing check, whichever [`Engine`] answers
+/// it.
 ///
-/// The fields are lazy ([`OnceLock`]), so a narrowing-only configuration
-/// never pays for SCOAP or the reconvergent-stem mask, and a SAT session
-/// never pays for the implication table, while a full pipeline computes
-/// each exactly once no matter how many checks run — serially or from many
-/// threads at once.
+/// The analyses are lazy ([`OnceLock`]), so a narrowing-only
+/// configuration never pays for SCOAP or the reconvergent-stem mask, and
+/// a SAT session never pays for the implication table or the base
+/// fixpoint, while a full pipeline computes each exactly once no matter
+/// how many checks run — serially or from many threads at once.
+///
+/// The check methods dispatch on the config's [`Engine`] (DESIGN.md §15):
+/// `Narrow` runs the staged pipeline, `Sat` the CNF/CDCL backend, and
+/// `Hybrid` the pipeline with a SAT fallback when its budget trips.
+///
+/// A narrowing check seeds a fresh [`Narrower`] from the cached base
+/// fixpoint (inputs + learning constants, no δ), applies the δ constraint
+/// (and any assumptions), and runs the staged pipeline. The greatest
+/// fixpoint of a constraint system is unique, so verdicts and witness
+/// vectors are identical to running each check from scratch — only the
+/// redundant re-propagation is gone.
+///
+/// A check of output `s` depends only on `s`'s transitive fanin cone, so
+/// it runs on that cone alone: a cached sub-session over the cone
+/// renumbered as a dense sub-circuit (DESIGN.md §14). When the cone is the
+/// whole circuit the check runs on the whole circuit directly.
+///
+/// `CheckSession` is `Sync`; [`BatchRunner`](crate::BatchRunner) shares one
+/// session across worker threads.
 ///
 /// # Examples
 ///
 /// ```
-/// use ltt_core::{LearningMode, PreparedCircuit};
+/// use ltt_core::{CheckSession, VerifyConfig};
 /// use ltt_netlist::generators::figure1;
 ///
 /// let c = figure1(10);
-/// let prepared = PreparedCircuit::new(&c, LearningMode::Stems);
+/// let session = CheckSession::new(&c, VerifyConfig::default());
 /// let s = c.outputs()[0];
-/// // Arrival times and the critical-path dominators are cached per output.
-/// assert_eq!(prepared.arrival_times()[s.index()], 70);
-/// assert!(!prepared.static_dominators(s).is_empty());
+/// assert!(session.verify(s, 61).verdict.is_no_violation());
+/// assert!(session.verify(s, 60).verdict.is_violation());
+/// // The exact-delay search reuses the same cached analyses per probe.
+/// assert_eq!(session.exact_delay(s).delay, 60);
 /// ```
-pub struct PreparedCircuit<'c> {
+pub struct CheckSession<'c> {
     circuit: CircuitHandle<'c>,
-    learning: LearningMode,
-    /// The static-learning table per `learning` (`None` when off).
+    config: VerifyConfig,
+    /// The static-learning table per `config.learning` (`None` when off).
     table: OnceLock<Option<Arc<ImplicationTable>>>,
     arrival: OnceLock<Vec<i64>>,
     controllability: OnceLock<Controllability>,
@@ -186,45 +207,54 @@ pub struct PreparedCircuit<'c> {
     /// Per-output cone analyses (`None` once computed = the cone covers
     /// the whole circuit, where a check runs on the whole circuit).
     cones: Vec<OnceLock<Option<Arc<ConeAnalysis>>>>,
-    /// Observability sink for the lazy per-circuit analyses. Disabled by
-    /// default; [`CheckSession::with_prepared`] installs the session
-    /// config's handle so the one-time derivations show up in traces.
-    obs: Obs,
+    /// The base-fixpoint store prototype: planes derived once, cloned (two
+    /// flat memcpys) into every per-check narrower.
+    base: OnceLock<SignalStore>,
+    /// Per-output cone-sliced sub-sessions: each wraps the cone's
+    /// renumbered sub-circuit with a base store sliced from the
+    /// whole-circuit base fixpoint, so a sliced check seeds with two
+    /// memcpys *sized to the cone*. `Arc` so an ECO rebase
+    /// can transplant untouched cone sessions wholesale.
+    cone_sessions: Vec<OnceLock<Arc<CheckSession<'static>>>>,
 }
 
-impl<'c> PreparedCircuit<'c> {
-    /// Prepares a circuit whose implication table is learned per
-    /// `learning` on first use.
-    pub fn new(circuit: &'c Circuit, learning: LearningMode) -> Self {
-        Self::from_handle(CircuitHandle::Borrowed(circuit), learning)
+impl<'c> CheckSession<'c> {
+    /// Opens a session. Every analysis — the implication table per the
+    /// config's learning mode, and the base fixpoint — is computed lazily,
+    /// on first use.
+    pub fn new(circuit: &'c Circuit, config: VerifyConfig) -> Self {
+        Self::open(CircuitHandle::Borrowed(circuit), config)
     }
 
-    /// [`PreparedCircuit::new`] with shared ownership: the prepared circuit
-    /// owns (a reference count on) its netlist, so it needs no enclosing
-    /// borrow scope. This is the registry hook — a circuit cache stores
-    /// `PreparedCircuit<'static>` entries and each entry's analyses are
-    /// computed once, shared by every request that names the circuit.
-    pub fn new_shared(circuit: Arc<Circuit>, learning: LearningMode) -> PreparedCircuit<'static> {
-        PreparedCircuit::from_handle(CircuitHandle::Shared(circuit), learning)
+    /// [`CheckSession::new`] with shared ownership of the circuit: the
+    /// session carries its own reference count, so it can live in a
+    /// long-lived registry (`CheckSession<'static>`) and be dropped freely.
+    pub fn new_shared(circuit: Arc<Circuit>, config: VerifyConfig) -> CheckSession<'static> {
+        CheckSession::open(CircuitHandle::Shared(circuit), config)
     }
 
-    fn from_handle(circuit: CircuitHandle<'c>, learning: LearningMode) -> Self {
-        let num_outputs = circuit.get().outputs().len();
-        PreparedCircuit {
-            circuit,
-            learning,
+    fn open(circuit: CircuitHandle<'c>, config: VerifyConfig) -> Self {
+        fn per_output<T>(circuit: &CircuitHandle) -> Vec<OnceLock<T>> {
+            (0..circuit.get().outputs().len())
+                .map(|_| OnceLock::new())
+                .collect()
+        }
+        CheckSession {
             table: OnceLock::new(),
             arrival: OnceLock::new(),
             controllability: OnceLock::new(),
             observability: OnceLock::new(),
             stem_mask: OnceLock::new(),
-            per_output: (0..num_outputs).map(|_| OnceLock::new()).collect(),
-            cones: (0..num_outputs).map(|_| OnceLock::new()).collect(),
-            obs: Obs::disabled(),
+            per_output: per_output(&circuit),
+            cones: per_output(&circuit),
+            base: OnceLock::new(),
+            cone_sessions: per_output(&circuit),
+            circuit,
+            config,
         }
     }
 
-    /// The underlying circuit.
+    /// The circuit under check.
     pub fn circuit(&self) -> &Circuit {
         self.circuit.get()
     }
@@ -234,13 +264,14 @@ impl<'c> PreparedCircuit<'c> {
     pub fn implication_table(&self) -> Option<&Arc<ImplicationTable>> {
         self.table
             .get_or_init(|| {
-                let span = self.obs.start();
-                let table = match self.learning {
+                let span = self.config.obs.start();
+                let table = match self.config.learning {
                     LearningMode::Off => None,
                     LearningMode::Stems => Some(ImplicationTable::learn_stems(self.circuit())),
                     LearningMode::All => Some(ImplicationTable::learn(self.circuit())),
                 };
-                self.obs
+                self.config
+                    .obs
                     .span("prepare.static_learning", "prepare", span, &[]);
                 table.map(Arc::new)
             })
@@ -290,6 +321,20 @@ impl<'c> PreparedCircuit<'c> {
     /// # Panics
     ///
     /// Panics if `output` is not a primary output.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ltt_core::{CheckSession, VerifyConfig};
+    /// use ltt_netlist::generators::figure1;
+    ///
+    /// let c = figure1(10);
+    /// let session = CheckSession::new(&c, VerifyConfig::default());
+    /// let s = c.outputs()[0];
+    /// // Arrival times and the critical-path dominators are cached per output.
+    /// assert_eq!(session.arrival_times()[s.index()], 70);
+    /// assert!(!session.static_dominators(s).is_empty());
+    /// ```
     pub fn static_dominators(&self, output: NetId) -> &[NetId] {
         &self.output_analysis(output).dominators
     }
@@ -304,9 +349,9 @@ impl<'c> PreparedCircuit<'c> {
             .get_or_init(|| {
                 // Learn first, so the span below times the cone alone.
                 let table = self.implication_table();
-                let span = self.obs.start();
+                let span = self.config.obs.start();
                 let ca = ConeAnalysis::build(self.circuit(), output, table);
-                self.obs.span(
+                self.config.obs.span(
                     "prepare.cone",
                     "prepare",
                     span,
@@ -335,7 +380,7 @@ impl<'c> PreparedCircuit<'c> {
             .position(|&o| o == output)
             .expect("per-output analyses exist for primary outputs only");
         self.per_output[pos].get_or_init(|| {
-            let span = self.obs.start();
+            let span = self.config.obs.start();
             let distances = self.circuit().longest_to(output);
             let arrival = self.arrival_times();
             let delta = arrival[output.index()];
@@ -348,7 +393,7 @@ impl<'c> PreparedCircuit<'c> {
                 })
                 .collect();
             let dominators = crate::carriers::timing_dominators(self.circuit(), &carriers, output);
-            self.obs.span(
+            self.config.obs.span(
                 "prepare.dominators",
                 "prepare",
                 span,
@@ -366,103 +411,10 @@ impl<'c> PreparedCircuit<'c> {
             }
         })
     }
-}
-
-/// One circuit + one configuration + the shared base fixpoint: the entry
-/// point of every timing check, whichever [`Engine`] answers it.
-///
-/// The check methods dispatch on the config's [`Engine`] (DESIGN.md §15):
-/// `Narrow` runs the staged pipeline, `Sat` the CNF/CDCL backend, and
-/// `Hybrid` the pipeline with a SAT fallback when its budget trips.
-///
-/// A narrowing check seeds a fresh [`Narrower`] from the cached base
-/// fixpoint (inputs + learning constants, no δ), applies the δ constraint
-/// (and any assumptions), and runs the staged pipeline. The greatest
-/// fixpoint of a constraint system is unique, so verdicts and witness
-/// vectors are identical to running each check from scratch — only the
-/// redundant re-propagation is gone.
-///
-/// A check of output `s` depends only on `s`'s transitive fanin cone, so
-/// it runs on that cone alone: a cached sub-session over the cone
-/// renumbered as a dense sub-circuit (DESIGN.md §14). When the cone is the
-/// whole circuit the check runs on the whole circuit directly.
-///
-/// `CheckSession` is `Sync`; [`BatchRunner`](crate::BatchRunner) shares one
-/// session across worker threads.
-///
-/// # Examples
-///
-/// ```
-/// use ltt_core::{CheckSession, VerifyConfig};
-/// use ltt_netlist::generators::figure1;
-///
-/// let c = figure1(10);
-/// let session = CheckSession::new(&c, VerifyConfig::default());
-/// let s = c.outputs()[0];
-/// assert!(session.verify(s, 61).verdict.is_no_violation());
-/// assert!(session.verify(s, 60).verdict.is_violation());
-/// // The exact-delay search reuses the same cached analyses per probe.
-/// assert_eq!(session.exact_delay(s).delay, 60);
-/// ```
-pub struct CheckSession<'c> {
-    prepared: PreparedCircuit<'c>,
-    config: VerifyConfig,
-    /// The base-fixpoint store prototype: planes derived once, cloned (two
-    /// flat memcpys) into every per-check narrower.
-    base: OnceLock<SignalStore>,
-    /// Per-output cone-sliced sub-sessions: each wraps the cone's
-    /// renumbered sub-circuit with a base store sliced from the
-    /// whole-circuit base fixpoint, so a sliced check seeds with two
-    /// memcpys *sized to the cone*. `Arc` so an ECO rebase
-    /// can transplant untouched cone sessions wholesale.
-    cone_sessions: Vec<OnceLock<Arc<CheckSession<'static>>>>,
-}
-
-impl<'c> CheckSession<'c> {
-    /// Opens a session: prepares the circuit per the config's learning
-    /// mode. The implication table and the base fixpoint are computed
-    /// lazily, on the first narrowing check.
-    pub fn new(circuit: &'c Circuit, config: VerifyConfig) -> Self {
-        let prepared = PreparedCircuit::new(circuit, config.learning);
-        Self::with_prepared(prepared, config)
-    }
-
-    /// [`CheckSession::new`] with shared ownership of the circuit: the
-    /// session carries its own reference count, so it can live in a
-    /// long-lived registry (`CheckSession<'static>`) and be dropped freely.
-    pub fn new_shared(circuit: Arc<Circuit>, config: VerifyConfig) -> CheckSession<'static> {
-        let prepared = PreparedCircuit::new_shared(circuit, config.learning);
-        CheckSession::with_prepared(prepared, config)
-    }
-
-    /// Opens a session around an existing [`PreparedCircuit`] (whose table,
-    /// not `config.learning`, decides what learning applies). The config's
-    /// observability handle is installed on the prepared circuit so its
-    /// lazy one-time derivations show up in traces too.
-    pub fn with_prepared(mut prepared: PreparedCircuit<'c>, config: VerifyConfig) -> Self {
-        prepared.obs = config.obs.clone();
-        let num_outputs = prepared.circuit().outputs().len();
-        CheckSession {
-            prepared,
-            config,
-            base: OnceLock::new(),
-            cone_sessions: (0..num_outputs).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// The shared per-circuit analyses.
-    pub fn prepared(&self) -> &PreparedCircuit<'c> {
-        &self.prepared
-    }
 
     /// The session's pipeline configuration.
     pub fn config(&self) -> &VerifyConfig {
         &self.config
-    }
-
-    /// The circuit under check.
-    pub fn circuit(&self) -> &Circuit {
-        self.prepared.circuit()
     }
 
     /// Forces the base fixpoint now (it is otherwise computed on the first
@@ -522,30 +474,26 @@ impl<'c> CheckSession<'c> {
             (self.circuit().num_nets(), self.circuit().num_gates()),
             "rebase requires an edited revision of the same circuit"
         );
-        let mut prepared =
-            PreparedCircuit::from_handle(CircuitHandle::Shared(circuit), self.prepared.learning);
-        if !structural {
-            prepared.table = self.prepared.table.clone();
-            prepared.controllability = self.prepared.controllability.clone();
-            prepared.observability = self.prepared.observability.clone();
-            prepared.stem_mask = self.prepared.stem_mask.clone();
-        }
-        let session = CheckSession::with_prepared(prepared, self.config.clone());
+        let mut session = CheckSession::open(CircuitHandle::Shared(circuit), self.config.clone());
         if structural {
             return session;
         }
+        session.table = self.table.clone();
+        session.controllability = self.controllability.clone();
+        session.observability = self.observability.clone();
+        session.stem_mask = self.stem_mask.clone();
         // Per-output transplants need the base divergence, which forces
         // both base fixpoints — work the new session's first narrowing
         // check pays anyway. Without a cached cone there is nothing to
         // transplant, so a session that never narrowed forces neither.
         let mut stale: Option<Vec<NetId>> = None;
-        for pos in 0..self.prepared.cones.len() {
-            let ca = match self.prepared.cones[pos].get() {
+        for pos in 0..self.cones.len() {
+            let ca = match self.cones[pos].get() {
                 None => continue,
                 Some(None) => {
                     // "Cone covers the whole circuit" is a connectivity
                     // fact; it survives any delay-only edit.
-                    let _ = session.prepared.cones[pos].set(None);
+                    let _ = session.cones[pos].set(None);
                     continue;
                 }
                 Some(Some(ca)) => ca,
@@ -558,9 +506,9 @@ impl<'c> CheckSession<'c> {
             if ca.intersects(stale) {
                 continue;
             }
-            let _ = session.prepared.cones[pos].set(Some(ca.clone()));
-            if let Some(oa) = self.prepared.per_output[pos].get() {
-                let _ = session.prepared.per_output[pos].set(oa.clone());
+            let _ = session.cones[pos].set(Some(ca.clone()));
+            if let Some(oa) = self.per_output[pos].get() {
+                let _ = session.per_output[pos].set(oa.clone());
             }
             if let Some(sub) = self.cone_sessions[pos].get() {
                 let _ = session.cone_sessions[pos].set(sub.clone());
@@ -596,9 +544,9 @@ impl<'c> CheckSession<'c> {
     /// A narrower carrying the input-mode and learning-constant
     /// constraints, not yet propagated.
     fn fresh_narrower(&self) -> Narrower<'_> {
-        let circuit = self.prepared.circuit();
+        let circuit = self.circuit();
         let mut nw = Narrower::new(circuit);
-        if let Some(table) = self.prepared.implication_table() {
+        if let Some(table) = self.implication_table() {
             for &(net, level) in table.constants() {
                 let restriction = nw.domain(net).restrict_to_class(level);
                 nw.narrow_net(net, restriction);
@@ -619,7 +567,7 @@ impl<'c> CheckSession<'c> {
     fn base_store(&self) -> &SignalStore {
         self.base.get_or_init(|| {
             // Learn first, so the span below times the fixpoint alone.
-            let _ = self.prepared.implication_table();
+            let _ = self.implication_table();
             let span = self.config.obs.start();
             let mut nw = self.fresh_narrower();
             nw.reach_fixpoint();
@@ -642,8 +590,8 @@ impl<'c> CheckSession<'c> {
 
     /// A narrower seeded at the session's base fixpoint (computed once).
     fn narrower_at_base(&self) -> Narrower<'_> {
-        let mut nw = Narrower::from_store(self.prepared.circuit(), self.base_store().clone());
-        if let Some(table) = self.prepared.implication_table() {
+        let mut nw = Narrower::from_store(self.circuit(), self.base_store().clone());
+        if let Some(table) = self.implication_table() {
             nw.set_implications(table.clone());
         }
         nw
@@ -687,7 +635,7 @@ impl<'c> CheckSession<'c> {
             let restriction = nw.domain(net).restrict_to_class(level);
             nw.narrow_net(net, restriction);
         }
-        run_pipeline(&mut nw, &self.prepared, output, delta, config, start, None)
+        run_pipeline(&mut nw, self, output, delta, config, start, None)
     }
 
     /// The cone a check may run in, if any. Cone-scoped runs require:
@@ -703,7 +651,7 @@ impl<'c> CheckSession<'c> {
         assumptions: &[(NetId, Level)],
     ) -> Option<(usize, &Arc<ConeAnalysis>)> {
         let pos = self.circuit().outputs().iter().position(|&o| o == output)?;
-        let ca = self.prepared.cone(output)?;
+        let ca = self.cone(output)?;
         if !assumptions.iter().all(|&(n, _)| ca.view.contains_net(n)) {
             return None;
         }
@@ -738,15 +686,7 @@ impl<'c> CheckSession<'c> {
             stem_candidates: &ca.stem_candidates,
             case: &ca.case,
         };
-        run_pipeline(
-            &mut nw,
-            &self.prepared,
-            output,
-            delta,
-            config,
-            start,
-            Some(&scope),
-        )
+        run_pipeline(&mut nw, self, output, delta, config, start, Some(&scope))
     }
 
     /// The sliced cone run: delegates to the output's cached sub-session,
@@ -786,19 +726,18 @@ impl<'c> CheckSession<'c> {
     fn cone_session(&self, pos: usize, ca: &Arc<ConeAnalysis>) -> &Arc<CheckSession<'static>> {
         self.cone_sessions[pos].get_or_init(|| {
             let view = ca.view();
-            let prepared = PreparedCircuit::from_handle(
+            let session = CheckSession::open(
                 CircuitHandle::Shared(view.circuit().clone()),
-                self.prepared.learning,
+                self.config.clone(),
             );
-            let _ = prepared.table.set(ca.table.clone());
+            let _ = session.table.set(ca.table.clone());
             // The cone's stem mask was computed on this very sub-circuit.
-            let _ = prepared.stem_mask.set(
+            let _ = session.stem_mask.set(
                 view.nets()
                     .iter()
                     .map(|old| ca.stem_candidates[old.index()])
                     .collect(),
             );
-            let session = CheckSession::with_prepared(prepared, self.config.clone());
             // Seed the sub base by slicing the whole base fixpoint — NOT by
             // re-running narrowing on the sub-circuit, which would lose the
             // backward pressure out-of-cone learning constants exert on
@@ -971,7 +910,7 @@ impl<'c> CheckSession<'c> {
                 ..self.config.clone()
             }
         };
-        let top = self.prepared.arrival_times()[output.index()];
+        let top = self.arrival_times()[output.index()];
         let mut lo = 0i64; // delay ≥ 0 always (inputs settle at 0)
         let mut hi = top + 1; // check at top+1 must fail
         let mut vector = None;
@@ -1028,7 +967,7 @@ impl<'c> CheckSession<'c> {
             // budget's wall clock (at least one sample always runs, so the
             // bound stays valid even on an expired deadline).
             let sampled = ltt_sta::sampled_floating_delay_until(
-                self.prepared.circuit(),
+                self.circuit(),
                 output,
                 2_000,
                 0x5EED,
@@ -1161,8 +1100,7 @@ mod tests {
     fn assert_sync<T: Sync>() {}
 
     #[test]
-    fn prepared_and_session_are_sync() {
-        assert_sync::<PreparedCircuit<'static>>();
+    fn session_is_sync() {
         assert_sync::<CheckSession<'static>>();
     }
 
@@ -1191,21 +1129,21 @@ mod tests {
     #[test]
     fn analyses_are_shared_not_recomputed() {
         let c = figure1(10);
-        let prepared = PreparedCircuit::new(&c, LearningMode::Stems);
+        let session = CheckSession::new(&c, VerifyConfig::default());
         // Pointer identity across calls: the lazy caches hand out the same
         // allocation every time.
         assert!(std::ptr::eq(
-            prepared.controllability(),
-            prepared.controllability()
+            session.controllability(),
+            session.controllability()
         ));
         assert!(std::ptr::eq(
-            prepared.stem_candidates().as_ptr(),
-            prepared.stem_candidates().as_ptr()
+            session.stem_candidates().as_ptr(),
+            session.stem_candidates().as_ptr()
         ));
         let s = c.outputs()[0];
         assert!(std::ptr::eq(
-            prepared.distances_to(s).as_ptr(),
-            prepared.distances_to(s).as_ptr()
+            session.distances_to(s).as_ptr(),
+            session.distances_to(s).as_ptr()
         ));
     }
 
@@ -1213,8 +1151,12 @@ mod tests {
     fn static_dominators_cover_the_critical_chain() {
         let c = figure1(10);
         let s = c.outputs()[0];
-        let prepared = PreparedCircuit::new(&c, LearningMode::Off);
-        let names: Vec<&str> = prepared
+        let config = VerifyConfig {
+            learning: LearningMode::Off,
+            ..Default::default()
+        };
+        let session = CheckSession::new(&c, config);
+        let names: Vec<&str> = session
             .static_dominators(s)
             .iter()
             .map(|&n| c.net(n).name())

@@ -40,7 +40,7 @@ pub struct StemStats {
 /// `mask[n.index()]` must say whether net `n` is a reconvergent fanout
 /// stem: [`Circuit::reconvergent_stems`](ltt_netlist::Circuit::reconvergent_stems),
 /// cached per circuit as
-/// [`PreparedCircuit::stem_candidates`](crate::PreparedCircuit::stem_candidates).
+/// [`CheckSession::stem_candidates`](crate::CheckSession::stem_candidates).
 ///
 /// # Panics
 ///

@@ -66,7 +66,7 @@ fn check_all_modes(c: &Circuit) {
     let masked = CheckSession::new(c, VerifyConfig::default());
     let legacy = CheckSession::new(c, VerifyConfig::default());
     for &s in c.outputs() {
-        let top = legacy.prepared().arrival_times()[s.index()];
+        let top = legacy.arrival_times()[s.index()];
         for delta in probe_deltas(top) {
             let rs = sliced.verify(s, delta);
             let rm = masked.verify_masked_reference(s, delta);
@@ -131,7 +131,7 @@ fn batch_reports_identical_at_any_job_count() {
         .outputs()
         .iter()
         .flat_map(|&s| {
-            let top = session.prepared().arrival_times()[s.index()];
+            let top = session.arrival_times()[s.index()];
             probe_deltas(top).into_iter().map(move |d| (s, d))
         })
         .collect();
@@ -171,7 +171,7 @@ fn rebase_matches_cold_session() {
         let old = CheckSession::new(&c, VerifyConfig::default());
         // Warm the old session so the rebase has analyses to transplant.
         for &s in c.outputs() {
-            let top = old.prepared().arrival_times()[s.index()];
+            let top = old.arrival_times()[s.index()];
             let _ = old.verify(s, top);
         }
         let (edited, dirty, structural) = bump_one_delay(&c);
@@ -179,7 +179,7 @@ fn rebase_matches_cold_session() {
         let rebased = old.rebase(edited.clone(), &dirty, structural);
         let cold = CheckSession::new_shared(edited, VerifyConfig::default());
         for &s in c.outputs() {
-            let top = cold.prepared().arrival_times()[s.index()];
+            let top = cold.arrival_times()[s.index()];
             for delta in probe_deltas(top) {
                 let a = rebased.verify(s, delta);
                 let b = cold.verify(s, delta);
@@ -213,7 +213,7 @@ fn structural_rebase_matches_cold_session() {
     let rebased = old.rebase(edited.clone(), &outcome.dirty, outcome.structural);
     let cold = CheckSession::new_shared(edited, VerifyConfig::default());
     for &s in c.outputs() {
-        let top = cold.prepared().arrival_times()[s.index()];
+        let top = cold.arrival_times()[s.index()];
         for delta in probe_deltas(top) {
             let a = rebased.verify(s, delta);
             let b = cold.verify(s, delta);
@@ -235,14 +235,14 @@ proptest! {
         let c = random_dag(seed);
         let old = CheckSession::new(&c, VerifyConfig::default());
         for &s in c.outputs() {
-            let top = old.prepared().arrival_times()[s.index()];
+            let top = old.arrival_times()[s.index()];
             let _ = old.verify(s, top);
         }
         let (edited, dirty, structural) = bump_one_delay(&c);
         let rebased = old.rebase(edited.clone(), &dirty, structural);
         let cold = CheckSession::new_shared(edited, VerifyConfig::default());
         for &s in c.outputs() {
-            let top = cold.prepared().arrival_times()[s.index()];
+            let top = cold.arrival_times()[s.index()];
             for delta in probe_deltas(top) {
                 let a = rebased.verify(s, delta);
                 let b = cold.verify(s, delta);

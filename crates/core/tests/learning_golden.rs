@@ -15,7 +15,7 @@
 //! cargo test --release -p ltt-core --test learning_golden -- --ignored
 //! ```
 
-use ltt_core::{ImplicationTable, LearningMode, PreparedCircuit};
+use ltt_core::{CheckSession, ImplicationTable, LearningMode, VerifyConfig};
 use ltt_netlist::suite::iscas85_suite;
 use ltt_netlist::Circuit;
 use ltt_waveform::Level;
@@ -74,7 +74,13 @@ fn golden_line(name: &str, circuit: &Circuit) -> String {
         constants.word(v.index());
     }
 
-    let prepared = PreparedCircuit::new(circuit, LearningMode::Off);
+    let prepared = CheckSession::new(
+        circuit,
+        VerifyConfig {
+            learning: LearningMode::Off,
+            ..Default::default()
+        },
+    );
     let mut stems = Fnv::new();
     let num_stems = stems.mask(prepared.stem_candidates());
     let mut cones = Fnv::new();

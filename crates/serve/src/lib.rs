@@ -5,7 +5,7 @@
 //! A serving workload inverts the ratio: the circuit is uploaded **once**
 //! and then queried thousands of times, so the expensive part
 //! (implication tables, SCOAP, arrival times, dominators, the base
-//! fixpoint — everything [`ltt_core::PreparedCircuit`] caches) should be
+//! fixpoint — everything a [`ltt_core::CheckSession`] caches) should be
 //! paid once per circuit, not once per request.
 //!
 //! The service is a std-only TCP daemon speaking a **newline-delimited

@@ -33,7 +33,7 @@
 
 use crate::wire::Json;
 use ltt_core::{
-    BatchCheck, BatchOutcome, Completeness, DelaySearch, Engine, Stage, Verdict, VerifyReport,
+    BatchCheck, BatchOutcome, Completeness, DelaySearch, Engine, Verdict, VerifyReport,
 };
 
 /// Machine-readable failure classes of the protocol.
@@ -580,16 +580,6 @@ pub fn vector_bits(vector: &[bool]) -> String {
     vector.iter().map(|&b| if b { '1' } else { '0' }).collect()
 }
 
-fn stage_str(stage: Stage) -> &'static str {
-    match stage {
-        Stage::Narrowing => "narrowing",
-        Stage::Dominators => "dominators",
-        Stage::StemCorrelation => "stem_correlation",
-        Stage::CaseAnalysis => "case_analysis",
-        Stage::Sat => "sat",
-    }
-}
-
 /// Serializes one check report. The verdict spelling matches Table 1's
 /// vocabulary: `"no_violation"` (N), `"violation"` (V), `"possible"` (P),
 /// `"abandoned"` (A).
@@ -601,7 +591,7 @@ pub fn report_json(report: &VerifyReport, output_name: &str) -> Json {
     match &report.verdict {
         Verdict::NoViolation { stage } => {
             fields.push(("verdict", Json::str("no_violation")));
-            fields.push(("stage", Json::str(stage_str(*stage))));
+            fields.push(("stage", Json::str(stage.name())));
         }
         Verdict::Violation { vector } => {
             fields.push(("verdict", Json::str("violation")));
@@ -614,7 +604,7 @@ pub fn report_json(report: &VerifyReport, output_name: &str) -> Json {
         Completeness::Exact => fields.push(("exact", Json::Bool(true))),
         Completeness::BudgetExhausted { stage, reason } => {
             fields.push(("exact", Json::Bool(false)));
-            fields.push(("tripped_stage", Json::str(stage_str(*stage))));
+            fields.push(("tripped_stage", Json::str(stage.name())));
             fields.push((
                 "trip_reason",
                 Json::str(format!("{reason:?}").to_lowercase()),

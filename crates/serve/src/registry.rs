@@ -367,7 +367,7 @@ impl CircuitRegistry {
                 .outputs()
                 .iter()
                 .copied()
-                .filter(|&s| match parent.session.prepared().cone(s) {
+                .filter(|&s| match parent.session.cone(s) {
                     Some(ca) => !ca.intersects(&stale),
                     None => stale.is_empty(),
                 })

@@ -192,7 +192,7 @@ struct RegCache {
 
 impl RegCache {
     fn insert(&mut self, id: String, entry: RegEntry, cap: usize) {
-        self.insert_full(id, entry, Some(true), cap);
+        self.insert_full(id, entry, true, cap);
     }
 
     /// Records a patched revision derived from `parent_id`: same netlist
@@ -217,12 +217,12 @@ impl RegCache {
         if let Some(name) = alias_name {
             child.name = name.to_string();
         }
-        self.insert_full(child_id, child, alias_name.map(|_| true), cap);
+        self.insert_full(child_id, child, alias_name.is_some(), cap);
     }
 
     /// The shared insert: `alias` says whether to bind the entry's name
-    /// as an alias (`None`/`Some(false)` leaves existing bindings alone).
-    fn insert_full(&mut self, id: String, entry: RegEntry, alias: Option<bool>, cap: usize) {
+    /// as an alias (`false` leaves existing bindings alone).
+    fn insert_full(&mut self, id: String, entry: RegEntry, alias: bool, cap: usize) {
         if !self.by_id.contains_key(&id) {
             self.order.push_back(id.clone());
             while self.order.len() > cap.max(1) {
@@ -232,7 +232,7 @@ impl RegCache {
                 }
             }
         }
-        if alias == Some(true) {
+        if alias {
             self.alias.insert(entry.name.clone(), id.clone());
         }
         self.by_id.insert(id, Arc::new(entry));
@@ -750,7 +750,7 @@ impl Tier for Fleet {
     /// The router's own families: its forwarding counters plus one labeled
     /// series per backend for health, breaker state, transport totals, and
     /// rpc latency.
-    fn metrics(svc: &Service<Self>, snap: &Snapshot, body: &mut String) {
+    fn metrics(svc: &Service<Self>, body: &mut String) {
         let fleet = &svc.tier;
         let c = &fleet.counters;
         for (name, kind, help, value) in [
@@ -773,12 +773,6 @@ impl Tier for Fleet {
                 c.unavailable_total.load(Ordering::Relaxed),
             ),
             (
-                "ltt_router_shed_total",
-                "counter",
-                "requests shed at the router's own admission queue",
-                snap.overloaded,
-            ),
-            (
                 "ltt_router_retries_total",
                 "counter",
                 "forwarding attempts after the first (other candidates or rounds)",
@@ -795,18 +789,6 @@ impl Tier for Fleet {
                 "counter",
                 "unknown_circuit failovers repaired from the registration cache",
                 c.reregister_total.load(Ordering::Relaxed),
-            ),
-            (
-                "ltt_router_too_large_total",
-                "counter",
-                "request lines refused for exceeding the line-length cap",
-                snap.too_large,
-            ),
-            (
-                "ltt_router_bad_request_total",
-                "counter",
-                "request lines that failed to parse",
-                snap.bad_request,
             ),
         ] {
             render_sample(body, name, kind, help, value);

@@ -191,7 +191,7 @@ impl Tier for Daemon {
         ));
     }
 
-    fn metrics(svc: &Service<Self>, snap: &Snapshot, body: &mut String) {
+    fn metrics(svc: &Service<Self>, body: &mut String) {
         use crate::metrics::{render_gauge_f64, render_sample};
         let registry = svc.tier.registry.stats();
         for (name, kind, help, value) in [
@@ -200,12 +200,6 @@ impl Tier for Daemon {
                 "counter",
                 "checks cut short by a deadline, backtrack cap, or cancellation",
                 svc.tier.budget_tripped.load(Ordering::Relaxed),
-            ),
-            (
-                "ltt_requests_too_large_total",
-                "counter",
-                "request lines refused for exceeding the line-length cap",
-                snap.too_large,
             ),
             (
                 "ltt_registry_entries",

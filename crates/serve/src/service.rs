@@ -79,7 +79,7 @@ pub(crate) trait Tier: Send + Sync + Sized + 'static {
     );
 
     /// Appends the tier's own families to a `metrics` body.
-    fn metrics(svc: &Service<Self>, snap: &Snapshot, body: &mut String);
+    fn metrics(svc: &Service<Self>, body: &mut String);
 }
 
 /// Monotonic counters exposed by `status` and `metrics`.
@@ -603,6 +603,18 @@ impl<T: Tier> Service<T> {
                 snap.overloaded,
             ),
             (
+                "requests_too_large_total",
+                "counter",
+                "request lines refused for exceeding the line-length cap",
+                snap.too_large,
+            ),
+            (
+                "requests_bad_request_total",
+                "counter",
+                "request lines that failed to parse",
+                snap.bad_request,
+            ),
+            (
                 "requests_in_flight",
                 "gauge",
                 "jobs currently executing on workers",
@@ -646,7 +658,7 @@ impl<T: Tier> Service<T> {
             &format!("{p}_request_duration_seconds"),
             "latency from dequeue to reply of finished jobs",
         );
-        T::metrics(self, &snap, &mut body);
+        T::metrics(self, &mut body);
         ok_response(
             "metrics",
             id,

@@ -133,6 +133,7 @@ const DAEMON_METRICS: &[&str] = &[
     "ltt_requests_shed_total",
     "ltt_requests_budget_tripped_total",
     "ltt_requests_too_large_total",
+    "ltt_requests_bad_request_total",
     "ltt_requests_in_flight",
     "ltt_queue_depth",
     "ltt_queue_capacity",
@@ -183,12 +184,12 @@ const ROUTER_METRICS: &[&str] = &[
     "ltt_router_requests_total",
     "ltt_router_forwarded_total",
     "ltt_router_unavailable_total",
-    "ltt_router_shed_total",
+    "ltt_router_requests_shed_total",
     "ltt_router_retries_total",
     "ltt_router_failovers_total",
     "ltt_router_reregister_total",
-    "ltt_router_too_large_total",
-    "ltt_router_bad_request_total",
+    "ltt_router_requests_too_large_total",
+    "ltt_router_requests_bad_request_total",
     "ltt_router_queue_depth",
     "ltt_backend_healthy",
     "ltt_backend_breaker_state",
