@@ -1,5 +1,6 @@
 //! Golden span surface: every span one traced serial session records for
-//! a check that settles at each stage of the Fig. 4 pipeline, plus one
+//! a check that settles at each stage of the Fig. 4 pipeline, one check
+//! the base fixpoint refutes before any cone is built, and one
 //! backtrack-capped trip. Each line pins a span's name, category and
 //! `(key, value)` arguments in recording order; start time, duration and
 //! thread id are dropped. The `prepare.*` spans are included: trace
@@ -52,6 +53,7 @@ fn transcript() -> String {
     let s = fig1.outputs()[0];
     traced(&mut out, "figure1 61", &fig1, s, 61, default_cap);
     traced(&mut out, "figure1 60", &fig1, s, 60, default_cap);
+    traced(&mut out, "figure1 71", &fig1, s, 71, default_cap);
     let forked = forked_false_path_chain(10, 4, 10);
     let s = forked.outputs()[0];
     traced(&mut out, "forked 121", &forked, s, 121, default_cap);
