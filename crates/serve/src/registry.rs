@@ -18,7 +18,7 @@ use ltt_core::{CheckSession, Completeness, Engine, VerifyConfig, VerifyReport};
 use ltt_netlist::bench_format::parse_bench;
 use ltt_netlist::verilog::parse_verilog;
 use ltt_netlist::{Circuit, CircuitEdit, DelayInterval, NetId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -357,22 +357,29 @@ impl CircuitRegistry {
         // cannot influence: delay-only edit, non-degenerate parent base,
         // and a proper fanin cone disjoint from `dirty ∪ base_divergence`
         // (DESIGN.md §14). Such outputs re-verify bit-identically, so the
-        // parent's answer *is* the patched circuit's answer.
+        // parent's answer *is* the patched circuit's answer. Cleanness is
+        // decided only for outputs with a cached report, so no cone is
+        // built for an output without one.
         let mut results = HashMap::new();
         if !outcome.structural && !parent.session.base_contradictory() {
-            let mut stale = outcome.dirty.clone();
-            stale.extend(parent.session.base_divergence(&session));
-            let clean: Vec<NetId> = parent
-                .circuit
-                .outputs()
-                .iter()
-                .copied()
-                .filter(|&s| match parent.session.cone(s) {
-                    Some(ca) => !ca.intersects(&stale),
-                    None => stale.is_empty(),
-                })
-                .collect();
-            if !clean.is_empty() {
+            let cached: HashSet<NetId> = {
+                let parent_cache = parent.results.lock().expect("result cache lock poisoned");
+                parent_cache.keys().map(|&(out, _, _)| out).collect()
+            };
+            if !cached.is_empty() {
+                let mut stale = outcome.dirty.clone();
+                stale.extend(parent.session.base_divergence(&session));
+                let clean: HashSet<NetId> = parent
+                    .circuit
+                    .outputs()
+                    .iter()
+                    .copied()
+                    .filter(|s| cached.contains(s))
+                    .filter(|&s| match parent.session.cone(s) {
+                        Some(ca) => !ca.intersects(&stale),
+                        None => stale.is_empty(),
+                    })
+                    .collect();
                 let parent_cache = parent.results.lock().expect("result cache lock poisoned");
                 for (&(out, delta, engine), report) in parent_cache.iter() {
                     if clean.contains(&out) {
