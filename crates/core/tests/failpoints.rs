@@ -9,7 +9,8 @@
 
 use ltt_core::failpoint::{clear_all, set, FailAction};
 use ltt_core::{
-    BatchOutcome, BatchRunner, CheckError, CheckSession, Verdict, VerifyConfig, VerifyReport,
+    BatchOutcome, BatchRunner, CheckError, CheckSession, SolverStats, Stage, Verdict, VerifyConfig,
+    VerifyReport,
 };
 use ltt_netlist::generators::{random_circuit, RandomCircuitConfig};
 use ltt_netlist::NetId;
@@ -93,6 +94,52 @@ fn panicking_check_is_isolated_and_the_rest_is_bit_identical() {
         assert_eq!(batch.reports.len(), baseline.reports.len(), "jobs={jobs}");
         for (got, want) in batch.reports.iter().zip(&baseline.reports) {
             assert_eq!(fingerprint(got), fingerprint(want), "jobs={jobs}");
+        }
+    }
+    clear_all();
+}
+
+#[test]
+fn panic_on_a_base_refuted_check_fails_only_its_slot() {
+    let _g = registry_lock();
+    clear_all();
+    let c = multi_output_circuit();
+    let session = CheckSession::new(&c, VerifyConfig::default());
+    // Past its arrival time every output is refuted by the base fixpoint
+    // alone, before any cone or narrower is built.
+    let arrival = c.arrival_times();
+    let checks: Vec<(NetId, i64)> = c
+        .outputs()
+        .iter()
+        .map(|&o| (o, arrival[o.index()] + 1))
+        .collect();
+    let refuted = Verdict::NoViolation {
+        stage: Stage::Narrowing,
+    };
+    let victim = c.outputs()[2];
+    let probe = session.verify(victim, arrival[victim.index()] + 1);
+    assert_eq!(probe.verdict, refuted);
+    assert_eq!(probe.effort.total(), SolverStats::default());
+
+    set(
+        "check::narrowing",
+        Some(c.net(victim).name()),
+        FailAction::Panic("injected fault".into()),
+    );
+    for jobs in [1, 2] {
+        let batch = BatchRunner::new(jobs).run_under(&session, &checks, &[]);
+        assert_eq!(batch.errors.len(), 1, "jobs={jobs}");
+        assert_eq!(batch.errors[0].output, victim);
+        match &batch.errors[0].error {
+            CheckError::Panicked { message } => {
+                assert!(message.contains("injected fault"), "got: {message}")
+            }
+            other => panic!("expected a captured panic, got {other:?}"),
+        }
+        assert_eq!(batch.reports.len(), checks.len() - 1, "jobs={jobs}");
+        for r in &batch.reports {
+            assert_eq!(r.verdict, refuted, "jobs={jobs}");
+            assert_eq!(r.effort.total(), SolverStats::default());
         }
     }
     clear_all();
