@@ -130,16 +130,11 @@ fn sat_report(output: NetId, delta: i64, check: SatCheck, started: Instant) -> V
         ),
     };
     VerifyReport {
-        output,
-        delta,
         verdict,
         completeness,
-        stems: Default::default(),
-        case: Default::default(),
         sat: check.stats,
-        stage_times: Default::default(),
-        effort: Default::default(),
         elapsed: started.elapsed(),
+        ..VerifyReport::open(output, delta)
     }
 }
 

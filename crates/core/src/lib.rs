@@ -25,8 +25,9 @@
 //!
 //! Every check runs through a [`CheckSession`]: it computes each
 //! per-circuit analysis once, on first use, seeds each check from a
-//! shared base fixpoint, and runs a check of output `s` on `s`'s fanin
-//! cone only. Each check passes through the four stages in order, and
+//! shared base fixpoint, answers a check that fixpoint already refutes
+//! without building anything more, and runs any other check of output
+//! `s` on `s`'s fanin cone only. Each check passes through the four stages in order, and
 //! each stage's wall-clock and solver effort land in a [`PerStage`]
 //! record. Its methods are [`CheckSession::verify`] (one check,
 //! with the per-stage verdicts of the paper's Table 1),
