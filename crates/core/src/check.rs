@@ -683,17 +683,6 @@ impl DelaySearch {
     }
 }
 
-/// The per-δ result of
-/// [`CheckSession::delay_profile`](crate::CheckSession::delay_profile).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProfilePoint {
-    /// The probed δ.
-    pub delta: i64,
-    /// Whether the (narrowing + dominators) system stayed consistent — a
-    /// violation is still *possible* at this δ.
-    pub possible: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -870,54 +859,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod profile_tests {
-    use super::*;
-    use crate::CheckSession;
-    use ltt_netlist::generators::{cascade, figure1};
-    use ltt_netlist::GateKind;
-
-    #[test]
-    fn profile_matches_individual_checks() {
-        let c = figure1(10);
-        let s = c.outputs()[0];
-        let deltas: Vec<i64> = (0..=8).map(|k| k * 10 + 1).collect();
-        let config = VerifyConfig {
-            stem_correlation: false,
-            case_analysis: false,
-            ..Default::default()
-        };
-        let session = CheckSession::new(&c, config);
-        for p in &session.delay_profile(s, &deltas) {
-            let individual = session.verify(s, p.delta);
-            assert_eq!(
-                p.possible,
-                !individual.verdict.is_no_violation(),
-                "δ = {}",
-                p.delta
-            );
-        }
-    }
-
-    #[test]
-    fn profile_is_monotone_and_tight_on_cascade() {
-        let c = cascade(GateKind::And, 4, 10);
-        let s = c.outputs()[0];
-        let session = CheckSession::new(&c, VerifyConfig::default());
-        let profile = session.delay_profile(s, &[10, 20, 30, 40, 41, 50]);
-        let flips: Vec<bool> = profile.iter().map(|p| p.possible).collect();
-        assert_eq!(flips, vec![true, true, true, true, false, false]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn profile_rejects_unsorted_deltas() {
-        let c = cascade(GateKind::And, 2, 10);
-        let session = CheckSession::new(&c, VerifyConfig::default());
-        let _ = session.delay_profile(c.outputs()[0], &[20, 10]);
-    }
-}
-
-#[cfg(test)]
 mod circuit_delay_tests {
     use super::*;
     use crate::{BatchRunner, CheckSession};
@@ -929,7 +870,11 @@ mod circuit_delay_tests {
     /// every per-output search was proven exact.
     fn circuit_delay(c: &Circuit) -> (i64, bool, Vec<DelaySearch>) {
         let session = CheckSession::new(c, VerifyConfig::default());
-        let searches = BatchRunner::serial().exact_delays(&session);
+        let searches: Vec<DelaySearch> = BatchRunner::serial()
+            .exact_delays(&session, c.outputs())
+            .into_iter()
+            .map(|s| s.expect("search ran"))
+            .collect();
         let delay = searches.iter().map(|s| s.delay).max().unwrap_or(0);
         let proven = searches.iter().all(|s| s.proven_exact);
         (delay, proven, searches)

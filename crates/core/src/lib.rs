@@ -30,10 +30,9 @@
 //! `s` on `s`'s fanin cone only. Each check passes through the four stages in order, and
 //! each stage's wall-clock and solver effort land in a [`PerStage`]
 //! record. Its methods are [`CheckSession::verify`] (one check,
-//! with the per-stage verdicts of the paper's Table 1),
+//! with the per-stage verdicts of the paper's Table 1) and
 //! [`CheckSession::exact_delay`] (binary search for the exact
-//! floating-mode delay) and [`CheckSession::delay_profile`]. A
-//! [`BatchRunner`] fans the checks of a session out over worker threads —
+//! floating-mode delay). A [`BatchRunner`] fans the checks of a session out over worker threads —
 //! all outputs at one δ, every output's delay search — and its parallel
 //! results are bit-identical to serial ones by construction.
 //!
@@ -91,8 +90,8 @@ pub use batch::{available_jobs, BatchCheck, BatchError, BatchOutcome, BatchRunne
 pub use budget::{ArmedBudget, Budget, CancelToken, TripReason};
 pub use cdcl::CdclStats;
 pub use check::{
-    Completeness, DelayMode, DelaySearch, Engine, LearningMode, PerStage, ProfilePoint, Stage,
-    StageEffort, StageTimes, StageValue, Verdict, VerifyConfig, VerifyReport,
+    Completeness, DelayMode, DelaySearch, Engine, LearningMode, PerStage, Stage, StageEffort,
+    StageTimes, StageValue, Verdict, VerifyConfig, VerifyReport,
 };
 pub use domain::{Checkpoint, SignalStore};
 pub use error::{CheckError, Error};

@@ -217,36 +217,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The incremental δ-sweep is consistent with the full search: the
-    /// largest δ the profile leaves `possible` is an upper bound on the
-    /// exact delay (and at the exact delay itself it must stay possible).
-    #[test]
-    fn delay_profile_brackets_exact_delay(seed in 0u64..10_000) {
-        let c = small_random(seed);
-        let s = c.outputs()[0];
-        let top = c.arrival_times()[s.index()];
-        let deltas: Vec<i64> = (0..=top / 10 + 1).map(|k| k * 10).collect();
-        let session = CheckSession::new(&c, VerifyConfig::default());
-        let profile = session.delay_profile(s, &deltas);
-        let narrowing_bound = profile
-            .iter()
-            .filter(|p| p.possible)
-            .map(|p| p.delta)
-            .max()
-            .unwrap_or(0);
-        let search = session.exact_delay(s);
-        prop_assert!(search.proven_exact);
-        prop_assert!(
-            narrowing_bound >= search.delay,
-            "profile bound {narrowing_bound} below exact {}",
-            search.delay
-        );
-        // At the exact delay the system must still be possible.
-        if let Some(p) = profile.iter().find(|p| p.delta == search.delay) {
-            prop_assert!(p.possible);
-        }
-    }
-
     /// Dynamic carriers are a refinement of static carriers: once the
     /// forward settle bounds are in (the plain fixpoint), every dynamic
     /// carrier is also a static carrier, and its dynamic distance never

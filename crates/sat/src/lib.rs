@@ -54,7 +54,7 @@ pub fn exact_delay_with_engine(
     let runner = BatchRunner::serial()
         .with_engine(engine)
         .with_budget(extra.clone());
-    match runner.try_exact_delays_of(session, &[output]).pop() {
+    match runner.exact_delays(session, &[output]).pop() {
         Some(Ok(search)) => search,
         other => panic!("delay search failed: {other:?}"),
     }

@@ -478,7 +478,7 @@ fn submit_delay(
         conn,
         id,
         Box::new(move |id| {
-            let searches = runner.try_exact_delays_of(&entry.session, &targets);
+            let searches = runner.exact_delays(&entry.session, &targets);
             let tripped = searches
                 .iter()
                 .filter(|s| matches!(s, Ok(search) if !search.proven_exact))

@@ -142,7 +142,7 @@ fn served_reports_match_serial_run() {
         let results: Vec<Json> = parsed
             .outputs()
             .iter()
-            .zip(BatchRunner::new(1).try_exact_delays(&session))
+            .zip(BatchRunner::new(1).exact_delays(&session, parsed.outputs()))
             .map(|(&o, r)| delay_json(&r.expect("delay search"), parsed.net(o).name()))
             .collect();
         let expected = ok_response(
