@@ -164,161 +164,3 @@ mod tests {
         assert!(cc.of(y, Level::One) > cc.of(y, Level::Zero));
     }
 }
-
-/// Per-net SCOAP combinational observability `CO`: an estimate of how many
-/// line assignments are needed to propagate a net's value to some primary
-/// output (primary outputs cost 0). Complements [`Controllability`] for
-/// search heuristics.
-#[derive(Clone, Debug)]
-pub struct Observability {
-    co: Vec<u32>,
-}
-
-impl Observability {
-    /// Computes SCOAP observability for every net, given the
-    /// controllability table.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ltt_core::scoap::{Controllability, Observability};
-    /// use ltt_netlist::generators::cascade;
-    /// use ltt_netlist::GateKind;
-    ///
-    /// let c = cascade(GateKind::And, 4, 10);
-    /// let cc = Controllability::compute(&c);
-    /// let co = Observability::compute(&c, &cc);
-    /// // The output is directly observable; the chain input is not.
-    /// assert_eq!(co.of(c.outputs()[0]), 0);
-    /// assert!(co.of(c.inputs()[0]) > 0);
-    /// ```
-    pub fn compute(circuit: &Circuit, cc: &Controllability) -> Observability {
-        let mut co = vec![u32::MAX; circuit.num_nets()];
-        for &o in circuit.outputs() {
-            co[o.index()] = 0;
-        }
-        for &gid in circuit.topo_gates().iter().rev() {
-            let gate = circuit.gate(gid);
-            let out_co = co[gate.output().index()];
-            if out_co == u32::MAX {
-                continue; // output not observable (dead logic)
-            }
-            let ins = gate.inputs();
-            for (j, &inp) in ins.iter().enumerate() {
-                let side_cost: u32 = match gate.kind() {
-                    GateKind::And | GateKind::Nand => ins
-                        .iter()
-                        .enumerate()
-                        .filter(|&(k, _)| k != j)
-                        .map(|(_, i)| cc.of(*i, Level::One))
-                        .fold(0u32, u32::saturating_add),
-                    GateKind::Or | GateKind::Nor => ins
-                        .iter()
-                        .enumerate()
-                        .filter(|&(k, _)| k != j)
-                        .map(|(_, i)| cc.of(*i, Level::Zero))
-                        .fold(0u32, u32::saturating_add),
-                    GateKind::Not | GateKind::Buffer | GateKind::Delay => 0,
-                    GateKind::Xor | GateKind::Xnor => ins
-                        .iter()
-                        .enumerate()
-                        .filter(|&(k, _)| k != j)
-                        .map(|(_, i)| cc.of(*i, Level::Zero).min(cc.of(*i, Level::One)))
-                        .fold(0u32, u32::saturating_add),
-                    GateKind::Mux => {
-                        if j == 0 {
-                            // Observing the select needs differing data.
-                            let a = ins[1];
-                            let b = ins[2];
-                            (cc.of(a, Level::Zero).saturating_add(cc.of(b, Level::One)))
-                                .min(cc.of(a, Level::One).saturating_add(cc.of(b, Level::Zero)))
-                        } else if j == 1 {
-                            cc.of(ins[0], Level::Zero) // select must pick a
-                        } else {
-                            cc.of(ins[0], Level::One) // select must pick b
-                        }
-                    }
-                };
-                let through = out_co.saturating_add(side_cost).saturating_add(1);
-                let slot = &mut co[inp.index()];
-                *slot = (*slot).min(through);
-            }
-        }
-        Observability { co }
-    }
-
-    /// The observability of `net` (`u32::MAX` for unobservable nets).
-    pub fn of(&self, net: NetId) -> u32 {
-        self.co[net.index()]
-    }
-}
-
-#[cfg(test)]
-mod observability_tests {
-    use super::*;
-    use ltt_netlist::generators::cascade;
-    use ltt_netlist::{CircuitBuilder, DelayInterval};
-
-    #[test]
-    fn outputs_are_free_and_depth_costs() {
-        let c = cascade(GateKind::And, 4, 10);
-        let cc = Controllability::compute(&c);
-        let co = Observability::compute(&c, &cc);
-        assert_eq!(co.of(c.outputs()[0]), 0);
-        // Each level adds at least 1 (plus the side-input cost).
-        let e0 = c.net_by_name("e0").unwrap();
-        let n2 = c.net_by_name("n2").unwrap();
-        assert!(co.of(e0) > co.of(n2));
-    }
-
-    #[test]
-    fn fanout_takes_the_cheapest_route() {
-        let d = DelayInterval::fixed(10);
-        let mut b = CircuitBuilder::new("f");
-        let a = b.input("a");
-        let cheap = b.gate("cheap", GateKind::Buffer, &[a], d);
-        let e1 = b.input("e1");
-        let e2 = b.input("e2");
-        let deep1 = b.gate("deep1", GateKind::And, &[a, e1], d);
-        let deep2 = b.gate("deep2", GateKind::And, &[deep1, e2], d);
-        b.mark_output(cheap);
-        b.mark_output(deep2);
-        let c = b.build().unwrap();
-        let cc = Controllability::compute(&c);
-        let co = Observability::compute(&c, &cc);
-        // a is observable through the buffer at cost 1.
-        assert_eq!(co.of(a), 1);
-    }
-
-    #[test]
-    fn mux_select_observability_needs_differing_data() {
-        let d = DelayInterval::fixed(10);
-        let mut b = CircuitBuilder::new("m");
-        let s = b.input("s");
-        let x = b.input("x");
-        let y = b.input("y");
-        let m = b.gate("m", GateKind::Mux, &[s, x, y], d);
-        b.mark_output(m);
-        let c = b.build().unwrap();
-        let cc = Controllability::compute(&c);
-        let co = Observability::compute(&c, &cc);
-        // Select: set x/y to differ (1 + 1) + 1 = 3.
-        assert_eq!(co.of(s), 3);
-        // Data input x: set select to 0 (cost 1) + 1 = 2.
-        assert_eq!(co.of(x), 2);
-    }
-
-    #[test]
-    fn dead_logic_is_unobservable() {
-        let d = DelayInterval::fixed(10);
-        let mut b = CircuitBuilder::new("dead");
-        let a = b.input("a");
-        let used = b.gate("used", GateKind::Not, &[a], d);
-        let dead = b.gate("dead", GateKind::Not, &[a], d);
-        b.mark_output(used);
-        let c = b.build().unwrap();
-        let cc = Controllability::compute(&c);
-        let co = Observability::compute(&c, &cc);
-        assert_eq!(co.of(dead), u32::MAX);
-    }
-}
