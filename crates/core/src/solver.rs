@@ -155,9 +155,6 @@ pub struct Narrower<'c> {
     scratch_tgt: Vec<Signal>,
     /// The dominator-step kernel, created on the first dominator step.
     kernel: Option<Box<DominatorKernel>>,
-    /// Safety valve: abort (conservatively, as `Fixpoint`) after this many
-    /// events. Practically unreachable on sane inputs.
-    pub max_events: u64,
 }
 
 impl<'c> Narrower<'c> {
@@ -196,7 +193,6 @@ impl<'c> Narrower<'c> {
             scratch_in: Vec::new(),
             scratch_tgt: Vec::new(),
             kernel: None,
-            max_events: u64::MAX,
         }
     }
 
@@ -496,9 +492,6 @@ impl<'c> Narrower<'c> {
         while let Some(gate) = self.queue.pop_front() {
             self.queued[gate.index()] = false;
             self.stats.events += 1;
-            if self.stats.events > self.max_events {
-                return FixpointResult::Fixpoint;
-            }
             if self.budget.poll(self.stats.events).is_some() {
                 // Leave the queue in place: the caller aborts (it must not
                 // treat this as a fixpoint) and any reuse goes through
