@@ -16,8 +16,10 @@ pub const QUICK_MAX_GATES: usize = 2000;
 
 /// The case-analysis backtrack cap of the Table 1 runs. The paper abandons
 /// c6288 after an excessive number of backtracks; the cap bounds the
-/// search the same way (and doubles as the CDCL conflict cap under the
-/// SAT engine).
+/// search the same way. It caps narrowing's case analysis only: the SAT
+/// engine reads no backtrack cap, so its checks (and hybrid's SAT
+/// fallback) run to a decision unless another budget trips (the serve
+/// crate's wire golden pins this with a zero-backtrack s432 check).
 pub const MAX_BACKTRACKS: u64 = 20_000;
 
 /// One rendered row of Table 1.
