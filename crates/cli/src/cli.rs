@@ -121,6 +121,12 @@ pub fn run(args: &[String]) -> Result<RunStatus, Error> {
         _ => {}
     }
     let opts = parse_options(&args[1..])?;
+    // Only `check` applies pins; any other command would drop them.
+    if !opts.assumptions.is_empty() && command != "check" {
+        return Err(Error::usage(format!(
+            "--assume applies to `check` only, not `{command}`"
+        )));
+    }
     let circuit = load_circuit(&opts)?;
     match command.as_str() {
         "info" => cmd_info(&circuit),
@@ -177,7 +183,8 @@ OPTIONS
   --delay D                 per-gate delay when the format has none (10)
   --sdf FILE                back-annotate delays from an SDF file
   --output NAME             restrict to one primary output
-  --assume NET=0|1          pin a net's settling value (repeatable)
+  --assume NET=0|1          pin a net's settling value (check only;
+                            repeatable)
   --mode floating|transition
   --no-dominators --no-stems --no-search --no-learning
   --engine narrow|sat|hybrid
@@ -783,16 +790,13 @@ fn cmd_check(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
             }
             Verdict::Abandoned => {
                 any_open = true;
-                match r.completeness {
-                    Completeness::BudgetExhausted { stage, reason } => println!(
+                // Every abandoned check names the limit that cut it short.
+                if let Completeness::BudgetExhausted { stage, reason } = r.completeness {
+                    println!(
                         "{name}: undecided — budget exhausted ({reason}) in {} after {} backtracks",
                         stage_name(stage),
                         r.backtracks()
-                    ),
-                    Completeness::Exact => println!(
-                        "{name}: undecided — case analysis abandoned after {} backtracks",
-                        r.backtracks()
-                    ),
+                    );
                 }
             }
         }
@@ -1537,6 +1541,25 @@ mod tests {
             ]))),
             3
         );
+        // Only `check` applies pins; the other commands would drop them.
+        for cmd in ["delay", "patch", "explain"] {
+            assert_eq!(
+                usage_exit(run(&args(&[
+                    cmd,
+                    &path,
+                    "--delta",
+                    "31",
+                    "--set-delay",
+                    "16=11",
+                    "--assume",
+                    "2=0",
+                    "--output",
+                    "22"
+                ]))),
+                3,
+                "{cmd}"
+            );
+        }
         // The CNF encoder cannot pin nets, and it models floating mode only.
         for engine in ["sat", "hybrid"] {
             assert_eq!(

@@ -1,8 +1,8 @@
 //! Deterministic parallel execution of check batches.
 //!
 //! A timing workload is almost always a *batch*: every output at one δ
-//! ([`BatchRunner::verify_all_outputs`]), the delay searches of many
-//! outputs ([`BatchRunner::exact_delays`]), or a whole benchmark suite.
+//! ([`BatchRunner::run`]), the delay searches of many outputs
+//! ([`BatchRunner::exact_delays`]), or a whole benchmark suite.
 //! Each check in a batch is a **pure function** of `(circuit, config, output, δ)`
 //! once it runs against a shared [`CheckSession`]: the session's prepared
 //! analyses and base fixpoint are read-only, every check gets its own
@@ -42,7 +42,7 @@ use ltt_waveform::Level;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// The number of worker threads an *auto* runner uses: the machine's
+/// The number of worker threads `BatchRunner::new(0)` uses: the machine's
 /// available parallelism, or 1 if it cannot be determined.
 pub fn available_jobs() -> usize {
     std::thread::available_parallelism()
@@ -280,7 +280,10 @@ impl BatchCheck {
     }
 }
 
-/// Fans the checks of a batch out over worker threads.
+/// Fans the checks of a batch out over worker threads, and adds every
+/// per-call control a [`CheckSession`] does not carry in its config:
+/// worker count, engine override, extra [`Budget`], whole-batch deadline,
+/// cancel token, fail-fast and assumption pins.
 ///
 /// Deterministic by construction (see the module docs): any `jobs` value
 /// produces the same reports as [`BatchRunner::serial`]. Every engine runs
@@ -289,17 +292,19 @@ impl BatchCheck {
 ///
 /// # Examples
 ///
+/// Every primary output at one δ (the Table 1 semantics: `N` only if no
+/// output can violate):
+///
 /// ```
 /// use ltt_core::{BatchOutcome, BatchRunner, CheckSession, VerifyConfig};
 /// use ltt_netlist::suite::c17;
 ///
 /// let c = c17(10);
 /// let session = CheckSession::new(&c, VerifyConfig::default());
-/// let runner = BatchRunner::auto();
-/// let batch = runner.verify_all_outputs(&session, 31);
-/// assert_eq!(batch.outcome(), BatchOutcome::AllSafe);
-/// let batch = runner.verify_all_outputs(&session, 30);
-/// assert_eq!(batch.outcome(), BatchOutcome::Violation);
+/// let runner = BatchRunner::new(0);
+/// let at = |delta| c.outputs().iter().map(|&o| (o, delta)).collect::<Vec<_>>();
+/// assert_eq!(runner.run(&session, &at(31)).outcome(), BatchOutcome::AllSafe);
+/// assert_eq!(runner.run(&session, &at(30)).outcome(), BatchOutcome::Violation);
 /// ```
 #[derive(Clone, Debug)]
 pub struct BatchRunner {
@@ -312,12 +317,6 @@ pub struct BatchRunner {
     /// The engine answering this runner's checks in place of the
     /// session's own (`None`: the session config's).
     engine: Option<Engine>,
-}
-
-impl Default for BatchRunner {
-    fn default() -> Self {
-        BatchRunner::auto()
-    }
 }
 
 impl BatchRunner {
@@ -336,11 +335,6 @@ impl BatchRunner {
     /// The single-threaded runner (no thread machinery at all).
     pub fn serial() -> Self {
         BatchRunner::new(1)
-    }
-
-    /// One worker per available hardware thread.
-    pub fn auto() -> Self {
-        BatchRunner::new(0)
     }
 
     /// The worker count this runner uses.
@@ -435,14 +429,35 @@ impl BatchRunner {
     }
 
     /// [`BatchRunner::run`] with shared assumptions: every check pins each
-    /// `(net, level)` before propagation.
+    /// `(net, level)`'s settling class before propagation (the
+    /// `set_case_analysis` idiom: constant mode pins, unused inputs, scan
+    /// enables).
     ///
     /// # Panics
     ///
     /// Panics, before any check starts, if the runner's engine is not
     /// [`Engine::Narrow`] and `assumptions` is not empty or the session is
-    /// in [`DelayMode::Transition`](crate::DelayMode::Transition) (see
-    /// [`CheckSession::verify_under`]).
+    /// in [`DelayMode::Transition`](crate::DelayMode::Transition): the CNF
+    /// encoder has no notion of pinned nets, and ignoring the pins could
+    /// report a witness they rule out.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ltt_core::{BatchRunner, CheckSession, VerifyConfig};
+    /// use ltt_netlist::generators::figure1;
+    /// use ltt_waveform::Level;
+    ///
+    /// let c = figure1(10);
+    /// let s = c.outputs()[0];
+    /// let e5 = c.net_by_name("e5").unwrap();
+    /// let session = CheckSession::new(&c, VerifyConfig::default());
+    /// // Unconstrained, δ = 60 is violated…
+    /// assert!(session.verify(s, 60).verdict.is_violation());
+    /// // …but pinning e5 = 0 blocks the critical AND g4: no violation.
+    /// let batch = BatchRunner::serial().run_under(&session, &[(s, 60)], &[(e5, Level::Zero)]);
+    /// assert!(batch.reports[0].verdict.is_no_violation());
+    /// ```
     pub fn run_under(
         &self,
         session: &CheckSession,
@@ -492,22 +507,6 @@ impl BatchRunner {
         }
     }
 
-    /// Checks one δ against **every** primary output of the session's
-    /// circuit (the Table 1 semantics: `N` only if no output can violate).
-    ///
-    /// # Panics
-    ///
-    /// As [`BatchRunner::run`].
-    pub fn verify_all_outputs(&self, session: &CheckSession, delta: i64) -> BatchCheck {
-        let checks: Vec<(NetId, i64)> = session
-            .circuit()
-            .outputs()
-            .iter()
-            .map(|&o| (o, delta))
-            .collect();
-        self.run(session, &checks)
-    }
-
     /// Runs [`CheckSession::exact_delay`] for each of `outputs`, in
     /// parallel: one `Result` per output, in the order given. Pass
     /// `session.circuit().outputs()` for every primary output.
@@ -518,12 +517,24 @@ impl BatchRunner {
     /// delay of the circuit when the constraint system is inconsistent for
     /// (δ + 1) on all outputs").
     ///
+    /// The runner's extra [`Budget`] merges with the session's own: a
+    /// per-check `wall` window applies to each probe separately, an
+    /// absolute `deadline` caps the whole search. When the budget (or the
+    /// backtrack cap) cuts the bisection short the result degrades soundly
+    /// instead of vanishing: `[delay, upper_bound]` is a proven interval
+    /// containing the exact delay — `delay` from the best *simulated*
+    /// violating vector (bisection witnesses, then, for a floating-mode
+    /// narrowing search, Monte-Carlo), `upper_bound` from the tightest
+    /// completed impossibility proof (at worst the output's arrival time)
+    /// — and `proven_exact` says whether the two meet. The SAT engine
+    /// bisects with SAT probes only; the hybrid engine keeps bisecting an
+    /// open narrowing interval with them.
+    ///
     /// A panicking search fills only its own slot with
     /// [`CheckError::Panicked`]; under the runner's deadline, searches that
-    /// started degrade to sound `[lower, upper]` intervals (`proven_exact`
-    /// only if they close) and searches that never started become
-    /// [`CheckError::Skipped`]. Fail-fast does not apply (a delay search
-    /// has no violation to stop on).
+    /// started degrade to such intervals and searches that never started
+    /// become [`CheckError::Skipped`]. Fail-fast does not apply (a delay
+    /// search has no violation to stop on).
     ///
     /// # Panics
     ///
@@ -577,6 +588,12 @@ mod tests {
     use crate::check::VerifyConfig;
     use ltt_netlist::generators::{carry_skip_adder, figure1};
     use ltt_netlist::suite::c17;
+    use ltt_netlist::Circuit;
+
+    /// Every primary output of `c` at `delta`.
+    fn every_output(c: &Circuit, delta: i64) -> Vec<(NetId, i64)> {
+        c.outputs().iter().map(|&o| (o, delta)).collect()
+    }
 
     #[test]
     fn run_map_preserves_order_and_covers_all_items() {
@@ -636,8 +653,8 @@ mod tests {
         let c = c17(10);
         let session = CheckSession::new(&c, VerifyConfig::default());
         for delta in [25, 30, 31] {
-            let serial = BatchRunner::serial().verify_all_outputs(&session, delta);
-            let par = BatchRunner::new(4).verify_all_outputs(&session, delta);
+            let serial = BatchRunner::serial().run(&session, &every_output(&c, delta));
+            let par = BatchRunner::new(4).run(&session, &every_output(&c, delta));
             assert_eq!(serial.reports.len(), par.reports.len());
             for (a, b) in serial.reports.iter().zip(&par.reports) {
                 assert_eq!(a.output, b.output);
@@ -653,7 +670,7 @@ mod tests {
     fn summary_counts_add_up() {
         let c = c17(10);
         let session = CheckSession::new(&c, VerifyConfig::default());
-        let batch = BatchRunner::new(2).verify_all_outputs(&session, 30);
+        let batch = BatchRunner::new(2).run(&session, &every_output(&c, 30));
         let s = &batch.summary;
         assert_eq!(s.checks, batch.reports.len() as u64);
         assert_eq!(
@@ -672,7 +689,7 @@ mod tests {
         for jobs in [1, 4] {
             let batch = BatchRunner::new(jobs)
                 .with_fail_fast(true)
-                .verify_all_outputs(&session, 30);
+                .run(&session, &every_output(&c, 30));
             assert_eq!(batch.outcome(), BatchOutcome::Violation);
             assert!(batch.reports.iter().any(|r| r.verdict.is_violation()));
             // Every slot is accounted for: report or error.
@@ -686,7 +703,7 @@ mod tests {
         let session = CheckSession::new(&c, VerifyConfig::default());
         let batch = BatchRunner::serial()
             .with_deadline(Duration::ZERO)
-            .verify_all_outputs(&session, 60);
+            .run(&session, &every_output(&c, 60));
         // The single check either degraded (Abandoned + BudgetExhausted)
         // or was skipped; either way the batch is undecided, not AllSafe.
         assert_eq!(batch.outcome(), BatchOutcome::Undecided);

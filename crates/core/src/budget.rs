@@ -265,14 +265,6 @@ impl ArmedBudget {
         self.tripped
     }
 
-    /// Records an externally observed trip (e.g. the search's backtrack
-    /// counter crossing the cap) so later polls stay tripped.
-    pub fn trip(&mut self, reason: TripReason) {
-        if self.tripped.is_none() {
-            self.tripped = Some(reason);
-        }
-    }
-
     /// Polls every limit; `events` is the caller's narrowing-event counter.
     /// Returns the (sticky) trip reason, or `None` while within budget.
     /// Wall-clock is read once per `CLOCK_STRIDE` polls.

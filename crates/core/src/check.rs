@@ -45,8 +45,6 @@ pub enum LearningMode {
     /// Learn from reconvergent fanout stems only (cheap, the default).
     #[default]
     Stems,
-    /// Learn from every net (quadratic; small circuits only).
-    All,
 }
 
 /// Which verification backend answers a check.
@@ -133,21 +131,6 @@ impl Default for VerifyConfig {
             budget: Budget::unlimited(),
             engine: Engine::Narrow,
             obs: Obs::disabled(),
-        }
-    }
-}
-
-impl VerifyConfig {
-    /// The basic method of [Cerny–Zejda 1994]: plain waveform narrowing,
-    /// no global implications, no search — the paper's "BEFORE G.I.T.D."
-    /// baseline.
-    pub fn narrowing_only() -> Self {
-        VerifyConfig {
-            learning: LearningMode::Off,
-            dominators: false,
-            stem_correlation: false,
-            case_analysis: false,
-            ..Default::default()
         }
     }
 }
@@ -295,7 +278,9 @@ pub enum Verdict {
     /// Inconclusive: narrowing kept the system consistent and case
     /// analysis was disabled.
     Possible,
-    /// Case analysis exceeded its backtrack budget (`A` in Table 1).
+    /// A resource budget or the backtrack cap cut the check short (`A` in
+    /// Table 1); the report's [`Completeness::BudgetExhausted`] names the
+    /// stage and the limit.
     Abandoned,
 }
 
@@ -317,7 +302,8 @@ impl Verdict {
 /// fixpoint leaves domains as a superset of the greatest fixpoint (so no
 /// false contradiction is possible), and an interrupted search aborts
 /// instead of backtracking — it only makes the verdict *less conclusive*.
-/// `BudgetExhausted` therefore always pairs with [`Verdict::Abandoned`]:
+/// `BudgetExhausted` and [`Verdict::Abandoned`] therefore always come
+/// together, the backtrack cap counting as a limit like any other:
 /// `NoViolation` and `Violation` verdicts are exact by construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Completeness {
@@ -441,8 +427,8 @@ impl From<CaseOutcome> for StageEnd {
         match outcome {
             CaseOutcome::Vector(vector) => StageEnd::Vector(vector),
             CaseOutcome::NoViolation => StageEnd::Refuted,
-            // Classic `A`-row abandonment (backtrack cap) and budget trips
-            // land here alike; the completeness marker tells them apart.
+            // The backtrack cap and budget trips land here alike;
+            // `Pipeline::step` names the budget's limit when one tripped.
             CaseOutcome::Abandoned => StageEnd::Cut(TripReason::Backtracks),
         }
     }
@@ -762,11 +748,21 @@ mod tests {
         }
     }
 
+    /// The basic method of [Cerny–Zejda 1994]: plain waveform narrowing,
+    /// no global implications, no search — the paper's "BEFORE G.I.T.D."
+    /// baseline.
     #[test]
-    fn narrowing_only_config_is_sound_but_weaker() {
+    fn basic_narrowing_config_is_sound_but_weaker() {
         let c = figure1(10);
         let s = c.outputs()[0];
-        let basic = CheckSession::new(&c, VerifyConfig::narrowing_only());
+        let config = VerifyConfig {
+            learning: LearningMode::Off,
+            dominators: false,
+            stem_correlation: false,
+            case_analysis: false,
+            ..Default::default()
+        };
+        let basic = CheckSession::new(&c, config);
         // Sound: it never claims a violation it cannot certify, and at
         // δ = 71 (past topological) even basic narrowing proves safety.
         assert!(basic.verify(s, 71).verdict.is_no_violation());
@@ -792,14 +788,15 @@ mod tests {
     }
 
     #[test]
-    fn verify_all_outputs_covers_every_output() {
+    fn batch_over_every_output_covers_each() {
         let c = c17(10);
         let session = CheckSession::new(&c, VerifyConfig::default());
         let runner = crate::BatchRunner::serial();
-        let reports = runner.verify_all_outputs(&session, 31).reports;
+        let at = |delta| c.outputs().iter().map(|&o| (o, delta)).collect::<Vec<_>>();
+        let reports = runner.run(&session, &at(31)).reports;
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|r| r.verdict.is_no_violation()));
-        let reports = runner.verify_all_outputs(&session, 30).reports;
+        let reports = runner.run(&session, &at(30)).reports;
         assert!(reports.iter().any(|r| r.verdict.is_violation()));
     }
 
@@ -807,17 +804,16 @@ mod tests {
     fn learning_modes_agree_on_verdicts() {
         let c = false_path_chain(4, 3, 10);
         let s = c.outputs()[0];
-        let sessions: Vec<CheckSession<'_>> =
-            [LearningMode::Off, LearningMode::Stems, LearningMode::All]
-                .into_iter()
-                .map(|learning| {
-                    let config = VerifyConfig {
-                        learning,
-                        ..Default::default()
-                    };
-                    CheckSession::new(&c, config)
-                })
-                .collect();
+        let sessions: Vec<CheckSession<'_>> = [LearningMode::Off, LearningMode::Stems]
+            .into_iter()
+            .map(|learning| {
+                let config = VerifyConfig {
+                    learning,
+                    ..Default::default()
+                };
+                CheckSession::new(&c, config)
+            })
+            .collect();
         for delta in [55, 60, 61, 65, 71] {
             let verdicts: Vec<bool> = sessions
                 .iter()

@@ -41,31 +41,40 @@ impl CheckSession<'_> {
         extra: &Budget,
     ) -> VerifyReport {
         require_narrow_for(engine, self.config().delay_mode, assumptions);
-        match engine {
-            Engine::Narrow => self.narrow_check(output, delta, assumptions, extra),
-            Engine::Sat => self.sat_check(output, delta, extra),
-            Engine::Hybrid => {
-                let report = self.narrow_check(output, delta, &[], extra);
-                if report.completeness.is_exact() {
-                    return report;
-                }
-                // Narrowing exhausted its budget: one SAT attempt under the
-                // same per-check limits. A decision replaces the abandoned
-                // verdict; another trip keeps the narrowing report.
-                let sat = self.sat_check(output, delta, extra);
-                if !sat.completeness.is_exact() {
-                    return report;
-                }
-                // The upgrade keeps the narrowing run's counters and adds
-                // the SAT run's.
-                VerifyReport {
-                    verdict: sat.verdict,
-                    completeness: sat.completeness,
-                    sat: sat.sat,
-                    elapsed: report.elapsed.saturating_add(sat.elapsed),
-                    ..report
-                }
-            }
+        if engine == Engine::Sat {
+            return self.sat_check(output, delta, extra);
+        }
+        // An unlimited `extra` keeps the session's config: no clone on the
+        // common path.
+        let merged;
+        let config = if extra.is_unlimited() {
+            self.config()
+        } else {
+            merged = VerifyConfig {
+                budget: self.config().budget.merged(extra),
+                ..self.config().clone()
+            };
+            &merged
+        };
+        let report = self.run_check(Route::Cone, output, delta, config, assumptions);
+        if engine == Engine::Narrow || report.completeness.is_exact() {
+            return report;
+        }
+        // Hybrid, and narrowing exhausted its budget: one SAT attempt under
+        // the same per-check limits. A decision replaces the abandoned
+        // verdict; another trip keeps the narrowing report.
+        let sat = self.sat_check(output, delta, extra);
+        if !sat.completeness.is_exact() {
+            return report;
+        }
+        // The upgrade keeps the narrowing run's counters and adds the SAT
+        // run's.
+        VerifyReport {
+            verdict: sat.verdict,
+            completeness: sat.completeness,
+            sat: sat.sat,
+            elapsed: report.elapsed.saturating_add(sat.elapsed),
+            ..report
         }
     }
 
@@ -79,7 +88,8 @@ impl CheckSession<'_> {
 
     /// The exact-delay search of `output` through `engine`, with every
     /// narrowing probe run along `route`: the one δ driver behind
-    /// [`CheckSession::exact_delay_budgeted`].
+    /// [`CheckSession::exact_delay`] and
+    /// [`BatchRunner::exact_delays`](crate::BatchRunner::exact_delays).
     ///
     /// Every engine bisects `[0, arrival(output) + 1)` in up to two phases:
     ///
@@ -398,7 +408,8 @@ mod tests {
         let c = figure1(10);
         let s = c.outputs()[0];
         let e5 = c.net_by_name("e5").expect("figure1 has e5");
-        let _ = session_with(&c, Engine::Sat).verify_under(s, 60, &[(e5, Level::Zero)]);
+        let session = session_with(&c, Engine::Sat);
+        let _ = BatchRunner::serial().run_under(&session, &[(s, 60)], &[(e5, Level::Zero)]);
     }
 
     #[test]

@@ -274,12 +274,6 @@ pub fn case_analysis_scoped(
             }
             stats.backtracks += 1;
             if stats.backtracks > max_backtracks {
-                // Remember *why* when the budget (not the search config)
-                // supplied the binding cap, so the report's completeness
-                // marker names the right trip.
-                if budget_cap.is_some_and(|b| b <= config.max_backtracks) {
-                    nw.budget_mut().trip(crate::budget::TripReason::Backtracks);
-                }
                 return CaseOutcome::Abandoned;
             }
             let second = !frame.first;

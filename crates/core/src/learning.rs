@@ -155,8 +155,9 @@ pub struct ImplicationTable {
 
 impl ImplicationTable {
     /// Runs the learning pre-process with every net as an assumption
-    /// source. Exhaustive (quadratic in circuit size); prefer
-    /// [`ImplicationTable::learn_stems`] on large circuits.
+    /// source. Exhaustive (quadratic in circuit size): no configuration
+    /// selects it; sessions learn with [`ImplicationTable::learn_stems`],
+    /// and tests check that table against this one.
     pub fn learn(circuit: &Circuit) -> ImplicationTable {
         Self::learn_from(circuit, &vec![true; circuit.num_nets()])
     }

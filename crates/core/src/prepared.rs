@@ -8,7 +8,7 @@
 //! seeds stem correlation (§5), arrival times, and each output's fanin
 //! cone. Re-deriving them per check is pure overhead once a
 //! workload runs more than one check — a delay search probes O(log top)
-//! deltas, `verify_all_outputs` visits every output, and the Table 1
+//! deltas, a batch visits every output at one δ, and the Table 1
 //! harness runs whole suites.
 //!
 //! [`CheckSession`] computes each of these **once per circuit** (lazily,
@@ -252,7 +252,6 @@ impl<'c> CheckSession<'c> {
                 let table = match self.config.learning {
                     LearningMode::Off => None,
                     LearningMode::Stems => Some(ImplicationTable::learn_stems(self.circuit())),
-                    LearningMode::All => Some(ImplicationTable::learn(self.circuit())),
                 };
                 self.config
                     .obs
@@ -695,7 +694,10 @@ impl<'c> CheckSession<'c> {
             .collect()
     }
 
-    /// Runs the timing check `(output, δ)` through the session's engine.
+    /// Runs the timing check `(output, δ)` through the session's engine,
+    /// under the session's budget. Per-call controls — assumption pins,
+    /// an extra budget, a deadline, another engine — are
+    /// [`BatchRunner`](crate::BatchRunner)'s.
     ///
     /// # Panics
     ///
@@ -720,81 +722,8 @@ impl<'c> CheckSession<'c> {
     /// assert!(session.verify(s, 60).verdict.is_violation());
     /// ```
     pub fn verify(&self, output: NetId, delta: i64) -> VerifyReport {
-        self.verify_budgeted(output, delta, &Budget::unlimited())
-    }
-
-    /// [`CheckSession::verify`] under assumptions: each `(net, level)` pins
-    /// a net's settling class before propagation (the `set_case_analysis`
-    /// idiom: constant mode pins, unused inputs, scan enables).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assumptions` is not empty and the session's engine is
-    /// not [`Engine::Narrow`]: the CNF encoder has no notion of pinned
-    /// nets, and ignoring the pins could report a witness they rule out.
-    /// Panics as [`CheckSession::verify`] does in transition mode.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ltt_core::{CheckSession, VerifyConfig};
-    /// use ltt_netlist::generators::figure1;
-    /// use ltt_waveform::Level;
-    ///
-    /// let c = figure1(10);
-    /// let s = c.outputs()[0];
-    /// let e5 = c.net_by_name("e5").unwrap();
-    /// let session = CheckSession::new(&c, VerifyConfig::default());
-    /// // Unconstrained, δ = 60 is violated…
-    /// assert!(session.verify(s, 60).verdict.is_violation());
-    /// // …but pinning e5 = 0 blocks the critical AND g4: no violation.
-    /// let r = session.verify_under(s, 60, &[(e5, Level::Zero)]);
-    /// assert!(r.verdict.is_no_violation());
-    /// ```
-    pub fn verify_under(
-        &self,
-        output: NetId,
-        delta: i64,
-        assumptions: &[(NetId, Level)],
-    ) -> VerifyReport {
-        self.check(
-            self.config.engine,
-            output,
-            delta,
-            assumptions,
-            &Budget::unlimited(),
-        )
-    }
-
-    /// [`CheckSession::verify`] under an extra [`Budget`] merged
-    /// (tightest-wins) with the session config's own — how a batch runner
-    /// applies a whole-batch deadline or a fail-fast cancel token to each
-    /// check without cloning the session.
-    ///
-    /// # Panics
-    ///
-    /// As [`CheckSession::verify`].
-    pub fn verify_budgeted(&self, output: NetId, delta: i64, extra: &Budget) -> VerifyReport {
-        self.check(self.config.engine, output, delta, &[], extra)
-    }
-
-    /// The narrowing pipeline's answer to one check, under `assumptions`
-    /// and `extra` merged into the session's budget.
-    pub(crate) fn narrow_check(
-        &self,
-        output: NetId,
-        delta: i64,
-        assumptions: &[(NetId, Level)],
-        extra: &Budget,
-    ) -> VerifyReport {
-        if extra.is_unlimited() {
-            return self.run_check(Route::Cone, output, delta, &self.config, assumptions);
-        }
-        let config = VerifyConfig {
-            budget: self.config.budget.merged(extra),
-            ..self.config.clone()
-        };
-        self.run_check(Route::Cone, output, delta, &config, assumptions)
+        let engine = self.config.engine;
+        self.check(engine, output, delta, &[], &Budget::unlimited())
     }
 
     /// Finds the exact delay of `output` by binary search over δ in
@@ -803,10 +732,10 @@ impl<'c> CheckSession<'c> {
     ///
     /// A probe that shows a violation raises the lower bound, one that
     /// proves δ safe lowers the upper bound, and an undecided probe ends
-    /// the bisection (see [`CheckSession::exact_delay_budgeted`]). The
-    /// circuit's delay — the quantity Table 1 reports — is the maximum
-    /// over [`BatchRunner::exact_delays`](crate::BatchRunner::exact_delays)
-    /// of every output.
+    /// the bisection (see
+    /// [`BatchRunner::exact_delays`](crate::BatchRunner::exact_delays) for
+    /// the interval a budget-cut search returns). The circuit's delay — the
+    /// quantity Table 1 reports — is the maximum over every output.
     ///
     /// # Panics
     ///
@@ -814,27 +743,8 @@ impl<'c> CheckSession<'c> {
     /// engine is not [`Engine::Narrow`]: the CNF encoder models floating
     /// mode only.
     pub fn exact_delay(&self, output: NetId) -> DelaySearch {
-        self.exact_delay_budgeted(output, &Budget::unlimited())
-    }
-
-    /// [`CheckSession::exact_delay`] under an extra [`Budget`] merged with
-    /// the session's own. A per-check `wall` window applies to each probe
-    /// separately; an absolute `deadline` caps the whole search. When the
-    /// budget (or the backtrack cap) cuts the bisection short the result
-    /// degrades soundly instead of vanishing: `[delay, upper_bound]` is a
-    /// certified interval containing the exact delay — `delay` from the
-    /// best *simulated* violating vector (bisection witnesses, then, for a
-    /// floating-mode narrowing search, Monte-Carlo), `upper_bound` from
-    /// the tightest completed impossibility proof (at worst the output's
-    /// arrival time) — and `proven_exact` says whether the two meet. The
-    /// SAT engine bisects with SAT probes only; the hybrid engine keeps
-    /// bisecting an open narrowing interval with them.
-    ///
-    /// # Panics
-    ///
-    /// As [`CheckSession::exact_delay`].
-    pub fn exact_delay_budgeted(&self, output: NetId, extra: &Budget) -> DelaySearch {
-        self.search(self.config.engine, Route::Cone, output, extra)
+        let engine = self.config.engine;
+        self.search(engine, Route::Cone, output, &Budget::unlimited())
     }
 }
 
@@ -982,7 +892,8 @@ mod tests {
             let m = reference.verify_masked_reference(s, delta);
             assert_eq!((&r.verdict, r.effort), (&m.verdict, m.effort));
             // An assumption only narrows further: the same answer.
-            let pinned = session.verify_under(s, delta, &pin);
+            let pinned = crate::BatchRunner::serial().run_under(&session, &[(s, delta)], &pin);
+            let pinned = &pinned.reports[0];
             assert_eq!((&pinned.verdict, pinned.effort), (&r.verdict, r.effort));
         }
         assert!(c.outputs().iter().any(|&s| reference.cone(s).is_some()));

@@ -4,14 +4,17 @@
 //!
 //! * whatever the budget, a `NoViolation` or `Violation` verdict agrees
 //!   with the exhaustive floating-mode oracle, and a non-`Exact`
-//!   completeness marker only ever accompanies an `Abandoned` verdict;
+//!   completeness marker accompanies an `Abandoned` verdict and nothing
+//!   else;
 //! * a budget-degraded delay search always reports a proven
 //!   `[lower, upper]` interval containing the exact delay.
 
 use ltt_core::{
-    Budget, CancelToken, CheckSession, Completeness, Stage, TripReason, Verdict, VerifyConfig,
+    BatchRunner, Budget, CancelToken, CheckSession, Completeness, DelaySearch, Stage, TripReason,
+    Verdict, VerifyConfig,
 };
 use ltt_netlist::generators::{random_circuit, serial_false_path_gadgets, RandomCircuitConfig};
+use ltt_netlist::NetId;
 use ltt_sta::{exhaustive_floating_delay, vector_violates};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -26,6 +29,15 @@ fn small_random(seed: u64) -> ltt_netlist::Circuit {
         delay: 10,
         seed,
     })
+}
+
+/// The delay search of `output` with `budget` merged into the session's.
+fn budgeted_search(session: &CheckSession, output: NetId, budget: Budget) -> DelaySearch {
+    let runner = BatchRunner::serial().with_budget(budget);
+    match runner.exact_delays(session, &[output]).pop() {
+        Some(Ok(search)) => search,
+        other => panic!("delay search failed: {other:?}"),
+    }
 }
 
 /// One of the three cap kinds, tightened to `cap` where that applies.
@@ -81,9 +93,13 @@ proptest! {
             // No claim made: nothing to contradict.
             Verdict::Possible | Verdict::Abandoned => {}
         }
-        if !report.completeness.is_exact() {
-            prop_assert_eq!(&report.verdict, &Verdict::Abandoned);
-        }
+        prop_assert_eq!(
+            report.verdict == Verdict::Abandoned,
+            !report.completeness.is_exact(),
+            "Abandoned and a non-Exact marker come together: {:?} / {:?}",
+            report.verdict,
+            report.completeness
+        );
     }
 
     #[test]
@@ -96,7 +112,7 @@ proptest! {
         let s = c.outputs()[0];
         let oracle = exhaustive_floating_delay(&c, s).expect("7 inputs");
         let session = CheckSession::new(&c, VerifyConfig::default());
-        let search = session.exact_delay_budgeted(s, &tight_budget(kind, cap));
+        let search = budgeted_search(&session, s, tight_budget(kind, cap));
         prop_assert!(
             search.delay <= oracle.delay,
             "lower bound {} exceeds exact delay {}",
@@ -163,7 +179,7 @@ fn deadline_on_the_blowup_workload_stays_sound_and_prompt() {
     let session = CheckSession::new(&c, VerifyConfig::default());
     let budget = Budget::unlimited().with_wall(Duration::from_millis(50));
     let t0 = Instant::now();
-    let search = session.exact_delay_budgeted(s, &budget);
+    let search = budgeted_search(&session, s, budget);
     let elapsed = t0.elapsed();
     assert!(search.delay <= 480, "lower bound {}", search.delay);
     assert!(

@@ -1,6 +1,7 @@
 //! Fault-injection tests (run with `--features failpoints`): the batch
-//! runner's panic isolation and the wall-clock deadline path, exercised by
-//! real injected faults rather than hand-mocked ones.
+//! runner's panic isolation, the wall-clock deadline path, and the SAT
+//! backend's budget-trip soundness, exercised by real injected faults
+//! rather than hand-mocked ones.
 //!
 //! The failpoint registry is process-global, so every test takes the
 //! shared lock and disarms the registry when done.
@@ -8,12 +9,13 @@
 #![cfg(feature = "failpoints")]
 
 use ltt_core::failpoint::{clear_all, set, FailAction};
+use ltt_core::sat::{sat_decide, SatVerdict};
 use ltt_core::{
-    BatchOutcome, BatchRunner, CheckError, CheckSession, SolverStats, Stage, Verdict, VerifyConfig,
-    VerifyReport,
+    BatchOutcome, BatchRunner, Budget, CheckError, CheckSession, Completeness, Engine, SolverStats,
+    Stage, TripReason, Verdict, VerifyConfig, VerifyReport,
 };
-use ltt_netlist::generators::{random_circuit, RandomCircuitConfig};
-use ltt_netlist::NetId;
+use ltt_netlist::generators::{figure1, random_circuit, RandomCircuitConfig};
+use ltt_netlist::{Circuit, NetId};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -195,4 +197,161 @@ fn stalled_stage_hits_the_deadline_and_degrades() {
         assert!(!r.completeness.is_exact());
     }
     assert!(batch.wall < Duration::from_secs(5), "took {:?}", batch.wall);
+}
+
+// SAT budget-trip soundness: a stall armed on `sat::propagate` forces
+// every CDCL run to exhaust its wall budget mid-search, and the tripped
+// solve must surface as `Unknown`/`BudgetExhausted` — never as a decided
+// (and therefore wrong) verdict — while delay searches keep a still-proven
+// `[lower, upper]` interval around the true delay.
+
+fn engine_session(circuit: &Circuit, engine: Engine) -> CheckSession<'_> {
+    CheckSession::new(
+        circuit,
+        VerifyConfig {
+            engine,
+            ..Default::default()
+        },
+    )
+}
+
+/// Arms the CDCL propagation stall, runs `body`, and always disarms —
+/// even when an assertion inside `body` panics, so one failure cannot
+/// leave the registry armed for the remaining tests.
+fn with_stalled_propagation<R>(stall: Duration, body: impl FnOnce() -> R) -> R {
+    struct Disarm;
+    impl Drop for Disarm {
+        fn drop(&mut self) {
+            clear_all();
+        }
+    }
+    let _guard = Disarm;
+    set("sat::propagate", Some("cdcl"), FailAction::Stall(stall));
+    body()
+}
+
+/// A wall budget short enough that the very first post-stall poll trips
+/// it: the stall (100ms) dwarfs the window (10ms), so a stalled solve can
+/// never run to completion no matter how the scheduler slices it.
+fn tripping_budget() -> Budget {
+    Budget::unlimited().with_wall(Duration::from_millis(10))
+}
+
+/// figure1's exact delay, decided by narrowing with nothing armed.
+fn figure1_exact_delay(circuit: &Circuit) -> i64 {
+    let search = engine_session(circuit, Engine::Narrow).exact_delay(circuit.outputs()[0]);
+    assert!(search.proven_exact, "figure1 must be decidable unbudgeted");
+    assert!(
+        search.delay > 0,
+        "figure1 has a positive floating-mode delay"
+    );
+    search.delay
+}
+
+#[test]
+fn tripped_solve_reports_unknown_never_a_wrong_verdict() {
+    let _g = registry_lock();
+    clear_all();
+    let circuit = figure1(10);
+    let output = circuit.outputs()[0];
+    let exact = figure1_exact_delay(&circuit);
+
+    with_stalled_propagation(Duration::from_millis(100), || {
+        // δ = exact: the true verdict is Violated. A tripped solve must
+        // not claim Safe (unsound) — and with the stall it cannot finish,
+        // so anything but Unknown(Deadline) is a soundness bug.
+        let check = sat_decide(&circuit, output, exact, &tripping_budget());
+        assert_eq!(
+            check.verdict,
+            SatVerdict::Unknown(TripReason::Deadline),
+            "stalled solve at δ = exact must trip, not decide"
+        );
+
+        // δ = exact + 1: the true verdict is Safe. A tripped solve must
+        // not claim Violated (a fabricated witness).
+        let check = sat_decide(&circuit, output, exact + 1, &tripping_budget());
+        assert_eq!(
+            check.verdict,
+            SatVerdict::Unknown(TripReason::Deadline),
+            "stalled solve at δ = exact + 1 must trip, not decide"
+        );
+    });
+}
+
+#[test]
+fn tripped_verify_surfaces_budget_exhausted_at_the_sat_stage() {
+    let _g = registry_lock();
+    clear_all();
+    let circuit = figure1(10);
+    let output = circuit.outputs()[0];
+    let exact = figure1_exact_delay(&circuit);
+
+    with_stalled_propagation(Duration::from_millis(100), || {
+        let sat = engine_session(&circuit, Engine::Sat);
+        let runner = BatchRunner::serial().with_budget(tripping_budget());
+        let report = &runner.run(&sat, &[(output, exact)]).reports[0];
+        assert_eq!(report.verdict, Verdict::Abandoned);
+        assert_eq!(
+            report.completeness,
+            Completeness::BudgetExhausted {
+                stage: Stage::Sat,
+                reason: TripReason::Deadline,
+            },
+            "the trip must be attributed to the SAT stage"
+        );
+    });
+}
+
+#[test]
+fn tripped_delay_search_keeps_a_proven_interval() {
+    let _g = registry_lock();
+    clear_all();
+    let circuit = figure1(10);
+    let output = circuit.outputs()[0];
+    let truth = figure1_exact_delay(&circuit);
+
+    with_stalled_propagation(Duration::from_millis(100), || {
+        let sat = engine_session(&circuit, Engine::Sat);
+        let runner = BatchRunner::serial().with_budget(tripping_budget());
+        let search = match runner.exact_delays(&sat, &[output]).pop() {
+            Some(Ok(search)) => search,
+            other => panic!("delay search failed: {other:?}"),
+        };
+        // Every probe tripped, so the search cannot claim exactness...
+        assert!(
+            !search.proven_exact,
+            "stalled bisection claimed an exact delay"
+        );
+        // ...but the interval it does report must still be *proven*:
+        // `delay` only ever rises on a certified witness and
+        // `upper_bound` only ever falls on an UNSAT proof, so even a
+        // fully-starved search brackets the truth.
+        assert!(
+            search.delay <= truth && truth <= search.upper_bound,
+            "tripped interval [{}, {}] lost the true delay {truth}",
+            search.delay,
+            search.upper_bound
+        );
+        if let Some(vector) = &search.vector {
+            assert!(
+                ltt_sta::vector_violates(&circuit, vector, output, search.delay),
+                "reported lower-bound witness fails certification"
+            );
+        }
+    });
+}
+
+#[test]
+fn disarmed_failpoint_restores_exact_decisions() {
+    // Guards against registry leakage between tests (and documents that
+    // the stall — not some latent budget bug — caused the trips above).
+    let _g = registry_lock();
+    clear_all();
+    let circuit = figure1(10);
+    let output = circuit.outputs()[0];
+    let search = engine_session(&circuit, Engine::Sat).exact_delay(output);
+    assert!(
+        search.proven_exact,
+        "unarmed SAT search must decide figure1"
+    );
 }

@@ -44,7 +44,7 @@ proptest! {
         let config = VerifyConfig {
             dominators,
             stem_correlation: stems,
-            learning: if learning { LearningMode::All } else { LearningMode::Off },
+            learning: if learning { LearningMode::Stems } else { LearningMode::Off },
             max_backtracks: 10_000,
             ..Default::default()
         };

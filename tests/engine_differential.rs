@@ -1,7 +1,7 @@
 //! Differential fuzz harness for the two verification backends.
 //!
-//! The narrowing pipeline (`ltt-core`) and the CNF/CDCL oracle
-//! (`ltt-sat`) share nothing beyond the netlist: different abstractions
+//! The narrowing pipeline and the CNF/CDCL oracle (`ltt_core::sat`)
+//! share nothing beyond the netlist: different abstractions
 //! (waveform intervals vs boolean threshold variables), different search
 //! (case analysis vs clause learning), different code. Agreement between
 //! them on hundreds of random circuits — and with the exhaustive
@@ -13,7 +13,7 @@
 //! must return a `[lower, upper]` interval at least as tight as
 //! narrowing's, and strictly tighter when the SAT probes decide.
 
-use ltt_core::{Budget, CheckSession, Engine, LearningMode, VerifyConfig};
+use ltt_core::{BatchRunner, Budget, CheckSession, Engine, LearningMode, VerifyConfig};
 use ltt_netlist::generators::{random_circuit, serial_false_path_gadgets, RandomCircuitConfig};
 use ltt_netlist::Circuit;
 use ltt_sta::{exhaustive_floating_delay, vector_violates};
@@ -40,8 +40,8 @@ fn assert_engines_agree(circuit: &Circuit) {
     let sat = session(circuit, Engine::Sat);
     for &o in circuit.outputs() {
         let name = circuit.net(o).name();
-        let n = ltt_sat::exact_delay(&narrow, o);
-        let s = ltt_sat::exact_delay(&sat, o);
+        let n = narrow.exact_delay(o);
+        let s = sat.exact_delay(o);
         assert!(
             n.proven_exact,
             "{}/{name}: narrowing undecided",
@@ -75,7 +75,7 @@ fn assert_engines_agree(circuit: &Circuit) {
                 circuit.name()
             );
             let rn = narrow.verify(o, exact);
-            let rs = ltt_sat::verify(&sat, o, exact);
+            let rs = sat.verify(o, exact);
             assert!(
                 rn.verdict.is_violation(),
                 "{}/{name} δ=exact",
@@ -88,7 +88,7 @@ fn assert_engines_agree(circuit: &Circuit) {
             );
         }
         let rn = narrow.verify(o, exact + 1);
-        let rs = ltt_sat::verify(&sat, o, exact + 1);
+        let rs = sat.verify(o, exact + 1);
         assert!(
             rn.verdict.is_no_violation(),
             "{}/{name} δ=exact+1",
@@ -185,10 +185,10 @@ fn hybrid_interval_strictly_tighter_when_sat_decides() {
     let c = serial_false_path_gadgets(4, 10);
     let s = c.outputs()[0];
     let narrow = CheckSession::new(&c, starved_config(Engine::Narrow));
-    let n = ltt_sat::exact_delay(&narrow, s);
+    let n = narrow.exact_delay(s);
     assert!(!n.proven_exact, "narrowing should be starved");
     let hybrid = CheckSession::new(&c, starved_config(Engine::Hybrid));
-    let h = ltt_sat::exact_delay(&hybrid, s);
+    let h = hybrid.exact_delay(s);
     assert!(h.proven_exact, "SAT fallback decides the gap");
     assert_eq!(h.delay, 240, "4 gadgets × 60 true delay");
     // Strictly tighter: the hybrid interval is a proper subset.
@@ -216,10 +216,10 @@ fn hybrid_never_looser_on_path_blowup_800() {
     let c = serial_false_path_gadgets(800, 10);
     let s = c.outputs()[0];
     let narrow = CheckSession::new(&c, starved_config(Engine::Narrow));
-    let n = ltt_sat::exact_delay(&narrow, s);
+    let n = narrow.exact_delay(s);
     assert!(!n.proven_exact, "backtrack cap should starve narrowing");
     let hybrid = CheckSession::new(&c, starved_config(Engine::Hybrid));
-    let h = ltt_sat::exact_delay(&hybrid, s);
+    let h = hybrid.exact_delay(s);
     assert!(
         h.delay >= n.delay && h.upper_bound <= n.upper_bound,
         "hybrid [{}, {}] looser than narrowing [{}, {}]",
@@ -248,7 +248,11 @@ fn engines_stay_sound_on_path_blowup_800_under_deadline() {
     for engine in [Engine::Narrow, Engine::Sat, Engine::Hybrid] {
         let budget = Budget::unlimited().with_wall(Duration::from_millis(50));
         let sess = session(&c, engine);
-        let r = ltt_sat::exact_delay_budgeted(&sess, s, &budget);
+        let runner = BatchRunner::serial().with_budget(budget);
+        let r = match runner.exact_delays(&sess, &[s]).pop() {
+            Some(Ok(search)) => search,
+            other => panic!("{engine:?}: delay search failed: {other:?}"),
+        };
         assert!(
             r.delay <= 48_000 && r.upper_bound >= 48_000,
             "{engine:?}: interval [{}, {}] does not bracket 48000",

@@ -1,6 +1,6 @@
 //! Oracle agreement of the **parallel** batch engine: with more than one
-//! worker, [`BatchRunner::exact_delays`] and
-//! [`BatchRunner::verify_all_outputs`] must still agree with the
+//! worker, [`BatchRunner::exact_delays`] and [`BatchRunner::run`] over
+//! every output must still agree with the
 //! exhaustive floating-mode simulator on every circuit small enough to
 //! enumerate — delays, proofs, and certified witness vectors alike.
 
@@ -57,7 +57,7 @@ fn parallel_exact_delays_match_the_oracle() {
 }
 
 #[test]
-fn parallel_verify_all_outputs_matches_the_oracle() {
+fn parallel_output_batches_match_the_oracle() {
     let config = VerifyConfig::default();
     for c in suite() {
         let session = CheckSession::new(&c, config.clone());
@@ -67,9 +67,10 @@ fn parallel_verify_all_outputs_matches_the_oracle() {
             .map(|&o| exhaustive_floating_delay(&c, o).expect("small cone").delay)
             .collect();
         let circuit_delay = per_output.iter().copied().max().unwrap();
+        let at = |delta| c.outputs().iter().map(|&o| (o, delta)).collect::<Vec<_>>();
 
         // One past the circuit delay: every output must be proven safe.
-        let batch = runner().verify_all_outputs(&session, circuit_delay + 1);
+        let batch = runner().run(&session, &at(circuit_delay + 1));
         assert_eq!(
             batch.outcome(),
             BatchOutcome::AllSafe,
@@ -80,7 +81,7 @@ fn parallel_verify_all_outputs_matches_the_oracle() {
 
         // At the circuit delay: a certified violation on (at least) every
         // output whose own exact delay reaches it, safety proofs elsewhere.
-        let batch = runner().verify_all_outputs(&session, circuit_delay);
+        let batch = runner().run(&session, &at(circuit_delay));
         assert_eq!(batch.outcome(), BatchOutcome::Violation, "{}", c.name());
         for (r, &exact) in batch.reports.iter().zip(&per_output) {
             match &r.verdict {
