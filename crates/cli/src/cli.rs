@@ -1,8 +1,13 @@
 //! Argument parsing and subcommand implementations for the `ltt` binary.
+//!
+//! [`COMMANDS`] and [`FLAGS`] are the one description of the command
+//! line: [`Args::parse`] checks every argument list against them, each
+//! `cmd_*` reads typed values from the parsed [`Args`], and `ltt help`
+//! renders both tables.
 
 use ltt_core::{
-    explain, BatchRunner, Budget, CheckSession, Completeness, DelayMode, Engine, Error,
-    LearningMode, Obs, Recorder, Stage, Verdict, VerifyConfig,
+    explain, BatchOutcome, BatchRunner, Budget, CheckSession, Completeness, DelayMode, Engine,
+    Error, LearningMode, Obs, Recorder, Stage, Verdict, VerifyConfig,
 };
 use ltt_netlist::bench_format::{parse_bench, write_bench};
 use ltt_netlist::sdf::apply_sdf;
@@ -10,6 +15,8 @@ use ltt_netlist::verilog::{parse_verilog, write_verilog};
 use ltt_netlist::{Circuit, CircuitEdit, DelayInterval, NetId};
 use ltt_sta::{simulate, transition_counts, write_vcd, SlackReport, WaveformTrace};
 use ltt_waveform::Level;
+use std::io::Write;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,341 +45,384 @@ impl RunStatus {
     }
 }
 
-/// Parsed common options.
-struct Options {
-    file: String,
-    format: Option<String>,
-    delay: u32,
-    sdf: Option<String>,
-    output: Option<String>,
-    delta: Option<i64>,
-    deadline: Option<i64>,
-    deadline_ms: Option<u64>,
-    fail_fast: bool,
-    to: Option<String>,
-    v1: Option<String>,
-    v2: Option<String>,
-    vcd: Option<String>,
-    assumptions: Vec<(String, Level)>,
-    mode: DelayMode,
-    dominators: bool,
-    stems: bool,
-    search: bool,
-    learning: bool,
-    max_backtracks: u64,
-    jobs: usize,
-    trace: Option<String>,
-    engine: Engine,
-    set_delay: Vec<String>,
-    rewire: Vec<String>,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            file: String::new(),
-            format: None,
-            delay: 10,
-            sdf: None,
-            output: None,
-            delta: None,
-            deadline: None,
-            deadline_ms: None,
-            fail_fast: false,
-            to: None,
-            v1: None,
-            v2: None,
-            vcd: None,
-            assumptions: Vec::new(),
-            mode: DelayMode::Floating,
-            dominators: true,
-            stems: true,
-            search: true,
-            learning: true,
-            max_backtracks: 100_000,
-            jobs: 0,
-            trace: None,
-            engine: Engine::Narrow,
-            set_delay: Vec::new(),
-            rewire: Vec::new(),
+impl From<BatchOutcome> for RunStatus {
+    fn from(outcome: BatchOutcome) -> Self {
+        match outcome {
+            BatchOutcome::AllSafe => RunStatus::Clean,
+            BatchOutcome::Violation => RunStatus::Violation,
+            BatchOutcome::Undecided => RunStatus::Incomplete,
         }
     }
 }
 
-const USAGE: &str =
-    "usage: ltt <info|check|delay|patch|report|convert|serve|router|client> <netlist> [options]
-run `ltt help` for the full option list";
-
-/// Entry point used by `main` (and the tests).
-pub fn run(args: &[String]) -> Result<RunStatus, Error> {
-    let Some(command) = args.first() else {
-        return Err(Error::usage(USAGE));
+/// Writes one line of command output to stdout (see [`out`]).
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(format_args!("{}\n", format_args!($($arg)*)))?
     };
-    if command == "help" || command == "--help" || command == "-h" {
-        println!("{}", long_help());
-        return Ok(RunStatus::Clean);
-    }
-    // `serve`, `router`, and `client` take no netlist positional; they
-    // branch before the common option parser.
-    match command.as_str() {
-        "serve" => return cmd_serve(&args[1..]),
-        "router" => return cmd_router(&args[1..]),
-        "client" => return cmd_client(&args[1..]),
-        _ => {}
-    }
-    let opts = parse_options(&args[1..])?;
-    // Only `check` applies pins; any other command would drop them.
-    if !opts.assumptions.is_empty() && command != "check" {
-        return Err(Error::usage(format!(
-            "--assume applies to `check` only, not `{command}`"
-        )));
-    }
-    let circuit = load_circuit(&opts)?;
-    match command.as_str() {
-        "info" => cmd_info(&circuit),
-        "check" => cmd_check(&circuit, &opts),
-        "delay" => cmd_delay(&circuit, &opts),
-        "patch" => cmd_patch(&circuit, &opts),
-        "report" => cmd_report(&circuit, &opts),
-        "convert" => cmd_convert(&circuit, &opts),
-        "simulate" => cmd_simulate(&circuit, &opts),
-        "explain" => cmd_explain(&circuit, &opts),
-        other => Err(Error::usage(format!("unknown command `{other}`\n{USAGE}"))),
+}
+
+/// Writes command output to stdout. A reader that closed the pipe early
+/// (`ltt … | head -1`) wants nothing more, so the process ends there,
+/// quietly, as `SIGPIPE` ends a C tool, instead of panicking the way
+/// `println!` does.
+fn out(text: std::fmt::Arguments) -> Result<(), Error> {
+    std::io::stdout().write_fmt(text).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(3); // the exit code of every I/O error
+        }
+        io_error("<stdout>")(e)
+    })
+}
+
+/// Reports an I/O failure on `path`.
+fn io_error(path: &str) -> impl FnOnce(std::io::Error) -> Error + '_ {
+    move |e| Error::Io {
+        path: path.to_string(),
+        message: e.to_string(),
     }
 }
 
+type Text = &'static str;
+/// Command names.
+type Names = &'static [&'static str];
+/// The commands that load a netlist.
+const NETLIST: Names = &[
+    "info", "check", "delay", "patch", "report", "convert", "simulate", "explain",
+];
+/// The commands that run the Fig. 4 check pipeline.
+const PIPELINE: Names = &["check", "delay", "patch"];
+
+/// One `ltt` command: a row of [`COMMANDS`].
+struct Command {
+    name: Text,
+    /// The positional argument, when the command takes one.
+    operand: Option<Text>,
+    /// The flags the command cannot run without, for `ltt help`.
+    needs: Text,
+    about: Text,
+    run: fn(&Args) -> Result<RunStatus, Error>,
+}
+
+const NETLIST_FILE: Option<Text> = Some("<netlist>");
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "info", operand: NETLIST_FILE, needs: "", run: cmd_info, about: "circuit statistics" },
+    Command { name: "check", operand: NETLIST_FILE, needs: "--delta N", run: cmd_check,
+        about: "can any output transition at or after N? (the Fig. 4 pipeline)" },
+    Command { name: "delay", operand: NETLIST_FILE, needs: "", run: cmd_delay,
+        about: "exact floating-mode delay per output" },
+    Command { name: "patch", operand: NETLIST_FILE, needs: "--delta N --set-delay G=D | --rewire G=a,b,..",
+        run: cmd_patch, about: "apply ECO edits and re-verify incrementally (rebased session),\n\
+                                reporting the incremental-vs-cold wall-clock ratio" },
+    Command { name: "report", operand: NETLIST_FILE, needs: "--deadline N", run: cmd_report,
+        about: "topological slack report" },
+    Command { name: "convert", operand: NETLIST_FILE, needs: "--to bench|verilog", run: cmd_convert,
+        about: "netlist format conversion" },
+    Command { name: "simulate", operand: NETLIST_FILE, needs: "--v1 BITS --v2 BITS", run: cmd_simulate,
+        about: "exact two-vector waveform simulation" },
+    Command { name: "explain", operand: NETLIST_FILE, needs: "--delta N", run: cmd_explain,
+        about: "where could the violation live? (carriers, dominators, stems)" },
+    Command { name: "serve", operand: None, needs: "", run: cmd_serve,
+        about: "run the persistent verification daemon (newline-delimited JSON over TCP)" },
+    Command { name: "router", operand: None, needs: "--backend A [--backend B ...] | --spawn N",
+        run: cmd_router, about: "run the fleet front tier: consistent-hash placement, health probes,\n\
+                                 breakers, retry and failover over the backends (`serve`'s protocol)" },
+    Command { name: "client", operand: Some("<requests.json>"), needs: "", run: cmd_client,
+        about: "send request lines (`-` reads stdin) to a daemon and print the responses" },
+];
+
+/// One flag: a row of [`FLAGS`].
+struct Flag {
+    name: Text,
+    /// The value placeholder; empty for a switch.
+    value: Text,
+    /// The commands that read the flag; every other command rejects it.
+    reads: Names,
+    /// Whether the flag may be given more than once.
+    repeat: bool,
+    help: Text,
+}
+
+/// A flag given at most once.
+#[rustfmt::skip]
+const fn one(name: Text, value: Text, reads: Names, help: Text) -> Flag {
+    Flag { name, value, reads, repeat: false, help }
+}
+
+/// A flag whose every occurrence counts.
+#[rustfmt::skip]
+const fn many(name: Text, value: Text, reads: Names, help: Text) -> Flag {
+    Flag { repeat: true, ..one(name, value, reads, help) }
+}
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    one("--format", "bench|verilog", NETLIST, "input format (default: by file extension, .v/.sv is verilog)"),
+    one("--delay", "D", NETLIST, "per-gate delay when the format has none (default 10)"),
+    one("--sdf", "FILE", NETLIST, "back-annotate delays from an SDF file"),
+    one("--output", "NAME", &["check", "delay", "patch", "explain"],
+        "restrict to one primary output (default: every output)"),
+    one("--delta", "N", &["check", "patch", "explain"], "the checked time: can an output transition at or after N?"),
+    one("--deadline", "N", &["report"], "the required time of the slack report"),
+    many("--assume", "NET=0|1", &["check"], "pin a net's settling value (set_case_analysis)"),
+    one("--mode", "floating|transition", PIPELINE, "delay model (default floating)"),
+    one("--engine", "narrow|sat|hybrid", PIPELINE,
+        "backend (default narrow: the waveform-narrowing pipeline; `sat`: a CNF/CDCL\n\
+         oracle; `hybrid`: narrowing, then SAT when the budget trips; `sat` and\n\
+         `hybrid` take neither --assume nor --mode transition)"),
+    one("--no-dominators", "", PIPELINE, "skip the timing-dominator stage"),
+    one("--no-stems", "", PIPELINE, "skip the stem-correlation stage"),
+    one("--no-search", "", PIPELINE, "skip the case analysis (undecided checks stay open)"),
+    one("--no-learning", "", PIPELINE, "skip static learning"),
+    one("--max-backtracks", "N", PIPELINE, "case-analysis budget (default 100000)"),
+    one("--jobs", "N", &["check", "delay", "patch", "serve", "router"],
+        "worker threads (default 0: one per hardware thread, at least 4 for the\n\
+         router); check, delay and patch results are identical for every N"),
+    one("--deadline-ms", "T", PIPELINE,
+        "wall-clock budget for the whole run; past it, in-flight checks degrade\n\
+         to sound partial results (exit code 2)"),
+    one("--fail-fast", "", &["check", "patch"],
+        "cancel remaining checks after the first certified violation (trades\n\
+         the deterministic report set for latency; the exit code is unaffected)"),
+    one("--trace", "FILE", &["check", "delay"],
+        "write per-stage spans as Chrome-trace JSON (load in chrome://tracing);\n\
+         verdicts and counters are identical with or without tracing"),
+    many("--set-delay", "GATE=D", &["patch"],
+        "re-annotate a gate's delay (GATE is its output net; D or LO:HI)"),
+    many("--rewire", "GATE=a,b,..", &["patch"], "replace a gate's input nets"),
+    one("--to", "bench|verilog", &["convert"], "output format"),
+    one("--v1", "BITS", &["simulate"], "input vector before time 0, one bit per input in declaration order"),
+    one("--v2", "BITS", &["simulate"], "input vector from time 0"),
+    one("--vcd", "FILE", &["simulate"], "also write the waveforms as a VCD file"),
+    one("--addr", "A", &["serve", "router", "client"],
+        "address to bind or reach (default 127.0.0.1:7171; router 127.0.0.1:7070;\n\
+         port 0 picks an ephemeral port)"),
+    one("--queue-cap", "Q", &["serve", "router"], "admission bound on queued requests (default 64; router 256)"),
+    one("--registry-cap", "R", &["serve"], "circuits kept resident, least recently used evicted (default 16)"),
+    one("--max-line-bytes", "L", &["serve", "router"], "request/reply line cap (default 16 MiB)"),
+    many("--backend", "A", &["router"], "a backend daemon address"),
+    one("--spawn", "N", &["router"], "spawn N in-process backends instead of --backend (testing)"),
+    one("--backend-jobs", "N", &["router"], "worker threads per spawned backend (default 0)"),
+    one("--backend-queue-cap", "Q", &["router"], "admission bound per spawned backend (default 64)"),
+    one("--backend-registry-cap", "R", &["router"], "registry capacity per spawned backend (default 16)"),
+    one("--replicas", "R", &["router"], "backends each circuit registers on (default 2)"),
+    one("--retries", "N", &["router"], "retry rounds over the candidate list (default 3)"),
+    one("--backoff-ms", "B", &["router"], "first-round backoff, doubled per round (default 10)"),
+    one("--backoff-cap-ms", "B", &["router"], "backoff ceiling (default 500)"),
+    one("--breaker-threshold", "K", &["router"], "consecutive failures that open a breaker (default 3)"),
+    one("--breaker-cooldown-ms", "C", &["router"], "open-breaker cooldown before a probe (default 1000)"),
+    one("--health-interval-ms", "H", &["router"], "status-probe period per backend (default 1000)"),
+    one("--connect-timeout-ms", "T", &["router"], "backend connect bound (default 1000)"),
+    one("--rpc-timeout-ms", "T", &["router"], "backend round-trip bound (default 30000)"),
+    one("--timeout-ms", "T", &["client"], "bound on connecting and on each reply (default: none)"),
+];
+
+fn usage() -> String {
+    let names: Vec<Text> = COMMANDS.iter().map(|c| c.name).collect();
+    format!(
+        "usage: ltt <{}> [arguments]\nrun `ltt help` for every command and flag",
+        names.join("|")
+    )
+}
+
+/// One command line, checked against its command's rows of [`FLAGS`].
+struct Args {
+    command: &'static Command,
+    /// The positional argument; empty for a command that takes none.
+    operand: String,
+    /// Every flag given, in order, with its value (empty for a switch).
+    flags: Vec<(&'static Flag, String)>,
+}
+
+impl Args {
+    /// Rejects a flag the command does not read, a repeated single flag,
+    /// a missing value and a missing or extra positional argument.
+    fn parse(command: &'static Command, args: &[String]) -> Result<Args, Error> {
+        let name = command.name;
+        let mut parsed = Args {
+            command,
+            operand: String::new(),
+            flags: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                if command.operand.is_none() || !parsed.operand.is_empty() {
+                    return Err(Error::usage(format!(
+                        "`{name}`: unexpected argument `{arg}`"
+                    )));
+                }
+                parsed.operand = arg.clone();
+                continue;
+            }
+            let Some(flag) = FLAGS.iter().find(|f| f.name == arg) else {
+                return Err(Error::usage(format!("unknown option `{arg}` for `{name}`")));
+            };
+            if !flag.reads.contains(&name) {
+                return Err(Error::usage(format!(
+                    "`{name}` does not read {arg} (read by: {})",
+                    flag.reads.join(" ")
+                )));
+            }
+            if !flag.repeat && parsed.flags.iter().any(|(f, _)| f.name == flag.name) {
+                return Err(Error::usage(format!("`{name}` takes {arg} once")));
+            }
+            let value = if flag.value.is_empty() {
+                String::new()
+            } else {
+                it.next()
+                    .cloned()
+                    .ok_or_else(|| Error::usage(format!("`{name}`: {arg} needs a value")))?
+            };
+            parsed.flags.push((flag, value));
+        }
+        match command.operand {
+            Some(operand) if parsed.operand.is_empty() => {
+                Err(Error::usage(format!("`{name}` needs {operand}")))
+            }
+            _ => Ok(parsed),
+        }
+    }
+
+    /// Every value given for `name`, in order (a switch has one empty
+    /// value).
+    fn values<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a str> + 'a {
+        let flag = FLAGS.iter().find(|f| f.name == name);
+        debug_assert!(
+            flag.is_some_and(|f| f.reads.contains(&self.command.name)),
+            "`{}` reads {name}, which its FLAGS rows do not list",
+            self.command.name
+        );
+        let name = flag.map_or("", |f| f.name);
+        self.flags
+            .iter()
+            .filter(move |(f, _)| f.name == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        self.values(name).next()
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.value(name).is_some()
+    }
+
+    /// The flag's value parsed as a `T` (an integer, or the text itself).
+    fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, Error> {
+        self.value(name)
+            .map(|v| v.parse().map_err(|_| self.bad(name, v, "an integer")))
+            .transpose()
+    }
+
+    /// The value of a flag the command cannot run without.
+    fn required<T: FromStr>(&self, name: &str) -> Result<T, Error> {
+        self.get(name)?
+            .ok_or_else(|| Error::usage(format!("{} needs {name}", self.command.name)))
+    }
+
+    /// Overwrites `slot` with the flag's number, when the flag is given.
+    fn set<T: FromStr>(&self, name: &str, slot: &mut T) -> Result<(), Error> {
+        if let Some(v) = self.get(name)? {
+            *slot = v;
+        }
+        Ok(())
+    }
+
+    /// Overwrites `slot` with the flag's milliseconds, when given.
+    fn set_ms(&self, name: &str, slot: &mut Duration) -> Result<(), Error> {
+        if let Some(ms) = self.get(name)? {
+            *slot = Duration::from_millis(ms);
+        }
+        Ok(())
+    }
+
+    fn bad(&self, name: &str, value: &str, expected: &str) -> Error {
+        Error::usage(format!(
+            "`{}`: {name} needs {expected}, not `{value}`",
+            self.command.name
+        ))
+    }
+}
+
+/// Entry point used by `main` (and the tests).
+pub fn run(args: &[String]) -> Result<RunStatus, Error> {
+    let Some(name) = args.first() else {
+        return Err(Error::usage(usage()));
+    };
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        outln!("{}", long_help());
+        return Ok(RunStatus::Clean);
+    }
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| Error::usage(format!("unknown command `{name}`\n{}", usage())))?;
+    (command.run)(&Args::parse(command, &args[1..])?)
+}
+
 fn long_help() -> String {
-    "ltt — false-path-aware gate-level timing verification
+    fn entry(text: &mut String, head: &str, about: &str) {
+        text.push_str(&format!("  {head}\n"));
+        for line in about.lines() {
+            text.push_str(&format!("      {line}\n"));
+        }
+    }
+    let mut text = String::from(
+        "ltt — false-path-aware gate-level timing verification
 (waveform narrowing with last-transition-time constraint propagation,
 after Kassab–Cerny–Aourid–Krodel, DATE 1998)
 
+usage: ltt <command> [arguments]
+
 COMMANDS
-  info    <netlist>                 circuit statistics
-  check   <netlist> --delta N      can any output transition at/after N?
-  delay   <netlist>                exact floating-mode delay per output
-  patch   <netlist> --delta N --set-delay G=D | --rewire G=a,b,..
-                                   apply ECO edits and re-verify
-                                   incrementally (rebased session, clean
-                                   cones transplanted), reporting the
-                                   incremental-vs-cold wall-clock ratio
-  report  <netlist> --deadline N   topological slack report
-  convert <netlist> --to FMT       rewrite as bench|verilog
-  simulate <netlist> --v1 BITS --v2 BITS [--vcd FILE]
-                                   exact two-vector waveform simulation
-  explain <netlist> --delta N      where could the violation live?
-                                   (carriers, dominators, stems)
-  serve   [--addr A] [--jobs N] [--queue-cap Q] [--registry-cap R]
-                                   run the persistent verification daemon
-                                   (newline-delimited JSON over TCP;
-                                   default addr 127.0.0.1:7171, :0 picks
-                                   an ephemeral port and prints it)
-  router  --backend A [--backend B ...] | --spawn N
-                                   run the fault-tolerant fleet front
-                                   tier: consistent-hash placement over
-                                   the backends, health probes, circuit
-                                   breakers, backoff retry + failover
-                                   (same wire protocol as `serve`)
-  client  <requests.json> [--addr A] [--timeout-ms T]
-                                   send request lines to a daemon and
-                                   print the responses (`-` reads stdin;
-                                   a stalled daemon past T yields a
-                                   structured `timeout` error, exit 2)
-
-OPTIONS
-  --format bench|verilog    input format (default: by file extension)
-  --delay D                 per-gate delay when the format has none (10)
-  --sdf FILE                back-annotate delays from an SDF file
-  --output NAME             restrict to one primary output
-  --assume NET=0|1          pin a net's settling value (check only;
-                            repeatable)
-  --mode floating|transition
-  --no-dominators --no-stems --no-search --no-learning
-  --engine narrow|sat|hybrid
-                            verification backend for check/delay
-                            (default narrow: the waveform-narrowing
-                            pipeline; `sat` re-decides each check with
-                            an independent CNF/CDCL oracle; `hybrid`
-                            runs narrowing first and falls back to SAT
-                            only when the budget trips, tightening the
-                            reported delay interval instead of giving
-                            up; `sat`/`hybrid` do not support --assume
-                            or --mode transition)
-  --max-backtracks N        case-analysis budget (100000)
-  --jobs N                  worker threads for check/delay batches
-                            (0 = one per hardware thread, the default;
-                            results are identical for every N)
-  --deadline-ms T           wall-clock budget for the whole check/delay
-                            run; past it, in-flight checks degrade to
-                            sound partial results (exit code 2)
-  --fail-fast               cancel remaining checks after the first
-                            certified violation (trades the deterministic
-                            report set for latency; the exit code is
-                            unaffected)
-  --trace FILE              write per-stage spans of a check/delay run as
-                            Chrome-trace JSON (load in chrome://tracing);
-                            verdicts and counters are identical with or
-                            without tracing
-
-PATCH OPTIONS
-  --set-delay GATE=D        re-annotate a gate's delay (GATE is its
-                            output net; D or LO:HI interval; repeatable)
-  --rewire GATE=a,b,..      replace a gate's input nets (repeatable)
-
-ROUTER OPTIONS
-  --addr A                  bind address (default 127.0.0.1:7070, :0 ephemeral)
-  --backend A               a backend daemon address (repeatable)
-  --spawn N                 spawn N in-process backends instead (testing)
-  --replicas R              backends each circuit registers on (2)
-  --jobs N / --queue-cap Q  forwarding pool size / admission bound
-  --retries N               retry rounds over the candidate list (3)
-  --backoff-ms B            first-round backoff, doubled per round (10)
-  --breaker-threshold K     consecutive failures that open a breaker (3)
-  --breaker-cooldown-ms C   open-breaker cooldown before a probe (1000)
-  --health-interval-ms H    status-probe period per backend (1000)
-  --connect-timeout-ms T    backend connect bound (1000)
-  --rpc-timeout-ms T        backend round-trip bound (30000)
-  --max-line-bytes L        request/reply line cap (16 MiB)
-
+",
+    );
+    for c in COMMANDS {
+        let synopsis: Vec<&str> = [c.name, c.operand.unwrap_or(""), c.needs]
+            .into_iter()
+            .filter(|s| !s.is_empty())
+            .collect();
+        entry(&mut text, &synopsis.join(" "), c.about);
+    }
+    text.push_str("\nOPTIONS (a command rejects every flag it does not read: exit 3)\n");
+    for f in FLAGS {
+        let head = format!("{} {}", f.name, f.value);
+        let repeat = if f.repeat { " (repeatable)" } else { "" };
+        let about = format!("{}{repeat}\nread by: {}", f.help, f.reads.join(" "));
+        entry(&mut text, head.trim_end(), &about);
+    }
+    text.push_str(
+        "
 EXIT CODES
   0  every check completed, no violation
   1  at least one certified violation
   2  incomplete: budget exhausted, search abandoned, or a check failed
-  3  usage or input error"
-        .to_string()
+  3  usage or input error",
+    );
+    text
 }
 
-fn parse_options(args: &[String]) -> Result<Options, Error> {
-    let mut opts = Options::default();
-    let mut it = args.iter().peekable();
-    let mut positional = Vec::new();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, Error> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| Error::usage(format!("{name} needs a value")))
-        };
-        match arg.as_str() {
-            "--format" => opts.format = Some(value("--format")?),
-            "--delay" => {
-                opts.delay = value("--delay")?
-                    .parse()
-                    .map_err(|_| Error::usage("--delay needs an integer"))?
-            }
-            "--sdf" => opts.sdf = Some(value("--sdf")?),
-            "--output" => opts.output = Some(value("--output")?),
-            "--delta" => {
-                opts.delta = Some(
-                    value("--delta")?
-                        .parse()
-                        .map_err(|_| Error::usage("--delta needs an integer"))?,
-                )
-            }
-            "--deadline" => {
-                opts.deadline = Some(
-                    value("--deadline")?
-                        .parse()
-                        .map_err(|_| Error::usage("--deadline needs an integer"))?,
-                )
-            }
-            "--deadline-ms" => {
-                opts.deadline_ms = Some(
-                    value("--deadline-ms")?
-                        .parse()
-                        .map_err(|_| Error::usage("--deadline-ms needs an integer"))?,
-                )
-            }
-            "--fail-fast" => opts.fail_fast = true,
-            "--to" => opts.to = Some(value("--to")?),
-            "--v1" => opts.v1 = Some(value("--v1")?),
-            "--v2" => opts.v2 = Some(value("--v2")?),
-            "--vcd" => opts.vcd = Some(value("--vcd")?),
-            "--assume" => {
-                let spec = value("--assume")?;
-                let (net, v) = spec
-                    .split_once('=')
-                    .ok_or_else(|| Error::usage("--assume expects NET=0 or NET=1"))?;
-                let level = match v {
-                    "0" => Level::Zero,
-                    "1" => Level::One,
-                    _ => return Err(Error::usage("--assume expects NET=0 or NET=1")),
-                };
-                opts.assumptions.push((net.to_string(), level));
-            }
-            "--mode" => {
-                opts.mode = match value("--mode")?.as_str() {
-                    "floating" => DelayMode::Floating,
-                    "transition" => DelayMode::Transition,
-                    other => return Err(Error::usage(format!("unknown mode `{other}`"))),
-                }
-            }
-            "--engine" => {
-                let v = value("--engine")?;
-                opts.engine = Engine::parse(&v)
-                    .ok_or_else(|| Error::usage(format!("unknown engine `{v}`")))?;
-            }
-            "--set-delay" => opts.set_delay.push(value("--set-delay")?),
-            "--rewire" => opts.rewire.push(value("--rewire")?),
-            "--no-dominators" => opts.dominators = false,
-            "--no-stems" => opts.stems = false,
-            "--no-search" => opts.search = false,
-            "--no-learning" => opts.learning = false,
-            "--max-backtracks" => {
-                opts.max_backtracks = value("--max-backtracks")?
-                    .parse()
-                    .map_err(|_| Error::usage("--max-backtracks needs an integer"))?
-            }
-            "--jobs" => {
-                opts.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|_| Error::usage("--jobs needs an integer"))?
-            }
-            "--trace" => opts.trace = Some(value("--trace")?),
-            other if other.starts_with("--") => {
-                return Err(Error::usage(format!("unknown option `{other}`")))
-            }
-            _ => positional.push(arg.clone()),
-        }
-    }
-    // The CNF encoder models floating mode only; answering a transition-
-    // mode question with it would report floating-mode verdicts.
-    if opts.mode == DelayMode::Transition && opts.engine != Engine::Narrow {
-        return Err(Error::usage(
-            "--mode transition requires --engine narrow (the CNF encoder models floating mode only)",
-        ));
-    }
-    match positional.as_slice() {
-        [file] => opts.file = file.clone(),
-        [] => return Err(Error::usage("missing netlist file")),
-        more => return Err(Error::usage(format!("unexpected arguments: {more:?}"))),
-    }
-    Ok(opts)
-}
-
-fn load_circuit(opts: &Options) -> Result<Circuit, Error> {
-    let text = std::fs::read_to_string(&opts.file).map_err(|e| Error::Io {
-        path: opts.file.clone(),
-        message: e.to_string(),
-    })?;
-    let format = match &opts.format {
-        Some(f) => f.clone(),
-        None if opts.file.ends_with(".v") || opts.file.ends_with(".sv") => "verilog".into(),
-        None => "bench".into(),
+fn load_circuit(a: &Args) -> Result<Circuit, Error> {
+    let file = &a.operand;
+    let text = std::fs::read_to_string(file).map_err(io_error(file))?;
+    let format = match a.value("--format") {
+        Some(f) => f,
+        None if file.ends_with(".v") || file.ends_with(".sv") => "verilog",
+        None => "bench",
     };
-    let delay = DelayInterval::fixed(opts.delay);
-    let circuit = match format.as_str() {
-        "bench" => {
-            parse_bench(&opts.file, &text, delay).map_err(|e| Error::invalid(e.to_string()))?
-        }
+    let delay = DelayInterval::fixed(a.get("--delay")?.unwrap_or(10));
+    let circuit = match format {
+        "bench" => parse_bench(file, &text, delay).map_err(|e| Error::invalid(e.to_string()))?,
         "verilog" => parse_verilog(&text, delay).map_err(|e| Error::invalid(e.to_string()))?,
-        other => return Err(Error::usage(format!("unknown format `{other}`"))),
+        other => return Err(a.bad("--format", other, "bench or verilog")),
     };
-    match &opts.sdf {
+    match a.value("--sdf") {
         None => Ok(circuit),
         Some(path) => {
-            let sdf = std::fs::read_to_string(path).map_err(|e| Error::Io {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
+            let sdf = std::fs::read_to_string(path).map_err(io_error(path))?;
             apply_sdf(&circuit, &sdf).map_err(|e| Error::invalid(e.to_string()))
         }
     }
@@ -380,209 +430,88 @@ fn load_circuit(opts: &Options) -> Result<Circuit, Error> {
 
 /// `ltt serve`: run the persistent verification daemon until a `shutdown`
 /// request drains it.
-fn cmd_serve(args: &[String]) -> Result<RunStatus, Error> {
+fn cmd_serve(a: &Args) -> Result<RunStatus, Error> {
     let mut config = ltt_serve::ServeConfig {
-        addr: "127.0.0.1:7171".to_string(),
+        addr: a.value("--addr").unwrap_or("127.0.0.1:7171").to_string(),
         ..Default::default()
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, Error> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| Error::usage(format!("{name} needs a value")))
-        };
-        match arg.as_str() {
-            "--addr" => config.addr = value("--addr")?,
-            "--jobs" => {
-                config.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|_| Error::usage("--jobs needs an integer"))?
-            }
-            "--queue-cap" => {
-                config.queue_cap = value("--queue-cap")?
-                    .parse()
-                    .map_err(|_| Error::usage("--queue-cap needs an integer"))?
-            }
-            "--registry-cap" => {
-                config.registry_cap = value("--registry-cap")?
-                    .parse()
-                    .map_err(|_| Error::usage("--registry-cap needs an integer"))?
-            }
-            "--max-line-bytes" => {
-                config.max_line_bytes = value("--max-line-bytes")?
-                    .parse()
-                    .map_err(|_| Error::usage("--max-line-bytes needs an integer"))?
-            }
-            other => return Err(Error::usage(format!("unknown serve option `{other}`"))),
-        }
-    }
-    ltt_serve::serve(&config).map_err(|e| Error::Io {
-        path: config.addr.clone(),
-        message: e.to_string(),
-    })?;
+    a.set("--jobs", &mut config.jobs)?;
+    a.set("--queue-cap", &mut config.queue_cap)?;
+    a.set("--registry-cap", &mut config.registry_cap)?;
+    a.set("--max-line-bytes", &mut config.max_line_bytes)?;
+    ltt_serve::serve(&config).map_err(io_error(&config.addr))?;
     Ok(RunStatus::Clean)
 }
 
 /// `ltt router`: run the sharded-fleet front tier until a `shutdown`
 /// request drains it.
-fn cmd_router(args: &[String]) -> Result<RunStatus, Error> {
+fn cmd_router(a: &Args) -> Result<RunStatus, Error> {
     let mut config = ltt_serve::RouterConfig {
-        addr: "127.0.0.1:7070".to_string(),
+        addr: a.value("--addr").unwrap_or("127.0.0.1:7070").to_string(),
+        backends: a.values("--backend").map(String::from).collect(),
         ..Default::default()
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, Error> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| Error::usage(format!("{name} needs a value")))
-        };
-        let arg = arg.as_str();
-        // The duration-valued flags share one parse-and-assign path.
-        let duration_slot: Option<&mut std::time::Duration> = match arg {
-            "--backoff-ms" => Some(&mut config.backoff_base),
-            "--backoff-cap-ms" => Some(&mut config.backoff_cap),
-            "--breaker-cooldown-ms" => Some(&mut config.breaker_cooldown),
-            "--health-interval-ms" => Some(&mut config.health_interval),
-            "--connect-timeout-ms" => Some(&mut config.connect_timeout),
-            "--rpc-timeout-ms" => Some(&mut config.rpc_timeout),
-            _ => None,
-        };
-        if let Some(slot) = duration_slot {
-            let ms: u64 = value(arg)?
-                .parse()
-                .map_err(|_| Error::usage(format!("{arg} needs an integer (milliseconds)")))?;
-            *slot = std::time::Duration::from_millis(ms);
-            continue;
-        }
-        let usize_slot: Option<&mut usize> = match arg {
-            "--spawn" => Some(&mut config.spawn),
-            "--replicas" => Some(&mut config.replicas),
-            "--jobs" => Some(&mut config.jobs),
-            "--queue-cap" => Some(&mut config.queue_cap),
-            "--backend-jobs" => Some(&mut config.backend_jobs),
-            "--backend-queue-cap" => Some(&mut config.backend_queue_cap),
-            "--backend-registry-cap" => Some(&mut config.backend_registry_cap),
-            "--max-line-bytes" => Some(&mut config.max_line_bytes),
-            _ => None,
-        };
-        if let Some(slot) = usize_slot {
-            *slot = value(arg)?
-                .parse()
-                .map_err(|_| Error::usage(format!("{arg} needs an integer")))?;
-            continue;
-        }
-        match arg {
-            "--addr" => config.addr = value("--addr")?,
-            "--backend" => config.backends.push(value("--backend")?),
-            "--retries" => {
-                config.max_retries = value("--retries")?
-                    .parse()
-                    .map_err(|_| Error::usage("--retries needs an integer"))?
-            }
-            "--breaker-threshold" => {
-                config.breaker_threshold = value("--breaker-threshold")?
-                    .parse()
-                    .map_err(|_| Error::usage("--breaker-threshold needs an integer"))?
-            }
-            other => return Err(Error::usage(format!("unknown router option `{other}`"))),
-        }
-    }
+    a.set("--spawn", &mut config.spawn)?;
+    a.set("--replicas", &mut config.replicas)?;
+    a.set("--jobs", &mut config.jobs)?;
+    a.set("--queue-cap", &mut config.queue_cap)?;
+    a.set("--backend-jobs", &mut config.backend_jobs)?;
+    a.set("--backend-queue-cap", &mut config.backend_queue_cap)?;
+    a.set("--backend-registry-cap", &mut config.backend_registry_cap)?;
+    a.set("--max-line-bytes", &mut config.max_line_bytes)?;
+    a.set("--retries", &mut config.max_retries)?;
+    a.set("--breaker-threshold", &mut config.breaker_threshold)?;
+    a.set_ms("--backoff-ms", &mut config.backoff_base)?;
+    a.set_ms("--backoff-cap-ms", &mut config.backoff_cap)?;
+    a.set_ms("--breaker-cooldown-ms", &mut config.breaker_cooldown)?;
+    a.set_ms("--health-interval-ms", &mut config.health_interval)?;
+    a.set_ms("--connect-timeout-ms", &mut config.connect_timeout)?;
+    a.set_ms("--rpc-timeout-ms", &mut config.rpc_timeout)?;
     if config.backends.is_empty() && config.spawn == 0 {
         return Err(Error::usage(
             "router needs at least one --backend (or --spawn N)",
         ));
     }
     let addr = config.addr.clone();
-    ltt_serve::route(config).map_err(|e| Error::Io {
-        path: addr,
-        message: e.to_string(),
-    })?;
+    ltt_serve::route(config).map_err(io_error(&addr))?;
     Ok(RunStatus::Clean)
 }
 
 /// `ltt client`: send each request line of a file (or stdin, `-`) to a
 /// daemon, print each response line, and fold the responses into the
 /// standard exit-code contract.
-fn cmd_client(args: &[String]) -> Result<RunStatus, Error> {
-    let mut addr = "127.0.0.1:7171".to_string();
-    let mut file: Option<String> = None;
-    let mut timeout: Option<std::time::Duration> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => {
-                addr = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| Error::usage("--addr needs a value"))?
-            }
-            "--timeout-ms" => {
-                let ms: u64 = it
-                    .next()
-                    .ok_or_else(|| Error::usage("--timeout-ms needs a value"))?
-                    .parse()
-                    .map_err(|_| Error::usage("--timeout-ms needs an integer"))?;
-                if ms == 0 {
-                    return Err(Error::usage("--timeout-ms must be positive"));
-                }
-                timeout = Some(std::time::Duration::from_millis(ms));
-            }
-            other if other.starts_with("--") => {
-                return Err(Error::usage(format!("unknown client option `{other}`")))
-            }
-            _ => {
-                if file.replace(arg.clone()).is_some() {
-                    return Err(Error::usage("client takes exactly one request file"));
-                }
-            }
-        }
-    }
-    let file = file.ok_or_else(|| Error::usage("client needs a request file (`-` for stdin)"))?;
+fn cmd_client(a: &Args) -> Result<RunStatus, Error> {
+    let addr = a.value("--addr").unwrap_or("127.0.0.1:7171");
+    let timeout = match a.get("--timeout-ms")? {
+        Some(0) => return Err(a.bad("--timeout-ms", "0", "a positive integer")),
+        ms => ms.map(Duration::from_millis),
+    };
+    let file = &a.operand;
     let text = if file == "-" {
-        let mut buffer = String::new();
-        std::io::Read::read_to_string(&mut std::io::stdin(), &mut buffer).map_err(|e| {
-            Error::Io {
-                path: "<stdin>".to_string(),
-                message: e.to_string(),
-            }
-        })?;
-        buffer
+        std::io::read_to_string(std::io::stdin()).map_err(io_error("<stdin>"))?
     } else {
-        std::fs::read_to_string(&file).map_err(|e| Error::Io {
-            path: file.clone(),
-            message: e.to_string(),
-        })?
+        std::fs::read_to_string(file).map_err(io_error(file))?
     };
     let connected = match timeout {
-        Some(t) => ltt_serve::Client::connect_timeout(&addr, t),
-        None => ltt_serve::Client::connect(&addr),
+        Some(t) => ltt_serve::Client::connect_timeout(addr, t),
+        None => ltt_serve::Client::connect(addr),
     };
     let mut client = match connected {
         Ok(client) => client,
         Err(e) if timeout.is_some() && ltt_serve::is_timeout(&e) => {
-            println!("{}", timeout_response(&addr, "connect").encode());
+            outln!("{}", timeout_response(addr, "connect").encode());
             return Ok(RunStatus::Incomplete);
         }
-        Err(e) => {
-            return Err(Error::Io {
-                path: addr.clone(),
-                message: e.to_string(),
-            })
-        }
+        Err(e) => return Err(io_error(addr)(e)),
     };
-    client.set_read_timeout(timeout).map_err(|e| Error::Io {
-        path: addr.clone(),
-        message: e.to_string(),
-    })?;
+    client.set_read_timeout(timeout).map_err(io_error(addr))?;
     let mut status = RunStatus::Clean;
     for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
         let request = ltt_serve::decode(line)
             .map_err(|e| Error::invalid(format!("bad request line: {e}")))?;
         match client.call(&request) {
             Ok(response) => {
-                println!("{}", response.encode());
+                outln!("{}", response.encode());
                 status = worst_status(status, response_status(&response));
             }
             // A stalled server with `--timeout-ms` armed: report a
@@ -590,15 +519,10 @@ fn cmd_client(args: &[String]) -> Result<RunStatus, Error> {
             // no longer be trusted, and exit code 2 (incomplete) is the
             // contract for work that did not finish.
             Err(e) if ltt_serve::is_timeout(&e) => {
-                println!("{}", timeout_response(&addr, "reply").encode());
+                outln!("{}", timeout_response(addr, "reply").encode());
                 return Ok(RunStatus::Incomplete);
             }
-            Err(e) => {
-                return Err(Error::Io {
-                    path: addr.clone(),
-                    message: e.to_string(),
-                })
-            }
+            Err(e) => return Err(io_error(addr)(e)),
         }
     }
     Ok(status)
@@ -666,34 +590,51 @@ fn worst_status(a: RunStatus, b: RunStatus) -> RunStatus {
     }
 }
 
-fn config_from(opts: &Options) -> VerifyConfig {
-    VerifyConfig {
-        delay_mode: opts.mode,
-        learning: if opts.learning {
-            LearningMode::Stems
-        } else {
-            LearningMode::Off
-        },
-        dominators: opts.dominators,
-        stem_correlation: opts.stems,
-        case_analysis: opts.search,
-        max_backtracks: opts.max_backtracks,
-        budget: Budget::unlimited(),
-        engine: opts.engine,
-        obs: Obs::disabled(),
+/// The pipeline config of `check`, `delay` and `patch`.
+fn config_from(a: &Args) -> Result<VerifyConfig, Error> {
+    let delay_mode = match a.value("--mode") {
+        None | Some("floating") => DelayMode::Floating,
+        Some("transition") => DelayMode::Transition,
+        Some(other) => return Err(a.bad("--mode", other, "floating or transition")),
+    };
+    let engine = match a.value("--engine") {
+        None => Engine::Narrow,
+        Some(v) => Engine::parse(v).ok_or_else(|| a.bad("--engine", v, "narrow, sat or hybrid"))?,
+    };
+    // The CNF encoder models floating mode only; answering a transition-
+    // mode question with it would report floating-mode verdicts.
+    if delay_mode == DelayMode::Transition && engine != Engine::Narrow {
+        return Err(Error::usage(
+            "--mode transition requires --engine narrow (the CNF encoder models floating mode only)",
+        ));
     }
+    Ok(VerifyConfig {
+        delay_mode,
+        learning: if a.switch("--no-learning") {
+            LearningMode::Off
+        } else {
+            LearningMode::Stems
+        },
+        dominators: !a.switch("--no-dominators"),
+        stem_correlation: !a.switch("--no-stems"),
+        case_analysis: !a.switch("--no-search"),
+        max_backtracks: a.get("--max-backtracks")?.unwrap_or(100_000),
+        budget: Budget::unlimited(),
+        engine,
+        obs: Obs::disabled(),
+    })
 }
 
-fn runner_from(opts: &Options) -> BatchRunner {
-    let mut runner = BatchRunner::new(opts.jobs).with_fail_fast(opts.fail_fast);
-    if let Some(ms) = opts.deadline_ms {
+fn runner_from(a: &Args) -> Result<BatchRunner, Error> {
+    let mut runner = BatchRunner::new(a.get("--jobs")?.unwrap_or(0));
+    if let Some(ms) = a.get("--deadline-ms")? {
         runner = runner.with_deadline(Duration::from_millis(ms));
     }
-    runner
+    Ok(runner)
 }
 
-fn resolve_outputs(circuit: &Circuit, opts: &Options) -> Result<Vec<NetId>, Error> {
-    match &opts.output {
+fn resolve_outputs(circuit: &Circuit, a: &Args) -> Result<Vec<NetId>, Error> {
+    match a.value("--output") {
         None => Ok(circuit.outputs().to_vec()),
         Some(name) => {
             let net = circuit
@@ -704,13 +645,17 @@ fn resolve_outputs(circuit: &Circuit, opts: &Options) -> Result<Vec<NetId>, Erro
     }
 }
 
-fn resolve_assumptions(circuit: &Circuit, opts: &Options) -> Result<Vec<(NetId, Level)>, Error> {
-    opts.assumptions
-        .iter()
-        .map(|(name, level)| {
+fn resolve_assumptions(circuit: &Circuit, a: &Args) -> Result<Vec<(NetId, Level)>, Error> {
+    a.values("--assume")
+        .map(|spec| {
+            let (name, level) = match spec.split_once('=') {
+                Some((name, "0")) => (name, Level::Zero),
+                Some((name, "1")) => (name, Level::One),
+                _ => return Err(a.bad("--assume", spec, "NET=0 or NET=1")),
+            };
             circuit
                 .net_by_name(name)
-                .map(|n| (n, *level))
+                .map(|n| (n, level))
                 .ok_or_else(|| Error::invalid(format!("no net named `{name}` (in --assume)")))
         })
         .collect()
@@ -726,73 +671,68 @@ fn stage_name(stage: Stage) -> &'static str {
     }
 }
 
-fn cmd_info(circuit: &Circuit) -> Result<RunStatus, Error> {
-    println!("name:            {}", circuit.name());
-    println!("gates:           {}", circuit.num_gates());
-    println!("nets:            {}", circuit.num_nets());
-    println!("inputs:          {}", circuit.inputs().len());
-    println!("outputs:         {}", circuit.outputs().len());
-    println!("depth:           {} levels", circuit.depth());
-    println!("topological:     {}", circuit.topological_delay());
-    println!("min topological: {}", circuit.min_topological_delay());
-    println!("fanout stems:    {}", circuit.num_fanout_stems());
+fn cmd_info(a: &Args) -> Result<RunStatus, Error> {
+    let circuit = load_circuit(a)?;
+    outln!("name:            {}", circuit.name());
+    outln!("gates:           {}", circuit.num_gates());
+    outln!("nets:            {}", circuit.num_nets());
+    outln!("inputs:          {}", circuit.inputs().len());
+    outln!("outputs:         {}", circuit.outputs().len());
+    outln!("depth:           {} levels", circuit.depth());
+    outln!("topological:     {}", circuit.topological_delay());
+    outln!("min topological: {}", circuit.min_topological_delay());
+    outln!("fanout stems:    {}", circuit.num_fanout_stems());
     Ok(RunStatus::Clean)
 }
 
-fn cmd_check(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
-    let delta = opts
-        .delta
-        .ok_or_else(|| Error::usage("check needs --delta N"))?;
-    let mut config = config_from(opts);
-    let recorder = trace_recorder(opts, &mut config);
-    let assumptions = resolve_assumptions(circuit, opts)?;
+fn cmd_check(a: &Args) -> Result<RunStatus, Error> {
+    let circuit = &load_circuit(a)?;
+    let delta: i64 = a.required("--delta")?;
+    let mut config = config_from(a)?;
+    let recorder = trace_recorder(a, &mut config);
+    let assumptions = resolve_assumptions(circuit, a)?;
     // The CNF encoder has no notion of pinned nets, and silently ignoring
     // pins would let it report witnesses the assumption set rules out.
-    if !assumptions.is_empty() && matches!(opts.engine, Engine::Sat | Engine::Hybrid) {
+    if !assumptions.is_empty() && matches!(config.engine, Engine::Sat | Engine::Hybrid) {
         return Err(Error::usage(
             "--assume requires --engine narrow (the CNF encoder does not support pins)",
         ));
     }
     let session = CheckSession::new(circuit, config);
-    let checks: Vec<(NetId, i64)> = resolve_outputs(circuit, opts)?
+    let checks: Vec<(NetId, i64)> = resolve_outputs(circuit, a)?
         .into_iter()
         .map(|o| (o, delta))
         .collect();
-    let runner = runner_from(opts);
+    let runner = runner_from(a)?.with_fail_fast(a.switch("--fail-fast"));
     let batch = runner.run_under(&session, &checks, &assumptions);
-    let mut any_violation = false;
-    let mut any_open = false;
     for r in &batch.reports {
         let name = circuit.net(r.output).name();
         match &r.verdict {
-            Verdict::NoViolation { stage } => println!(
+            Verdict::NoViolation { stage } => outln!(
                 "{name}: no transition at or after {delta} is possible (proved by {}, {:.2} ms)",
                 stage_name(*stage),
                 r.elapsed.as_secs_f64() * 1e3
             ),
             Verdict::Violation { vector } => {
-                any_violation = true;
                 let pretty: Vec<String> = circuit
                     .inputs()
                     .iter()
                     .zip(vector.iter())
                     .map(|(&n, &v)| format!("{}={}", circuit.net(n).name(), u8::from(v)))
                     .collect();
-                println!(
+                outln!(
                     "{name}: VIOLATED — certified vector after {} backtracks: {}",
                     r.backtracks(),
                     pretty.join(" ")
                 );
             }
             Verdict::Possible => {
-                any_open = true;
-                println!("{name}: possible violation (search disabled; rerun without --no-search)");
+                outln!("{name}: possible violation (search disabled; rerun without --no-search)");
             }
             Verdict::Abandoned => {
-                any_open = true;
                 // Every abandoned check names the limit that cut it short.
                 if let Completeness::BudgetExhausted { stage, reason } = r.completeness {
-                    println!(
+                    outln!(
                         "{name}: undecided — budget exhausted ({reason}) in {} after {} backtracks",
                         stage_name(stage),
                         r.backtracks()
@@ -802,10 +742,10 @@ fn cmd_check(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
         }
     }
     for e in &batch.errors {
-        println!("{}: {}", circuit.net(e.output).name(), e.error);
+        outln!("{}: {}", circuit.net(e.output).name(), e.error);
     }
     let s = &batch.summary;
-    println!(
+    outln!(
         "checked {} output(s) in {:.2} ms with {} job(s): {} safe, {} violated, {} undecided, {} failed, {} skipped",
         s.checks,
         batch.wall.as_secs_f64() * 1e3,
@@ -816,7 +756,7 @@ fn cmd_check(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
         s.failed,
         s.skipped
     );
-    println!(
+    outln!(
         "  effort: {} events, {} backtracks · stage ms: narrowing {:.2}, dominators {:.2}, stems {:.2}, search {:.2}",
         s.stage_effort.total().events,
         batch.backtracks(),
@@ -825,16 +765,14 @@ fn cmd_check(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
         s.stage_wall.stems.as_secs_f64() * 1e3,
         s.stage_wall.case_analysis.as_secs_f64() * 1e3
     );
-    write_trace(opts, recorder.as_deref())?;
-    if any_violation {
-        println!("result: VIOLATED");
-        Ok(RunStatus::Violation)
-    } else if any_open || !batch.errors.is_empty() {
-        println!("result: INCOMPLETE");
-        Ok(RunStatus::Incomplete)
-    } else {
-        Ok(RunStatus::Clean)
+    write_trace(a, recorder.as_deref())?;
+    let status = RunStatus::from(batch.outcome());
+    match status {
+        RunStatus::Violation => outln!("result: VIOLATED"),
+        RunStatus::Incomplete => outln!("result: INCOMPLETE"),
+        RunStatus::Clean => {}
     }
+    Ok(status)
 }
 
 /// Resolves a gate by the name of the net it drives.
@@ -850,13 +788,17 @@ fn gate_by_output(circuit: &Circuit, name: &str) -> Result<ltt_netlist::GateId, 
 
 /// Parses `--set-delay GATE=D|GATE=LO:HI` and `--rewire GATE=a,b,..`
 /// specs into [`CircuitEdit`]s against `circuit`.
-fn parse_edits(circuit: &Circuit, opts: &Options) -> Result<Vec<CircuitEdit>, Error> {
+fn parse_edits(circuit: &Circuit, a: &Args) -> Result<Vec<CircuitEdit>, Error> {
     let mut edits = Vec::new();
-    for spec in &opts.set_delay {
-        let (gate, delay) = spec
-            .split_once('=')
-            .ok_or_else(|| Error::usage("--set-delay expects GATE=D or GATE=LO:HI"))?;
-        let bad = || Error::usage("--set-delay expects GATE=D or GATE=LO:HI with integers");
+    for spec in a.values("--set-delay") {
+        let bad = || {
+            a.bad(
+                "--set-delay",
+                spec,
+                "GATE=D or GATE=LO:HI with integers LO <= HI",
+            )
+        };
+        let (gate, delay) = spec.split_once('=').ok_or_else(bad)?;
         let delay = match delay.split_once(':') {
             Some((lo, hi)) => {
                 let (lo, hi): (u32, u32) = (
@@ -864,7 +806,7 @@ fn parse_edits(circuit: &Circuit, opts: &Options) -> Result<Vec<CircuitEdit>, Er
                     hi.parse().map_err(|_| bad())?,
                 );
                 if lo > hi {
-                    return Err(Error::usage("--set-delay interval needs LO <= HI"));
+                    return Err(bad());
                 }
                 DelayInterval::new(lo, hi)
             }
@@ -875,10 +817,10 @@ fn parse_edits(circuit: &Circuit, opts: &Options) -> Result<Vec<CircuitEdit>, Er
             delay,
         });
     }
-    for spec in &opts.rewire {
+    for spec in a.values("--rewire") {
         let (gate, inputs) = spec
             .split_once('=')
-            .ok_or_else(|| Error::usage("--rewire expects GATE=a,b,.."))?;
+            .ok_or_else(|| a.bad("--rewire", spec, "GATE=a,b,.."))?;
         let inputs = inputs
             .split(',')
             .map(|n| {
@@ -895,17 +837,6 @@ fn parse_edits(circuit: &Circuit, opts: &Options) -> Result<Vec<CircuitEdit>, Er
     Ok(edits)
 }
 
-/// The exit status a completed batch maps to (same contract as `check`).
-fn batch_status(batch: &ltt_core::BatchCheck) -> RunStatus {
-    if batch.summary.violations > 0 {
-        RunStatus::Violation
-    } else if batch.summary.undecided > 0 || !batch.errors.is_empty() {
-        RunStatus::Incomplete
-    } else {
-        RunStatus::Clean
-    }
-}
-
 /// `ltt patch`: apply ECO edits and re-verify **incrementally**. The
 /// edited revision is rebased onto the already-prepared session —
 /// structural analyses survive delay-only edits, and every per-output
@@ -914,19 +845,18 @@ fn batch_status(batch: &ltt_core::BatchCheck) -> RunStatus {
 /// also run as the reference: its verdicts must be bit-identical, and
 /// the printed ratio is the incremental speedup. The exit code reflects
 /// the *edited* circuit's checks.
-fn cmd_patch(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
-    let delta = opts
-        .delta
-        .ok_or_else(|| Error::usage("patch needs --delta N"))?;
-    if opts.set_delay.is_empty() && opts.rewire.is_empty() {
+fn cmd_patch(a: &Args) -> Result<RunStatus, Error> {
+    let circuit = &load_circuit(a)?;
+    let delta: i64 = a.required("--delta")?;
+    let edits = parse_edits(circuit, a)?;
+    if edits.is_empty() {
         return Err(Error::usage(
             "patch needs at least one --set-delay or --rewire",
         ));
     }
-    let edits = parse_edits(circuit, opts)?;
-    let config = config_from(opts);
-    let runner = runner_from(opts);
-    let checks: Vec<(NetId, i64)> = resolve_outputs(circuit, opts)?
+    let config = config_from(a)?;
+    let runner = runner_from(a)?.with_fail_fast(a.switch("--fail-fast"));
+    let checks: Vec<(NetId, i64)> = resolve_outputs(circuit, a)?
         .into_iter()
         .map(|o| (o, delta))
         .collect();
@@ -946,7 +876,7 @@ fn cmd_patch(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
         .iter()
         .map(|&n| outcome.circuit.net(n).name())
         .collect();
-    println!(
+    outln!(
         "applied {} edit(s): {} dirty net(s) [{}], {}",
         edits.len(),
         dirty.len(),
@@ -980,19 +910,19 @@ fn cmd_patch(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
         .iter()
         .zip(&cold.reports)
         .all(|(a, b)| a.verdict == b.verdict && a.completeness == b.completeness);
-    println!(
+    outln!(
         "baseline (pre-edit):    {} check(s) in {baseline_ms:.2} ms",
         baseline.summary.checks
     );
-    println!(
+    outln!(
         "incremental re-verify:  {} check(s) in {incremental_ms:.2} ms (rebase + run)",
         incremental.summary.checks
     );
-    println!(
+    outln!(
         "cold re-verify:         {} check(s) in {cold_ms:.2} ms",
         cold.summary.checks
     );
-    println!(
+    outln!(
         "incremental/cold:       {:.2}x — verdicts {}",
         incremental_ms / cold_ms.max(1e-9),
         if identical {
@@ -1007,20 +937,24 @@ fn cmd_patch(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
         ));
     }
     let s = &incremental.summary;
-    println!(
+    outln!(
         "result: {} safe, {} violated, {} undecided, {} failed",
-        s.no_violation, s.violations, s.undecided, s.failed
+        s.no_violation,
+        s.violations,
+        s.undecided,
+        s.failed
     );
-    Ok(batch_status(&incremental))
+    Ok(incremental.outcome().into())
 }
 
-fn cmd_delay(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
-    let mut config = config_from(opts);
-    let recorder = trace_recorder(opts, &mut config);
+fn cmd_delay(a: &Args) -> Result<RunStatus, Error> {
+    let circuit = &load_circuit(a)?;
+    let mut config = config_from(a)?;
+    let recorder = trace_recorder(a, &mut config);
     let arrival = circuit.arrival_times();
     let session = CheckSession::new(circuit, config);
-    let outputs = resolve_outputs(circuit, opts)?;
-    let results = runner_from(opts).exact_delays(&session, &outputs);
+    let outputs = resolve_outputs(circuit, a)?;
+    let results = runner_from(a)?.exact_delays(&session, &outputs);
     let mut incomplete = false;
     for (&out, result) in outputs.iter().zip(&results) {
         let name = circuit.net(out).name();
@@ -1032,7 +966,7 @@ fn cmd_delay(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
                 } else {
                     ""
                 };
-                println!(
+                outln!(
                     "{name}: exact {} (topological {top}, {} backtracks){marker}",
                     search.delay,
                     search.backtracks()
@@ -1040,7 +974,7 @@ fn cmd_delay(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
             }
             Ok(search) => {
                 incomplete = true;
-                println!(
+                outln!(
                     "{name}: bounds [{}, {}] (topological {top}; search incomplete after {} backtracks)",
                     search.delay,
                     search.upper_bound,
@@ -1049,13 +983,13 @@ fn cmd_delay(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
             }
             Err(e) => {
                 incomplete = true;
-                println!("{name}: {e}");
+                outln!("{name}: {e}");
             }
         }
     }
-    write_trace(opts, recorder.as_deref())?;
+    write_trace(a, recorder.as_deref())?;
     if incomplete {
-        println!("result: INCOMPLETE");
+        outln!("result: INCOMPLETE");
         Ok(RunStatus::Incomplete)
     } else {
         Ok(RunStatus::Clean)
@@ -1064,9 +998,9 @@ fn cmd_delay(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
 
 /// When `--trace FILE` was given, attaches a fresh recorder to the config
 /// and returns it; otherwise leaves the config's (disabled) handle alone.
-fn trace_recorder(opts: &Options, config: &mut VerifyConfig) -> Option<std::sync::Arc<Recorder>> {
-    opts.trace.as_ref().map(|_| {
-        let recorder = std::sync::Arc::new(Recorder::new());
+fn trace_recorder(a: &Args, config: &mut VerifyConfig) -> Option<Arc<Recorder>> {
+    a.value("--trace").map(|_| {
+        let recorder = Arc::new(Recorder::new());
         config.obs = Obs::recording(recorder.clone());
         recorder
     })
@@ -1074,24 +1008,20 @@ fn trace_recorder(opts: &Options, config: &mut VerifyConfig) -> Option<std::sync
 
 /// Writes the Chrome-trace JSON collected by `recorder` to the `--trace`
 /// path, if both exist.
-fn write_trace(opts: &Options, recorder: Option<&Recorder>) -> Result<(), Error> {
-    let (Some(path), Some(recorder)) = (&opts.trace, recorder) else {
+fn write_trace(a: &Args, recorder: Option<&Recorder>) -> Result<(), Error> {
+    let (Some(path), Some(recorder)) = (a.value("--trace"), recorder) else {
         return Ok(());
     };
-    std::fs::write(path, recorder.chrome_trace()).map_err(|e| Error::Io {
-        path: path.clone(),
-        message: e.to_string(),
-    })?;
-    println!("wrote trace {path} ({} spans)", recorder.len());
+    std::fs::write(path, recorder.chrome_trace()).map_err(io_error(path))?;
+    outln!("wrote trace {path} ({} spans)", recorder.len());
     Ok(())
 }
 
-fn cmd_report(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
-    let deadline = opts
-        .deadline
-        .ok_or_else(|| Error::usage("report needs --deadline N"))?;
+fn cmd_report(a: &Args) -> Result<RunStatus, Error> {
+    let circuit = &load_circuit(a)?;
+    let deadline: i64 = a.required("--deadline")?;
     let report = SlackReport::compute(circuit, deadline);
-    println!(
+    outln!(
         "deadline {deadline}: worst slack {}",
         report
             .worst_slack()
@@ -1102,12 +1032,15 @@ fn cmd_report(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
         .filter_map(|n| report.slack[n.index()].map(|s| (s, n)))
         .collect();
     rows.sort();
-    println!(
+    outln!(
         "{:<20} {:>8} {:>8} {:>8}",
-        "net", "arrival", "required", "slack"
+        "net",
+        "arrival",
+        "required",
+        "slack"
     );
     for (slack, net) in rows.iter().take(15) {
-        println!(
+        outln!(
             "{:<20} {:>8} {:>8} {:>8}",
             circuit.net(*net).name(),
             report.arrival[net.index()],
@@ -1116,56 +1049,47 @@ fn cmd_report(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
         );
     }
     if rows.len() > 15 {
-        println!("… ({} more nets)", rows.len() - 15);
+        outln!("… ({} more nets)", rows.len() - 15);
     }
     if report.is_violated() {
-        println!("note: negative topological slack may still be a false path —");
-        println!("      run `ltt check --delta {deadline}` for the exact answer");
+        outln!("note: negative topological slack may still be a false path —");
+        outln!("      run `ltt check --delta {deadline}` for the exact answer");
     }
     Ok(RunStatus::Clean)
 }
 
-fn parse_vector(circuit: &Circuit, bits: &str, flag: &str) -> Result<Vec<bool>, Error> {
+fn parse_vector(circuit: &Circuit, a: &Args, flag: &str) -> Result<Vec<bool>, Error> {
+    let bits: String = a.required(flag)?;
     if bits.len() != circuit.inputs().len() {
-        return Err(Error::usage(format!(
-            "{flag} needs {} bits (one per input, in declaration order)",
+        let expected = format!(
+            "{} bits (one per input, in declaration order)",
             circuit.inputs().len()
-        )));
+        );
+        return Err(a.bad(flag, &bits, &expected));
     }
     bits.chars()
         .map(|c| match c {
             '0' => Ok(false),
             '1' => Ok(true),
-            other => Err(Error::usage(format!("{flag}: invalid bit `{other}`"))),
+            _ => Err(a.bad(flag, &bits, "bits 0 and 1 only")),
         })
         .collect()
 }
 
-fn cmd_simulate(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
-    let v1 = parse_vector(
-        circuit,
-        opts.v1
-            .as_deref()
-            .ok_or_else(|| Error::usage("simulate needs --v1 BITS"))?,
-        "--v1",
-    )?;
-    let v2 = parse_vector(
-        circuit,
-        opts.v2
-            .as_deref()
-            .ok_or_else(|| Error::usage("simulate needs --v2 BITS"))?,
-        "--v2",
-    )?;
+fn cmd_simulate(a: &Args) -> Result<RunStatus, Error> {
+    let circuit = &load_circuit(a)?;
+    let v1 = parse_vector(circuit, a, "--v1")?;
+    let v2 = parse_vector(circuit, a, "--v2")?;
     let inputs: Vec<WaveformTrace> = v1
         .iter()
         .zip(&v2)
-        .map(|(&a, &b)| WaveformTrace::new(a, vec![(0, b)]))
+        .map(|(&from, &to)| WaveformTrace::new(from, vec![(0, to)]))
         .collect();
     let traces = simulate(circuit, &inputs);
     let counts = transition_counts(&traces);
     for &o in circuit.outputs() {
         let tr = &traces[o.index()];
-        println!(
+        outln!(
             "{}: settles to {} at {} ({} transitions)",
             circuit.net(o).name(),
             u8::from(tr.settles_to()),
@@ -1174,44 +1098,35 @@ fn cmd_simulate(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
         );
     }
     let total: usize = counts.iter().sum();
-    println!(
+    outln!(
         "total transitions across {} nets: {total}",
         circuit.num_nets()
     );
-    if let Some(path) = &opts.vcd {
-        std::fs::write(path, write_vcd(circuit, &traces)).map_err(|e| Error::Io {
-            path: path.clone(),
-            message: e.to_string(),
-        })?;
-        println!("wrote {path}");
+    if let Some(path) = a.value("--vcd") {
+        std::fs::write(path, write_vcd(circuit, &traces)).map_err(io_error(path))?;
+        outln!("wrote {path}");
     }
     Ok(RunStatus::Clean)
 }
 
-fn cmd_explain(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
-    let delta = opts
-        .delta
-        .ok_or_else(|| Error::usage("explain needs --delta N"))?;
-    for out in resolve_outputs(circuit, opts)? {
-        print!("{}", explain(circuit, out, delta));
-        println!();
+fn cmd_explain(a: &Args) -> Result<RunStatus, Error> {
+    let circuit = &load_circuit(a)?;
+    let delta: i64 = a.required("--delta")?;
+    for output in resolve_outputs(circuit, a)? {
+        outln!("{}", explain(circuit, output, delta));
     }
     Ok(RunStatus::Clean)
 }
 
-fn cmd_convert(circuit: &Circuit, opts: &Options) -> Result<RunStatus, Error> {
-    match opts.to.as_deref() {
-        Some("bench") => {
-            print!("{}", write_bench(circuit));
-            Ok(RunStatus::Clean)
-        }
-        Some("verilog") => {
-            print!("{}", write_verilog(circuit));
-            Ok(RunStatus::Clean)
-        }
-        Some(other) => Err(Error::usage(format!("unknown target format `{other}`"))),
-        None => Err(Error::usage("convert needs --to bench|verilog")),
-    }
+fn cmd_convert(a: &Args) -> Result<RunStatus, Error> {
+    let circuit = &load_circuit(a)?;
+    let text = match a.required::<String>("--to")?.as_str() {
+        "bench" => write_bench(circuit),
+        "verilog" => write_verilog(circuit),
+        other => return Err(a.bad("--to", other, "bench or verilog")),
+    };
+    out(format_args!("{text}"))?;
+    Ok(RunStatus::Clean)
 }
 
 #[cfg(test)]
@@ -1523,14 +1438,30 @@ mod tests {
     #[test]
     fn errors_are_reported_with_exit_code_3() {
         let usage_exit = |r: Result<RunStatus, Error>| r.unwrap_err().exit_code();
-        assert_eq!(usage_exit(run(&args(&["frobnicate", "x"]))), 3);
+        // Exit 3 with a message that contains every one of `words`.
+        let rejects = |argv: &[&str], words: &[&str]| {
+            let error = run(&args(argv)).unwrap_err();
+            assert_eq!(error.exit_code(), 3, "{argv:?}");
+            let message = error.to_string();
+            for word in words {
+                assert!(
+                    message.contains(word),
+                    "{argv:?}: `{message}` lacks `{word}`"
+                );
+            }
+        };
+        rejects(&["frobnicate", "x"], &["unknown command `frobnicate`"]);
         assert_eq!(
             usage_exit(run(&args(&["check", "/nonexistent.bench", "--delta", "1"]))),
             3
         );
         let path = write_temp("err.bench", C17);
         assert_eq!(usage_exit(run(&args(&["check", &path]))), 3); // missing --delta
-        assert_eq!(usage_exit(run(&args(&["check", &path, "--delta", "x"]))), 3);
+        rejects(&["check", &path, "--delta", "x"], &["check", "--delta"]);
+        rejects(
+            &["check", &path, "--delta", "30", "--delta", "31"],
+            &["check", "--delta"],
+        );
         assert_eq!(
             usage_exit(run(&args(&["convert", &path, "--to", "blif"]))),
             3
@@ -1542,46 +1473,126 @@ mod tests {
             3
         );
         // Only `check` applies pins; the other commands would drop them.
-        for cmd in ["delay", "patch", "explain"] {
-            assert_eq!(
-                usage_exit(run(&args(&[
-                    cmd,
+        rejects(
+            &["delay", &path, "--assume", "2=0", "--output", "22"],
+            &["delay", "--assume"],
+        );
+        rejects(
+            &[
+                "patch",
+                &path,
+                "--delta",
+                "31",
+                "--set-delay",
+                "16=11",
+                "--assume",
+                "2=0",
+            ],
+            &["patch", "--assume"],
+        );
+        rejects(
+            &["explain", &path, "--delta", "31", "--assume", "2=0"],
+            &["explain", "--assume"],
+        );
+        // A command rejects every flag it does not read, instead of
+        // answering a question other than the one typed.
+        let trace = std::env::temp_dir().join("ltt_cli_test_unread.json");
+        let trace = trace.to_string_lossy();
+        for (argv, flag) in [
+            (
+                &["check", &path, "--delta", "31", "--set-delay", "16=50"][..],
+                "--set-delay",
+            ),
+            (
+                &["report", &path, "--deadline", "25", "--trace", &trace],
+                "--trace",
+            ),
+            (&["delay", &path, "--fail-fast"], "--fail-fast"),
+            (
+                &[
+                    "patch",
                     &path,
                     "--delta",
                     "31",
                     "--set-delay",
                     "16=11",
-                    "--assume",
-                    "2=0",
-                    "--output",
-                    "22"
-                ]))),
-                3,
-                "{cmd}"
-            );
+                    "--trace",
+                    &trace,
+                ],
+                "--trace",
+            ),
+            (&["info", &path, "--jobs", "2"], "--jobs"),
+            (
+                &["explain", &path, "--delta", "30", "--engine", "sat"],
+                "--engine",
+            ),
+            (
+                &["convert", &path, "--to", "bench", "--v1", "00000"],
+                "--v1",
+            ),
+        ] {
+            rejects(argv, &[argv[0], flag]);
         }
+        assert!(!std::path::Path::new(&*trace).exists());
+        // The command is looked up first, netlist or not.
+        rejects(&["foo"], &["unknown command `foo`"]);
+        rejects(&["foo", &path], &["unknown command `foo`"]);
         // The CNF encoder cannot pin nets, and it models floating mode only.
         for engine in ["sat", "hybrid"] {
-            assert_eq!(
-                usage_exit(run(&args(&[
-                    "check", &path, "--delta", "30", "--assume", "2=0", "--engine", engine
-                ]))),
-                3
+            rejects(
+                &[
+                    "check", &path, "--delta", "30", "--assume", "2=0", "--engine", engine,
+                ],
+                &["--assume requires --engine narrow"],
             );
-            for cmd in ["check", "delay"] {
-                assert_eq!(
-                    usage_exit(run(&args(&[
-                        cmd,
-                        &path,
-                        "--delta",
-                        "30",
-                        "--mode",
-                        "transition",
-                        "--engine",
-                        engine
-                    ]))),
-                    3
+            rejects(
+                &[
+                    "check",
+                    &path,
+                    "--delta",
+                    "30",
+                    "--mode",
+                    "transition",
+                    "--engine",
+                    engine,
+                ],
+                &["--mode transition requires --engine narrow"],
+            );
+            rejects(
+                &["delay", &path, "--mode", "transition", "--engine", engine],
+                &["--mode transition requires --engine narrow"],
+            );
+        }
+    }
+
+    #[test]
+    fn every_unread_flag_is_rejected_and_every_read_one_parses() {
+        for flag in FLAGS {
+            for name in flag.reads {
+                assert!(
+                    COMMANDS.iter().any(|c| c.name == *name),
+                    "{}: {name}",
+                    flag.name
                 );
+            }
+        }
+        for command in COMMANDS {
+            let mut argv: Vec<&str> = command.operand.map(|_| "x.bench").into_iter().collect();
+            for flag in FLAGS {
+                argv.truncate(usize::from(command.operand.is_some()));
+                argv.push(flag.name);
+                if !flag.value.is_empty() {
+                    argv.push("1");
+                }
+                let read = flag.reads.contains(&command.name);
+                match Args::parse(command, &args(&argv)) {
+                    Ok(_) => assert!(read, "{argv:?}"),
+                    Err(e) => {
+                        let message = e.to_string();
+                        assert!(!read, "{argv:?}: {message}");
+                        assert!(message.contains(command.name) && message.contains(flag.name));
+                    }
+                }
             }
         }
     }
@@ -1589,6 +1600,26 @@ mod tests {
     #[test]
     fn help_prints() {
         assert_eq!(run(&args(&["help"])), Ok(RunStatus::Clean));
+        let help = long_help();
+        let heads = |name: &str| {
+            help.lines()
+                .filter(|l| !l.starts_with("   ") && l.split_whitespace().next() == Some(name))
+                .count()
+        };
+        for command in COMMANDS {
+            assert_eq!(heads(command.name), 1, "{}", command.name);
+        }
+        for flag in FLAGS {
+            assert_eq!(heads(flag.name), 1, "{}", flag.name);
+        }
+        for flag in [
+            "--backoff-cap-ms",
+            "--backend-jobs",
+            "--backend-queue-cap",
+            "--backend-registry-cap",
+        ] {
+            assert_eq!(heads(flag), 1, "{flag}");
+        }
     }
 
     #[test]

@@ -1,29 +1,10 @@
 //! `ltt` — the command-line timing verifier.
 //!
-//! ```text
-//! ltt info    <netlist>                          circuit statistics
-//! ltt check   <netlist> --delta N [options]      one timing check (Fig. 4 pipeline)
-//! ltt delay   <netlist> [options]                exact floating-mode delay per output
-//! ltt report  <netlist> --deadline N [options]   topological slack report
-//! ltt convert <netlist> --to bench|verilog       netlist format conversion
-//! ltt serve   [--addr A] [--jobs N] [--queue-cap Q]   persistent daemon
-//! ltt client  <requests.json> [--addr A]         send requests to a daemon
-//! ```
-//!
-//! Netlists are ISCAS `.bench` or structural Verilog (`.v`), detected by
-//! extension (override with `--format`). Common options:
-//!
-//! ```text
-//! --delay D          per-gate delay for formats without delays (default 10)
-//! --sdf FILE         back-annotate delays from an SDF file
-//! --output NAME      restrict to one primary output (default: all/critical)
-//! --assume NET=0|1   pin a net's settling value (set_case_analysis)
-//! --mode floating|transition
-//! --no-dominators / --no-stems / --no-search / --no-learning
-//! --max-backtracks N (default 100000)
-//! --deadline-ms T    wall-clock budget for the whole run (degrade, exit 2)
-//! --fail-fast        stop the batch at the first certified violation
-//! ```
+//! Commands: `info`, `check`, `delay`, `patch`, `report`, `convert`,
+//! `simulate` and `explain` read a netlist (ISCAS `.bench` or structural
+//! Verilog); `serve`, `router` and `client` run and drive the daemon.
+//! `ltt help` lists every command and every flag with the commands that
+//! read it; a command rejects any other flag.
 //!
 //! Exit codes: `0` no violation, `1` violation found, `2` incomplete
 //! (budget exhausted / search abandoned / a check failed), `3` usage or

@@ -145,43 +145,15 @@ pub fn fill_level(domain: &Signal) -> Level {
     }
 }
 
-/// Runs the case analysis on an already-propagated narrower.
+/// Runs the case analysis on an already-propagated narrower, restricted
+/// to a fanin cone (see [`CaseScope`]); `scope = None` is the
+/// unrestricted whole-circuit search.
 ///
 /// Pre-condition: the caller has applied the input/check constraints and
 /// run [`fixpoint_with_dominators`] (and optionally stem correlation); the
-/// system is consistent.
-///
-/// Computes the SCOAP controllabilities on the fly; when many checks share
-/// one circuit, compute them once and use [`case_analysis_with`] instead.
-pub fn case_analysis(
-    nw: &mut Narrower,
-    s: NetId,
-    delta: i64,
-    config: &CaseConfig,
-    stats: &mut CaseStats,
-) -> CaseOutcome {
-    let cc = Controllability::compute(nw.circuit());
-    case_analysis_with(nw, s, delta, config, stats, &cc)
-}
-
-/// [`case_analysis`] with precomputed SCOAP controllabilities (they depend
-/// only on the circuit, so a batch of checks shares one table — see
-/// [`CheckSession::controllability`](crate::CheckSession::controllability)).
-/// Decisions, and therefore the outcome, are identical to
-/// [`case_analysis`].
-pub fn case_analysis_with(
-    nw: &mut Narrower,
-    s: NetId,
-    delta: i64,
-    config: &CaseConfig,
-    stats: &mut CaseStats,
-    cc: &Controllability,
-) -> CaseOutcome {
-    case_analysis_scoped(nw, s, delta, config, stats, cc, None)
-}
-
-/// [`case_analysis_with`] restricted to a fanin cone (see [`CaseScope`]);
-/// `scope = None` is the unrestricted whole-circuit search.
+/// system is consistent. The SCOAP controllabilities `cc` depend only on
+/// the circuit, so a batch of checks shares one table — see
+/// [`CheckSession::controllability`](crate::CheckSession::controllability).
 pub fn case_analysis_scoped(
     nw: &mut Narrower,
     s: NetId,
@@ -715,7 +687,15 @@ mod tests {
             FixpointResult::Fixpoint
         );
         let mut stats = CaseStats::default();
-        let out = case_analysis(&mut nw, s, 40, &CaseConfig::default(), &mut stats);
+        let out = case_analysis_scoped(
+            &mut nw,
+            s,
+            40,
+            &CaseConfig::default(),
+            &mut stats,
+            &Controllability::compute(&c),
+            None,
+        );
         match out {
             CaseOutcome::Vector(v) => {
                 assert!(ltt_sta::vector_violates(&c, &v, s, 40));
@@ -733,7 +713,15 @@ mod tests {
         // agree even if asked.
         if fixpoint_with_dominators(&mut nw, s, 41, true) == FixpointResult::Fixpoint {
             let mut stats = CaseStats::default();
-            let out = case_analysis(&mut nw, s, 41, &CaseConfig::default(), &mut stats);
+            let out = case_analysis_scoped(
+                &mut nw,
+                s,
+                41,
+                &CaseConfig::default(),
+                &mut stats,
+                &Controllability::compute(&c),
+                None,
+            );
             assert_eq!(out, CaseOutcome::NoViolation);
         }
     }
@@ -748,7 +736,15 @@ mod tests {
             FixpointResult::Fixpoint
         );
         let mut stats = CaseStats::default();
-        let out = case_analysis(&mut nw, s, 60, &CaseConfig::default(), &mut stats);
+        let out = case_analysis_scoped(
+            &mut nw,
+            s,
+            60,
+            &CaseConfig::default(),
+            &mut stats,
+            &Controllability::compute(&c),
+            None,
+        );
         match out {
             CaseOutcome::Vector(v) => assert!(ltt_sta::vector_violates(&c, &v, s, 60)),
             other => panic!("expected vector, got {other:?}"),
@@ -768,7 +764,15 @@ mod tests {
             let r = fixpoint_with_dominators(&mut nw, s, exact, true);
             assert_eq!(r, FixpointResult::Fixpoint, "({p},{q}) at exact");
             let mut stats = CaseStats::default();
-            let out = case_analysis(&mut nw, s, exact, &CaseConfig::default(), &mut stats);
+            let out = case_analysis_scoped(
+                &mut nw,
+                s,
+                exact,
+                &CaseConfig::default(),
+                &mut stats,
+                &Controllability::compute(&c),
+                None,
+            );
             assert!(
                 matches!(out, CaseOutcome::Vector(_)),
                 "({p},{q}) expected vector, got {out:?} after {} backtracks",
@@ -778,7 +782,15 @@ mod tests {
             let mut nw = setup(&c, s, exact + 1);
             if fixpoint_with_dominators(&mut nw, s, exact + 1, true) == FixpointResult::Fixpoint {
                 let mut stats = CaseStats::default();
-                let out = case_analysis(&mut nw, s, exact + 1, &CaseConfig::default(), &mut stats);
+                let out = case_analysis_scoped(
+                    &mut nw,
+                    s,
+                    exact + 1,
+                    &CaseConfig::default(),
+                    &mut stats,
+                    &Controllability::compute(&c),
+                    None,
+                );
                 assert_eq!(out, CaseOutcome::NoViolation, "({p},{q}) at exact+1");
             }
         }
@@ -797,7 +809,15 @@ mod tests {
                 ..Default::default()
             };
             let mut stats = CaseStats::default();
-            let out = case_analysis(&mut nw, s, 75, &cfg, &mut stats);
+            let out = case_analysis_scoped(
+                &mut nw,
+                s,
+                75,
+                &cfg,
+                &mut stats,
+                &Controllability::compute(&c),
+                None,
+            );
             // Either it decides without backtracking or it abandons.
             assert!(matches!(
                 out,
