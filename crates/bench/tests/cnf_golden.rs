@@ -1,0 +1,98 @@
+//! Golden CNF sizes: `Solver::num_vars()` of `encode_check` on the
+//! critical output of each suite circuit of at most 2 000 gates, at its
+//! exact delay and one past it, pinned in `tests/golden/cnf_vars.txt`.
+//! A variable count is exact on any machine, so an encoder that grows
+//! fails here instead of drifting in wall-clock.
+//!
+//! s6288 at δ = 1621 (proven safe) and δ = 1529 (still open) is pinned in
+//! `tests/golden/cnf_vars_s6288.txt` by an ignored test that CI runs in
+//! release by name:
+//!
+//! ```text
+//! cargo test --release -p ltt-bench --test cnf_golden s6288_cnf_vars_match_golden -- --ignored --exact
+//! ```
+//!
+//! Regenerate both golden files after an intended change with
+//!
+//! ```text
+//! cargo test --release -p ltt-bench --test cnf_golden bless -- --ignored
+//! ```
+
+use ltt_bench::table1::critical_output;
+use ltt_core::sat::{encode_check, Encoded};
+use ltt_core::Budget;
+use ltt_netlist::suite::{iscas85_suite, SuiteEntry};
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/cnf_vars.txt");
+const S6288_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/cnf_vars_s6288.txt"
+);
+
+/// The largest suite circuit the tier-1 golden covers.
+const MAX_GATES: usize = 2_000;
+
+/// One line: the check and the variables its CNF allocates, or the
+/// short-circuit that needs none.
+fn line(entry: &SuiteEntry, delta: i64) -> String {
+    let c = &entry.circuit;
+    let s = critical_output(c);
+    let size = match encode_check(c, s, delta, &Budget::unlimited()).expect("suite grids fit") {
+        Encoded::AlwaysViolated => "always_violated".to_string(),
+        Encoded::NeverViolated => "never_violated".to_string(),
+        Encoded::Cnf(cnf) => format!("vars={}", cnf.solver.num_vars()),
+    };
+    format!("{} {} delta={delta} {size}\n", entry.name, c.net(s).name())
+}
+
+/// Each small suite circuit's critical output at its exact delay (the
+/// paper's figure, which the Table 1 goldens pin as exact) and one past it.
+fn suite_lines() -> String {
+    let mut out = String::new();
+    for entry in iscas85_suite(10)
+        .iter()
+        .filter(|e| e.circuit.num_gates() <= MAX_GATES)
+    {
+        let exact = entry
+            .paper_exact
+            .expect("small circuits have an exact delay");
+        out.push_str(&line(entry, exact));
+        out.push_str(&line(entry, exact + 1));
+    }
+    out
+}
+
+/// s6288's critical output at the SAT engine's safe bound and at the
+/// narrowing engine's open probe.
+fn s6288_lines() -> String {
+    let suite = iscas85_suite(10);
+    let entry = suite
+        .iter()
+        .find(|e| e.name == "s6288")
+        .expect("s6288 in the suite");
+    line(entry, 1621) + &line(entry, 1529)
+}
+
+fn assert_matches_golden(path: &str, actual: &str) {
+    let expected = std::fs::read_to_string(path).expect("golden file present");
+    assert_eq!(actual, expected, "CNF sizes drifted from {path}");
+}
+
+#[test]
+fn suite_cnf_vars_match_golden() {
+    assert_matches_golden(GOLDEN, &suite_lines());
+}
+
+/// s6288's grids take seconds to build in debug, so CI runs it in release.
+#[test]
+#[ignore = "s6288: run in release by name"]
+fn s6288_cnf_vars_match_golden() {
+    assert_matches_golden(S6288_GOLDEN, &s6288_lines());
+}
+
+#[test]
+#[ignore = "rewrites the golden files"]
+fn bless_cnf_vars_goldens() {
+    std::fs::write(GOLDEN, suite_lines()).expect("write golden file");
+    std::fs::write(S6288_GOLDEN, s6288_lines()).expect("write golden file");
+}

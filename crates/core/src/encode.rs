@@ -9,7 +9,7 @@
 //!
 //! * one **value variable** `v(n)` per cone net — the settled Boolean
 //!   value, constrained by ordinary gate consistency clauses;
-//! * one **threshold variable** `g(n, T)` per net and *reachable* settle
+//! * one **threshold variable** `g(n, T)` per net and *demanded* settle
 //!   time `T`, meaning `settle(n) ≥ T`.
 //!
 //! Time is quantized to each net's *settle grid*: `grid(input) = {0}` and
@@ -35,17 +35,28 @@
 //! value (pure max rule); MUX uses its dedicated decomposition
 //! `settle = min(via_select, via_data) + d` mirroring the simulator.
 //!
+//! Every rule reads its inputs only at `x = T − d`, so the check reaches
+//! `settle(n) ≥ δ − L` for the path delays `L` from `n` to the output and
+//! nothing else. A backward **demand pass** marks exactly those points:
+//! it marks the output's grid point for δ, then walks the cone gates in
+//! reverse topological order and, for each marked point `T` of a gate
+//! output, marks on each input the grid point `T − d` rounds up to.
+//! Only marked points get a variable, a ladder clause and timing clauses.
+//! Each variable is still fully defined by the input vector, so the
+//! instance has the same input models as one over the full grids.
+//!
 //! The check itself is one unit clause `settle(s) ≥ δ`: a model is an
 //! input vector whose floating-mode delay reaches δ (a violation witness,
-//! decodable with [`Encoded::witness`]); UNSAT proves no vector violates.
+//! decodable with [`CnfCheck::witness`]); UNSAT proves no vector violates.
 
-use crate::budget::{Budget, TripReason};
+use crate::budget::{ArmedBudget, Budget, TripReason};
 use crate::cdcl::{Lit, Solver, Var};
-use ltt_netlist::{Circuit, GateKind, NetId};
+use ltt_netlist::{Circuit, GateId, GateKind, NetId};
 
-/// Hard cap on threshold variables, guarding against grid blow-up on
-/// adversarial delay structures (the grid is exact, not sampled, so wide
-/// reconvergence with incommensurate delays can explode it).
+/// Hard cap on full-grid points, demanded or not, guarding against grid
+/// blow-up on adversarial delay structures (the grid is exact, not
+/// sampled, so wide reconvergence with incommensurate delays can explode
+/// it).
 const MAX_THRESHOLD_VARS: usize = 4_000_000;
 
 /// The value variable of a gate output whose grid is sized but whose
@@ -149,30 +160,58 @@ impl CnfCheck {
     }
 }
 
-/// Per-net encoding state: the settle grid and its threshold variables.
+/// Per-net encoding state: the settle grid and the threshold variables of
+/// its demanded points.
 struct NetEnc {
     /// Sorted, deduplicated reachable settle times.
     grid: Vec<i64>,
-    /// `thresh[j]` ⇔ `settle ≥ grid[j + 1]` (the first grid point is the
-    /// unconditional minimum, so it needs no variable).
+    /// Sorted grid indices some query `settle ≥ x` rounds up to. Index 0
+    /// is the unconditional minimum, so it is never demanded.
+    demand: Vec<usize>,
+    /// `thresh[k]` ⇔ `settle ≥ grid[demand[k]]`.
     thresh: Vec<Var>,
     value: Var,
 }
 
 impl NetEnc {
+    fn new(grid: Vec<i64>, value: Var) -> NetEnc {
+        NetEnc {
+            grid,
+            demand: Vec::new(),
+            thresh: Vec::new(),
+            value,
+        }
+    }
+
+    /// The grid index `settle ≥ x` rounds up to, or `None` when the query
+    /// folds to a constant (`x` at or below the first point, or past the
+    /// last). `settle ∈ grid` makes `settle ≥ x` ⇔ `settle ≥ grid[idx]`.
+    fn point(&self, x: i64) -> Option<usize> {
+        let idx = self.grid.partition_point(|&t| t < x);
+        (idx > 0 && idx < self.grid.len()).then_some(idx)
+    }
+
     /// The literal/constant for `settle(net) ≥ x`.
     fn geq(&self, x: i64) -> Plit {
-        let first = *self.grid.first().expect("grid non-empty");
-        if x <= first {
-            return Plit::True;
+        match self.point(x) {
+            Some(idx) => {
+                let k = self.demand.binary_search(&idx).unwrap_or_else(|_| {
+                    panic!("settle ≥ {x} reads a threshold the demand pass did not mark")
+                });
+                Plit::L(Lit::pos(self.thresh[k]))
+            }
+            None if x <= self.grid[0] => Plit::True,
+            None => Plit::False,
         }
-        // Smallest grid index with grid[idx] ≥ x; settle ∈ grid makes
-        // `settle ≥ x` ⇔ `settle ≥ grid[idx]`.
-        match self.grid.binary_search(&x) {
-            Ok(idx) => Plit::L(Lit::pos(self.thresh[idx - 1])),
-            Err(idx) if idx < self.grid.len() => Plit::L(Lit::pos(self.thresh[idx - 1])),
-            Err(_) => Plit::False,
-        }
+    }
+
+    /// `(T, g)` for each demanded grid point `T` and its variable `g`.
+    fn thresholds(&self) -> Vec<(i64, Var)> {
+        self.demand
+            .iter()
+            .map(|&idx| self.grid[idx])
+            .zip(self.thresh.iter().copied())
+            .collect()
     }
 }
 
@@ -185,8 +224,95 @@ pub fn encode_check(
     budget: &Budget,
 ) -> Result<Encoded, EncodeError> {
     let mut armed = budget.arm();
-    let cone = circuit.fanin_cone(output);
     let mut solver = Solver::new();
+    let (mut nets, cone_gates, input_vars) =
+        match demanded_grids(circuit, output, delta, &mut solver, &mut armed)? {
+            Demand::Always => return Ok(Encoded::AlwaysViolated),
+            Demand::Never => return Ok(Encoded::NeverViolated),
+            Demand::Points {
+                nets,
+                cone_gates,
+                input_vars,
+            } => (nets, cone_gates, input_vars),
+        };
+
+    // Value and demanded threshold variables, gate by gate in topological
+    // order.
+    for &gid in &cone_gates {
+        let enc = nets[circuit.gate(gid).output().index()]
+            .as_mut()
+            .expect("grid sized above");
+        enc.value = solver.new_var();
+        enc.thresh = enc.demand.iter().map(|_| solver.new_var()).collect();
+        // Monotonicity ladder between consecutive demanded points:
+        // settle ≥ grid[demand[k+1]] implies settle ≥ grid[demand[k]].
+        for w in enc.thresh.windows(2) {
+            solver.add_clause(&[Lit::neg(w[1]), Lit::pos(w[0])]);
+        }
+    }
+
+    // The check is one threshold query on the output.
+    let delta_lit = match nets[output.index()]
+        .as_ref()
+        .expect("output in cone")
+        .geq(delta)
+    {
+        Plit::L(l) => l,
+        constant => unreachable!("δ folded to {constant:?} after the short-circuits"),
+    };
+
+    // Value and timing clauses per gate.
+    for &gid in &cone_gates {
+        if let Some(reason) = armed.poll(0) {
+            return Err(EncodeError::Budget(reason));
+        }
+        let gate = circuit.gate(gid);
+        let o = gate.output();
+        let d = i64::from(gate.dmax());
+        let in_nets: Vec<usize> = gate.inputs().iter().map(|n| n.index()).collect();
+        let vo = nets[o.index()].as_ref().expect("encoded").value;
+        let vin: Vec<Var> = in_nets
+            .iter()
+            .map(|&n| nets[n].as_ref().expect("encoded").value)
+            .collect();
+        encode_values(&mut solver, gate.kind(), vo, &vin);
+        encode_timing(&mut solver, &nets, gate.kind(), d, o.index(), &in_nets);
+    }
+
+    solver.add_clause(&[delta_lit]);
+    Ok(Encoded::Cnf(Box::new(CnfCheck {
+        solver,
+        input_vars,
+        num_inputs: circuit.inputs().len(),
+    })))
+}
+
+/// What the grid and demand passes leave for the clause passes.
+enum Demand {
+    /// δ is at or below the output's first grid point.
+    Always,
+    /// δ is past the output's last grid point.
+    Never,
+    /// Every cone net's grid with its demanded points marked (value
+    /// variables of gate outputs still `UNALLOCATED`), the cone gates in
+    /// topological order, and the cone inputs' value variables.
+    Points {
+        nets: Vec<Option<NetEnc>>,
+        cone_gates: Vec<GateId>,
+        input_vars: Vec<(usize, Var)>,
+    },
+}
+
+/// The grid pass and the demand pass of `encode_check`. Allocates only
+/// the cone inputs' value variables.
+fn demanded_grids(
+    circuit: &Circuit,
+    output: NetId,
+    delta: i64,
+    solver: &mut Solver,
+    armed: &mut ArmedBudget,
+) -> Result<Demand, EncodeError> {
+    let cone = circuit.fanin_cone(output);
     let mut nets: Vec<Option<NetEnc>> = (0..circuit.num_nets()).map(|_| None).collect();
 
     // Value variables and (settle) grids for cone inputs.
@@ -195,19 +321,16 @@ pub fn encode_check(
         if cone[net.index()] {
             let value = solver.new_var();
             input_vars.push((slot, value));
-            nets[net.index()] = Some(NetEnc {
-                grid: vec![0],
-                thresh: Vec::new(),
-                value,
-            });
+            nets[net.index()] = Some(NetEnc::new(vec![0], value));
         }
     }
 
-    // First pass: grids in topological order, with the blow-up guard. Every
-    // grid is sized before any threshold variable is allocated, so an
-    // over-cap grid costs no solver memory.
+    // Grid pass, in topological order, with the blow-up guard. It counts
+    // full grids, demanded or not, and sizes every grid before any
+    // threshold variable is allocated, so an over-cap grid costs no
+    // solver memory.
     let mut thresh_budget = MAX_THRESHOLD_VARS;
-    let mut cone_outputs: Vec<NetId> = Vec::new();
+    let mut cone_gates: Vec<GateId> = Vec::new();
     for &gid in circuit.topo_gates() {
         if let Some(reason) = armed.poll(0) {
             return Err(EncodeError::Budget(reason));
@@ -231,62 +354,47 @@ pub fn encode_check(
             return Err(EncodeError::GridTooLarge { needed });
         }
         thresh_budget -= need;
-        nets[o.index()] = Some(NetEnc {
-            grid,
-            thresh: Vec::new(),
-            value: UNALLOCATED,
-        });
-        cone_outputs.push(o);
-    }
-    // Value and threshold variables, gate by gate in the same order.
-    for o in cone_outputs {
-        let enc = nets[o.index()].as_mut().expect("grid sized above");
-        enc.value = solver.new_var();
-        enc.thresh = (1..enc.grid.len()).map(|_| solver.new_var()).collect();
-        // Monotonicity ladder: settle ≥ grid[j+1] implies settle ≥ grid[j].
-        for w in enc.thresh.windows(2) {
-            solver.add_clause(&[Lit::neg(w[1]), Lit::pos(w[0])]);
-        }
+        nets[o.index()] = Some(NetEnc::new(grid, UNALLOCATED));
+        cone_gates.push(gid);
     }
 
-    // The check is one threshold query on the output.
-    let delta_lit = match nets[output.index()]
-        .as_ref()
-        .expect("output in cone")
-        .geq(delta)
-    {
-        Plit::True => return Ok(Encoded::AlwaysViolated),
-        Plit::False => return Ok(Encoded::NeverViolated),
-        Plit::L(l) => l,
-    };
+    let out = nets[output.index()].as_mut().expect("output in cone");
+    match out.point(delta) {
+        Some(idx) => out.demand.push(idx),
+        None if delta <= out.grid[0] => return Ok(Demand::Always),
+        None => return Ok(Demand::Never),
+    }
 
-    // Second pass: value and timing clauses per gate.
-    for &gid in circuit.topo_gates() {
+    // Demand pass, in reverse topological order, so a gate output's
+    // demand is complete (every fanout gate has marked it) before the
+    // gate passes it on. Every gate kind reads its inputs at `T − d` for
+    // each threshold point `T` it defines (see `encode_timing`); a query
+    // that folds to a constant marks nothing.
+    for &gid in cone_gates.iter().rev() {
         if let Some(reason) = armed.poll(0) {
             return Err(EncodeError::Budget(reason));
         }
         let gate = circuit.gate(gid);
-        let o = gate.output();
-        if !cone[o.index()] {
-            continue;
-        }
         let d = i64::from(gate.dmax());
-        let in_nets: Vec<usize> = gate.inputs().iter().map(|n| n.index()).collect();
-        let vo = nets[o.index()].as_ref().expect("encoded").value;
-        let vin: Vec<Var> = in_nets
-            .iter()
-            .map(|&n| nets[n].as_ref().expect("encoded").value)
-            .collect();
-        encode_values(&mut solver, gate.kind(), vo, &vin);
-        encode_timing(&mut solver, &mut nets, gate.kind(), d, o.index(), &in_nets);
+        let enc = nets[gate.output().index()].as_mut().expect("grid sized");
+        enc.demand.sort_unstable();
+        enc.demand.dedup();
+        let queries: Vec<i64> = enc.demand.iter().map(|&idx| enc.grid[idx] - d).collect();
+        for n in gate.inputs() {
+            let input = nets[n.index()].as_mut().expect("cone net");
+            for &x in &queries {
+                if let Some(idx) = input.point(x) {
+                    input.demand.push(idx);
+                }
+            }
+        }
     }
 
-    solver.add_clause(&[delta_lit]);
-    Ok(Encoded::Cnf(Box::new(CnfCheck {
-        solver,
+    Ok(Demand::Points {
+        nets,
+        cone_gates,
         input_vars,
-        num_inputs: circuit.inputs().len(),
-    })))
+    })
 }
 
 /// Gate consistency clauses `v(o) ⇔ kind(v(in…))`.
@@ -359,23 +467,26 @@ fn encode_xor(solver: &mut Solver, t: Lit, a: Lit, b: Lit) {
     solver.add_clause(&[t, a.negated(), b]);
 }
 
-/// Timing clauses defining every threshold variable of `o`.
+/// Timing clauses defining every threshold variable of `o`: one set per
+/// demanded point, none (and no per-gate helper) for a gate with none.
 fn encode_timing(
     solver: &mut Solver,
-    nets: &mut [Option<NetEnc>],
+    nets: &[Option<NetEnc>],
     kind: GateKind,
     d: i64,
     o: usize,
     in_nets: &[usize],
 ) {
-    let out_grid: Vec<i64> = nets[o].as_ref().expect("encoded").grid.clone();
-    let out_thresh: Vec<Var> = nets[o].as_ref().expect("encoded").thresh.clone();
+    let out = nets[o].as_ref().expect("encoded").thresholds();
+    if out.is_empty() {
+        return;
+    }
 
     match kind {
         GateKind::Not | GateKind::Buffer | GateKind::Delay => {
             // settle(o) = settle(in) + d.
-            for (j, &t) in out_grid.iter().enumerate().skip(1) {
-                let g = Plit::L(Lit::pos(out_thresh[j - 1]));
+            for &(t, g) in &out {
+                let g = Plit::L(Lit::pos(g));
                 let q = nets[in_nets[0]].as_ref().expect("encoded").geq(t - d);
                 add_clause(solver, &[g.negated(), q]);
                 add_clause(solver, &[g, q.negated()]);
@@ -383,8 +494,8 @@ fn encode_timing(
         }
         GateKind::Xor | GateKind::Xnor => {
             // No controlling value: settle(o) = max settle(in) + d.
-            for (j, &t) in out_grid.iter().enumerate().skip(1) {
-                let g = Plit::L(Lit::pos(out_thresh[j - 1]));
+            for &(t, g) in &out {
+                let g = Plit::L(Lit::pos(g));
                 let qs: Vec<Plit> = in_nets
                     .iter()
                     .map(|&n| nets[n].as_ref().expect("encoded").geq(t - d))
@@ -412,8 +523,8 @@ fn encode_timing(
             for &c in &cs {
                 solver.add_clause(&[cvar, c.negated()]);
             }
-            for (j, &t) in out_grid.iter().enumerate().skip(1) {
-                let g = Lit::pos(out_thresh[j - 1]);
+            for &(t, g) in &out {
+                let g = Lit::pos(g);
                 let x = t - d;
                 let qs: Vec<Plit> = in_nets
                     .iter()
@@ -464,8 +575,8 @@ fn encode_timing(
             // dvar ⇔ v_a ⊕ v_b (data disagree ⇒ via_data = ∞).
             let dvar = Lit::pos(solver.new_var());
             encode_xor(solver, dvar, va, vb);
-            for (j, &t) in out_grid.iter().enumerate().skip(1) {
-                let g = Lit::pos(out_thresh[j - 1]);
+            for &(t, g) in &out {
+                let g = Lit::pos(g);
                 let x = t - d;
                 let qs = nets[ns].as_ref().expect("encoded").geq(x);
                 let qa = nets[na].as_ref().expect("encoded").geq(x);
@@ -509,6 +620,7 @@ fn encode_timing(
 mod tests {
     use super::*;
     use ltt_sta::vector_violates;
+    use std::collections::BTreeSet;
 
     /// SAT-decides a check and cross-checks any witness with the exact
     /// simulator.
@@ -614,6 +726,146 @@ mod tests {
                 assert_matches_oracle(&c, o);
             }
         }
+    }
+
+    /// A random circuit over every gate kind the encoder tells apart
+    /// (AND/NAND/OR/NOR with 2–3 inputs, XOR/XNOR with 3, NOT, MUX), each
+    /// gate with its own delay from {3, 4, 7, 10}, so the inputs' grids do
+    /// not line up and `T − d` queries fall between grid points.
+    fn mixed_delay_circuit(seed: u64) -> Circuit {
+        use ltt_netlist::{CircuitBuilder, DelayInterval};
+        const KINDS: [(GateKind, usize); 8] = [
+            (GateKind::And, 2),
+            (GateKind::Or, 3),
+            (GateKind::Nand, 3),
+            (GateKind::Nor, 2),
+            (GateKind::Xor, 3),
+            (GateKind::Xnor, 3),
+            (GateKind::Not, 1),
+            (GateKind::Mux, 3),
+        ];
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut b = CircuitBuilder::new(format!("mixed{seed}"));
+        let mut nets: Vec<NetId> = (0..5).map(|i| b.input(format!("i{i}"))).collect();
+        for g in 0..14 {
+            let (kind, arity) = KINDS[(g + seed as usize) % KINDS.len()];
+            // Distinct inputs from the six most recent nets.
+            let mut recent: Vec<NetId> = nets[nets.len().saturating_sub(6)..].to_vec();
+            let inputs: Vec<NetId> = (0..arity)
+                .map(|_| recent.swap_remove(next(recent.len())))
+                .collect();
+            let delay = DelayInterval::fixed([3, 4, 7, 10][next(4)]);
+            nets.push(b.gate(format!("g{g}"), kind, &inputs, delay));
+        }
+        b.mark_output(nets[nets.len() - 1]);
+        b.mark_output(nets[nets.len() - 2]);
+        b.build().expect("well-formed mixed circuit")
+    }
+
+    #[test]
+    fn mixed_delays_match_oracle() {
+        for seed in 0..16 {
+            let c = mixed_delay_circuit(seed);
+            for &o in c.outputs() {
+                assert_matches_oracle(&c, o);
+            }
+        }
+    }
+
+    /// Every distinct delay `L` of a path from each net to `s` (empty off
+    /// the cone), by walking every path backwards from `s`.
+    fn path_delays(c: &Circuit, s: NetId) -> Vec<BTreeSet<i64>> {
+        let mut delays = vec![BTreeSet::new(); c.num_nets()];
+        let mut stack = vec![(s, 0)];
+        while let Some((net, l)) = stack.pop() {
+            // A repeated (net, L) has had its fan-in walked already.
+            if !delays[net.index()].insert(l) {
+                continue;
+            }
+            if let Some(gid) = c.net(net).driver() {
+                let gate = c.gate(gid);
+                let d = i64::from(gate.dmax());
+                stack.extend(gate.inputs().iter().map(|&n| (n, l + d)));
+            }
+        }
+        delays
+    }
+
+    /// Asserts that the demand pass marks, on every cone net, exactly the
+    /// grid points `δ − L` rounds up to for the path delays `L` to `s`,
+    /// leaving out queries that fold to a constant. Returns how many of
+    /// those queries, on nets other than `s`, fell strictly between two
+    /// grid points.
+    fn assert_demand_is_exact(c: &Circuit, s: NetId, delta: i64) -> usize {
+        let mut solver = Solver::new();
+        let mut armed = Budget::unlimited().arm();
+        let nets = match demanded_grids(c, s, delta, &mut solver, &mut armed).unwrap() {
+            Demand::Points { nets, .. } => nets,
+            Demand::Always | Demand::Never => return 0,
+        };
+        let paths = path_delays(c, s);
+        let mut rounded = 0;
+        for (net, enc) in nets.iter().enumerate() {
+            let Some(enc) = enc else {
+                assert!(paths[net].is_empty(), "{}: net {net} left out", c.name());
+                continue;
+            };
+            let mut expected = BTreeSet::new();
+            for &l in &paths[net] {
+                let x = delta - l;
+                if x <= enc.grid[0] {
+                    continue;
+                }
+                if let Some(&t) = enc.grid.iter().find(|&&t| t >= x) {
+                    expected.insert(t);
+                    rounded += usize::from(t != x && net != s.index());
+                }
+            }
+            let marked: Vec<i64> = enc.demand.iter().map(|&idx| enc.grid[idx]).collect();
+            assert_eq!(
+                marked,
+                expected.into_iter().collect::<Vec<_>>(),
+                "{}: net {} at δ={delta}",
+                c.name(),
+                c.net(NetId::from_index(net)).name()
+            );
+        }
+        rounded
+    }
+
+    #[test]
+    fn demand_is_exactly_the_rounded_path_delays() {
+        use ltt_netlist::generators::{random_circuit, RandomCircuitConfig};
+        let mut circuits = vec![
+            ltt_netlist::generators::figure1(10),
+            ltt_netlist::suite::c17(10),
+        ];
+        circuits.extend((0..6).map(|seed| {
+            random_circuit(&RandomCircuitConfig {
+                num_inputs: 6,
+                num_gates: 24,
+                max_fanin: 3,
+                num_outputs: 2,
+                seed: 0xE0C0 + seed,
+                ..Default::default()
+            })
+        }));
+        circuits.extend((0..6).map(mixed_delay_circuit));
+        let mut rounded = 0;
+        for c in &circuits {
+            for &s in c.outputs() {
+                for delta in 0..=c.topological_delay() + 1 {
+                    rounded += assert_demand_is_exact(c, s, delta);
+                }
+            }
+        }
+        assert!(rounded > 0, "no query inside a cone was rounded up");
     }
 
     #[test]
