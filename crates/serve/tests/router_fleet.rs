@@ -195,11 +195,14 @@ fn killing_a_backend_fails_over_and_reregisters() {
 
     // Kill a backend that owns registered circuits. Ring placement hashes
     // the backends' ephemeral addresses, so which backend owns which
-    // circuit changes from run to run; a fixed index can own none.
-    let owned: Vec<usize> = handle
+    // circuit changes from run to run; a fixed index can own none. Nor do
+    // resident entries tell: with two replicas a backend can hold only
+    // replica copies. Every baseline check is one registry lookup on its
+    // circuit's owner, so registry hits count the circuits each owns.
+    let owned: Vec<u64> = handle
         .spawned_backends()
         .iter()
-        .map(|b| b.registry_stats().entries)
+        .map(|b| b.registry_stats().hits)
         .collect();
     let victim = (0..owned.len())
         .max_by_key(|&i| (owned[i], std::cmp::Reverse(i)))
