@@ -223,15 +223,17 @@ pub struct ImplicationTable {
 impl ImplicationTable {
     /// Runs the learning pre-process with every net as an assumption
     /// source. Exhaustive (quadratic in circuit size): no configuration
-    /// selects it; sessions learn with [`ImplicationTable::learn_stems`],
-    /// and tests check that table against this one.
+    /// selects it; sessions learn the [`ImplicationTable::learn_stems`]
+    /// table, and tests check that table against this one.
     pub fn learn(circuit: &Circuit) -> ImplicationTable {
         Self::learn_from(circuit, &vec![true; circuit.num_nets()])
     }
 
     /// Runs the learning pre-process with only the reconvergent fanout
     /// stems ([`Circuit::reconvergent_stems`]) as assumption sources —
-    /// where non-local implications live and the table stays small.
+    /// where non-local implications live and the table stays small. A
+    /// [`CheckSession`](crate::CheckSession) learns the same table from
+    /// its cached stem mask.
     pub fn learn_stems(circuit: &Circuit) -> ImplicationTable {
         Self::learn_from(circuit, &circuit.reconvergent_stems())
     }
@@ -242,7 +244,7 @@ impl ImplicationTable {
     ///
     /// The assumptions run 64 at a time, one per lane of a [`LaneKernel`];
     /// lane `l` of a chunk is its `l`-th assumption in that order.
-    fn learn_from(circuit: &Circuit, sources: &[bool]) -> ImplicationTable {
+    pub(crate) fn learn_from(circuit: &Circuit, sources: &[bool]) -> ImplicationTable {
         let n = circuit.num_nets();
         assert!(n < 1 << 31, "implication keys pack two net ids");
         let topo = circuit.topology();
@@ -253,13 +255,12 @@ impl ImplicationTable {
             .flat_map(|y| Level::BOTH.map(|v| (y, v)))
             .collect();
         let mut constants = Vec::new();
-        // One record per learned fact y=v ⇒ x=w in insertion order:
-        // `(bucket(y, v), bucket(x, w), kept)`, where bit 0 of `kept` marks
-        // the direct pair as new and bit 1 its contrapositive x=¬w ⇒ y=¬v.
-        // `offsets[b + 1]` counts bucket b's pairs as they arrive.
-        let mut facts: Vec<(u32, u32, u8)> = Vec::new();
+        // One record per learned fact y=v ⇒ x=w in insertion order,
+        // `(bucket(y, v), bucket(x, w))`, standing for the direct pair and
+        // its contrapositive x=¬w ⇒ y=¬v. `offsets[b + 1]` counts bucket
+        // b's pairs as they arrive.
+        let mut facts: Vec<(u32, u32)> = Vec::new();
         let mut offsets = vec![0u32; 2 * n + 1];
-        let mut total = 0usize;
         let mut seen: HashSet<u64, BuildHasherDefault<KeyHasher>> = HashSet::default();
         // The nets each lane fixed to one class, in net order.
         let mut fixed: Vec<Vec<NetId>> = vec![Vec::new(); 64];
@@ -288,30 +289,32 @@ impl ImplicationTable {
                         Level::One
                     };
                     // Direct pairs never repeat (one assumption per (y, v),
-                    // one unique class per x), nor do contrapositives. A
-                    // direct pair y=v ⇒ x=w can only coincide with the
-                    // contrapositive learned under x=¬w, so only pairs
-                    // whose target x is itself a source go through `seen`.
-                    let dedup = sources[x.index()];
-                    let mut kept = 0u8;
-                    for (bit, src, tgt) in [
-                        (1, bucket(y, v), bucket(x, w)),
-                        (2, bucket(x, !w), bucket(y, !v)),
-                    ] {
-                        if !dedup || seen.insert(u64::from(src) << 32 | u64::from(tgt)) {
-                            kept |= bit;
-                            offsets[src as usize + 1] += 1;
+                    // one unique class per x), nor do contrapositives. The
+                    // fact y=v ⇒ x=w stores the same two pairs as the fact
+                    // x=¬w ⇒ y=¬v learned under x=¬w, and no other fact
+                    // shares either pair. So only facts whose target x is
+                    // itself a source go through `seen`, under one key for
+                    // both: the pair whose source net is the smaller.
+                    let (src, tgt) = (bucket(y, v), bucket(x, w));
+                    if sources[x.index()] {
+                        let (a, b) = if y < x {
+                            (src, tgt)
+                        } else {
+                            (tgt ^ 1, src ^ 1)
+                        };
+                        if !seen.insert(u64::from(a) << 32 | u64::from(b)) {
+                            continue;
                         }
                     }
-                    if kept != 0 {
-                        total += kept.count_ones() as usize;
-                        facts.push((bucket(y, v), bucket(x, w), kept));
-                    }
+                    offsets[src as usize + 1] += 1;
+                    offsets[(tgt ^ 1) as usize + 1] += 1;
+                    facts.push((src, tgt));
                 }
             }
             kernel.reset();
         }
 
+        let total = 2 * facts.len();
         u32::try_from(total).expect("< 4G implications");
         for b in 1..offsets.len() {
             offsets[b] += offsets[b - 1];
@@ -326,13 +329,11 @@ impl ImplicationTable {
         };
         let mut fill = offsets.clone();
         let mut implied = vec![(NetId::from_index(0), Level::Zero); total];
-        for (src, tgt, kept) in facts {
-            for (bit, b, p) in [(1, src, tgt), (2, tgt ^ 1, src ^ 1)] {
-                if kept & bit != 0 {
-                    let slot = &mut fill[b as usize];
-                    implied[*slot as usize] = pair(p);
-                    *slot += 1;
-                }
+        for (src, tgt) in facts {
+            for (b, p) in [(src, tgt), (tgt ^ 1, src ^ 1)] {
+                let slot = &mut fill[b as usize];
+                implied[*slot as usize] = pair(p);
+                *slot += 1;
             }
         }
         ImplicationTable {
@@ -442,8 +443,6 @@ struct LaneKernel<'t> {
     topo: &'t Topology,
     /// Gates by topological position.
     order: &'t [GateId],
-    /// Topological position of every gate.
-    pos: Vec<u32>,
     /// `[can0, can1]` per net; all ones everywhere off the trail.
     can: Vec<[u64; 2]>,
     /// Every net some lane of the chunk narrowed, each once.
@@ -461,15 +460,9 @@ struct LaneKernel<'t> {
 
 impl<'t> LaneKernel<'t> {
     fn new(circuit: &'t Circuit, topo: &'t Topology) -> Self {
-        let order = circuit.topo_gates();
-        let mut pos = vec![0u32; circuit.num_gates()];
-        for (i, g) in order.iter().enumerate() {
-            pos[g.index()] = u32::try_from(i).expect("< 4G gates");
-        }
         LaneKernel {
             topo,
-            order,
-            pos,
+            order: circuit.topo_gates(),
             can: vec![[ALL; 2]; circuit.num_nets()],
             trail: Vec::new(),
             dead: 0,
@@ -532,7 +525,7 @@ impl<'t> LaneKernel<'t> {
         }
         self.can[net.index()] = next;
         for &g in self.topo.touching(net) {
-            let p = self.pos[g.index()] as usize;
+            let p = self.topo.gate_position(g);
             self.pending[p / 64] |= 1u64 << (p % 64);
             self.lo = self.lo.min(p / 64);
             self.hi = self.hi.max(p / 64);

@@ -251,7 +251,10 @@ impl<'c> CheckSession<'c> {
                 let span = self.config.obs.start();
                 let table = match self.config.learning {
                     LearningMode::Off => None,
-                    LearningMode::Stems => Some(ImplicationTable::learn_stems(self.circuit())),
+                    LearningMode::Stems => Some(ImplicationTable::learn_from(
+                        self.circuit(),
+                        self.stem_candidates(),
+                    )),
                 };
                 self.config
                     .obs

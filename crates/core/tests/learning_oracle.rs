@@ -1,4 +1,4 @@
-//! Differential tests for circuit preparation: the one-pass stem mask
+//! Differential tests for circuit preparation: the 64-lane stem mask
 //! ([`Circuit::reconvergent_stems`]) and the scratch learning kernel behind
 //! [`ImplicationTable::learn`] / [`ImplicationTable::learn_stems`] against
 //! straightforward reference implementations kept here as oracles:
@@ -14,7 +14,7 @@
 
 use ltt_core::ImplicationTable;
 use ltt_netlist::generators::{random_circuit, RandomCircuitConfig};
-use ltt_netlist::{Circuit, CircuitBuilder, DelayInterval, GateKind, NetId};
+use ltt_netlist::{Circuit, CircuitBuilder, ConeView, DelayInterval, GateKind, NetId};
 use ltt_waveform::Level;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -459,6 +459,28 @@ fn branches_past_the_64th_reader_are_not_tracked() {
 }
 
 #[test]
+fn branches_differing_in_one_index_bit_reconverge() {
+    // `a` has 64 inverter readers and one AND joins branches b and
+    // b ^ 2^k: the join is two distinct branches for every bit k of the
+    // 0–63 branch index.
+    for k in 0..6 {
+        for b0 in [0, 63 ^ (1 << k)] {
+            let (p, q) = (b0, b0 ^ (1 << k));
+            assert_stem(true, |b| {
+                let d = DelayInterval::fixed(10);
+                let a = b.input("a");
+                let branches: Vec<NetId> = (0..64)
+                    .map(|i| b.gate(format!("n{i}"), GateKind::Not, &[a], d))
+                    .collect();
+                let y = b.gate("y", GateKind::And, &[branches[p], branches[q]], d);
+                b.mark_output(y);
+                a
+            });
+        }
+    }
+}
+
+#[test]
 fn suite_circuits_match_the_stem_oracle() {
     for entry in ltt_netlist::suite::iscas85_suite(10)
         .iter()
@@ -470,6 +492,148 @@ fn suite_circuits_match_the_stem_oracle() {
             "{}",
             entry.name
         );
+    }
+}
+
+/// A circuit with exactly `stems` fanout stems, all primary inputs read
+/// by two or three inverters and buffers. The branches then merge at
+/// random: each gate consumes two or three unread nets, so no other net
+/// gets a second reader. Merges join branches of one stem, and branches
+/// of stems far apart in net order, in different lane chunks.
+fn stem_pool_circuit(seed: u64, stems: usize) -> Circuit {
+    let d = DelayInterval::fixed(10);
+    let mut rng = Lcg(seed);
+    let mut b = CircuitBuilder::new(format!("pool_{seed}_{stems}"));
+    let mut pool: Vec<NetId> = Vec::new();
+    for i in 0..stems {
+        let s = b.input(format!("s{i}"));
+        for k in 0..2 + rng.next(2) {
+            let kind = [GateKind::Not, GateKind::Buffer][rng.next(2)];
+            pool.push(b.gate(format!("b{i}_{k}"), kind, &[s], d));
+        }
+    }
+    let kinds = [GateKind::And, GateKind::Or, GateKind::Xor, GateKind::Nand];
+    let mut g = 0;
+    while pool.len() > 8 {
+        let ins: Vec<NetId> = (0..2 + rng.next(2))
+            .map(|_| pool.swap_remove(rng.next(pool.len())))
+            .collect();
+        pool.push(b.gate(format!("m{g}"), kinds[rng.next(4)], &ins, d));
+        g += 1;
+    }
+    for n in pool {
+        b.mark_output(n);
+    }
+    b.build().expect("valid circuit")
+}
+
+#[test]
+fn stem_chunks_end_before_at_and_after_64_lanes() {
+    // 63, 64, 65 and 129 candidate stems: one short or exactly full
+    // chunk, then one and two spilled lanes past a full chunk.
+    for stems in [63, 64, 65, 129] {
+        let mut mixed = false;
+        for seed in 0..10 {
+            let c = stem_pool_circuit(seed, stems);
+            let candidates = c.net_ids().filter(|&n| c.net(n).is_fanout_stem());
+            assert_eq!(candidates.count(), stems);
+            let mask = c.reconvergent_stems();
+            assert_eq!(mask, oracle_stems(&c), "{stems} stems, seed {seed}");
+            let found = mask.iter().filter(|&&m| m).count();
+            mixed |= found > 0 && found < stems;
+        }
+        assert!(mixed, "{stems} stems: no seed mixes both answers");
+    }
+}
+
+/// Builds a circuit with `build`, which returns the stem, and checks the
+/// stem's mask bit against `expect` and the whole mask against the oracle.
+fn assert_stem(expect: bool, build: impl FnOnce(&mut CircuitBuilder) -> NetId) {
+    let mut b = CircuitBuilder::new("stem");
+    let stem = build(&mut b);
+    let c = b.build().expect("valid circuit");
+    let mask = c.reconvergent_stems();
+    assert_eq!(mask[stem.index()], expect);
+    assert_eq!(mask, oracle_stems(&c));
+}
+
+#[test]
+fn a_gate_reading_the_stem_twice_starts_with_two_branches() {
+    let d = DelayInterval::fixed(10);
+    // Its only reader reads `a` twice: two branches, but no arm is tagged.
+    assert_stem(false, |b| {
+        let a = b.input("a");
+        let g = b.gate("g", GateKind::And, &[a, a], d);
+        b.mark_output(g);
+        a
+    });
+    // Reading that two-branch output on two arms reconverges.
+    assert_stem(true, |b| {
+        let a = b.input("a");
+        let g = b.gate("g", GateKind::And, &[a, a], d);
+        let k = b.gate("k", GateKind::Xor, &[g, g], d);
+        b.mark_output(k);
+        a
+    });
+}
+
+#[test]
+fn a_reader_fed_by_another_branch_merges_with_one_arm() {
+    let d = DelayInterval::fixed(10);
+    // g reads `a` and its branch p: the merge at g has one tagged arm, so
+    // it alone does not reconverge.
+    assert_stem(false, |b| {
+        let a = b.input("a");
+        let p = b.gate("p", GateKind::Not, &[a], d);
+        let g = b.gate("g", GateKind::And, &[a, p], d);
+        b.mark_output(g);
+        a
+    });
+    // Fed twice by p, g has two tagged arms of one branch; its own branch
+    // is the second one, so the stem reconverges at g.
+    assert_stem(true, |b| {
+        let a = b.input("a");
+        let p = b.gate("p", GateKind::Not, &[a], d);
+        let g = b.gate("g", GateKind::And, &[a, p, p], d);
+        b.mark_output(g);
+        a
+    });
+    // Downstream, g's two branches meet a third one on two arms.
+    assert_stem(true, |b| {
+        let a = b.input("a");
+        let p = b.gate("p", GateKind::Not, &[a], d);
+        let g = b.gate("g", GateKind::And, &[a, p], d);
+        let r = b.gate("r", GateKind::Buffer, &[a], d);
+        let k = b.gate("k", GateKind::Or, &[g, r], d);
+        b.mark_output(k);
+        a
+    });
+}
+
+#[test]
+fn duplicate_inputs_count_as_two_arms() {
+    let d = DelayInterval::fixed(10);
+    // p carries one branch: reading it twice joins nothing new.
+    assert_stem(false, |b| {
+        let a = b.input("a");
+        let p = b.gate("p", GateKind::Not, &[a], d);
+        let q = b.gate("q", GateKind::Buffer, &[a], d);
+        let g = b.gate("g", GateKind::And, &[p, p], d);
+        b.mark_output(g);
+        b.mark_output(q);
+        a
+    });
+    // g carries two branches after a one-arm merge: reading it twice is
+    // two arms, so the stem reconverges at k and nowhere else.
+    for (kind, ins, expect) in [(GateKind::And, 2, true), (GateKind::Not, 1, false)] {
+        assert_stem(expect, |b| {
+            let a = b.input("a");
+            let p = b.gate("p", GateKind::Not, &[a], d);
+            let g = b.gate("g", GateKind::And, &[a, p], d);
+            let k = b.gate("k", kind, &vec![g; ins], d);
+            b.mark_output(k);
+            a
+        });
     }
 }
 
@@ -553,6 +717,18 @@ fn suite_stem_learning_matches_the_oracle() {
     for entry in ltt_netlist::suite::iscas85_suite(10).iter() {
         let c = &entry.circuit;
         let stems = c.reconvergent_stems();
+        assert_eq!(stems, oracle_stems(c), "{}", entry.name);
+        for &output in c.outputs() {
+            let cone = ConeView::extract(c, output);
+            let sub = cone.circuit();
+            assert_eq!(
+                sub.reconvergent_stems(),
+                oracle_stems(sub),
+                "{} cone of {}",
+                entry.name,
+                c.net(output).name()
+            );
+        }
         let sources: Vec<NetId> = c.net_ids().filter(|n| stems[n.index()]).collect();
         assert_same_table(c, &ImplicationTable::learn_stems(c), &sources);
     }

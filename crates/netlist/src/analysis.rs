@@ -127,12 +127,10 @@ impl Circuit {
     ///
     /// Each stem's first 64 reader gates tag their outputs with one branch
     /// bit each, and tags flow forward in topological order. The stem
-    /// reconverges at the first gate with at least two tagged inputs whose
-    /// combined tag (its own included) carries at least two branches. Per
-    /// stem this is one sparse forward walk: it visits only gates fed by a
-    /// tagged net, in topological order, and stops at the first
-    /// reconvergence. The tag plane and the pending-gate bitset are
-    /// allocated once per call and reset sparsely between stems.
+    /// reconverges iff some gate has at least two tagged inputs whose
+    /// combined tag (its own included) carries at least two branches. The
+    /// stems run 64 at a time, one per bit lane, in one forward sweep per
+    /// chunk that stops once every lane has reconverged (DESIGN.md §16).
     ///
     /// # Examples
     ///
@@ -153,110 +151,142 @@ impl Circuit {
     /// # }
     /// ```
     pub fn reconvergent_stems(&self) -> Vec<bool> {
-        let mut walk = StemWalk::new(self);
-        self.net_ids().map(|stem| walk.reconverges(stem)).collect()
+        let candidates: Vec<NetId> = self
+            .net_ids()
+            .filter(|&n| self.net(n).is_fanout_stem())
+            .collect();
+        let mut mask = vec![false; self.num_nets()];
+        let mut kernel = StemKernel::new(self);
+        for chunk in candidates.chunks(64) {
+            let reconv = kernel.run(chunk);
+            for (l, &stem) in chunk.iter().enumerate() {
+                mask[stem.index()] = (reconv >> l) & 1 != 0;
+            }
+        }
+        mask
     }
 }
 
-/// Scratch state of [`Circuit::reconvergent_stems`], reused across stems.
-struct StemWalk<'c> {
+/// What the reconvergence rule needs of one lane's tag set: whether it
+/// holds at least one branch (`any`) and at least two (`multi`), plus, for
+/// a single-branch lane, that branch's index (0–63) bit-sliced over six
+/// `id` planes. The planes are meaningless on lanes that are empty or
+/// `multi`. One record is one 64-byte line.
+#[derive(Clone, Copy, Default)]
+#[repr(align(64))]
+struct Tags {
+    any: u64,
+    multi: u64,
+    id: [u64; 6],
+}
+
+impl Tags {
+    /// Unions `t` into `self`, lane by lane. Two single-branch lanes make
+    /// a `multi` lane iff their ids differ.
+    #[inline]
+    fn join(&mut self, t: &Tags) {
+        let take = t.any & !self.any;
+        let mut differ = 0;
+        for (mine, theirs) in self.id.iter_mut().zip(t.id) {
+            differ |= *mine ^ theirs;
+            *mine ^= (*mine ^ theirs) & take;
+        }
+        self.multi |= t.multi | self.any & t.any & differ;
+        self.any |= t.any;
+    }
+
+    /// The record holding branch `b` alone in lane `l`.
+    fn branch(l: usize, b: usize) -> Tags {
+        Tags {
+            any: 1 << l,
+            multi: 0,
+            id: std::array::from_fn(|k| (((b >> k) & 1) as u64) << l),
+        }
+    }
+}
+
+/// The stem-mask kernel of [`Circuit::reconvergent_stems`]: 64 candidate
+/// stems at once, lane `l` being the chunk's `l`-th stem, one [`Tags`]
+/// record per net. Allocated once per call and reset through the trail of
+/// tagged nets between chunks.
+struct StemKernel<'c> {
     circuit: &'c Circuit,
     topo: Arc<Topology>,
-    /// Topological position of every gate.
-    pos: Vec<u32>,
-    /// Branch set per net; non-zero only on the `tagged` trail.
-    tags: Vec<u64>,
-    tagged: Vec<NetId>,
-    /// Gates waiting to be visited, one bit per topological position;
-    /// set bits lie in words `lo..=hi`.
-    pending: Vec<u64>,
-    lo: usize,
-    hi: usize,
+    tags: Vec<Tags>,
+    /// Every net tagged in some lane of the chunk, each once.
+    trail: Vec<NetId>,
 }
 
-impl<'c> StemWalk<'c> {
+impl<'c> StemKernel<'c> {
     fn new(circuit: &'c Circuit) -> Self {
-        let mut pos = vec![0u32; circuit.num_gates()];
-        for (i, g) in circuit.topo_gates().iter().enumerate() {
-            pos[g.index()] = u32::try_from(i).expect("< 4G gates");
-        }
-        StemWalk {
+        StemKernel {
             circuit,
             topo: circuit.topology(),
-            pos,
-            tags: vec![0; circuit.num_nets()],
-            tagged: Vec::new(),
-            pending: vec![0; circuit.num_gates().div_ceil(64)],
-            lo: usize::MAX,
-            hi: 0,
+            tags: vec![Tags::default(); circuit.num_nets()],
+            trail: Vec::new(),
         }
     }
 
-    /// ORs `bits` into `net`'s tag. A net tagged for the first time
-    /// schedules its readers; their inputs are final by the time the
-    /// topological walk reaches them.
-    fn tag(&mut self, net: NetId, bits: u64) {
-        if self.tags[net.index()] == 0 {
-            self.tagged.push(net);
-            for &r in self.circuit.net(net).readers() {
-                let p = self.pos[r.index()] as usize;
-                self.pending[p / 64] |= 1u64 << (p % 64);
-                self.lo = self.lo.min(p / 64);
-                self.hi = self.hi.max(p / 64);
+    /// Joins `t` into `net`'s record.
+    fn tag(&mut self, net: NetId, t: &Tags) {
+        let rec = &mut self.tags[net.index()];
+        if rec.any == 0 {
+            self.trail.push(net);
+        }
+        rec.join(t);
+    }
+
+    /// The lanes of `chunk` (at most 64 stems) that reconverge.
+    ///
+    /// Seeds each stem's first 64 readers, then sweeps the topological
+    /// order forward from the earliest of them. A gate none of whose
+    /// inputs is tagged in an undecided lane is skipped; otherwise its
+    /// inputs join into its output, and `arms1`/`arms2` count per lane the
+    /// tagged input slots (a net read twice counts twice). Each gate sees
+    /// its inputs' final records in every undecided lane, so the sweep
+    /// decides every lane exactly as a full per-stem scan would.
+    fn run(&mut self, chunk: &[NetId]) -> u64 {
+        debug_assert!((1..=64).contains(&chunk.len()));
+        let lanes = u64::MAX >> (64 - chunk.len());
+        let mut start = usize::MAX;
+        for (l, &stem) in chunk.iter().enumerate() {
+            for (b, &g) in self.circuit.net(stem).readers().iter().enumerate().take(64) {
+                self.tag(self.topo.gate_output(g), &Tags::branch(l, b));
+                start = start.min(self.topo.gate_position(g));
             }
         }
-        self.tags[net.index()] |= bits;
-    }
-
-    fn reconverges(&mut self, stem: NetId) -> bool {
-        let readers = self.circuit.net(stem).readers();
-        if readers.len() < 2 {
-            return false;
-        }
-        for (b, &g) in readers.iter().enumerate().take(64) {
-            self.tag(self.topo.gate_output(g), 1u64 << b);
-        }
-        let mut reconv = false;
-        // Visits pending gates in topological order. A visit only
-        // schedules later positions, so the scan never moves backwards.
-        let mut w = self.lo;
-        while w <= self.hi {
-            let bits = self.pending[w];
-            if bits == 0 {
-                w += 1;
+        let mut done = 0u64;
+        for &g in &self.circuit.topo_gates()[start..] {
+            let live = lanes & !done;
+            let inputs = self.topo.gate_inputs(g);
+            if inputs.iter().all(|n| self.tags[n.index()].any & live == 0) {
                 continue;
             }
-            self.pending[w] = bits & (bits - 1);
-            let g = self.circuit.topo_gates()[w * 64 + bits.trailing_zeros() as usize];
             let out = self.topo.gate_output(g);
             let mut acc = self.tags[out.index()];
-            let mut arms = 0u32;
-            for n in self.topo.gate_inputs(g) {
-                let t = self.tags[n.index()];
-                if t != 0 {
-                    arms += 1;
+            let (mut arms1, mut arms2) = (0u64, 0u64);
+            for n in inputs {
+                let t = &self.tags[n.index()];
+                if t.any != 0 {
+                    arms2 |= arms1 & t.any;
+                    arms1 |= t.any;
+                    acc.join(t);
                 }
-                acc |= t;
             }
-            // Reconvergence at this gate: inputs reachable from ≥ 2 distinct
-            // branches, or one input carrying ≥ 2 branches merged upstream
-            // plus this gate seeing several arms.
-            if arms >= 2 && acc.count_ones() >= 2 {
-                reconv = true;
+            done |= arms2 & acc.multi;
+            if done == lanes {
                 break;
             }
-            if acc != 0 {
-                self.tag(out, acc);
+            // `acc` already holds the output's own record.
+            if self.tags[out.index()].any == 0 {
+                self.trail.push(out);
             }
+            self.tags[out.index()] = acc;
         }
-        if self.lo <= self.hi {
-            self.pending[self.lo..=self.hi].fill(0);
+        for net in self.trail.drain(..) {
+            self.tags[net.index()] = Tags::default();
         }
-        (self.lo, self.hi) = (usize::MAX, 0);
-        for net in self.tagged.drain(..) {
-            self.tags[net.index()] = 0;
-        }
-        reconv
+        done
     }
 }
 

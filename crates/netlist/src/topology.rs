@@ -10,10 +10,13 @@
 //!   shared input-net array;
 //! * per net: an offset range into one shared "touching gates" array —
 //!   the net's driver first (if any), then its readers, which is exactly
-//!   the order the narrower schedules constraints in.
+//!   the order the narrower schedules constraints in;
+//! * per gate: its position in the circuit's topological order, the index
+//!   the word kernels' bitsets and sweeps run over.
 //!
 //! The tables split into two planes with different invalidation rules:
-//! the structural [`Adjacency`] (kinds, outputs, CSR input/touch lists),
+//! the structural [`Adjacency`] (kinds, outputs, CSR input/touch lists,
+//! topological positions),
 //! which only a rewire can change, and the per-gate `dmax` delay plane,
 //! which SDF re-annotation ([`Circuit::with_delays`](crate::Circuit::with_delays))
 //! rewrites. A delay-only edit therefore keeps the adjacency `Arc` and
@@ -39,6 +42,8 @@ pub struct Adjacency {
     /// `touch_off[n]..touch_off[n+1]` indexes `touch` for net `n`.
     touch_off: Vec<u32>,
     touch: Vec<GateId>,
+    /// Position of every gate in [`Circuit::topo_gates`].
+    pos: Vec<u32>,
     /// Number of nets with at least two readers.
     fanout_stems: usize,
 }
@@ -72,6 +77,10 @@ impl Adjacency {
             touch.extend_from_slice(net.readers());
             touch_off.push(u32::try_from(touch.len()).expect("< 4G net touches"));
         }
+        let mut pos = vec![0u32; ng];
+        for (i, g) in c.topo_gates().iter().enumerate() {
+            pos[g.index()] = u32::try_from(i).expect("< 4G gates");
+        }
         Arc::new(Adjacency {
             kind,
             output,
@@ -79,6 +88,7 @@ impl Adjacency {
             in_nets,
             touch_off,
             touch,
+            pos,
             fanout_stems,
         })
     }
@@ -139,6 +149,13 @@ impl Topology {
         &self.adj.in_nets[self.adj.in_off[gi] as usize..self.adj.in_off[gi + 1] as usize]
     }
 
+    /// The gate's position in the circuit's topological order
+    /// ([`Circuit::topo_gates`](crate::Circuit::topo_gates)).
+    #[inline]
+    pub fn gate_position(&self, g: GateId) -> usize {
+        self.adj.pos[g.index()] as usize
+    }
+
     /// Number of fanout stems (nets with at least two readers).
     #[inline]
     pub fn num_fanout_stems(&self) -> usize {
@@ -176,6 +193,7 @@ mod tests {
             assert_eq!(topo.gate_dmax(g), gate.dmax());
             assert_eq!(topo.gate_output(g), gate.output());
             assert_eq!(topo.gate_inputs(g), gate.inputs());
+            assert_eq!(circuit.topo_gates()[topo.gate_position(g)], g);
         }
         for n in circuit.net_ids() {
             let net = circuit.net(n);
