@@ -1,8 +1,10 @@
-//! Golden CNF sizes: `Solver::num_vars()` of `encode_check` on the
-//! critical output of each suite circuit of at most 2 000 gates, at its
-//! exact delay and one past it, pinned in `tests/golden/cnf_vars.txt`.
-//! A variable count is exact on any machine, so an encoder that grows
-//! fails here instead of drifting in wall-clock.
+//! Golden CNFs: `Solver::num_vars()`, `Solver::num_clauses()` and
+//! `Solver::clause_digest()` of `encode_check` on the critical output of
+//! each suite circuit of at most 2 000 gates, at its exact delay and one
+//! past it, pinned in `tests/golden/cnf_vars.txt`. All three are exact on
+//! any machine, so an encoder that grows, or that emits other clauses or
+//! the same clauses in another order, fails here instead of drifting in
+//! wall-clock.
 //!
 //! s6288 at δ = 1621 (proven safe) and δ = 1529 (still open) is pinned in
 //! `tests/golden/cnf_vars_s6288.txt` by an ignored test that CI runs in
@@ -32,15 +34,20 @@ const S6288_GOLDEN: &str = concat!(
 /// The largest suite circuit the tier-1 golden covers.
 const MAX_GATES: usize = 2_000;
 
-/// One line: the check and the variables its CNF allocates, or the
-/// short-circuit that needs none.
+/// One line: the check, the variables its CNF allocates, its stored
+/// clauses and their digest, or the short-circuit that needs none.
 fn line(entry: &SuiteEntry, delta: i64) -> String {
     let c = &entry.circuit;
     let s = critical_output(c);
     let size = match encode_check(c, s, delta, &Budget::unlimited()).expect("suite grids fit") {
         Encoded::AlwaysViolated => "always_violated".to_string(),
         Encoded::NeverViolated => "never_violated".to_string(),
-        Encoded::Cnf(cnf) => format!("vars={}", cnf.solver.num_vars()),
+        Encoded::Cnf(cnf) => format!(
+            "vars={} clauses={} digest={:016x}",
+            cnf.solver.num_vars(),
+            cnf.solver.num_clauses(),
+            cnf.solver.clause_digest()
+        ),
     };
     format!("{} {} delta={delta} {size}\n", entry.name, c.net(s).name())
 }
@@ -75,7 +82,7 @@ fn s6288_lines() -> String {
 
 fn assert_matches_golden(path: &str, actual: &str) {
     let expected = std::fs::read_to_string(path).expect("golden file present");
-    assert_eq!(actual, expected, "CNF sizes drifted from {path}");
+    assert_eq!(actual, expected, "CNFs drifted from {path}");
 }
 
 #[test]
