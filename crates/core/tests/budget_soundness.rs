@@ -10,8 +10,8 @@
 //!   `[lower, upper]` interval containing the exact delay.
 
 use ltt_core::{
-    BatchRunner, Budget, CancelToken, CheckSession, Completeness, DelaySearch, Stage, TripReason,
-    Verdict, VerifyConfig,
+    BatchRunner, Budget, CancelToken, CheckSession, Completeness, DelaySearch, Engine, Stage,
+    TripReason, Verdict, VerifyConfig,
 };
 use ltt_netlist::generators::{random_circuit, serial_false_path_gadgets, RandomCircuitConfig};
 use ltt_netlist::NetId;
@@ -148,6 +148,37 @@ fn cancelled_token_aborts_without_claiming() {
             ..
         }
     ));
+}
+
+/// A SAT check that grid analysis alone decides (δ at or below the
+/// output's earliest settle time, or past its latest) still polls the
+/// budget first: a cancelled check ends `Unknown(Cancelled)` at both
+/// ends instead of answering.
+#[test]
+fn cancelled_sat_checks_outside_the_settle_span_end_unknown() {
+    let c = serial_false_path_gadgets(4, 10);
+    let s = c.outputs()[0];
+    let token = CancelToken::new();
+    token.cancel();
+    let config = VerifyConfig {
+        engine: Engine::Sat,
+        budget: Budget::unlimited().with_cancel(token),
+        ..Default::default()
+    };
+    let session = CheckSession::new(&c, config);
+    let latest = session.arrival_times()[s.index()];
+    for delta in [0, 1, latest + 1, latest + 10] {
+        let report = session.verify(s, delta);
+        assert_eq!(report.verdict, Verdict::Abandoned, "δ={delta}");
+        assert_eq!(
+            report.completeness,
+            Completeness::BudgetExhausted {
+                stage: Stage::Sat,
+                reason: TripReason::Cancelled,
+            },
+            "δ={delta}"
+        );
+    }
 }
 
 #[test]
