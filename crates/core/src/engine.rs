@@ -17,7 +17,7 @@ use crate::check::{
     Completeness, DelayMode, DelaySearch, Engine, Stage, Verdict, VerifyConfig, VerifyReport,
 };
 use crate::prepared::{CheckSession, Route};
-use crate::sat::{sat_decide, SatCheck, SatVerdict};
+use crate::sat::{self, SatCheck, SatVerdict};
 use ltt_netlist::NetId;
 use ltt_sta::{sampled_floating_delay_until, vector_delay};
 use ltt_waveform::Level;
@@ -82,8 +82,15 @@ impl CheckSession<'_> {
     fn sat_check(&self, output: NetId, delta: i64, extra: &Budget) -> VerifyReport {
         let started = Instant::now();
         let budget = self.config().budget.merged(extra);
-        let check = sat_decide(self.circuit(), output, delta, &budget);
+        let check = self.sat_decide(output, delta, &budget);
         sat_report(output, delta, check, started)
+    }
+
+    /// [`sat::sat_decide`] with the output's cached settle bounds, so a
+    /// check outside them is decided without encoding.
+    fn sat_decide(&self, output: NetId, delta: i64, budget: &Budget) -> SatCheck {
+        let bounds = self.settle_bounds()[output.index()];
+        sat::decide(self.circuit(), output, delta, Some(bounds), budget)
     }
 
     /// The exact-delay search of `output` through `engine`, with every
@@ -179,7 +186,7 @@ impl CheckSession<'_> {
         if engine != Engine::Narrow {
             (lo, hi, _) = bisect(lo, hi, |mid| {
                 let started = Instant::now();
-                let check = sat_decide(self.circuit(), output, mid, &budget);
+                let check = self.sat_decide(output, mid, &budget);
                 let step = match &check.verdict {
                     SatVerdict::Violated(v) => {
                         vector = Some(v.clone());
@@ -274,12 +281,14 @@ fn sat_report(output: NetId, delta: i64, check: SatCheck, started: Instant) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sat::Encoded;
     use crate::{
         BatchRunner, CdclStats, LearningMode, Obs, Recorder, StageEffort, StageTimes, TripReason,
         VerifyConfig,
     };
     use ltt_netlist::generators::{figure1, serial_false_path_gadgets};
     use ltt_netlist::Circuit;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -402,6 +411,137 @@ mod tests {
         assert!(prepared.is_empty(), "{prepared:?}");
     }
 
+    /// Every net's full settle grid by brute force: inputs settle at 0, a
+    /// gate output at every input settle time plus `dmax`.
+    fn full_grids(c: &Circuit) -> Vec<BTreeSet<i64>> {
+        let mut grids = vec![BTreeSet::from([0]); c.num_nets()];
+        for &gid in c.topo_gates() {
+            let gate = c.gate(gid);
+            let d = i64::from(gate.dmax());
+            let grid: BTreeSet<i64> = gate
+                .inputs()
+                .iter()
+                .flat_map(|n| grids[n.index()].iter().map(move |&t| t + d))
+                .collect();
+            grids[gate.output().index()] = grid;
+        }
+        grids
+    }
+
+    fn class_name(decided: Option<&Encoded>) -> &'static str {
+        match decided {
+            Some(Encoded::AlwaysViolated) => "always",
+            Some(Encoded::NeverViolated) => "never",
+            Some(Encoded::Cnf(_)) | None => "cnf",
+        }
+    }
+
+    /// `c` with every gate's delay replaced by a pseudo-random interval
+    /// `[min, max]`, `min < max`, so bounds taken from `dmin` would differ.
+    fn with_delay_intervals(c: &Circuit, seed: u64) -> Circuit {
+        use ltt_netlist::{CircuitEdit, DelayInterval};
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let edits: Vec<CircuitEdit> = c
+            .topo_gates()
+            .iter()
+            .map(|&gate| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let max = 2 + (state % 11) as u32;
+                let min = (state >> 8) as u32 % max;
+                CircuitEdit::SetDelay {
+                    gate,
+                    delay: DelayInterval::new(min, max),
+                }
+            })
+            .collect();
+        c.apply_edit(&edits).expect("delay edits apply").circuit
+    }
+
+    /// The session classifies each SAT check against its cached settle
+    /// bounds exactly as the encoder's rule does on brute-force full grids,
+    /// and as the free `encode_check` does, on both sides of each bound.
+    #[test]
+    fn session_settle_bounds_classify_like_full_grids() {
+        use ltt_netlist::generators::{random_circuit, RandomCircuitConfig};
+        let mut circuits: Vec<Circuit> = ltt_netlist::suite::iscas85_suite(10)
+            .into_iter()
+            .filter(|e| e.circuit.num_gates() <= 2_000)
+            .map(|e| e.circuit)
+            .collect();
+        for seed in 0..8 {
+            let c = random_circuit(&RandomCircuitConfig {
+                num_inputs: 6,
+                num_gates: 40,
+                num_outputs: 4,
+                seed: 0xB0_0D5 + seed,
+                ..Default::default()
+            });
+            circuits.push(with_delay_intervals(&c, seed));
+            circuits.push(c);
+        }
+        let mut open = 0;
+        for c in &circuits {
+            let session = session_with(c, Engine::Sat);
+            let grids = full_grids(c);
+            for &s in c.outputs() {
+                let grid = &grids[s.index()];
+                let (first, last) = (*grid.first().unwrap(), *grid.last().unwrap());
+                for delta in [first - 1, first, first + 1, last, last + 1] {
+                    let brute = if delta <= first {
+                        "always"
+                    } else if delta > last {
+                        "never"
+                    } else {
+                        "cnf"
+                    };
+                    let cached = session.settle_bounds()[s.index()].classify(delta);
+                    let free = sat::encode_check(c, s, delta, &Budget::unlimited())
+                        .expect("test circuits encode");
+                    let at = format!("{} {} δ={delta}", c.name(), c.net(s).name());
+                    assert_eq!(class_name(cached.as_ref()), brute, "session, {at}");
+                    assert_eq!(class_name(Some(&free)), brute, "encode_check, {at}");
+                    open += usize::from(brute == "cnf");
+                }
+            }
+        }
+        assert!(open > 0, "no check fell inside a settle span");
+    }
+
+    /// A rebase recomputes the settle bounds: a delay edit that moves the
+    /// critical output's latest settle time past its old bound leaves a
+    /// check there open, not grid-decided from stale bounds.
+    #[test]
+    fn rebased_sat_session_recomputes_settle_bounds() {
+        let c = Arc::new(ltt_netlist::suite::c17(10));
+        let s = c.outputs()[0];
+        let session = CheckSession::new_shared(
+            c.clone(),
+            VerifyConfig {
+                engine: Engine::Sat,
+                ..Default::default()
+            },
+        );
+        let last = session.settle_bounds()[s.index()].last;
+        assert!(session.verify(s, last).verdict.is_violation());
+        let gate = c.net(s).driver().expect("driven output");
+        let delay = c.gate(gate).delay();
+        let edit = c
+            .apply_edit(&[ltt_netlist::CircuitEdit::SetDelay {
+                gate,
+                delay: ltt_netlist::DelayInterval::new(delay.min() + 1, delay.max() + 1),
+            }])
+            .expect("delay edit applies");
+        let rebased = session.rebase(Arc::new(edit.circuit), &edit.dirty, edit.structural);
+        assert_eq!(
+            rebased.settle_bounds(),
+            crate::encode::settle_bounds(rebased.circuit())
+        );
+        assert_eq!(rebased.settle_bounds()[s.index()].last, last + 1);
+        assert!(rebased.verify(s, last + 1).verdict.is_violation());
+    }
+
     #[test]
     #[should_panic(expected = "assumptions need the narrow engine")]
     fn sat_session_rejects_assumptions() {
@@ -490,7 +630,7 @@ mod tests {
         let s = c.outputs()[0];
         let top = c.arrival_times()[s.index()];
         for delta in [top / 2, top, top + 1] {
-            let check = sat_decide(&c, s, delta, &Budget::unlimited());
+            let check = sat::sat_decide(&c, s, delta, &Budget::unlimited());
             assert_eq!(
                 check.verdict,
                 SatVerdict::Unknown(TripReason::GridTooLarge),

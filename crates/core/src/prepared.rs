@@ -28,6 +28,7 @@ use crate::check::{
     Verdict, VerifyConfig, VerifyReport,
 };
 use crate::domain::SignalStore;
+use crate::encode::{settle_bounds, SettleBounds};
 use crate::fan::{fill_level, CaseScope};
 use crate::learning::ImplicationTable;
 use crate::scoap::Controllability;
@@ -188,6 +189,7 @@ pub struct CheckSession<'c> {
     /// The static-learning table per `config.learning` (`None` when off).
     table: OnceLock<Option<Arc<ImplicationTable>>>,
     arrival: OnceLock<Vec<i64>>,
+    settle: OnceLock<Vec<SettleBounds>>,
     controllability: OnceLock<Controllability>,
     stem_mask: OnceLock<Vec<bool>>,
     /// Per-output cone analyses (`None` once computed = the cone covers
@@ -228,6 +230,7 @@ impl<'c> CheckSession<'c> {
         CheckSession {
             table: OnceLock::new(),
             arrival: OnceLock::new(),
+            settle: OnceLock::new(),
             controllability: OnceLock::new(),
             stem_mask: OnceLock::new(),
             cones: per_output(&circuit),
@@ -281,6 +284,14 @@ impl<'c> CheckSession<'c> {
     /// ```
     pub fn arrival_times(&self) -> &[i64] {
         self.arrival.get_or_init(|| self.circuit().arrival_times())
+    }
+
+    /// Each net's settle bounds, the first and last point of its settle
+    /// grid (its shortest and longest `dmax` path from the inputs),
+    /// cached. The SAT engine decides a check outside its output's bounds
+    /// without encoding it.
+    pub(crate) fn settle_bounds(&self) -> &[SettleBounds] {
+        self.settle.get_or_init(|| settle_bounds(self.circuit()))
     }
 
     /// SCOAP controllabilities (case-analysis guidance), cached.
@@ -370,6 +381,9 @@ impl<'c> CheckSession<'c> {
     ///   gates can push an out-of-cone delay change into cone-net
     ///   domains): the cone analysis and the warmed cone sub-session,
     ///   wholesale.
+    ///
+    /// Arrival times and settle bounds never transfer: delay edits move
+    /// them.
     ///
     /// Only what this session has computed so far transfers — and checks
     /// the base fixpoint refutes build no cone, so only the cones of

@@ -17,6 +17,7 @@
 //! §15).
 
 use crate::budget::{Budget, TripReason};
+use crate::encode::{encode, SettleBounds};
 use ltt_netlist::{Circuit, NetId};
 use ltt_sta::vector_violates;
 
@@ -48,7 +49,20 @@ pub struct SatCheck {
 /// before being reported; a failed certificate (an encoder bug, never
 /// observed) degrades to `Unknown` rather than report a wrong verdict.
 pub fn sat_decide(circuit: &Circuit, output: NetId, delta: i64, budget: &Budget) -> SatCheck {
-    match encode_check(circuit, output, delta, budget) {
+    decide(circuit, output, delta, None, budget)
+}
+
+/// [`sat_decide`], given the output's settle `bounds` when the caller has
+/// them cached: a check outside them is then decided after one budget
+/// poll, without touching the circuit.
+pub(crate) fn decide(
+    circuit: &Circuit,
+    output: NetId,
+    delta: i64,
+    bounds: Option<SettleBounds>,
+    budget: &Budget,
+) -> SatCheck {
+    match encode(circuit, output, delta, bounds, &mut budget.arm()) {
         Err(EncodeError::Budget(reason)) => SatCheck {
             verdict: SatVerdict::Unknown(reason),
             stats: CdclStats::default(),
