@@ -392,6 +392,31 @@ pub struct Request {
     pub body: RequestBody,
 }
 
+/// The `checks`/`delta` pair shared by `batch_check` and `patch`: an
+/// explicit non-empty list of `{output, delta}` pairs, or one δ for every
+/// output, or `None` when both are absent. Both present is the error
+/// `both`.
+fn parse_check_set(json: &Json, both: &str) -> Result<Option<CheckSet>, ProtoError> {
+    match (json.get("checks"), json.get("delta")) {
+        (None, None) => Ok(None),
+        (Some(list), None) => {
+            let items = list
+                .as_array()
+                .ok_or_else(|| ProtoError::bad("`checks` must be an array"))?;
+            let mut pairs = Vec::with_capacity(items.len());
+            for item in items {
+                pairs.push((required_str(item, "output")?, required_i64(item, "delta")?));
+            }
+            if pairs.is_empty() {
+                return Err(ProtoError::bad("`checks` must not be empty"));
+            }
+            Ok(Some(CheckSet::Explicit(pairs)))
+        }
+        (None, Some(_)) => Ok(Some(CheckSet::AllOutputs(required_i64(json, "delta")?))),
+        (Some(_), Some(_)) => Err(ProtoError::bad(both)),
+    }
+}
+
 impl Request {
     /// Parses one request line (already decoded to [`Json`]).
     pub fn parse(json: &Json) -> Result<Request, ProtoError> {
@@ -429,30 +454,9 @@ impl Request {
                 opts: RunOpts::parse(json.get("opts"))?,
             },
             "batch_check" => {
-                let checks = match (json.get("checks"), json.get("delta")) {
-                    (Some(list), None) => {
-                        let items = list
-                            .as_array()
-                            .ok_or_else(|| ProtoError::bad("`checks` must be an array"))?;
-                        let mut pairs = Vec::with_capacity(items.len());
-                        for item in items {
-                            pairs.push((
-                                required_str(item, "output")?,
-                                required_i64(item, "delta")?,
-                            ));
-                        }
-                        if pairs.is_empty() {
-                            return Err(ProtoError::bad("`checks` must not be empty"));
-                        }
-                        CheckSet::Explicit(pairs)
-                    }
-                    (None, Some(_)) => CheckSet::AllOutputs(required_i64(json, "delta")?),
-                    _ => {
-                        return Err(ProtoError::bad(
-                            "`batch_check` needs exactly one of `checks` or `delta`",
-                        ))
-                    }
-                };
+                let exactly_one = "`batch_check` needs exactly one of `checks` or `delta`";
+                let checks = parse_check_set(json, exactly_one)?
+                    .ok_or_else(|| ProtoError::bad(exactly_one))?;
                 RequestBody::BatchCheck {
                     circuit: required_str(json, "circuit")?,
                     checks,
@@ -483,31 +487,8 @@ impl Request {
                 if edits.is_empty() {
                     return Err(ProtoError::bad("`edits` must not be empty"));
                 }
-                let checks = match (json.get("checks"), json.get("delta")) {
-                    (None, None) => None,
-                    (Some(list), None) => {
-                        let items = list
-                            .as_array()
-                            .ok_or_else(|| ProtoError::bad("`checks` must be an array"))?;
-                        let mut pairs = Vec::with_capacity(items.len());
-                        for item in items {
-                            pairs.push((
-                                required_str(item, "output")?,
-                                required_i64(item, "delta")?,
-                            ));
-                        }
-                        if pairs.is_empty() {
-                            return Err(ProtoError::bad("`checks` must not be empty"));
-                        }
-                        Some(CheckSet::Explicit(pairs))
-                    }
-                    (None, Some(_)) => Some(CheckSet::AllOutputs(required_i64(json, "delta")?)),
-                    _ => {
-                        return Err(ProtoError::bad(
-                            "`patch` takes at most one of `checks` or `delta`",
-                        ))
-                    }
-                };
+                let checks =
+                    parse_check_set(json, "`patch` takes at most one of `checks` or `delta`")?;
                 RequestBody::Patch {
                     circuit: required_str(json, "circuit")?,
                     name: match json.get("name") {
@@ -634,18 +615,6 @@ pub fn report_json(report: &VerifyReport, output_name: &str) -> Json {
     Json::obj(fields)
 }
 
-/// [`report_json`] plus a `"reused"` flag: `true` marks a report
-/// transplanted from the parent revision's result cache during a `patch`
-/// (bit-identical to a fresh run by the cone contract of DESIGN.md §14),
-/// `false` marks a freshly executed check.
-pub fn reused_report_json(report: &VerifyReport, output_name: &str, reused: bool) -> Json {
-    let mut json = report_json(report, output_name);
-    if let Json::Obj(fields) = &mut json {
-        fields.push(("reused".to_string(), Json::Bool(reused)));
-    }
-    json
-}
-
 /// Serializes one exact-delay search result.
 pub fn delay_json(search: &DelaySearch, output_name: &str) -> Json {
     let mut fields = vec![
@@ -668,7 +637,16 @@ pub fn delay_json(search: &DelaySearch, output_name: &str) -> Json {
 /// `check_names` is the output name of every *requested* check, in request
 /// order (`reports` covers the completed subset; the failed slots carry
 /// their own index, so both sides stay attributable).
-pub fn batch_json(batch: &BatchCheck, check_names: &[String]) -> Vec<(String, Json)> {
+///
+/// A `patch` reply passes `reused`, one flag per report: each report then
+/// ends in a `"reused"` field, `true` for one served from the result cache
+/// (bit-identical to a fresh run by the cone contract of DESIGN.md §14),
+/// `false` for a freshly executed check.
+pub fn batch_json(
+    batch: &BatchCheck,
+    check_names: &[String],
+    reused: Option<&[bool]>,
+) -> Vec<(String, Json)> {
     let outcome = match batch.outcome() {
         BatchOutcome::AllSafe => "all_safe",
         BatchOutcome::Violation => "violation",
@@ -684,7 +662,14 @@ pub fn batch_json(batch: &BatchCheck, check_names: &[String]) -> Vec<(String, Js
         .reports
         .iter()
         .zip(report_names)
-        .map(|(r, name)| report_json(r, name))
+        .enumerate()
+        .map(|(i, (r, name))| {
+            let mut json = report_json(r, name);
+            if let (Some(reused), Json::Obj(fields)) = (reused, &mut json) {
+                fields.push(("reused".to_string(), Json::Bool(reused[i])));
+            }
+            json
+        })
         .collect();
     let errors: Vec<Json> = batch
         .errors

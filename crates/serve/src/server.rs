@@ -13,8 +13,8 @@
 //! interval.
 
 use crate::proto::{
-    batch_json, delay_json, error_response, ok_response, reused_report_json, CheckSet, EditSpec,
-    ErrorCode, ProtoError, RequestBody, RunOpts,
+    batch_json, delay_json, error_response, ok_response, CheckSet, EditSpec, ErrorCode, ProtoError,
+    RequestBody, RunOpts,
 };
 use crate::registry::{CircuitEntry, CircuitRegistry, RegistryStats};
 use crate::service::{self, int, Conn, Service, Snapshot, Tier};
@@ -273,11 +273,6 @@ impl ServerHandle {
         self.shared.kill();
     }
 
-    /// Whether a drain has begun.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining()
-    }
-
     /// Registry counters (for tests and supervisors; clients use the
     /// `status` request).
     pub fn registry_stats(&self) -> RegistryStats {
@@ -448,7 +443,7 @@ fn submit_checks(
             // Feed the entry's result cache: a later `patch` transplants
             // these for outputs its edits cannot reach.
             entry.cache_reports(opts.engine, &batch.reports);
-            let reply = ok_response(op, id, batch_json(&batch, &names));
+            let reply = ok_response(op, id, batch_json(&batch, &names, None));
             (reply, tripped(&batch))
         }),
     );
@@ -565,7 +560,7 @@ fn submit_patch(
         Box::new(move |id| {
             let (batch, reused) = run_with_reuse(&runner, opts.engine, &entry, &checks);
             let mut fields = patch_fields;
-            fields.append(&mut batch_json_with_reuse(&batch, &names, &reused));
+            fields.append(&mut batch_json(&batch, &names, Some(&reused)));
             (ok_response("patch", id, fields), tripped(&batch))
         }),
     );
@@ -619,36 +614,6 @@ fn run_with_reuse(
     // reports included, not just the rerun.
     batch.summary = BatchSummary::aggregate(&batch.reports, &batch.errors);
     (batch, reused)
-}
-
-/// [`batch_json`] with the merged reports re-serialized to carry their
-/// `"reused"` flags (`reused[i]` belongs to `reports[i]`).
-fn batch_json_with_reuse(
-    batch: &BatchCheck,
-    check_names: &[String],
-    reused: &[bool],
-) -> Vec<(String, Json)> {
-    let mut fields = batch_json(batch, check_names);
-    let failed = |i: usize| batch.errors.iter().any(|e| e.index == i);
-    let report_names = check_names
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| !failed(i))
-        .map(|(_, name)| name);
-    let reports: Vec<Json> = batch
-        .reports
-        .iter()
-        .zip(report_names)
-        .zip(reused)
-        .map(|((r, name), &was_reused)| reused_report_json(r, name, was_reused))
-        .collect();
-    for (key, value) in &mut fields {
-        if key == "reports" {
-            *value = Json::Arr(reports);
-            break;
-        }
-    }
-    fields
 }
 
 #[cfg(test)]

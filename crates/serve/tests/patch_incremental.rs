@@ -223,7 +223,7 @@ fn patched_reports_match_a_cold_session_and_reuse_clean_cones() {
         ("dirty".to_string(), Json::Arr(vec![Json::str("u")])),
         ("transplanted".to_string(), Json::Int(3)),
     ];
-    fields.append(&mut batch_json(&batch, &check_names));
+    fields.append(&mut batch_json(&batch, &check_names, None));
     let expected = ok_response("patch", Some(&Json::Int(7)), fields);
     assert_eq!(
         strip(&served, true).encode(),
@@ -305,7 +305,7 @@ fn cold_checks(edits: &[CircuitEdit], names: &[&str], deltas: &[i64], engine: En
     let batch = BatchRunner::new(1)
         .with_engine(engine)
         .run(&session, &checks);
-    Json::Obj(batch_json(&batch, &check_names))
+    Json::Obj(batch_json(&batch, &check_names, None))
 }
 
 /// A patch's checks answer with the request's `opts.engine`, and the

@@ -88,7 +88,7 @@ fn served_reports_match_serial_run() {
         // batch_check with explicit (output, δ) pairs, request order kept.
         let id = Json::Int(42);
         let batch = BatchRunner::new(1).run(&session, &checks);
-        let expected = ok_response("batch_check", Some(&id), batch_json(&batch, &names));
+        let expected = ok_response("batch_check", Some(&id), batch_json(&batch, &names, None));
         let check_items: Vec<Json> = names
             .iter()
             .zip(&checks)
@@ -121,7 +121,7 @@ fn served_reports_match_serial_run() {
         let expected = ok_response(
             "check",
             Some(&id),
-            batch_json(&single, std::slice::from_ref(&one_name)),
+            batch_json(&single, std::slice::from_ref(&one_name), None),
         );
         let served = client
             .call(&Json::obj([
