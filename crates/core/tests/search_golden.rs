@@ -1,5 +1,6 @@
-//! Golden delay-search probes: for each engine, every probe's δ, verdict
-//! and backtracks, and the search's final
+//! Golden delay-search probes: for each engine, every probe's δ, verdict,
+//! backtracks, FAN decisions (total and per phase) and a digest of its
+//! witness vector, and the search's final
 //! `(delay, upper_bound, proven_exact, backtracks)`, on figure1's output,
 //! both c17 outputs, s432's critical output and a starved gadget chain
 //! whose narrowing search gives up after one backtrack.
@@ -20,6 +21,13 @@ const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/search.t
 
 const ENGINES: [Engine; 3] = [Engine::Narrow, Engine::Sat, Engine::Hybrid];
 
+/// 64-bit FNV-1a of a witness vector, one byte per input.
+fn digest(vector: &[bool]) -> u64 {
+    vector.iter().fold(0xcbf2_9ce4_8422_2325, |h, &bit| {
+        (h ^ u64::from(bit)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// One `label engine` block: a line per probe, then the final interval.
 fn searched(out: &mut String, label: &str, circuit: &Circuit, output: NetId, base: &VerifyConfig) {
     for engine in ENGINES {
@@ -39,11 +47,17 @@ fn searched(out: &mut String, label: &str, circuit: &Circuit, output: NetId, bas
                 }
                 (Verdict::Abandoned, Completeness::Exact) => "abandoned".to_string(),
             };
+            let witness = match &probe.verdict {
+                Verdict::Violation { vector } => format!("{:016x}", digest(vector)),
+                _ => "-".to_string(),
+            };
+            let [p1, p2, p3] = probe.case.decisions_by_phase;
             writeln!(
                 out,
-                "{tag}\tprobe delta={} {verdict} backtracks={}",
+                "{tag}\tprobe delta={} {verdict} backtracks={} decisions={} phases={p1}/{p2}/{p3} witness={witness}",
                 probe.delta,
-                probe.backtracks()
+                probe.backtracks(),
+                probe.case.decisions,
             )
             .unwrap();
         }
