@@ -11,7 +11,7 @@
 //! narrowing: the **global implication on timing dominators** (G.I.T.D.)
 //! that the paper's Table 1 evaluates.
 
-use ltt_netlist::{Circuit, NetId};
+use ltt_netlist::{Circuit, GateId, NetId};
 use ltt_waveform::{Signal, Time};
 
 /// Carrier distances: `distance[net] = Some(k)` iff the net is a carrier
@@ -48,9 +48,9 @@ pub fn dynamic_carriers(
     s: NetId,
     delta: i64,
 ) -> CarrierDistances {
-    let mut dist = CarrierDistances::new();
-    sweep_carriers(circuit, domains, s, delta, &mut dist);
-    dist
+    let mut sweep = Sweep::default();
+    sweep_carriers(circuit, domains, s, delta, &mut sweep);
+    sweep.dist
 }
 
 /// The timing dominators of the carrier circuit: nets lying on **every**
@@ -67,17 +67,22 @@ pub fn timing_dominators(circuit: &Circuit, carriers: &CarrierDistances, s: NetI
     kernel.chain
 }
 
+/// The result of one carrier sweep.
+#[derive(Debug, Default, PartialEq)]
+struct Sweep {
+    /// The dynamic carrier distances.
+    dist: CarrierDistances,
+    /// The gates driving a carrier, in reverse topological order.
+    gates: Vec<GateId>,
+}
+
 /// One reverse-topological sweep computing the dynamic carriers of
-/// `(ξ, s, δ)` into `dist` (see [`dynamic_carriers`]).
-fn sweep_carriers(
-    circuit: &Circuit,
-    domains: &[Signal],
-    s: NetId,
-    delta: i64,
-    dist: &mut CarrierDistances,
-) {
+/// `(ξ, s, δ)` (see [`dynamic_carriers`]) and the gates driving them.
+fn sweep_carriers(circuit: &Circuit, domains: &[Signal], s: NetId, delta: i64, out: &mut Sweep) {
+    let Sweep { dist, gates } = out;
     dist.clear();
     dist.resize(circuit.num_nets(), None);
+    gates.clear();
     if domains[s.index()].is_empty() {
         return;
     }
@@ -87,6 +92,7 @@ fn sweep_carriers(
         let Some(k) = dist[topo.gate_output(gid).index()] else {
             continue;
         };
+        gates.push(gid);
         let cand = k + i64::from(topo.gate_dmax(gid));
         let late = Time::new(delta - cand);
         for &x in topo.gate_inputs(gid) {
@@ -113,8 +119,11 @@ const UNSET: u32 = u32::MAX;
 /// [`timing_dominators`] on the current domains — and cheap when little
 /// changed:
 ///
-/// * the carriers are recomputed only when the store's write revision
-///   moved since the last sweep for the same `(s, δ)`;
+/// * the carriers are recomputed only when `(s, δ)` changed, or the
+///   narrower rolled back or narrowed a current carrier since the last
+///   sweep (the narrower's `carriers_stale` bit). The skip is exact:
+///   narrowing a non-carrier never makes any net a carrier, and carrier
+///   distances propagate only through carriers;
 /// * the dominator chain is recomputed only when the *set* of carriers
 ///   changed: the reversed carrier DAG Ψ′, and therefore its dominators,
 ///   depends on which nets are carriers, not on their distances.
@@ -129,12 +138,12 @@ pub struct DominatorKernel {
     /// Nets in reverse topological order: gate outputs in reverse
     /// topological gate order, then the primary inputs in reverse.
     rev_nets: Vec<NetId>,
-    /// The current dynamic carrier distances.
-    carriers: CarrierDistances,
+    /// The current dynamic carriers.
+    carriers: Sweep,
     /// The sweep buffer, swapped with `carriers` after each sweep.
-    next: CarrierDistances,
-    /// `(s, δ, store revision)` the carriers were computed for.
-    key: Option<(NetId, i64, u64)>,
+    next: Sweep,
+    /// `(s, δ)` the carriers were computed for.
+    key: Option<(NetId, i64)>,
     /// Timing dominators of the current carrier set, `s` outwards.
     chain: Vec<NetId>,
     /// Whether `chain` belongs to the current carrier set.
@@ -164,55 +173,61 @@ impl DominatorKernel {
         }
     }
 
-    /// Brings the carriers up to date for `(s, δ)` on `domains`, whose
-    /// store is at write revision `revision`. Skips the sweep when nothing
-    /// was written since the last one for the same check; keeps the chain
-    /// when the sweep leaves the carrier set unchanged.
+    /// Brings the carriers up to date for `(s, δ)` on `domains`. Skips the
+    /// sweep when the check is the same and the carriers are not `stale`
+    /// (no rollback and no narrowed carrier since the last sweep); keeps
+    /// the chain when the sweep leaves the carrier set unchanged.
     pub(crate) fn refresh_carriers(
         &mut self,
         circuit: &Circuit,
         domains: &[Signal],
-        revision: u64,
+        stale: bool,
         s: NetId,
         delta: i64,
     ) {
-        if self.key == Some((s, delta, revision)) {
+        if !stale && self.key == Some((s, delta)) {
+            #[cfg(debug_assertions)]
+            {
+                sweep_carriers(circuit, domains, s, delta, &mut self.next);
+                assert!(
+                    self.next == self.carriers,
+                    "a skipped sweep changes the carriers"
+                );
+            }
             return;
         }
         sweep_carriers(circuit, domains, s, delta, &mut self.next);
+        let (next, current) = (&self.next.dist, &self.carriers.dist);
         let same_set = self.key.is_some_and(|(ks, ..)| ks == s)
-            && self
-                .next
+            && next
                 .iter()
-                .zip(&self.carriers)
+                .zip(current)
                 .all(|(a, b)| a.is_some() == b.is_some());
         self.chain_fresh &= same_set;
         std::mem::swap(&mut self.carriers, &mut self.next);
-        self.key = Some((s, delta, revision));
+        self.key = Some((s, delta));
     }
 
-    /// [`Self::refresh_carriers`], then recomputes the chain if the
-    /// carrier set changed.
-    pub(crate) fn refresh(
-        &mut self,
-        circuit: &Circuit,
-        domains: &[Signal],
-        revision: u64,
-        s: NetId,
-        delta: i64,
-    ) {
-        self.refresh_carriers(circuit, domains, revision, s, delta);
+    /// Recomputes the chain for the check's output `s` if the last
+    /// carrier refresh changed the carrier set.
+    pub(crate) fn refresh_chain(&mut self, circuit: &Circuit, s: NetId) {
         if !self.chain_fresh {
-            let carriers = std::mem::take(&mut self.carriers);
+            let carriers = std::mem::take(&mut self.carriers.dist);
             self.compute_chain(circuit, &carriers, s);
-            self.carriers = carriers;
+            self.carriers.dist = carriers;
             self.chain_fresh = true;
         }
     }
 
     /// The dynamic carrier distances at the last refresh.
     pub fn carriers(&self) -> &CarrierDistances {
-        &self.carriers
+        &self.carriers.dist
+    }
+
+    /// The gates whose output is a carrier at the last refresh, in
+    /// reverse topological order.
+    pub fn carrier_gates(&self) -> &[GateId] {
+        &self.carriers.gates
     }
 
     /// The timing dominators at the last refresh, `s` outwards.
@@ -231,7 +246,7 @@ impl DominatorKernel {
     /// after `lmin = δ − distance`".
     pub fn narrowings(&self, delta: i64) -> impl Iterator<Item = (NetId, Time)> + '_ {
         self.dominators().iter().map(move |&d| {
-            let k = self.carriers[d.index()].expect("dominators are carriers");
+            let k = self.carriers.dist[d.index()].expect("dominators are carriers");
             (d, Time::new(delta - k))
         })
     }

@@ -502,6 +502,7 @@ impl StageLog<'_> {
                 ("backtracks", r.case.backtracks),
                 ("decisions_dominator_cones", r.case.decisions_by_phase[0]),
                 ("decisions_whole_circuit", r.case.decisions_by_phase[1]),
+                // Phase 3: the output, then the primary inputs.
                 ("decisions_backtrace", r.case.decisions_by_phase[2]),
             ],
             _ => &[

@@ -78,9 +78,6 @@ pub struct SignalStore {
     /// Number of nets whose domain is `(φ, φ)` — maintained incrementally
     /// so the contradiction test and rollback are O(1)/O(changed).
     empty_nets: usize,
-    /// Bumped on every domain write (narrowing, replacement, rollback
-    /// restore): equal revisions mean identical domains.
-    revision: u64,
 }
 
 impl SignalStore {
@@ -94,7 +91,6 @@ impl SignalStore {
             trail: Vec::new(),
             epoch: 0,
             empty_nets: 0,
-            revision: 0,
         }
     }
 
@@ -125,7 +121,6 @@ impl SignalStore {
             trail: Vec::new(),
             epoch: 0,
             empty_nets,
-            revision: 0,
         }
     }
 
@@ -182,7 +177,6 @@ impl SignalStore {
     /// and the contradiction count (handles both narrowing and widening).
     #[inline]
     fn commit(&mut self, i: usize, new: Signal) {
-        self.revision += 1;
         self.sig[i] = new;
         let was = self.state[i];
         let now = lattice(new);
@@ -271,13 +265,6 @@ impl SignalStore {
     /// Panics if the store was rolled back past `mark`.
     pub(crate) fn changed_since(&self, mark: Checkpoint) -> impl Iterator<Item = NetId> + '_ {
         self.trail[mark.trail..].iter().map(|entry| entry.net)
-    }
-
-    /// The write revision: it changes whenever any domain does, so two
-    /// reads at the same revision see identical domains.
-    #[inline]
-    pub(crate) fn revision(&self) -> u64 {
-        self.revision
     }
 
     /// Number of live trail entries (diagnostic). With first-write-wins

@@ -17,12 +17,12 @@
 //!   the hardest input (by SCOAP controllability) where all inputs must be
 //!   set and the easiest where one suffices;
 //! * decisions run in three phases: (1) cone by cone between consecutive
-//!   dynamic dominators, (2) the whole circuit, (3) the output and the
-//!   primary inputs;
+//!   dynamic dominators, (2) the whole circuit, (3) the output, then the
+//!   primary inputs, each decided directly once no objective is left;
 //! * the backtrace is re-initiated whenever the decision stack shrinks
 //!   (each backtrack changes Ψ, the source of the violation).
 
-use crate::carriers::{fixpoint_with_dominators, CarrierDistances};
+use crate::carriers::{fixpoint_with_dominators, DominatorKernel};
 use crate::scoap::Controllability;
 use crate::solver::{FixpointResult, Narrower};
 use ltt_netlist::{Circuit, NetId};
@@ -76,8 +76,8 @@ pub struct CaseStats {
     pub rejected_candidates: u64,
     /// Decisions per FAN phase: `[0]` cone-by-cone between consecutive
     /// dynamic dominators (phase 1), `[1]` the whole circuit (phase 2),
-    /// `[2]` unjustified-gate backtrace plus the output/primary-input
-    /// tail (phase 3). Sums to `decisions`.
+    /// `[2]` the output, then the primary inputs (phase 3; the span arg
+    /// `decisions_backtrace` counts these). Sums to `decisions`.
     pub decisions_by_phase: [u64; 3],
 }
 
@@ -107,10 +107,10 @@ struct Frame {
 }
 
 /// Restriction of the case analysis to a fanin cone, for *masked*
-/// cone-scoped checks: decisions, the phase-2 region, the phase-3
-/// unjustified scan and the input tail all stay inside the cone, and the
-/// backtrace stops at *cone-local* fanout stems (a net with several
-/// readers in the whole circuit may have only one inside the cone).
+/// cone-scoped checks: decisions, the phase-2 region and the phase-3
+/// input tail all stay inside the cone, and the backtrace stops at
+/// *cone-local* fanout stems (a net with several readers in the whole
+/// circuit may have only one inside the cone).
 ///
 /// Out-of-cone primary inputs are not decided: their settling value cannot
 /// affect the checked output (the cone is fanin-closed), so reported
@@ -119,8 +119,6 @@ struct Frame {
 pub struct CaseScope {
     /// Cone membership per net (`NetId::index`-indexed).
     pub nets: Vec<bool>,
-    /// Cone membership per gate (`GateId::index`-indexed).
-    pub gates: Vec<bool>,
     /// The cone's primary inputs, in whole-circuit declaration order.
     pub inputs: Vec<NetId>,
     /// Cone-local fanout-stem flags: `stems[n]` iff net `n` has ≥ 2
@@ -215,8 +213,8 @@ pub fn case_analysis_scoped(
                 // does not actually violate the check.
             } else {
                 // Decide the next net. The refresh is exact in any case,
-                // and free with dominators on: the fixpoint loop wrote
-                // nothing since its last carrier sweep.
+                // and free with dominators on: the fixpoint loop's last
+                // dominator step swept and then narrowed nothing.
                 nw.refresh_carriers(s, delta);
                 let (net, level, phase) = choose_decision(nw, &plan, &mut scratch, cc, scope)
                     .expect("an unfixed primary input exists");
@@ -370,9 +368,9 @@ impl DecisionScratch {
 }
 
 /// Picks the next decision: phase 1/2 via objective backtrace inside the
-/// planned regions, phase 3 over output + primary inputs, final fallback
-/// any unfixed primary input. The returned index (0, 1 or 2) names the
-/// FAN phase that produced the decision, for the per-phase counters in
+/// planned regions, else phase 3: the output, then the primary inputs, in
+/// order. The returned index (0, 1 or 2) names the FAN phase that
+/// produced the decision, for the per-phase counters in
 /// [`CaseStats::decisions_by_phase`].
 ///
 /// Reads the dynamic carriers from the narrower's kernel, which the caller
@@ -395,7 +393,7 @@ fn choose_decision(
     // innermost label, else the whole circuit — supplies the decision.
     // Cone-scoped, the whole circuit is the whole cone (its sliced twin's
     // "whole circuit" *is* the cone).
-    raise_objectives(circuit, domains, nw.kernel().carriers(), scratch);
+    raise_objectives(circuit, domains, nw.kernel(), scratch);
     let DecisionScratch {
         enabled,
         touched,
@@ -430,37 +428,7 @@ fn choose_decision(
         let phase = if first_region.is_some() { 0 } else { 1 };
         return Some((net, level, phase));
     }
-    // Phase 3: the output, then the primary inputs — reached by complete
-    // backtrace from *unjustified* gate outputs (§5: a class-fixed output
-    // whose inputs can still take a class combination inconsistent with
-    // the gate constraint), falling back to direct input decisions.
-    for gid in circuit.gate_ids() {
-        if let Some(sc) = scope {
-            if !sc.gates[gid.index()] {
-                continue;
-            }
-        }
-        let Some(out_class) = domains[circuit.gate(gid).output().index()].fixed_class() else {
-            continue;
-        };
-        if !is_unjustified(circuit, domains, gid, out_class) {
-            continue;
-        }
-        // Backtrace the justification objective (output = its fixed class)
-        // to a stem or primary input.
-        if let Some((target, value)) = backtrace(
-            circuit,
-            domains,
-            cc,
-            circuit.gate(gid).output(),
-            out_class,
-            stems,
-        ) {
-            if domains[target.index()].fixed_class().is_none() {
-                return Some((target, value, 2));
-            }
-        }
-    }
+    // Phase 3: the output, then the primary inputs.
     for &net in &plan.tail {
         if domains[net.index()].fixed_class().is_none() {
             // Prefer the class that keeps the check satisfiable: the one
@@ -471,46 +439,8 @@ fn choose_decision(
     None
 }
 
-/// The paper's §5 *unjustified* test: the gate's output is restricted to
-/// `out_class`, yet some class combination still allowed on the inputs is
-/// inconsistent with the gate constraint — so decisions below this gate
-/// are still needed. Gates with more than 8 inputs are never unjustified
-/// (combinational blow-up guard); the rest run on fixed-size arrays.
-fn is_unjustified(
-    circuit: &Circuit,
-    domains: &[Signal],
-    gid: ltt_netlist::GateId,
-    out_class: Level,
-) -> bool {
-    let gate = circuit.gate(gid);
-    let inputs = gate.inputs();
-    let k = inputs.len();
-    if k > 8 {
-        return false;
-    }
-    // allowed[i][v]: input i may still settle to value v.
-    let mut allowed = [[false; 2]; 8];
-    for (slot, &n) in allowed.iter_mut().zip(inputs) {
-        let d = domains[n.index()];
-        *slot = [!d[Level::Zero].is_empty(), !d[Level::One].is_empty()];
-    }
-    let mut vals = [false; 8];
-    'combos: for combo in 0u32..(1 << k) {
-        for (i, val) in vals[..k].iter_mut().enumerate() {
-            let v = (combo >> i) & 1 == 1;
-            if !allowed[i][usize::from(v)] {
-                continue 'combos; // combo not allowed by the current domains
-            }
-            *val = v;
-        }
-        if Level::from_bool(gate.kind().eval(&vals[..k])) != out_class {
-            return true; // an allowed combo contradicts the fixed output
-        }
-    }
-    false
-}
-
-/// Initial objectives (§5): for every gate driving a dynamic carrier, each
+/// Initial objectives (§5): for every gate driving a dynamic carrier (the
+/// kernel's [`DominatorKernel::carrier_gates`]), each
 /// non-carrier, class-unfixed input should take the non-controlling value
 /// of that gate (to keep Ψ's paths transparent). Objectives are the
 /// paper's triplets `(k, n₀(k), n₁(k))`: per net `k`, `n_v` is the largest
@@ -522,17 +452,16 @@ fn is_unjustified(
 fn raise_objectives(
     circuit: &Circuit,
     domains: &[Signal],
-    carriers: &CarrierDistances,
+    kernel: &DominatorKernel,
     scratch: &mut DecisionScratch,
 ) {
     for net in scratch.touched.drain(..) {
         scratch.enabled[net.index()] = [i64::MIN; 2];
     }
     let topo = circuit.topology();
-    for gid in circuit.gate_ids() {
-        let Some(k) = carriers[topo.gate_output(gid).index()] else {
-            continue;
-        };
+    let carriers = kernel.carriers();
+    for &gid in kernel.carrier_gates() {
+        let k = carriers[topo.gate_output(gid).index()].expect("a carrier gate drives a carrier");
         let Some(ctrl) = topo.gate_kind(gid).controlling_value() else {
             continue; // XOR/unary gates are always transparent
         };

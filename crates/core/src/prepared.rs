@@ -108,11 +108,10 @@ impl ConeAnalysis {
         }
         let sliced = table.map(|t| Arc::new(t.sliced(&view)));
         ConeAnalysis {
-            scope: Arc::new(NarrowScope::new(gates.clone(), nets.clone())),
+            scope: Arc::new(NarrowScope::new(gates, nets.clone())),
             case: CaseScope {
                 depth_bound: 1 + inputs.len() + stems.iter().filter(|&&stem| stem).count(),
                 nets,
-                gates,
                 inputs,
                 stems,
             },

@@ -20,7 +20,7 @@ use crate::domain::{Checkpoint, SignalStore};
 use crate::learning::ImplicationTable;
 use crate::projection::{project_and2, project_into, project_unary2};
 use ltt_netlist::{Circuit, GateId, GateKind, NetId, Topology};
-use ltt_waveform::Signal;
+use ltt_waveform::{Level, Signal};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -155,6 +155,10 @@ pub struct Narrower<'c> {
     scratch_tgt: Vec<Signal>,
     /// The dominator-step kernel, created on the first dominator step.
     kernel: Option<Box<DominatorKernel>>,
+    /// Whether the kernel's carriers may differ from the current domains'
+    /// (see [`DominatorKernel`]): set on a rollback and on narrowing a
+    /// carrier, cleared by each refresh.
+    carriers_stale: bool,
 }
 
 impl<'c> Narrower<'c> {
@@ -193,6 +197,7 @@ impl<'c> Narrower<'c> {
             scratch_in: Vec::new(),
             scratch_tgt: Vec::new(),
             kernel: None,
+            carriers_stale: true,
         }
     }
 
@@ -261,11 +266,9 @@ impl<'c> Narrower<'c> {
     /// [`timing_dominators`](crate::carriers::timing_dominators) on
     /// [`Narrower::domains`].
     pub fn dominator_kernel(&mut self, s: NetId, delta: i64) -> &DominatorKernel {
-        let circuit = self.circuit;
-        let kernel = self
-            .kernel
-            .get_or_insert_with(|| Box::new(DominatorKernel::new(circuit)));
-        kernel.refresh(circuit, self.store.all(), self.store.revision(), s, delta);
+        self.refresh_carriers(s, delta);
+        let kernel = self.kernel.as_deref_mut().expect("refreshed above");
+        kernel.refresh_chain(self.circuit, s);
         kernel
     }
 
@@ -275,7 +278,8 @@ impl<'c> Narrower<'c> {
         let circuit = self.circuit;
         self.kernel
             .get_or_insert_with(|| Box::new(DominatorKernel::new(circuit)))
-            .refresh_carriers(circuit, self.store.all(), self.store.revision(), s, delta);
+            .refresh_carriers(circuit, self.store.all(), self.carriers_stale, s, delta);
+        self.carriers_stale = false;
     }
 
     /// The kernel as last refreshed.
@@ -322,6 +326,7 @@ impl<'c> Narrower<'c> {
     /// events refer to the rolled-back state).
     pub fn rollback(&mut self, mark: Checkpoint) {
         self.store.rollback(mark);
+        self.carriers_stale = true;
         self.clear_queue();
     }
 
@@ -342,22 +347,15 @@ impl<'c> Narrower<'c> {
     /// [`NarrowScope`] are dropped silently — the fringe readers of a cone
     /// net never run in a masked cone check.
     pub fn schedule(&mut self, gate: GateId) {
-        if let Some(scope) = &self.scope {
-            if !scope.contains_gate(gate) {
-                return;
-            }
-        }
-        if !self.queued[gate.index()] {
-            self.queued[gate.index()] = true;
-            self.queue.push_back(gate);
-        }
+        let scope = self.scope.as_deref();
+        enqueue(&mut self.queue, &mut self.queued, scope, gate);
     }
 
     /// Schedules every constraint touching `net` (its driver and readers).
     pub fn schedule_net(&mut self, net: NetId) {
-        let topo = Arc::clone(&self.topo);
-        for &gate in topo.touching(net) {
-            self.schedule(gate);
+        let scope = self.scope.as_deref();
+        for &gate in self.topo.touching(net) {
+            enqueue(&mut self.queue, &mut self.queued, scope, gate);
         }
     }
 
@@ -373,6 +371,7 @@ impl<'c> Narrower<'c> {
     pub fn narrow_net(&mut self, net: NetId, target: Signal) -> bool {
         if self.store.narrow_to(net, target) {
             self.stats.narrowings += 1;
+            self.note_narrowed(net);
             self.schedule_net(net);
             self.fire_implications(net);
             true
@@ -381,17 +380,34 @@ impl<'c> Narrower<'c> {
         }
     }
 
+    /// Marks the kernel's carriers stale if `net`, just narrowed, is one of
+    /// them (any net while the kernel is out of its slot).
+    #[inline]
+    fn note_narrowed(&mut self, net: NetId) {
+        if !self.carriers_stale {
+            let kernel = self.kernel.as_deref();
+            self.carriers_stale = kernel.is_none_or(|k| k.carriers()[net.index()].is_some());
+        }
+    }
+
     fn fire_implications(&mut self, net: NetId) {
         // Cheap rejections first (the common case by far): no table, or the
         // net's class is not fixed — the store's lattice plane answers that
-        // without touching the bounds row or the table's `Arc`.
+        // without touching the bounds row or the table.
         if self.implications.is_none() {
             return;
         }
         let Some(level) = self.store.fixed_class(net) else {
             return;
         };
-        let table = self.implications.clone().expect("checked above");
+        // Moved out for the walk, not cloned: no reference-count traffic.
+        let table = self.implications.take().expect("checked above");
+        self.fire_from(&table, net, level);
+        self.implications = Some(table);
+    }
+
+    /// Applies the implications of `net` settling to `level`, depth first.
+    fn fire_from(&mut self, table: &ImplicationTable, net: NetId, level: Level) {
         for &(target, value) in table.implied_by(net, level) {
             // Masked cone mode: implications leaving the cone are skipped,
             // exactly matching a sliced run's cone-internal table.
@@ -407,9 +423,12 @@ impl<'c> Narrower<'c> {
             if self.store.narrow_to(target, restriction) {
                 self.stats.narrowings += 1;
                 self.stats.learned_applications += 1;
+                self.note_narrowed(target);
                 self.schedule_net(target);
                 // Recursively fire on the newly fixed net.
-                self.fire_implications(target);
+                if let Some(level) = self.store.fixed_class(target) {
+                    self.fire_from(table, target, level);
+                }
             }
         }
     }
@@ -505,6 +524,20 @@ impl<'c> Narrower<'c> {
             }
         }
         FixpointResult::Fixpoint
+    }
+}
+
+/// Queues `gate` unless it is already queued or lies outside `scope`.
+#[inline]
+fn enqueue(
+    queue: &mut VecDeque<GateId>,
+    queued: &mut [bool],
+    scope: Option<&NarrowScope>,
+    gate: GateId,
+) {
+    if scope.is_none_or(|scope| scope.contains_gate(gate)) && !queued[gate.index()] {
+        queued[gate.index()] = true;
+        queue.push_back(gate);
     }
 }
 

@@ -6,6 +6,11 @@
 //!   carriers and chain must equal a fresh computation on a copy of the
 //!   domains — both through the public wrappers and through the slow
 //!   reference below (explicit predecessor lists + `Dominators::compute`).
+//! * The kernel skips its carrier sweep while the narrower has neither
+//!   rolled back nor narrowed a carrier. Narrowings aimed at carrier and
+//!   non-carrier nets, several between refreshes, under nested
+//!   checkpoints and rollbacks, must leave every refresh equal to a fresh
+//!   computation: carriers, carrier gates and dominator chain.
 //! * Stem correlation unions only the nets its branches changed. It must
 //!   reach the same verdict, statistics, effort and domains as the dense
 //!   per-net union below, and narrow the live domains in the same order.
@@ -15,7 +20,7 @@ use ltt_core::stems::stem_correlation;
 use ltt_core::{FixpointResult, ImplicationTable, Narrower, SignalStore, StemStats};
 use ltt_netlist::dominators::Dominators;
 use ltt_netlist::generators::{random_circuit, RandomCircuitConfig};
-use ltt_netlist::{Circuit, NetId};
+use ltt_netlist::{Circuit, GateId, NetId};
 use ltt_waveform::{Aw, Level, Signal, Time};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -106,6 +111,40 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
         ],
         1..50,
     )
+}
+
+#[derive(Clone, Debug)]
+enum SkipOp {
+    /// Narrow the `i`-th current carrier (by class, or by a signal).
+    Carrier(usize, Result<bool, Signal>),
+    /// Narrow the `i`-th current non-carrier (by class, or by a signal).
+    Other(usize, Result<bool, Signal>),
+    Fixpoint,
+    Checkpoint,
+    Rollback,
+    Refresh,
+}
+
+fn arb_skip_ops() -> impl Strategy<Value = Vec<SkipOp>> {
+    let how = prop_oneof![any::<bool>().prop_map(Ok), arb_signal().prop_map(Err)];
+    prop::collection::vec(
+        prop_oneof![
+            3 => (0usize..64, how.clone()).prop_map(|(i, h)| SkipOp::Carrier(i, h)),
+            4 => (0usize..64, how).prop_map(|(i, h)| SkipOp::Other(i, h)),
+            1 => Just(SkipOp::Fixpoint),
+            2 => Just(SkipOp::Checkpoint),
+            2 => Just(SkipOp::Rollback),
+            3 => Just(SkipOp::Refresh),
+        ],
+        1..60,
+    )
+}
+
+/// The gates whose output is a carrier, sorted.
+fn carrier_gates(c: &Circuit, carriers: &[Option<i64>]) -> Vec<GateId> {
+    c.gate_ids()
+        .filter(|&g| carriers[c.gate(g).output().index()].is_some())
+        .collect()
 }
 
 /// The narrower with floating inputs, at its base fixpoint.
@@ -264,5 +303,66 @@ proptest! {
         prop_assert_eq!(sparse.2, dense.2);
         prop_assert_eq!(sparse.3, dense.3);
         prop_assert_eq!(sparse.4, dense.4);
+    }
+}
+
+proptest! {
+    // A learned implication that empties a carrier's only late class is
+    // rare on these circuits; 512 cases reach one.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every refresh equals a fresh computation, whether the kernel swept
+    /// or skipped: narrowings of non-carriers keep the carriers, and
+    /// narrowings of carriers (learned implications included) or rollbacks
+    /// force a sweep.
+    #[test]
+    fn kernel_skip_matches_fresh_carriers(
+        seed in 0u64..10_000,
+        offset in -30i64..1,
+        ops in arb_skip_ops(),
+    ) {
+        let c = small_random(seed);
+        let s = c.outputs()[0];
+        let delta = c.topological_delay() + offset;
+        let mut nw = floating(&c);
+        nw.set_implications(Arc::new(ImplicationTable::learn(&c)));
+        let mut marks = Vec::new();
+        for op in ops {
+            let fresh = dynamic_carriers(&c, nw.domains(), s, delta);
+            let (carriers, others): (Vec<NetId>, Vec<NetId>) =
+                c.net_ids().partition(|n| fresh[n.index()].is_some());
+            match op {
+                SkipOp::Carrier(i, how) | SkipOp::Other(i, how) => {
+                    let pool = if matches!(op, SkipOp::Carrier(..)) { &carriers } else { &others };
+                    if pool.is_empty() {
+                        continue;
+                    }
+                    let net = pool[i % pool.len()];
+                    let target = match how {
+                        Ok(v) => nw.domain(net).restrict_to_class(Level::from_bool(v)),
+                        Err(signal) => signal,
+                    };
+                    nw.narrow_net(net, target);
+                }
+                SkipOp::Fixpoint => {
+                    nw.reach_fixpoint();
+                }
+                SkipOp::Checkpoint => marks.push(nw.checkpoint()),
+                SkipOp::Rollback => {
+                    if let Some(mark) = marks.pop() {
+                        nw.rollback(mark);
+                    }
+                }
+                SkipOp::Refresh => {
+                    let dominators = timing_dominators(&c, &fresh, s);
+                    let kernel = nw.dominator_kernel(s, delta);
+                    prop_assert_eq!(kernel.carriers(), &fresh);
+                    let mut gates = kernel.carrier_gates().to_vec();
+                    gates.sort_unstable();
+                    prop_assert_eq!(gates, carrier_gates(&c, &fresh));
+                    prop_assert_eq!(kernel.dominators(), dominators.as_slice());
+                }
+            }
+        }
     }
 }
