@@ -1,13 +1,14 @@
 //! `cone_speedup` — measures ECO-style incremental re-verification: one
 //! delay ECO, then the full output sweep re-verified the way `patch` does
-//! it — rebase the warm session, re-check only the outputs whose cones
-//! intersect the edit's dirty set ∪ base divergence, transplant every
-//! other report — against a cold re-registration (prepare from scratch,
-//! re-check everything). Transplanted and recomputed reports must both
-//! agree with cold; the ratio is the re-verification cost relative to
-//! cold. Two scenarios: the s6288 stand-in re-checking every output just
-//! above its arrival time, and the k = 800 false-path blow-up split into
-//! 8 parallel chains, re-proving every chain at δ = 6·k·d + 1.
+//! it — patch the warm session (`CheckSession::patch`), re-check only the
+//! outputs the edit can affect and carry over every other output's report
+//! (`Patch::unaffected`) — against a cold re-registration (prepare from
+//! scratch, re-check everything). Carried-over and recomputed reports must
+//! both equal cold in verdict (witness included) and completeness; the
+//! ratio is the re-verification cost relative to cold. Two scenarios: the
+//! s6288 stand-in re-checking every output just above its arrival time,
+//! and the k = 800 false-path blow-up split into 8 parallel chains,
+//! re-proving every chain at δ = 6·k·d + 1.
 //!
 //! ```text
 //! cone_speedup [--reps N]
@@ -16,21 +17,9 @@
 //! Exits 1 if any served report disagrees with the cold one.
 
 use ltt_bench::cone::{blowup800, blowup_delta, s6288_standin, smallest_cone_output};
-use ltt_core::{BatchRunner, CheckSession, Verdict, VerifyConfig};
+use ltt_core::{BatchRunner, CheckSession, VerifyConfig};
 use ltt_netlist::{Circuit, CircuitEdit, DelayInterval, NetId};
-use std::sync::Arc;
 use std::time::Instant;
-
-/// The comparable part of a verdict: an incremental run agrees with the
-/// cold one on the verdict *class*.
-fn verdict_class(v: &Verdict) -> &'static str {
-    match v {
-        Verdict::NoViolation { .. } => "no_violation",
-        Verdict::Violation { .. } => "violation",
-        Verdict::Possible => "possible",
-        Verdict::Abandoned => "abandoned",
-    }
-}
 
 struct EcoRow {
     name: &'static str,
@@ -43,8 +32,8 @@ struct EcoRow {
 }
 
 /// One delay ECO on `edit_output`'s driver, then the full `checks` sweep
-/// re-verified the `patch` way (rebase; re-check intersecting cones;
-/// transplant the rest) vs a cold re-registration (prepare the edited
+/// re-verified the `patch` way (patch; re-check the affected outputs;
+/// carry over the rest) vs a cold re-registration (prepare the edited
 /// circuit from scratch; re-check everything).
 fn eco_scenario(
     name: &'static str,
@@ -68,45 +57,32 @@ fn eco_scenario(
         .net(edit_output)
         .driver()
         .expect("outputs are gate-driven");
-    let outcome = circuit
-        .apply_edit(&[CircuitEdit::SetDelay {
-            gate,
-            delay: DelayInterval::fixed(9),
-        }])
-        .expect("delay edit");
-    let edited = Arc::new(outcome.circuit);
+    let edit = [CircuitEdit::SetDelay {
+        gate,
+        delay: DelayInterval::fixed(9),
+    }];
 
     let mut cold_times = Vec::with_capacity(reps);
     let mut incr_times = Vec::with_capacity(reps);
     let mut identical = true;
     let mut reverified = 0usize;
     for _ in 0..reps {
-        // Incremental: rebase, then split the sweep into dirty cones
-        // (re-verify) and clean cones (transplant the pre-edit report) —
-        // exactly what the serve layer's `patch` op does with its report
-        // cache.
+        // Incremental: patch, then re-verify the affected checks and carry
+        // over the pre-edit report of every unaffected one — what the
+        // serve layer's `patch` op does with its report cache.
         let t = Instant::now();
-        let rebased = base.rebase(edited.clone(), &outcome.dirty, outcome.structural);
-        let mut stale = outcome.dirty.clone();
-        stale.extend(base.base_divergence(&rebased));
-        let all_stale = outcome.structural || base.base_contradictory();
+        let patch = base.patch(&edit).expect("delay edit");
         let dirty_checks: Vec<(NetId, i64)> = checks
             .iter()
             .copied()
-            .filter(|&(o, _)| {
-                all_stale
-                    || match rebased.cone(o) {
-                        Some(ca) => ca.intersects(&stale),
-                        None => true, // complete cone: everything affects it
-                    }
-            })
+            .filter(|&(o, _)| !patch.unaffected(o))
             .collect();
-        let incremental = runner.run(&rebased, &dirty_checks);
+        let incremental = runner.run(&patch.session, &dirty_checks);
         incr_times.push(t.elapsed().as_secs_f64() * 1e3);
         reverified = dirty_checks.len();
 
         let t = Instant::now();
-        let cold_session = CheckSession::new(&edited, VerifyConfig::default());
+        let cold_session = CheckSession::new(&patch.circuit, VerifyConfig::default());
         let cold = runner.run(&cold_session, checks);
         cold_times.push(t.elapsed().as_secs_f64() * 1e3);
 
@@ -121,7 +97,7 @@ fn eco_scenario(
             } else {
                 base_report
             };
-            identical &= verdict_class(&served.verdict) == verdict_class(&cold_report.verdict)
+            identical &= served.verdict == cold_report.verdict
                 && served.completeness == cold_report.completeness;
         }
     }
@@ -197,7 +173,7 @@ fn main() {
         ),
     ];
 
-    println!("ECO re-verification, rebase + intersecting cones vs cold (median of {reps}):");
+    println!("ECO re-verification, patch + affected outputs vs cold (median of {reps}):");
     for row in &ecos {
         println!(
             "  {:<24} {:>3} checks ({} re-run, {} transplanted)  cold {:>9.3} ms  incremental {:>9.3} ms  ratio {:>6.3}  verdicts {}",

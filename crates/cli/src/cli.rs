@@ -6,13 +6,14 @@
 //! renders both tables.
 
 use ltt_core::{
-    explain, BatchOutcome, BatchRunner, Budget, CheckSession, Completeness, DelayMode, Engine,
-    Error, LearningMode, Obs, Recorder, Stage, Verdict, VerifyConfig,
+    explain, BatchCheck, BatchOutcome, BatchRunner, BatchSummary, Budget, CheckSession,
+    Completeness, DelayMode, Engine, Error, LearningMode, Obs, Recorder, Stage, Verdict,
+    VerifyConfig, VerifyReport,
 };
-use ltt_netlist::bench_format::{parse_bench, write_bench};
+use ltt_netlist::bench_format::write_bench;
 use ltt_netlist::sdf::apply_sdf;
-use ltt_netlist::verilog::{parse_verilog, write_verilog};
-use ltt_netlist::{Circuit, CircuitEdit, DelayInterval, NetId};
+use ltt_netlist::verilog::write_verilog;
+use ltt_netlist::{parse_netlist, Circuit, CircuitEdit, DelayInterval, NamedEdit, NetId};
 use ltt_sta::{simulate, transition_counts, write_vcd, SlackReport, WaveformTrace};
 use ltt_waveform::Level;
 use std::io::Write;
@@ -114,8 +115,9 @@ const COMMANDS: &[Command] = &[
     Command { name: "delay", operand: NETLIST_FILE, needs: "", run: cmd_delay,
         about: "exact floating-mode delay per output" },
     Command { name: "patch", operand: NETLIST_FILE, needs: "--delta N --set-delay G=D | --rewire G=a,b,..",
-        run: cmd_patch, about: "apply ECO edits and re-verify incrementally (rebased session),\n\
-                                reporting the incremental-vs-cold wall-clock ratio" },
+        run: cmd_patch, about: "apply ECO edits and re-verify incrementally: re-run the checks the\n\
+                                edits can affect, carry over the rest, and report the\n\
+                                incremental-vs-cold wall-clock ratio" },
     Command { name: "report", operand: NETLIST_FILE, needs: "--deadline N", run: cmd_report,
         about: "topological slack report" },
     Command { name: "convert", operand: NETLIST_FILE, needs: "--to bench|verilog", run: cmd_convert,
@@ -414,11 +416,9 @@ fn load_circuit(a: &Args) -> Result<Circuit, Error> {
         None => "bench",
     };
     let delay = DelayInterval::fixed(a.get("--delay")?.unwrap_or(10));
-    let circuit = match format {
-        "bench" => parse_bench(file, &text, delay).map_err(|e| Error::invalid(e.to_string()))?,
-        "verilog" => parse_verilog(&text, delay).map_err(|e| Error::invalid(e.to_string()))?,
-        other => return Err(a.bad("--format", other, "bench or verilog")),
-    };
+    let circuit = parse_netlist(format, file, &text, delay)
+        .ok_or_else(|| a.bad("--format", format, "bench or verilog"))?
+        .map_err(|e| Error::invalid(e.to_string()))?;
     match a.value("--sdf") {
         None => Ok(circuit),
         Some(path) => {
@@ -775,17 +775,6 @@ fn cmd_check(a: &Args) -> Result<RunStatus, Error> {
     Ok(status)
 }
 
-/// Resolves a gate by the name of the net it drives.
-fn gate_by_output(circuit: &Circuit, name: &str) -> Result<ltt_netlist::GateId, Error> {
-    let net = circuit
-        .net_by_name(name)
-        .ok_or_else(|| Error::invalid(format!("no net named `{name}`")))?;
-    circuit
-        .net(net)
-        .driver()
-        .ok_or_else(|| Error::invalid(format!("`{name}` is a primary input, not a gate output")))
-}
-
 /// Parses `--set-delay GATE=D|GATE=LO:HI` and `--rewire GATE=a,b,..`
 /// specs into [`CircuitEdit`]s against `circuit`.
 fn parse_edits(circuit: &Circuit, a: &Args) -> Result<Vec<CircuitEdit>, Error> {
@@ -812,39 +801,31 @@ fn parse_edits(circuit: &Circuit, a: &Args) -> Result<Vec<CircuitEdit>, Error> {
             }
             None => DelayInterval::fixed(delay.parse().map_err(|_| bad())?),
         };
-        edits.push(CircuitEdit::SetDelay {
-            gate: gate_by_output(circuit, gate)?,
-            delay,
-        });
+        edits.push(NamedEdit::SetDelay { gate, delay });
     }
     for spec in a.values("--rewire") {
         let (gate, inputs) = spec
             .split_once('=')
             .ok_or_else(|| a.bad("--rewire", spec, "GATE=a,b,.."))?;
-        let inputs = inputs
-            .split(',')
-            .map(|n| {
-                circuit
-                    .net_by_name(n.trim())
-                    .ok_or_else(|| Error::invalid(format!("no net named `{n}` (in --rewire)")))
-            })
-            .collect::<Result<Vec<NetId>, Error>>()?;
-        edits.push(CircuitEdit::Rewire {
-            gate: gate_by_output(circuit, gate)?,
-            inputs,
-        });
+        let inputs = inputs.split(',').map(str::trim).collect();
+        edits.push(NamedEdit::Rewire { gate, inputs });
     }
-    Ok(edits)
+    edits
+        .iter()
+        .map(|edit| circuit.resolve_edit(edit))
+        .collect::<Result<_, _>>()
+        .map_err(|e| Error::invalid(e.to_string()))
 }
 
 /// `ltt patch`: apply ECO edits and re-verify **incrementally**. The
-/// edited revision is rebased onto the already-prepared session —
-/// structural analyses survive delay-only edits, and every per-output
-/// cone untouched by the dirty nets keeps its warm state — instead of
-/// being prepared from scratch. A cold session on the edited circuit is
-/// also run as the reference: its verdicts must be bit-identical, and
-/// the printed ratio is the incremental speedup. The exit code reflects
-/// the *edited* circuit's checks.
+/// pre-edit circuit is verified first; [`CheckSession::patch`] then opens
+/// the edited revision rebased from that warm session, only the checks
+/// the edits can affect re-run, and every unaffected check carries over
+/// its exact baseline report ([`ltt_core::Patch::unaffected`]). A cold
+/// session on the edited circuit is also run as the reference: its
+/// verdicts must be bit-identical, and the printed ratio is the
+/// incremental speedup. The exit code reflects the *edited* circuit's
+/// checks.
 fn cmd_patch(a: &Args) -> Result<RunStatus, Error> {
     let circuit = &load_circuit(a)?;
     let delta: i64 = a.required("--delta")?;
@@ -862,46 +843,51 @@ fn cmd_patch(a: &Args) -> Result<RunStatus, Error> {
         .collect();
 
     // Baseline: prepare and verify the pre-edit circuit — the warm
-    // session the incremental path rebases.
+    // session the patch rebases, and the reports it carries over.
     let t = Instant::now();
     let session = CheckSession::new(circuit, config.clone());
     let baseline = runner.run(&session, &checks);
     let baseline_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    let outcome = circuit
-        .apply_edit(&edits)
+    // Incremental: patch the warm session, re-run the affected checks and
+    // carry over the exact baseline report of every unaffected one (a
+    // budget-cut report depends on the budget, not only the circuit).
+    let t = Instant::now();
+    let patch = session
+        .patch(&edits)
         .map_err(|e| Error::invalid(e.to_string()))?;
-    let dirty: Vec<&str> = outcome
-        .dirty
-        .iter()
-        .map(|&n| outcome.circuit.net(n).name())
+    let mut reports: Vec<VerifyReport> = (baseline.reports.iter())
+        .filter(|r| r.completeness.is_exact() && patch.unaffected(r.output))
+        .cloned()
         .collect();
+    let rerun: Vec<(NetId, i64)> = (checks.iter().copied())
+        .filter(|&(o, _)| reports.iter().all(|r| r.output != o))
+        .collect();
+    let mut fresh = runner.run(&patch.session, &rerun);
+    reports.append(&mut fresh.reports);
+    reports.sort_by_key(|r| checks.iter().position(|&(o, _)| o == r.output));
+    let incremental = BatchCheck {
+        summary: BatchSummary::aggregate(&reports, &fresh.errors),
+        reports,
+        ..fresh
+    };
+    let incremental_ms = t.elapsed().as_secs_f64() * 1e3;
+    let dirty: Vec<&str> = patch.dirty.iter().map(|&n| circuit.net(n).name()).collect();
     outln!(
         "applied {} edit(s): {} dirty net(s) [{}], {}",
         edits.len(),
         dirty.len(),
         dirty.join(" "),
-        if outcome.structural {
+        if patch.structural {
             "structural"
         } else {
             "delay-only"
         }
     );
 
-    // Incremental: rebase the warm session onto the edited revision and
-    // re-run the same checks.
-    let t = Instant::now();
-    let rebased = session.rebase(
-        Arc::new(outcome.circuit.clone()),
-        &outcome.dirty,
-        outcome.structural,
-    );
-    let incremental = runner.run(&rebased, &checks);
-    let incremental_ms = t.elapsed().as_secs_f64() * 1e3;
-
     // Cold reference: the edited circuit prepared from scratch.
     let t = Instant::now();
-    let cold_session = CheckSession::new(&outcome.circuit, config);
+    let cold_session = CheckSession::new(&patch.circuit, config);
     let cold = runner.run(&cold_session, &checks);
     let cold_ms = t.elapsed().as_secs_f64() * 1e3;
 
@@ -915,8 +901,9 @@ fn cmd_patch(a: &Args) -> Result<RunStatus, Error> {
         baseline.summary.checks
     );
     outln!(
-        "incremental re-verify:  {} check(s) in {incremental_ms:.2} ms (rebase + run)",
-        incremental.summary.checks
+        "incremental re-verify:  {} check(s) re-run, {} carried over, in {incremental_ms:.2} ms (patch + run)",
+        rerun.len(),
+        checks.len() - rerun.len()
     );
     outln!(
         "cold re-verify:         {} check(s) in {cold_ms:.2} ms",

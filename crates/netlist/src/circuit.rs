@@ -570,24 +570,30 @@ impl CircuitBuilder {
 }
 
 /// One local engineering-change-order (ECO) edit applied by
-/// [`Circuit::apply_edit`].
+/// [`Circuit::apply_edit`]. Its targets are ids; a [`NamedEdit`] names
+/// them instead.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CircuitEdit {
+pub enum CircuitEdit<G = GateId, N = NetId> {
     /// Gate resize / SDF re-annotation: replace one gate's delay interval.
     SetDelay {
         /// The gate to re-annotate.
-        gate: GateId,
+        gate: G,
         /// Its new delay interval.
         delay: DelayInterval,
     },
     /// Local rewire: replace one gate's input list (same kind and output).
     Rewire {
         /// The gate to rewire.
-        gate: GateId,
+        gate: G,
         /// Its new ordered input nets.
-        inputs: Vec<NetId>,
+        inputs: Vec<N>,
     },
 }
+
+/// A [`CircuitEdit`] addressed the way users write edits: a gate by the
+/// name of the net it drives, nets by name. [`Circuit::resolve_edit`]
+/// turns it into ids.
+pub type NamedEdit<'a> = CircuitEdit<&'a str, &'a str>;
 
 /// The result of [`Circuit::apply_edit`]: the edited circuit plus the
 /// invalidation contract the incremental layers key off.
@@ -628,6 +634,10 @@ pub enum EditError {
     /// by the cycle check; this variant flags reading the gate's own
     /// output directly.
     SelfLoop(GateId),
+    /// A [`NamedEdit`] named no net.
+    NoSuchName(String),
+    /// A [`NamedEdit`] named a primary input as the edited gate.
+    PrimaryInput(String),
 }
 
 impl fmt::Display for EditError {
@@ -640,6 +650,8 @@ impl fmt::Display for EditError {
             }
             EditError::Cycle(n) => write!(f, "rewire creates a cycle through net `{n}`"),
             EditError::SelfLoop(g) => write!(f, "gate {g} cannot read its own output"),
+            EditError::NoSuchName(n) => write!(f, "no net named `{n}`"),
+            EditError::PrimaryInput(n) => write!(f, "`{n}` is a primary input, not a gate output"),
         }
     }
 }
@@ -669,6 +681,34 @@ impl Circuit {
             by_name,
             topology: OnceLock::new(),
         }
+    }
+
+    /// Resolves a name-addressed edit against this circuit.
+    ///
+    /// # Errors
+    ///
+    /// [`EditError::NoSuchName`] or [`EditError::PrimaryInput`]; the ids
+    /// are checked by [`Circuit::apply_edit`].
+    pub fn resolve_edit(&self, edit: &NamedEdit<'_>) -> Result<CircuitEdit, EditError> {
+        let net = |name: &str| {
+            self.net_by_name(name)
+                .ok_or_else(|| EditError::NoSuchName(name.to_string()))
+        };
+        let gate = |name: &str| {
+            self.net(net(name)?)
+                .driver()
+                .ok_or_else(|| EditError::PrimaryInput(name.to_string()))
+        };
+        Ok(match edit {
+            CircuitEdit::SetDelay { gate: g, delay } => CircuitEdit::SetDelay {
+                gate: gate(g)?,
+                delay: *delay,
+            },
+            CircuitEdit::Rewire { gate: g, inputs } => CircuitEdit::Rewire {
+                gate: gate(g)?,
+                inputs: inputs.iter().map(|&n| net(n)).collect::<Result<_, _>>()?,
+            },
+        })
     }
 
     /// Applies a batch of local ECO edits, returning the edited circuit

@@ -56,8 +56,25 @@ pub mod verilog;
 
 pub use circuit::{
     BuildCircuitError, Circuit, CircuitBuilder, CircuitEdit, EditError, EditOutcome, Gate, GateId,
-    Net, NetId,
+    NamedEdit, Net, NetId,
 };
 pub use cone::ConeView;
 pub use gate::{DelayInterval, GateKind};
 pub use topology::{Adjacency, Topology};
+
+/// Parses `source` in the named netlist format, `"bench"` or `"verilog"`,
+/// with every gate at `delay` (a `.bench` circuit is called `name`; a
+/// Verilog one takes its module's name). `None` when the format is
+/// neither.
+pub fn parse_netlist(
+    format: &str,
+    name: &str,
+    source: &str,
+    delay: DelayInterval,
+) -> Option<Result<Circuit, Box<dyn std::error::Error + Send + Sync>>> {
+    match format {
+        "bench" => Some(bench_format::parse_bench(name, source, delay).map_err(Into::into)),
+        "verilog" => Some(verilog::parse_verilog(source, delay).map_err(Into::into)),
+        _ => None,
+    }
+}

@@ -25,8 +25,7 @@
 //! interval union, since the analysis needs one `[d_min, d_max]` per gate
 //! (§2: only `d_max` drives the max floating-mode delay).
 
-use crate::{Circuit, DelayInterval};
-use std::collections::HashMap;
+use crate::{Circuit, DelayInterval, NamedEdit};
 use std::error::Error;
 use std::fmt;
 
@@ -372,18 +371,18 @@ pub fn parse_sdf(text: &str) -> Result<SdfFile, ParseSdfError> {
 /// ```
 pub fn apply_sdf(circuit: &Circuit, text: &str) -> Result<Circuit, ParseSdfError> {
     let file = parse_sdf(text)?;
-    let mut by_gate: HashMap<usize, DelayInterval> = HashMap::new();
-    for cell in &file.cells {
-        let net = circuit
-            .net_by_name(&cell.instance)
-            .ok_or_else(|| ParseSdfError::UnknownInstance(cell.instance.clone()))?;
-        let gate = circuit
-            .net(net)
-            .driver()
-            .ok_or_else(|| ParseSdfError::UnknownInstance(cell.instance.clone()))?;
-        by_gate.insert(gate.index(), cell.delay);
-    }
-    Ok(circuit.with_delays(|gid, gate| by_gate.get(&gid.index()).copied().unwrap_or(gate.delay())))
+    let edits = (file.cells.iter())
+        .map(|cell| {
+            let (gate, delay) = (cell.instance.as_str(), cell.delay);
+            circuit
+                .resolve_edit(&NamedEdit::SetDelay { gate, delay })
+                .map_err(|_| ParseSdfError::UnknownInstance(cell.instance.clone()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(circuit
+        .apply_edit(&edits)
+        .expect("resolved delay edits")
+        .circuit)
 }
 
 #[cfg(test)]

@@ -18,7 +18,8 @@
 //! the structural [`Adjacency`] (kinds, outputs, CSR input/touch lists,
 //! topological positions),
 //! which only a rewire can change, and the per-gate `dmax` delay plane,
-//! which SDF re-annotation ([`Circuit::with_delays`](crate::Circuit::with_delays))
+//! which delay re-annotation ([`Circuit::with_delays`](crate::Circuit::with_delays),
+//! a delay-only [`Circuit::apply_edit`](crate::Circuit::apply_edit), SDF)
 //! rewrites. A delay-only edit therefore keeps the adjacency `Arc` and
 //! rebuilds just the delay plane.
 //!

@@ -15,13 +15,13 @@
 
 use crate::proto::{EditSpec, ErrorCode, ProtoError};
 use ltt_core::{CheckSession, Completeness, Engine, VerifyConfig, VerifyReport};
-use ltt_netlist::bench_format::parse_bench;
-use ltt_netlist::verilog::parse_verilog;
-use ltt_netlist::{Circuit, CircuitEdit, DelayInterval, NetId};
+use ltt_netlist::{
+    parse_netlist, Circuit, CircuitEdit, DelayInterval, EditError, NamedEdit, NetId,
+};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Per-check results cached on a [`CircuitEntry`] beyond this count are
@@ -29,7 +29,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// re-verification cheap, not to be a complete memo table).
 const RESULT_CACHE_CAP: usize = 4096;
 
-fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV_PRIME);
@@ -218,6 +218,17 @@ struct Inner {
     evictions: u64,
 }
 
+impl Inner {
+    /// Moves the first entry matching `pred` to the front, counting a hit.
+    fn promote(&mut self, pred: impl Fn(&CircuitEntry) -> bool) -> Option<Arc<CircuitEntry>> {
+        let pos = self.entries.iter().position(|e| pred(e))?;
+        let entry = self.entries.remove(pos).expect("position just found");
+        self.entries.push_front(entry.clone());
+        self.hits += 1;
+        Some(entry)
+    }
+}
+
 /// A bounded, thread-safe circuit cache (see the module docs).
 ///
 /// # Examples
@@ -268,27 +279,29 @@ impl CircuitRegistry {
         let id = content_id(format, delay, source);
         // `count_miss: false`: a cold registration counts one miss (in the
         // insert path below), not one per probe.
-        if let Some(entry) = self.touch_with(|e| e.id == id, false) {
+        if let Some(entry) = self.touch(|e| e.id == id, false) {
             return Ok((entry, true));
         }
-        let circuit = parse_circuit(name, format, source, delay)?;
-        let circuit = Arc::new(circuit);
+        let circuit = Arc::new(parse_circuit(name, format, source, delay)?);
         let entry = Arc::new(CircuitEntry {
-            id: id.clone(),
+            id,
             name: name.to_string(),
             session: CheckSession::new_shared(circuit.clone(), session_config()),
             circuit,
             results: Mutex::new(HashMap::new()),
         });
+        Ok(self.insert(entry))
+    }
+
+    /// Inserts a freshly built entry as most-recently-used, evicting past
+    /// capacity, and returns it with `false`. Double-check: a racing
+    /// insert of the same content wins if it got here first — its entry
+    /// (and its warm analyses) is returned with `true` rather than
+    /// shadowed by ours.
+    fn insert(&self, entry: Arc<CircuitEntry>) -> (Arc<CircuitEntry>, bool) {
         let mut inner = self.inner.lock().expect("registry lock poisoned");
-        // Double-check: a racing registration of the same content wins if
-        // it got here first — reuse its entry (and its warm analyses)
-        // rather than shadowing it with ours.
-        if let Some(pos) = inner.entries.iter().position(|e| e.id == id) {
-            let existing = inner.entries.remove(pos).expect("position just found");
-            inner.entries.push_front(existing.clone());
-            inner.hits += 1;
-            return Ok((existing, true));
+        if let Some(existing) = inner.promote(|e| e.id == entry.id) {
+            return (existing, true);
         }
         inner.misses += 1;
         inner.entries.push_front(entry.clone());
@@ -296,19 +309,22 @@ impl CircuitRegistry {
             inner.entries.pop_back();
             inner.evictions += 1;
         }
-        Ok((entry, false))
+        (entry, false)
     }
 
     /// Looks up an entry by content id or by registered name (most
     /// recently used wins when several names collide) and marks it
     /// most-recently-used.
     pub fn lookup(&self, key: &str) -> Result<Arc<CircuitEntry>, ProtoError> {
-        self.touch(|e| e.id == key || e.name == key).ok_or_else(|| {
-            ProtoError::new(
-                ErrorCode::UnknownCircuit,
-                format!("no registered circuit `{key}` (register it, or it may have been evicted)"),
-            )
-        })
+        self.touch(|e| e.id == key || e.name == key, true)
+            .ok_or_else(|| {
+                ProtoError::new(
+                    ErrorCode::UnknownCircuit,
+                    format!(
+                        "no registered circuit `{key}` (register it, or it may have been evicted)"
+                    ),
+                )
+            })
     }
 
     /// Applies ECO edits to the entry named by `key`, producing — and
@@ -328,7 +344,7 @@ impl CircuitRegistry {
         let parent = self.lookup(key)?;
         let id = patched_id(&parent.id, edits);
         let structural = edits.iter().any(EditSpec::is_structural);
-        if let Some(entry) = self.touch_with(|e| e.id == id, false) {
+        if let Some(entry) = self.touch(|e| e.id == id, false) {
             return Ok(PatchOutcome {
                 entry,
                 resident: true,
@@ -337,125 +353,64 @@ impl CircuitRegistry {
                 transplanted: 0,
             });
         }
-        // Resolve name-addressed edits against the parent, apply, rebase.
-        // All outside the registry lock, like `register`'s parse.
-        let circuit_edits = resolve_edits(&parent.circuit, edits)?;
-        let outcome = parent
-            .circuit
-            .apply_edit(&circuit_edits)
+        // Resolve name-addressed edits against the parent, then patch its
+        // session. All outside the registry lock, like `register`'s parse.
+        let patch = resolve_edits(&parent.circuit, edits)
+            .and_then(|edits| parent.session.patch(&edits))
             .map_err(|e| ProtoError::new(ErrorCode::BadRequest, e.to_string()))?;
-        let dirty_names: Vec<String> = outcome
+        let dirty_names: Vec<String> = patch
             .dirty
             .iter()
             .map(|&n| parent.circuit.net(n).name().to_string())
             .collect();
-        let edited = Arc::new(outcome.circuit);
-        let session = parent
-            .session
-            .rebase(edited.clone(), &outcome.dirty, outcome.structural);
-        // Transplant cached exact reports for outputs the edit provably
-        // cannot influence: delay-only edit, non-degenerate parent base,
-        // and a proper fanin cone disjoint from `dirty ∪ base_divergence`
-        // (DESIGN.md §14). Such outputs re-verify bit-identically, so the
-        // parent's answer *is* the patched circuit's answer. Cleanness is
-        // decided only for outputs with a cached report, so no cone is
-        // built for an output without one.
-        let mut results = HashMap::new();
-        if !outcome.structural && !parent.session.base_contradictory() {
-            let cached: HashSet<NetId> = {
-                let parent_cache = parent.results.lock().expect("result cache lock poisoned");
-                parent_cache.keys().map(|&(out, _, _)| out).collect()
-            };
-            if !cached.is_empty() {
-                let mut stale = outcome.dirty.clone();
-                stale.extend(parent.session.base_divergence(&session));
-                let clean: HashSet<NetId> = parent
-                    .circuit
-                    .outputs()
-                    .iter()
-                    .copied()
-                    .filter(|s| cached.contains(s))
-                    .filter(|&s| match parent.session.cone(s) {
-                        Some(ca) => !ca.intersects(&stale),
-                        None => stale.is_empty(),
-                    })
-                    .collect();
-                let parent_cache = parent.results.lock().expect("result cache lock poisoned");
-                for (&(out, delta, engine), report) in parent_cache.iter() {
-                    if clean.contains(&out) {
-                        results.insert((out, delta, engine), report.clone());
-                    }
-                }
-            }
-        }
+        // Carry over the cached exact reports of every output the patch
+        // leaves unaffected: they re-verify bit-identically. Only outputs
+        // with a cached report are asked, so no other cone is built, and
+        // none is built under the cache lock.
+        let lock = || parent.results.lock().expect("result cache lock poisoned");
+        let cached: HashSet<NetId> = lock().keys().map(|&(out, _, _)| out).collect();
+        let unaffected: HashSet<NetId> = cached
+            .into_iter()
+            .filter(|&out| patch.unaffected(out))
+            .collect();
+        let results: HashMap<_, _> = lock()
+            .iter()
+            .filter(|((out, _, _), _)| unaffected.contains(out))
+            .map(|(&key, report)| (key, report.clone()))
+            .collect();
         let transplanted = results.len();
         let entry = Arc::new(CircuitEntry {
-            id: id.clone(),
             // Without an explicit alias the patched entry answers to its
             // content id only — it must not shadow the parent's name.
             name: name.unwrap_or(&id).to_string(),
-            session,
-            circuit: edited,
+            id,
+            session: patch.session,
+            circuit: patch.circuit,
             results: Mutex::new(results),
         });
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
-        if let Some(pos) = inner.entries.iter().position(|e| e.id == id) {
-            let existing = inner.entries.remove(pos).expect("position just found");
-            inner.entries.push_front(existing.clone());
-            inner.hits += 1;
-            return Ok(PatchOutcome {
-                entry: existing,
-                resident: true,
-                structural,
-                dirty: dirty_names,
-                transplanted: 0,
-            });
-        }
-        inner.misses += 1;
-        inner.entries.push_front(entry.clone());
-        while inner.entries.len() > self.capacity {
-            inner.entries.pop_back();
-            inner.evictions += 1;
-        }
-        drop(inner);
+        let (entry, resident) = self.insert(entry);
         Ok(PatchOutcome {
             entry,
-            resident: false,
+            resident,
             structural,
             dirty: dirty_names,
-            transplanted,
+            transplanted: if resident { 0 } else { transplanted },
         })
     }
 
     /// Finds the first (most-recently-used) entry matching `pred`, moves
-    /// it to the front, and counts the hit/miss.
-    fn touch(&self, pred: impl Fn(&CircuitEntry) -> bool) -> Option<Arc<CircuitEntry>> {
-        self.touch_with(pred, true)
-    }
-
-    /// [`CircuitRegistry::touch`] with the miss accounting optional (a
-    /// registration's pre-probe must not count a miss the insert path will
-    /// count again).
-    fn touch_with(
+    /// it to the front and counts the hit; counts a miss when nothing
+    /// matches and `count_miss` is set (a registration's pre-probe must
+    /// not count a miss the insert path will count again).
+    fn touch(
         &self,
         pred: impl Fn(&CircuitEntry) -> bool,
         count_miss: bool,
     ) -> Option<Arc<CircuitEntry>> {
         let mut inner = self.inner.lock().expect("registry lock poisoned");
-        match inner.entries.iter().position(|e| pred(e)) {
-            Some(pos) => {
-                let entry = inner.entries.remove(pos).expect("position just found");
-                inner.entries.push_front(entry.clone());
-                inner.hits += 1;
-                Some(entry)
-            }
-            None => {
-                if count_miss {
-                    inner.misses += 1;
-                }
-                None
-            }
-        }
+        let found = inner.promote(pred);
+        inner.misses += u64::from(found.is_none() && count_miss);
+        found
     }
 
     /// A snapshot of the registry counters.
@@ -489,39 +444,22 @@ pub struct PatchOutcome {
 }
 
 /// Resolves name-addressed [`EditSpec`]s into id-addressed
-/// [`CircuitEdit`]s against a concrete circuit. A gate is named by the net
-/// it drives; naming a primary input (no driver) or an unknown net is a
-/// `bad_request`.
-fn resolve_edits(circuit: &Circuit, edits: &[EditSpec]) -> Result<Vec<CircuitEdit>, ProtoError> {
-    let bad = |m: String| ProtoError::new(ErrorCode::BadRequest, m);
-    let gate_by_name = |name: &str| {
-        let net = circuit
-            .net_by_name(name)
-            .ok_or_else(|| bad(format!("no net named `{name}`")))?;
-        circuit.net(net).driver().ok_or_else(|| {
-            bad(format!(
-                "net `{name}` is a primary input, not a gate output"
-            ))
-        })
-    };
+/// [`CircuitEdit`]s against a concrete circuit
+/// ([`Circuit::resolve_edit`]).
+fn resolve_edits(circuit: &Circuit, edits: &[EditSpec]) -> Result<Vec<CircuitEdit>, EditError> {
     edits
         .iter()
-        .map(|edit| match edit {
-            EditSpec::SetDelay { gate, min, max } => Ok(CircuitEdit::SetDelay {
-                gate: gate_by_name(gate)?,
-                delay: DelayInterval::new(*min, *max),
-            }),
-            EditSpec::Rewire { gate, inputs } => Ok(CircuitEdit::Rewire {
-                gate: gate_by_name(gate)?,
-                inputs: inputs
-                    .iter()
-                    .map(|i| {
-                        circuit
-                            .net_by_name(i)
-                            .ok_or_else(|| bad(format!("no net named `{i}`")))
-                    })
-                    .collect::<Result<Vec<NetId>, ProtoError>>()?,
-            }),
+        .map(|edit| {
+            circuit.resolve_edit(&match edit {
+                EditSpec::SetDelay { gate, min, max } => NamedEdit::SetDelay {
+                    gate,
+                    delay: DelayInterval::new(*min, *max),
+                },
+                EditSpec::Rewire { gate, inputs } => NamedEdit::Rewire {
+                    gate,
+                    inputs: inputs.iter().map(String::as_str).collect(),
+                },
+            })
         })
         .collect()
 }
@@ -532,16 +470,11 @@ fn parse_circuit(
     source: &str,
     delay: u32,
 ) -> Result<Circuit, ProtoError> {
-    let delay = DelayInterval::fixed(delay);
-    let invalid = |e: String| ProtoError::new(ErrorCode::InvalidNetlist, e);
-    match format {
-        "bench" => parse_bench(name, source, delay).map_err(|e| invalid(e.to_string())),
-        "verilog" => parse_verilog(source, delay).map_err(|e| invalid(e.to_string())),
-        other => Err(ProtoError::new(
-            ErrorCode::BadRequest,
-            format!("unknown format `{other}`"),
-        )),
-    }
+    parse_netlist(format, name, source, DelayInterval::fixed(delay))
+        .ok_or_else(|| {
+            ProtoError::new(ErrorCode::BadRequest, format!("unknown format `{format}`"))
+        })?
+        .map_err(|e| ProtoError::new(ErrorCode::InvalidNetlist, e.to_string()))
 }
 
 #[cfg(test)]

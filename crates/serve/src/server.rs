@@ -503,9 +503,10 @@ fn submit_delay(
 }
 
 /// Executes a `patch`: applies the edits through the registry (which
-/// rebases the parent's session and transplants clean-cone state), then —
-/// when the request bundles checks — runs them against the patched entry,
-/// serving cached transplanted reports without re-execution.
+/// patches the parent's session and carries over the cached reports of
+/// unaffected outputs), then — when the request bundles checks — runs
+/// them against the patched entry, serving cached transplanted reports
+/// without re-execution.
 ///
 /// The patch itself runs inline on the reader thread, like `register`:
 /// that keeps pipelined follow-up requests naming the patched id ordered
