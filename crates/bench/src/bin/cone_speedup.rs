@@ -1,14 +1,15 @@
 //! `cone_speedup` — measures ECO-style incremental re-verification: one
 //! delay ECO, then the full output sweep re-verified the way `patch` does
 //! it — patch the warm session (`CheckSession::patch`), re-check only the
-//! outputs the edit can affect and carry over every other output's report
-//! (`Patch::unaffected`) — against a cold re-registration (prepare from
-//! scratch, re-check everything). Carried-over and recomputed reports must
-//! both equal cold in verdict (witness included) and completeness; the
-//! ratio is the re-verification cost relative to cold. Two scenarios: the
-//! s6288 stand-in re-checking every output just above its arrival time,
-//! and the k = 800 false-path blow-up split into 8 parallel chains,
-//! re-proving every chain at δ = 6·k·d + 1.
+//! outputs the edit can affect and carry over every other output's exact
+//! report (`Patch::unaffected`, `BatchRunner::run_reusing`) — against a
+//! cold re-registration (prepare from scratch, re-check everything).
+//! Carried-over and recomputed reports must both equal cold in verdict
+//! (witness included) and completeness; the ratio is the re-verification
+//! cost relative to cold. Two scenarios: the s6288 stand-in re-checking
+//! every output just above its arrival time, and the k = 800 false-path
+//! blow-up split into 8 parallel chains, re-proving every chain at
+//! δ = 6·k·d + 1.
 //!
 //! ```text
 //! cone_speedup [--reps N]
@@ -32,9 +33,9 @@ struct EcoRow {
 }
 
 /// One delay ECO on `edit_output`'s driver, then the full `checks` sweep
-/// re-verified the `patch` way (patch; re-check the affected outputs;
-/// carry over the rest) vs a cold re-registration (prepare the edited
-/// circuit from scratch; re-check everything).
+/// re-verified the `patch` way (patch; carry over the exact reports of the
+/// unaffected outputs; re-check the rest) vs a cold re-registration
+/// (prepare the edited circuit from scratch; re-check everything).
 fn eco_scenario(
     name: &'static str,
     circuit: &Circuit,
@@ -65,21 +66,22 @@ fn eco_scenario(
     let mut cold_times = Vec::with_capacity(reps);
     let mut incr_times = Vec::with_capacity(reps);
     let mut identical = true;
-    let mut reverified = 0usize;
+    let mut transplanted = 0usize;
     for _ in 0..reps {
-        // Incremental: patch, then re-verify the affected checks and carry
-        // over the pre-edit report of every unaffected one — what the
-        // serve layer's `patch` op does with its report cache.
+        // Incremental: patch, then carry over the pre-edit report of every
+        // unaffected check and re-run the rest — what `ltt patch` and the
+        // serve layer's `patch` op do.
         let t = Instant::now();
         let patch = base.patch(&edit).expect("delay edit");
-        let dirty_checks: Vec<(NetId, i64)> = checks
-            .iter()
-            .copied()
-            .filter(|&(o, _)| !patch.unaffected(o))
-            .collect();
-        let incremental = runner.run(&patch.session, &dirty_checks);
+        let (incremental, reused) = runner.run_reusing(&patch.session, checks, |output, delta| {
+            let r = base_batch
+                .reports
+                .iter()
+                .find(|r| (r.output, r.delta) == (output, delta))?;
+            patch.unaffected(output).then(|| r.clone())
+        });
         incr_times.push(t.elapsed().as_secs_f64() * 1e3);
-        reverified = dirty_checks.len();
+        transplanted = reused.iter().filter(|&&r| r).count();
 
         let t = Instant::now();
         let cold_session = CheckSession::new(&patch.circuit, VerifyConfig::default());
@@ -87,27 +89,21 @@ fn eco_scenario(
         cold_times.push(t.elapsed().as_secs_f64() * 1e3);
 
         // Every report — recomputed on a dirty cone or transplanted from
-        // the pre-edit session — must agree with the cold oracle.
-        let mut dirty_iter = incremental.reports.iter();
-        for ((check, cold_report), base_report) in
-            checks.iter().zip(&cold.reports).zip(&base_batch.reports)
-        {
-            let served = if dirty_checks.contains(check) {
-                dirty_iter.next().expect("one report per dirty check")
-            } else {
-                base_report
-            };
-            identical &= served.verdict == cold_report.verdict
-                && served.completeness == cold_report.completeness;
-        }
+        // the pre-edit session — must agree with the cold oracle, slot by
+        // slot.
+        identical &= incremental.errors.is_empty()
+            && incremental.reports.len() == cold.reports.len()
+            && (incremental.reports.iter().zip(&cold.reports)).all(|(served, cold)| {
+                served.verdict == cold.verdict && served.completeness == cold.completeness
+            });
     }
     cold_times.sort_by(|a, b| a.total_cmp(b));
     incr_times.sort_by(|a, b| a.total_cmp(b));
     EcoRow {
         name,
         checks: checks.len(),
-        reverified,
-        transplanted: checks.len() - reverified,
+        reverified: checks.len() - transplanted,
+        transplanted,
         cold_ms: cold_times[cold_times.len() / 2],
         incremental_ms: incr_times[incr_times.len() / 2],
         identical,

@@ -6,9 +6,8 @@
 //! renders both tables.
 
 use ltt_core::{
-    explain, BatchCheck, BatchOutcome, BatchRunner, BatchSummary, Budget, CheckSession,
-    Completeness, DelayMode, Engine, Error, LearningMode, Obs, Recorder, Stage, Verdict,
-    VerifyConfig, VerifyReport,
+    explain, BatchOutcome, BatchRunner, Budget, CheckSession, Completeness, DelayMode, Engine,
+    Error, LearningMode, Obs, Recorder, Stage, Verdict, VerifyConfig,
 };
 use ltt_netlist::bench_format::write_bench;
 use ltt_netlist::sdf::apply_sdf;
@@ -850,28 +849,20 @@ fn cmd_patch(a: &Args) -> Result<RunStatus, Error> {
     let baseline_ms = t.elapsed().as_secs_f64() * 1e3;
 
     // Incremental: patch the warm session, re-run the affected checks and
-    // carry over the exact baseline report of every unaffected one (a
-    // budget-cut report depends on the budget, not only the circuit).
+    // carry over the baseline report of every unaffected one.
     let t = Instant::now();
     let patch = session
         .patch(&edits)
         .map_err(|e| Error::invalid(e.to_string()))?;
-    let mut reports: Vec<VerifyReport> = (baseline.reports.iter())
-        .filter(|r| r.completeness.is_exact() && patch.unaffected(r.output))
-        .cloned()
-        .collect();
-    let rerun: Vec<(NetId, i64)> = (checks.iter().copied())
-        .filter(|&(o, _)| reports.iter().all(|r| r.output != o))
-        .collect();
-    let mut fresh = runner.run(&patch.session, &rerun);
-    reports.append(&mut fresh.reports);
-    reports.sort_by_key(|r| checks.iter().position(|&(o, _)| o == r.output));
-    let incremental = BatchCheck {
-        summary: BatchSummary::aggregate(&reports, &fresh.errors),
-        reports,
-        ..fresh
-    };
+    let (incremental, reused) = runner.run_reusing(&patch.session, &checks, |output, delta| {
+        let r = baseline
+            .reports
+            .iter()
+            .find(|r| (r.output, r.delta) == (output, delta))?;
+        patch.unaffected(output).then(|| r.clone())
+    });
     let incremental_ms = t.elapsed().as_secs_f64() * 1e3;
+    let carried = reused.iter().filter(|&&r| r).count();
     let dirty: Vec<&str> = patch.dirty.iter().map(|&n| circuit.net(n).name()).collect();
     outln!(
         "applied {} edit(s): {} dirty net(s) [{}], {}",
@@ -902,8 +893,8 @@ fn cmd_patch(a: &Args) -> Result<RunStatus, Error> {
     );
     outln!(
         "incremental re-verify:  {} check(s) re-run, {} carried over, in {incremental_ms:.2} ms (patch + run)",
-        rerun.len(),
-        checks.len() - rerun.len()
+        checks.len() - carried,
+        carried
     );
     outln!(
         "cold re-verify:         {} check(s) in {cold_ms:.2} ms",

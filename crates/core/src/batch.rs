@@ -176,7 +176,7 @@ impl BatchSummary {
     /// arithmetic (a batch summary must never panic on pathological
     /// counter values). Every requested check is either a report or an
     /// error, so `checks` counts both.
-    pub fn aggregate(reports: &[VerifyReport], errors: &[BatchError]) -> Self {
+    pub(crate) fn aggregate(reports: &[VerifyReport], errors: &[BatchError]) -> Self {
         let mut sum = BatchSummary::default();
         for e in errors {
             sum.checks = sum.checks.saturating_add(1);
@@ -507,6 +507,58 @@ impl BatchRunner {
         }
     }
 
+    /// [`BatchRunner::run`] that carries reports over instead of re-running
+    /// them: a check for which `known(output, δ)` supplies an
+    /// [`Exact`](crate::Completeness::Exact) report is served that report,
+    /// every other check runs on this runner. A budget-cut report is never
+    /// carried: it depends on the budget it ran under, not only on the
+    /// circuit. This is the one merge of carried and re-run reports (the
+    /// ECO carry-over pairs it with [`Patch::unaffected`](crate::Patch::unaffected)).
+    ///
+    /// Returns the merged batch — reports, [`BatchError::index`] and the
+    /// summary all over the requested `checks`, in request order — and one
+    /// flag per report, `true` where it was carried over.
+    pub fn run_reusing(
+        &self,
+        session: &CheckSession,
+        checks: &[(NetId, i64)],
+        known: impl Fn(NetId, i64) -> Option<VerifyReport>,
+    ) -> (BatchCheck, Vec<bool>) {
+        let start = Instant::now();
+        let carried: Vec<Option<VerifyReport>> = checks
+            .iter()
+            .map(|&(output, delta)| known(output, delta).filter(|r| r.completeness.is_exact()))
+            .collect();
+        // Request positions of the checks that must run.
+        let rerun: Vec<usize> = (0..checks.len())
+            .filter(|&i| carried[i].is_none())
+            .collect();
+        let to_run: Vec<(NetId, i64)> = rerun.iter().map(|&i| checks[i]).collect();
+        let mut fresh = self.run(session, &to_run);
+        for error in &mut fresh.errors {
+            error.index = rerun[error.index];
+        }
+        let mut failed = fresh.errors.iter().map(|e| e.index).peekable();
+        let mut fresh_reports = fresh.reports.into_iter();
+        let (reports, reused): (Vec<VerifyReport>, Vec<bool>) = (carried.into_iter().enumerate())
+            .filter_map(|(i, slot)| match slot {
+                Some(report) => Some((report, true)),
+                None if failed.next_if_eq(&i).is_some() => None,
+                None => Some((
+                    fresh_reports.next().expect("one report per clean slot"),
+                    false,
+                )),
+            })
+            .unzip();
+        let batch = BatchCheck {
+            summary: BatchSummary::aggregate(&reports, &fresh.errors),
+            reports,
+            errors: fresh.errors,
+            wall: start.elapsed(),
+        };
+        (batch, reused)
+    }
+
     /// Runs [`CheckSession::exact_delay`] for each of `outputs`, in
     /// parallel: one `Result` per output, in the order given. Pass
     /// `session.circuit().outputs()` for every primary output.
@@ -680,6 +732,57 @@ mod tests {
         assert!(s.violations > 0);
         assert!(batch.errors.is_empty());
         assert!(s.check_wall >= s.stage_wall.total() || s.checks == 0);
+    }
+
+    /// Carried and re-run slots merge in request order: a budget-cut report
+    /// is re-run rather than carried, a re-run slot skipped by the
+    /// fail-fast token keeps its request index, and the summary counts the
+    /// carried reports too.
+    #[test]
+    fn run_reusing_merges_carried_and_rerun_slots() {
+        use crate::budget::TripReason;
+        use crate::check::{Completeness, Stage};
+        let c = c17(10);
+        let session = CheckSession::new(&c, VerifyConfig::default());
+        let (o22, o23) = (c.outputs()[0], c.outputs()[1]);
+        let checks = [(o22, 31), (o22, 30), (o23, 31), (o23, 30)];
+        let exact = BatchRunner::serial().run(&session, &checks).reports;
+        let cut = VerifyReport {
+            verdict: Verdict::Abandoned,
+            completeness: Completeness::BudgetExhausted {
+                stage: Stage::CaseAnalysis,
+                reason: TripReason::Backtracks,
+            },
+            ..exact[1].clone()
+        };
+        let known = |o: NetId, d: i64| match (o, d) {
+            (o, 31) => exact
+                .iter()
+                .find(|r| r.output == o && r.delta == 31)
+                .cloned(),
+            (o, 30) if o == o22 => Some(cut.clone()),
+            _ => None,
+        };
+        // Serial fail-fast: the re-run (22, 30) violates and cancels the
+        // batch, so the re-run (23, 30) is skipped.
+        let (batch, reused) = BatchRunner::serial()
+            .with_fail_fast(true)
+            .run_reusing(&session, &checks, known);
+        assert_eq!(reused, [true, false, true]);
+        let slots: Vec<_> = batch.reports.iter().map(|r| (r.output, r.delta)).collect();
+        assert_eq!(slots, [(o22, 31), (o22, 30), (o23, 31)]);
+        assert!(batch.reports[1].verdict.is_violation());
+        assert!(batch.reports[1].completeness.is_exact());
+        assert_eq!(batch.errors.len(), 1);
+        assert_eq!(batch.errors[0].index, 3);
+        assert_eq!(batch.errors[0].error, CheckError::Skipped);
+        assert_eq!((batch.errors[0].output, batch.errors[0].delta), (o23, 30));
+        let s = &batch.summary;
+        assert_eq!(s, &BatchSummary::aggregate(&batch.reports, &batch.errors));
+        assert_eq!(
+            (s.checks, s.no_violation, s.violations, s.skipped),
+            (4, 2, 1, 1)
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::metrics::{render_family, render_labeled, render_sample};
 use crate::proto::{error_response, EditSpec, ErrorCode, ProtoError, RequestBody};
 use crate::registry::{content_id, fnv_fold, patched_id, FNV_OFFSET};
 use crate::server::{ServeConfig, Server, ServerHandle, DEFAULT_MAX_LINE_BYTES};
-use crate::service::{self, int, Conn, ReplyHandle, Service, Snapshot, Tier, POLL};
+use crate::service::{self, int, Conn, ReplyHandle, Service, Tier, POLL};
 use crate::wire::{decode, Json};
 use ltt_core::available_jobs;
 use std::collections::{HashMap, VecDeque};
@@ -697,7 +697,6 @@ impl Tier for Fleet {
 
     fn status(
         svc: &Service<Self>,
-        snap: &Snapshot,
         fields: &mut Vec<(String, Json)>,
         requests: &mut Vec<(&'static str, Json)>,
     ) {
@@ -732,8 +731,6 @@ impl Tier for Fleet {
                 "unavailable",
                 int(c.unavailable_total.load(Ordering::Relaxed)),
             ),
-            // The router's historical name for `overloaded`.
-            ("shed", int(snap.overloaded)),
             ("retries", int(c.retries_total.load(Ordering::Relaxed))),
             ("failovers", int(c.failovers_total.load(Ordering::Relaxed))),
             (

@@ -17,12 +17,9 @@ use crate::proto::{
     RequestBody, RunOpts,
 };
 use crate::registry::{CircuitEntry, CircuitRegistry, RegistryStats};
-use crate::service::{self, int, Conn, Service, Snapshot, Tier};
+use crate::service::{self, int, Conn, Service, Tier};
 use crate::wire::Json;
-use ltt_core::{
-    available_jobs, BatchCheck, BatchRunner, BatchSummary, Budget, CancelToken, CheckSession,
-    Engine, VerifyReport,
-};
+use ltt_core::{available_jobs, BatchCheck, BatchRunner, Budget, CancelToken, CheckSession};
 use ltt_netlist::NetId;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
@@ -166,7 +163,6 @@ impl Tier for Daemon {
 
     fn status(
         svc: &Service<Self>,
-        _snap: &Snapshot,
         fields: &mut Vec<(String, Json)>,
         requests: &mut Vec<(&'static str, Json)>,
     ) {
@@ -559,93 +555,16 @@ fn submit_patch(
         conn,
         id,
         Box::new(move |id| {
-            let (batch, reused) = run_with_reuse(&runner, opts.engine, &entry, &checks);
+            // Serve every check whose exact report from the same engine is
+            // cached (transplanted across the patch, or produced by an
+            // earlier request); run the rest and cache what they produce.
+            let (batch, reused) = runner.run_reusing(&entry.session, &checks, |output, delta| {
+                entry.cached_report(opts.engine, output, delta)
+            });
+            entry.cache_reports(opts.engine, &batch.reports);
             let mut fields = patch_fields;
             fields.append(&mut batch_json(&batch, &names, Some(&reused)));
             (ok_response("patch", id, fields), tripped(&batch))
         }),
     );
-}
-
-/// Runs `checks` against `entry` on `runner` (whose engine is `engine`),
-/// serving any check whose exact report from the same engine is already
-/// cached (transplanted across a patch, or produced by an earlier request)
-/// without re-executing it. Returns the merged batch — reports and errors
-/// in *request* order — plus the per-report reuse flags.
-fn run_with_reuse(
-    runner: &BatchRunner,
-    engine: Engine,
-    entry: &Arc<CircuitEntry>,
-    checks: &[(NetId, i64)],
-) -> (BatchCheck, Vec<bool>) {
-    let cached: Vec<Option<VerifyReport>> = checks
-        .iter()
-        .map(|&(output, delta)| entry.cached_report(engine, output, delta))
-        .collect();
-    // Positions (in request order) of the checks that must actually run.
-    let to_run_pos: Vec<usize> = (0..checks.len()).filter(|&i| cached[i].is_none()).collect();
-    let to_run: Vec<(NetId, i64)> = to_run_pos.iter().map(|&i| checks[i]).collect();
-    let mut batch = runner.run(&entry.session, &to_run);
-    entry.cache_reports(engine, &batch.reports);
-    // Remap the fresh slots back to request-order indices.
-    for error in &mut batch.errors {
-        error.index = to_run_pos[error.index];
-    }
-    let mut fresh = batch.reports.drain(..);
-    let mut reports = Vec::with_capacity(checks.len());
-    let mut reused = Vec::with_capacity(checks.len());
-    let errored = |i: usize| batch.errors.iter().any(|e| e.index == i);
-    for (i, slot) in cached.into_iter().enumerate() {
-        match slot {
-            Some(report) => {
-                reports.push(report);
-                reused.push(true);
-            }
-            None => {
-                if !errored(i) {
-                    reports.push(fresh.next().expect("one fresh report per clean run slot"));
-                    reused.push(false);
-                }
-            }
-        }
-    }
-    drop(fresh);
-    batch.reports = reports;
-    // The outcome and the counters describe the whole request, reused
-    // reports included, not just the rerun.
-    batch.summary = BatchSummary::aggregate(&batch.reports, &batch.errors);
-    (batch, reused)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A patch batch that serves some checks from the result cache
-    /// summarizes every report it returns, not only the re-run ones.
-    #[test]
-    fn reused_reports_count_in_the_summary() {
-        let source = "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\nOUTPUT(z)\n\
-                      u = AND(a, b)\ny = NAND(u, b)\nv = OR(c, d)\nz = NOT(v)\n";
-        let registry = CircuitRegistry::new(4);
-        let (parent, _) = registry.register("two", "bench", source, 10).unwrap();
-        let (y, z) = (parent.circuit.outputs()[0], parent.circuit.outputs()[1]);
-        let checks = [(y, 20), (z, 20), (z, 21)];
-        let runner = BatchRunner::serial();
-        run_with_reuse(&runner, Engine::Narrow, &parent, &checks);
-        // The edit lies in y's cone only: z's reports transplant.
-        let edit = EditSpec::SetDelay {
-            gate: "y".into(),
-            min: 25,
-            max: 25,
-        };
-        let patched = registry.patch("two", None, &[edit]).unwrap().entry;
-        let (batch, reused) = run_with_reuse(&runner, Engine::Narrow, &patched, &checks);
-        assert_eq!(reused, [false, true, true]);
-        assert_eq!(
-            batch.summary,
-            BatchSummary::aggregate(&batch.reports, &batch.errors)
-        );
-        assert_eq!(batch.summary.checks, 3);
-    }
 }

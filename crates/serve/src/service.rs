@@ -73,7 +73,6 @@ pub(crate) trait Tier: Send + Sync + Sized + 'static {
     /// level, `requests` the `requests` object.
     fn status(
         svc: &Service<Self>,
-        snap: &Snapshot,
         fields: &mut Vec<(String, Json)>,
         requests: &mut Vec<(&'static str, Json)>,
     );
@@ -546,7 +545,7 @@ impl<T: Tier> Service<T> {
                 ]),
             ),
         ];
-        T::status(self, &snap, &mut fields, &mut requests);
+        T::status(self, &mut fields, &mut requests);
         fields.push(("requests".to_string(), Json::obj(requests)));
         ok_response("status", id, fields)
     }

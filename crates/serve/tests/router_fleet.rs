@@ -423,7 +423,6 @@ fn forwarded_work_obeys_the_admission_identity() {
     // registrations and the refused lines did not.
     assert_eq!(field("requests", "submitted"), 1 + burst);
     assert_eq!(field("requests", "overloaded"), count("overloaded"));
-    assert_eq!(field("requests", "shed"), count("overloaded"));
     assert_eq!(field("requests", "too_large"), 1);
     assert_eq!(field("requests", "bad_request"), 2);
 

@@ -169,7 +169,7 @@ const ROUTER_STATUS: &[&str] = &[
     "requests.total",
     "requests.forwarded",
     "requests.unavailable",
-    "requests.shed",
+    "requests.overloaded",
     "requests.retries",
     "requests.failovers",
     "requests.reregistered",
