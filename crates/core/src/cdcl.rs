@@ -18,6 +18,7 @@
 
 use crate::budget::{Budget, TripReason};
 use crate::failpoint;
+use std::cell::Cell;
 
 /// A propositional variable, numbered from 0.
 pub type Var = u32;
@@ -207,12 +208,22 @@ impl CdclStats {
     }
 }
 
-/// The solver. Add variables and clauses, then [`Solver::solve`].
-pub struct Solver {
-    num_vars: u32,
+/// Largest literal arena a dropped solver hands on for reuse: 4 Mi
+/// literals, 16 MiB. A bigger CNF (a `path_blowup`-scale grid) frees its
+/// storage instead of keeping it resident on its thread.
+const MAX_SPARE_LITS: usize = 1 << 22;
+
+/// Everything a solver allocates: the clause store, the watch lists, the
+/// per-variable arrays, the trail, the order heap and the conflict scratch.
+/// A dropped solver hands it to the next [`Solver::new`] on its thread
+/// (one spare per thread), which clears it and keeps its capacity.
+#[derive(Default)]
+struct Storage {
     /// Flat literal arena; clauses are spans into it.
     arena: Vec<Lit>,
     clauses: Vec<Clause>,
+    /// Two lists per variable; lists past `2 * num_vars` are cleared
+    /// leftovers of a bigger solver, which `new_var` takes over.
     watches: Vec<Vec<Watch>>,
     assign: Vec<u8>,
     /// Decision level at which each variable was assigned.
@@ -221,14 +232,71 @@ pub struct Solver {
     reason: Vec<Option<ClauseId>>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
-    qhead: usize,
     activity: Vec<f64>,
-    var_inc: f64,
     order: OrderHeap,
     /// Saved phase per variable (phase saving across restarts).
     phase: Vec<bool>,
-    /// Scratch for conflict analysis.
+    /// Scratch for conflict analysis: marked variables, the clause being
+    /// learned, and the marks to undo.
     seen: Vec<bool>,
+    learnt: Vec<Lit>,
+    cleanup: Vec<Var>,
+}
+
+impl Storage {
+    /// Empties every array, keeping its capacity (and the watch lists,
+    /// each emptied).
+    fn clear(&mut self) {
+        let Storage {
+            arena,
+            clauses,
+            watches,
+            assign,
+            level,
+            reason,
+            trail,
+            trail_lim,
+            activity,
+            order,
+            phase,
+            seen,
+            learnt,
+            cleanup,
+        } = self;
+        arena.clear();
+        clauses.clear();
+        watches.iter_mut().for_each(Vec::clear);
+        assign.clear();
+        level.clear();
+        reason.clear();
+        trail.clear();
+        trail_lim.clear();
+        activity.clear();
+        order.heap.clear();
+        order.pos.clear();
+        phase.clear();
+        seen.clear();
+        learnt.clear();
+        cleanup.clear();
+    }
+}
+
+thread_local! {
+    /// The storage of the last solver dropped on this thread, if kept.
+    static SPARE: Cell<Option<Storage>> = const { Cell::new(None) };
+}
+
+/// The solver. Add variables and clauses, then [`Solver::solve`].
+///
+/// Its storage outlives it: dropping a solver hands the storage to the
+/// next `Solver::new` on the same thread, so a run of checks regrows one
+/// set of arrays instead of allocating per literal and per conflict. The
+/// search does not depend on where the storage came from.
+pub struct Solver {
+    num_vars: u32,
+    mem: Storage,
+    qhead: usize,
+    var_inc: f64,
     /// False once an empty clause was derived at level 0.
     ok: bool,
     /// Statistics of the last `solve` call.
@@ -236,24 +304,20 @@ pub struct Solver {
 }
 
 impl Solver {
-    /// An empty solver (no variables, no clauses).
+    /// An empty solver (no variables, no clauses), on this thread's spare
+    /// storage when a dropped solver left one.
     pub fn new() -> Solver {
+        let mut mem = SPARE
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        mem.clear();
         Solver {
             num_vars: 0,
-            arena: Vec::new(),
-            clauses: Vec::new(),
-            watches: Vec::new(),
-            assign: Vec::new(),
-            level: Vec::new(),
-            reason: Vec::new(),
-            trail: Vec::new(),
-            trail_lim: Vec::new(),
+            mem,
             qhead: 0,
-            activity: Vec::new(),
             var_inc: 1.0,
-            order: OrderHeap::default(),
-            phase: Vec::new(),
-            seen: Vec::new(),
             ok: true,
             stats: CdclStats::default(),
         }
@@ -263,16 +327,18 @@ impl Solver {
     pub fn new_var(&mut self) -> Var {
         let v = self.num_vars;
         self.num_vars += 1;
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
-        self.assign.push(UNDEF);
-        self.level.push(0);
-        self.reason.push(None);
-        self.activity.push(0.0);
-        self.phase.push(false);
-        self.seen.push(false);
-        self.order.grow_to(self.num_vars as usize);
-        self.order.push(v, &self.activity);
+        // Reuse the cleared watch lists a bigger solver left, if any.
+        while self.mem.watches.len() < 2 * self.num_vars as usize {
+            self.mem.watches.push(Vec::new());
+        }
+        self.mem.assign.push(UNDEF);
+        self.mem.level.push(0);
+        self.mem.reason.push(None);
+        self.mem.activity.push(0.0);
+        self.mem.phase.push(false);
+        self.mem.seen.push(false);
+        self.mem.order.grow_to(self.num_vars as usize);
+        self.mem.order.push(v, &self.mem.activity);
         v
     }
 
@@ -284,7 +350,7 @@ impl Solver {
     /// Number of clauses in the clause store, learned ones included.
     /// Unit clauses are not stored: they sit on the root-level trail.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.mem.clauses.len()
     }
 
     /// A 64-bit FNV-1a digest of the stored clauses in order (each one's
@@ -298,28 +364,33 @@ impl Solver {
                 hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        for c in &self.clauses {
+        for c in &self.mem.clauses {
             mix(c.len);
-            for l in &self.arena[c.start as usize..(c.start + c.len) as usize] {
+            for l in &self.mem.arena[c.start as usize..(c.start + c.len) as usize] {
                 mix(l.0);
             }
         }
-        let root = self.trail_lim.first().copied().unwrap_or(self.trail.len());
-        for l in &self.trail[..root] {
+        let root = self
+            .mem
+            .trail_lim
+            .first()
+            .copied()
+            .unwrap_or(self.mem.trail.len());
+        for l in &self.mem.trail[..root] {
             mix(l.0);
         }
         hash
     }
 
     fn value(&self, l: Lit) -> Option<bool> {
-        match self.assign[l.var() as usize] {
+        match self.mem.assign[l.var() as usize] {
             UNDEF => None,
             a => Some((a == 1) == l.positive()),
         }
     }
 
     fn decision_level(&self) -> u32 {
-        u32::try_from(self.trail_lim.len()).expect("decision levels fit u32")
+        u32::try_from(self.mem.trail_lim.len()).expect("decision levels fit u32")
     }
 
     /// Adds a clause. Tautologies are dropped, duplicate and root-false
@@ -333,34 +404,34 @@ impl Solver {
         }
         // The clause is built in place at the end of the arena and cut off
         // again unless it is stored.
-        let start = self.arena.len();
+        let start = self.mem.arena.len();
         for &l in lits {
             debug_assert!(l.var() < self.num_vars, "literal over unallocated var");
             match self.value(l) {
                 Some(false) => continue, // root-false literal: drop
                 // Already satisfied at root, or a tautology.
                 Some(true) => {
-                    self.arena.truncate(start);
+                    self.mem.arena.truncate(start);
                     return true;
                 }
-                None if self.arena[start..].contains(&l.negated()) => {
-                    self.arena.truncate(start);
+                None if self.mem.arena[start..].contains(&l.negated()) => {
+                    self.mem.arena.truncate(start);
                     return true;
                 }
                 None => {
-                    if !self.arena[start..].contains(&l) {
-                        self.arena.push(l);
+                    if !self.mem.arena[start..].contains(&l) {
+                        self.mem.arena.push(l);
                     }
                 }
             }
         }
-        match self.arena.len() - start {
+        match self.mem.arena.len() - start {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                let unit = self.arena.pop().expect("one literal");
+                let unit = self.mem.arena.pop().expect("one literal");
                 self.enqueue(unit, None);
                 // Propagate eagerly so later root adds see the implication.
                 if self.propagate().is_some() {
@@ -375,26 +446,30 @@ impl Solver {
         }
     }
 
-    fn attach(&mut self, c: &[Lit]) -> ClauseId {
-        let start = self.arena.len();
-        self.arena.extend_from_slice(c);
+    /// Stores the clause `analyze` learned.
+    fn attach_learnt(&mut self) -> ClauseId {
+        let start = self.mem.arena.len();
+        self.mem.arena.extend_from_slice(&self.mem.learnt);
         self.attach_tail(start)
     }
 
     /// Stores the arena's literals from `start` on as a clause.
     fn attach_tail(&mut self, start: usize) -> ClauseId {
-        let id = u32::try_from(self.clauses.len()).expect("clause count fits u32");
-        let len = u32::try_from(self.arena.len() - start).expect("clause length fits u32");
+        let id = u32::try_from(self.mem.clauses.len()).expect("clause count fits u32");
+        let len = u32::try_from(self.mem.arena.len() - start).expect("clause length fits u32");
         let start = u32::try_from(start).expect("arena offset fits u32");
-        self.clauses.push(Clause { start, len });
-        let (c0, c1) = (self.arena[start as usize], self.arena[start as usize + 1]);
+        self.mem.clauses.push(Clause { start, len });
+        let (c0, c1) = (
+            self.mem.arena[start as usize],
+            self.mem.arena[start as usize + 1],
+        );
         // `watches[l]` holds the clauses currently watching literal `l`;
         // they are scanned when `l` becomes false.
-        self.watches[c0.idx()].push(Watch {
+        self.mem.watches[c0.idx()].push(Watch {
             clause: id,
             blocker: c1,
         });
-        self.watches[c1.idx()].push(Watch {
+        self.mem.watches[c1.idx()].push(Watch {
             clause: id,
             blocker: c0,
         });
@@ -402,29 +477,29 @@ impl Solver {
     }
 
     fn span(&self, id: ClauseId) -> (usize, usize) {
-        let c = self.clauses[id as usize];
+        let c = self.mem.clauses[id as usize];
         (c.start as usize, c.len as usize)
     }
 
     fn enqueue(&mut self, l: Lit, reason: Option<ClauseId>) {
         debug_assert_eq!(self.value(l), None);
         let v = l.var() as usize;
-        self.assign[v] = u8::from(l.positive());
-        self.level[v] = self.decision_level();
-        self.reason[v] = reason;
-        self.phase[v] = l.positive();
-        self.trail.push(l);
+        self.mem.assign[v] = u8::from(l.positive());
+        self.mem.level[v] = self.decision_level();
+        self.mem.reason[v] = reason;
+        self.mem.phase[v] = l.positive();
+        self.mem.trail.push(l);
     }
 
     /// Unit propagation; returns the conflicting clause, if any.
     fn propagate(&mut self) -> Option<ClauseId> {
         let mut conflict = None;
-        while conflict.is_none() && self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
+        while conflict.is_none() && self.qhead < self.mem.trail.len() {
+            let p = self.mem.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
             let false_lit = p.negated();
-            let mut ws = std::mem::take(&mut self.watches[false_lit.idx()]);
+            let mut ws = std::mem::take(&mut self.mem.watches[false_lit.idx()]);
             let mut i = 0;
             let mut j = 0;
             'watches: while i < ws.len() {
@@ -437,10 +512,10 @@ impl Solver {
                 }
                 let (start, len) = self.span(w.clause);
                 // Normalize: the false literal sits in slot 1.
-                if self.arena[start] == false_lit {
-                    self.arena.swap(start, start + 1);
+                if self.mem.arena[start] == false_lit {
+                    self.mem.arena.swap(start, start + 1);
                 }
-                let first = self.arena[start];
+                let first = self.mem.arena[start];
                 if first != w.blocker && self.value(first) == Some(true) {
                     ws[j] = Watch {
                         clause: w.clause,
@@ -451,9 +526,9 @@ impl Solver {
                 }
                 // Look for a non-false literal to watch instead.
                 for k in start + 2..start + len {
-                    if self.value(self.arena[k]) != Some(false) {
-                        self.arena.swap(start + 1, k);
-                        self.watches[self.arena[start + 1].idx()].push(Watch {
+                    if self.value(self.mem.arena[k]) != Some(false) {
+                        self.mem.arena.swap(start + 1, k);
+                        self.mem.watches[self.mem.arena[start + 1].idx()].push(Watch {
                             clause: w.clause,
                             blocker: first,
                         });
@@ -473,111 +548,118 @@ impl Solver {
                         j += 1;
                         i += 1;
                     }
-                    self.qhead = self.trail.len();
+                    self.qhead = self.mem.trail.len();
                     conflict = Some(w.clause);
                     break;
                 }
                 self.enqueue(first, Some(w.clause));
             }
             ws.truncate(j);
-            self.watches[false_lit.idx()] = ws;
+            self.mem.watches[false_lit.idx()] = ws;
         }
         conflict
     }
 
     fn bump_var(&mut self, v: Var) {
-        self.activity[v as usize] += self.var_inc;
-        if self.activity[v as usize] > 1e100 {
-            for a in &mut self.activity {
+        self.mem.activity[v as usize] += self.var_inc;
+        if self.mem.activity[v as usize] > 1e100 {
+            for a in &mut self.mem.activity {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
         }
-        self.order.bumped(v, &self.activity);
+        self.mem.order.bumped(v, &self.mem.activity);
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal in slot 0) and the backtrack level.
-    fn analyze(&mut self, conflict: ClauseId) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::pos(0)]; // slot 0 patched below
+    /// First-UIP conflict analysis. Leaves the learnt clause in
+    /// `mem.learnt` (asserting literal in slot 0) and returns the
+    /// backtrack level.
+    fn analyze(&mut self, conflict: ClauseId) -> u32 {
+        self.mem.learnt.clear();
+        self.mem.learnt.push(Lit::pos(0)); // slot 0 patched below
         let mut counter = 0usize;
         let mut confl = conflict;
-        let mut index = self.trail.len();
+        let mut index = self.mem.trail.len();
         let mut expanding_reason = false;
-        let mut cleanup: Vec<Var> = Vec::new();
         let asserting = loop {
             let (start, len) = self.span(confl);
             // A reason clause's slot 0 is the literal it implied — skip it.
             let begin = if expanding_reason { start + 1 } else { start };
             for k in begin..start + len {
-                let q = self.arena[k];
+                let q = self.mem.arena[k];
                 let v = q.var();
-                if !self.seen[v as usize] && self.level[v as usize] > 0 {
-                    self.seen[v as usize] = true;
-                    cleanup.push(v);
+                if !self.mem.seen[v as usize] && self.mem.level[v as usize] > 0 {
+                    self.mem.seen[v as usize] = true;
+                    self.mem.cleanup.push(v);
                     self.bump_var(v);
-                    if self.level[v as usize] >= self.decision_level() {
+                    if self.mem.level[v as usize] >= self.decision_level() {
                         counter += 1;
                     } else {
-                        learnt.push(q);
+                        self.mem.learnt.push(q);
                     }
                 }
             }
             // Walk the trail backwards to the next marked literal.
             loop {
                 index -= 1;
-                if self.seen[self.trail[index].var() as usize] {
+                if self.mem.seen[self.mem.trail[index].var() as usize] {
                     break;
                 }
             }
-            let p = self.trail[index];
+            let p = self.mem.trail[index];
             counter -= 1;
             if counter == 0 {
                 break p;
             }
-            confl = self.reason[p.var() as usize].expect("non-decision on conflict path");
+            confl = self.mem.reason[p.var() as usize].expect("non-decision on conflict path");
             expanding_reason = true;
         };
+        let Storage {
+            learnt,
+            cleanup,
+            seen,
+            level,
+            ..
+        } = &mut self.mem;
         learnt[0] = asserting.negated();
-        for v in cleanup {
-            self.seen[v as usize] = false;
+        for v in cleanup.drain(..) {
+            seen[v as usize] = false;
         }
-        let bt = if learnt.len() == 1 {
+        if learnt.len() == 1 {
             0
         } else {
             // Second-highest level literal moves to the watch slot 1.
             let mut max_i = 1;
             for i in 2..learnt.len() {
-                if self.level[learnt[i].var() as usize] > self.level[learnt[max_i].var() as usize] {
+                if level[learnt[i].var() as usize] > level[learnt[max_i].var() as usize] {
                     max_i = i;
                 }
             }
             learnt.swap(1, max_i);
-            self.level[learnt[1].var() as usize]
-        };
-        (learnt, bt)
+            level[learnt[1].var() as usize]
+        }
     }
 
     fn backtrack_to(&mut self, lvl: u32) {
         if self.decision_level() <= lvl {
             return;
         }
-        let bound = self.trail_lim[lvl as usize];
-        for k in (bound..self.trail.len()).rev() {
-            let v = self.trail[k].var();
-            self.assign[v as usize] = UNDEF;
-            self.reason[v as usize] = None;
-            self.order.push(v, &self.activity);
+        let bound = self.mem.trail_lim[lvl as usize];
+        for k in (bound..self.mem.trail.len()).rev() {
+            let v = self.mem.trail[k].var();
+            self.mem.assign[v as usize] = UNDEF;
+            self.mem.reason[v as usize] = None;
+            self.mem.order.push(v, &self.mem.activity);
         }
-        self.trail.truncate(bound);
-        self.trail_lim.truncate(lvl as usize);
-        self.qhead = self.trail.len();
+        self.mem.trail.truncate(bound);
+        self.mem.trail_lim.truncate(lvl as usize);
+        self.qhead = self.mem.trail.len();
     }
 
     fn pick_branch(&mut self) -> Option<Var> {
         loop {
-            let v = self.order.pop(&self.activity)?;
-            if self.assign[v as usize] == UNDEF {
+            let v = self.mem.order.pop(&self.mem.activity)?;
+            if self.mem.assign[v as usize] == UNDEF {
                 return Some(v);
             }
         }
@@ -624,14 +706,11 @@ impl Solver {
                     self.ok = false;
                     return SatResult::Unsat;
                 }
-                let (learnt, bt) = self.analyze(conflict);
+                let bt = self.analyze(conflict);
                 self.backtrack_to(bt);
-                if learnt.len() == 1 {
-                    self.enqueue(learnt[0], None);
-                } else {
-                    let id = self.attach(&learnt);
-                    self.enqueue(learnt[0], Some(id));
-                }
+                let asserting = self.mem.learnt[0];
+                let reason = (self.mem.learnt.len() > 1).then(|| self.attach_learnt());
+                self.enqueue(asserting, reason);
                 self.var_inc /= 0.95;
             } else {
                 if conflicts_left == 0 {
@@ -647,14 +726,14 @@ impl Solver {
                 }
                 match self.pick_branch() {
                     None => {
-                        let model: Vec<bool> = self.assign.iter().map(|&a| a == 1).collect();
+                        let model: Vec<bool> = self.mem.assign.iter().map(|&a| a == 1).collect();
                         self.backtrack_to(0);
                         return SatResult::Sat(model);
                     }
                     Some(v) => {
                         self.stats.decisions += 1;
-                        self.trail_lim.push(self.trail.len());
-                        let phase = self.phase[v as usize];
+                        self.mem.trail_lim.push(self.mem.trail.len());
+                        let phase = self.mem.phase[v as usize];
                         self.enqueue(Lit::new(v, phase), None);
                     }
                 }
@@ -666,6 +745,22 @@ impl Solver {
 impl Default for Solver {
     fn default() -> Self {
         Solver::new()
+    }
+}
+
+impl Drop for Solver {
+    /// Hands the storage to this thread's spare slot, unless the slot is
+    /// taken, the arena is past `MAX_SPARE_LITS`, or the thread is tearing
+    /// its locals down; then the storage is freed here.
+    fn drop(&mut self) {
+        if self.mem.arena.capacity() > MAX_SPARE_LITS {
+            return;
+        }
+        let mem = std::mem::take(&mut self.mem);
+        let _ = SPARE.try_with(|slot| {
+            let held = slot.take();
+            slot.set(held.or(Some(mem)));
+        });
     }
 }
 
@@ -705,6 +800,26 @@ mod tests {
         }
     }
 
+    /// PHP(4 pigeons, 3 holes), solved: its result, counters and clause
+    /// digest, learned clauses included.
+    fn solve_pigeonhole() -> (SatResult, CdclStats, u64) {
+        let var = |p: usize, h: usize| (p * 3 + h + 1) as i32;
+        let mut clauses: Vec<Vec<i32>> = (0..4)
+            .map(|p| (0..3).map(|h| var(p, h)).collect())
+            .collect();
+        for h in 0..3 {
+            for p1 in 0..4 {
+                for p2 in p1 + 1..4 {
+                    clauses.push(vec![-var(p1, h), -var(p2, h)]);
+                }
+            }
+        }
+        let refs: Vec<&[i32]> = clauses.iter().map(Vec::as_slice).collect();
+        let mut s = solver_with(12, &refs);
+        let result = s.solve(&Budget::unlimited());
+        (result, s.stats, s.clause_digest())
+    }
+
     #[test]
     fn trivial_sat_and_unsat() {
         let clauses: &[&[i32]] = &[&[1, 2], &[-1, 2], &[1, -2]];
@@ -729,21 +844,7 @@ mod tests {
     fn php_unsat_and_graph_sat() {
         // Pigeonhole PHP(4 pigeons, 3 holes): classic small UNSAT with a
         // real resolution proof, exercising learning and restarts.
-        let var = |p: usize, h: usize| (p * 3 + h + 1) as i32;
-        let mut clauses: Vec<Vec<i32>> = Vec::new();
-        for p in 0..4 {
-            clauses.push((0..3).map(|h| var(p, h)).collect());
-        }
-        for h in 0..3 {
-            for p1 in 0..4 {
-                for p2 in p1 + 1..4 {
-                    clauses.push(vec![-var(p1, h), -var(p2, h)]);
-                }
-            }
-        }
-        let refs: Vec<&[i32]> = clauses.iter().map(Vec::as_slice).collect();
-        let mut s = solver_with(12, &refs);
-        assert_eq!(s.solve(&Budget::unlimited()), SatResult::Unsat);
+        assert_eq!(solve_pigeonhole().0, SatResult::Unsat);
 
         // 3-coloring of a 5-cycle (SAT; chromatic number 3).
         let cvar = |n: usize, c: usize| (n * 3 + c + 1) as i32;
@@ -823,6 +924,61 @@ mod tests {
     fn luby_prefix() {
         let seq: Vec<u64> = (1..=15).map(Solver::luby).collect();
         assert_eq!(seq, vec![1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]);
+    }
+
+    /// The loaded CNF of s1908's critical output at its exact delay, 310:
+    /// a SAT instance of 339 variables and 1 009 clauses.
+    fn s1908_cnf() -> Solver {
+        use crate::encode::{encode_check, Encoded};
+        let suite = ltt_netlist::suite::iscas85_suite(10);
+        let c = &suite
+            .iter()
+            .find(|e| e.name == "s1908")
+            .expect("s1908 is in the suite")
+            .circuit;
+        let arrival = c.arrival_times();
+        let s = *c
+            .outputs()
+            .iter()
+            .max_by_key(|o| arrival[o.index()])
+            .expect("s1908 has outputs");
+        match encode_check(c, s, 310, &Budget::unlimited()) {
+            Ok(Encoded::Cnf(cnf)) => cnf.solver,
+            _ => panic!("s1908 at δ = 310 needs a CNF"),
+        }
+    }
+
+    #[test]
+    fn reused_storage_solves_like_fresh_storage() {
+        let fresh = std::thread::spawn(solve_pigeonhole)
+            .join()
+            .expect("fresh thread");
+        let reused = std::thread::spawn(|| {
+            let mut big = s1908_cnf();
+            assert!(matches!(big.solve(&Budget::unlimited()), SatResult::Sat(_)));
+            drop(big);
+            // Dropped mid-search: assignments, levels, reasons and the
+            // trail are all live when the storage is handed on.
+            let mut tripped = s1908_cnf();
+            assert_eq!(
+                tripped.solve(&Budget::unlimited().with_events(20)),
+                SatResult::Unknown(TripReason::Events)
+            );
+            assert!(tripped.decision_level() > 0, "tripped mid-search");
+            drop(tripped);
+            let spare_lits = SPARE.with(|slot| {
+                let held = slot.take();
+                let lits = held.as_ref().map_or(0, |m| m.arena.capacity());
+                slot.set(held);
+                lits
+            });
+            assert!(spare_lits > 0, "the tripped solver's storage is kept");
+            solve_pigeonhole()
+        })
+        .join()
+        .expect("reusing thread");
+        assert_eq!(fresh.0, SatResult::Unsat);
+        assert_eq!(reused, fresh);
     }
 
     #[test]

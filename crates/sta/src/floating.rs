@@ -76,14 +76,13 @@ pub fn floating_settle(circuit: &Circuit, vector: &[bool]) -> Vec<SettleInfo> {
     for (&net, &v) in circuit.inputs().iter().zip(vector) {
         info[net.index()] = SettleInfo { value: v, time: 0 };
     }
+    // One buffer of input values, refilled gate by gate.
+    let mut vals: Vec<bool> = Vec::new();
     for &gid in circuit.topo_gates() {
         let gate = circuit.gate(gid);
         let d = i64::from(gate.dmax());
-        let vals: Vec<bool> = gate
-            .inputs()
-            .iter()
-            .map(|n| info[n.index()].value)
-            .collect();
+        vals.clear();
+        vals.extend(gate.inputs().iter().map(|n| info[n.index()].value));
         let value = gate.kind().eval(&vals);
         let time = if gate.kind() == ltt_netlist::GateKind::Mux {
             // The output is forced once the select and the selected data

@@ -9,8 +9,8 @@
 //! seeding.
 
 use ltt_core::{
-    BatchRunner, CaseStats, CheckError, CheckSession, DelaySearch, Engine, SolverStats, StemStats,
-    Verdict, VerifyConfig, VerifyReport,
+    BatchRunner, CaseStats, CdclStats, CheckError, CheckSession, DelaySearch, Engine, SolverStats,
+    StemStats, Verdict, VerifyConfig, VerifyReport,
 };
 use ltt_netlist::generators::{
     carry_skip_adder, false_path_chain, figure1, random_circuit, RandomCircuitConfig,
@@ -37,8 +37,19 @@ fn config() -> VerifyConfig {
     }
 }
 
-/// Everything a check reports except wall-clock.
-type Fingerprint = (usize, i64, Verdict, u64, SolverStats, StemStats, CaseStats);
+/// Everything a check reports except wall-clock. The CDCL counters also
+/// show that a solver on reused storage (the serial runner's one thread)
+/// searches like one on fresh storage (each parallel worker's first).
+type Fingerprint = (
+    usize,
+    i64,
+    Verdict,
+    u64,
+    SolverStats,
+    StemStats,
+    CaseStats,
+    CdclStats,
+);
 
 fn fingerprint(r: &VerifyReport) -> Fingerprint {
     (
@@ -49,6 +60,7 @@ fn fingerprint(r: &VerifyReport) -> Fingerprint {
         r.effort.total(),
         r.stems,
         r.case,
+        r.sat,
     )
 }
 
