@@ -87,15 +87,15 @@ fn sweep_carriers(circuit: &Circuit, domains: &[Signal], s: NetId, delta: i64, o
         return;
     }
     dist[s.index()] = Some(0);
-    let topo = circuit.topology();
     for &gid in circuit.topo_gates().iter().rev() {
-        let Some(k) = dist[topo.gate_output(gid).index()] else {
+        let gate = circuit.gate(gid);
+        let Some(k) = dist[gate.output().index()] else {
             continue;
         };
         gates.push(gid);
-        let cand = k + i64::from(topo.gate_dmax(gid));
+        let cand = k + i64::from(gate.dmax());
         let late = Time::new(delta - cand);
-        for &x in topo.gate_inputs(gid) {
+        for &x in gate.inputs() {
             if dist[x.index()].is_none_or(|cur| cand > cur)
                 && domains[x.index()].can_transition_at_or_after(late)
             {

@@ -175,7 +175,7 @@ pub fn case_analysis_scoped(
     // their count. Preallocate once instead of growing mid-search.
     let depth_bound = match scope {
         Some(scope) => scope.depth_bound,
-        None => 1 + circuit.inputs().len() + circuit.topology().num_fanout_stems(),
+        None => 1 + circuit.inputs().len() + circuit.num_fanout_stems(),
     };
     let mut stack: Vec<Frame> = Vec::with_capacity(depth_bound);
     // The narrower's budget can carry its own backtrack cap; the effective
@@ -324,13 +324,13 @@ impl DecisionPlan {
             innermost[d.index()] = i as u32;
         }
         if !dominators.is_empty() {
-            let topo = circuit.topology();
             for &gid in circuit.topo_gates().iter().rev() {
-                let label = innermost[topo.gate_output(gid).index()];
+                let gate = circuit.gate(gid);
+                let label = innermost[gate.output().index()];
                 if label == NO_REGION {
                     continue;
                 }
-                for &x in topo.gate_inputs(gid) {
+                for &x in gate.inputs() {
                     let slot = &mut innermost[x.index()];
                     if *slot == NO_REGION || *slot < label {
                         *slot = label;
@@ -458,16 +458,16 @@ fn raise_objectives(
     for net in scratch.touched.drain(..) {
         scratch.enabled[net.index()] = [i64::MIN; 2];
     }
-    let topo = circuit.topology();
     let carriers = kernel.carriers();
     for &gid in kernel.carrier_gates() {
-        let k = carriers[topo.gate_output(gid).index()].expect("a carrier gate drives a carrier");
-        let Some(ctrl) = topo.gate_kind(gid).controlling_value() else {
+        let gate = circuit.gate(gid);
+        let k = carriers[gate.output().index()].expect("a carrier gate drives a carrier");
+        let Some(ctrl) = gate.kind().controlling_value() else {
             continue; // XOR/unary gates are always transparent
         };
         let nc = !Level::from_bool(ctrl);
-        let weight = k + i64::from(topo.gate_dmax(gid));
-        for &x in topo.gate_inputs(gid) {
+        let weight = k + i64::from(gate.dmax());
+        for &x in gate.inputs() {
             if carriers[x.index()].is_some() {
                 continue; // carriers are path candidates, not side inputs
             }

@@ -14,7 +14,7 @@
 //! The propagation runs 64 assumptions at a time, one per bit lane of a
 //! word per net and class (DESIGN.md §16).
 
-use ltt_netlist::{Circuit, GateId, GateKind, NetId, Topology};
+use ltt_netlist::{Circuit, GateId, GateKind, NetId};
 use ltt_waveform::Level;
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -247,8 +247,7 @@ impl ImplicationTable {
     pub(crate) fn learn_from(circuit: &Circuit, sources: &[bool]) -> ImplicationTable {
         let n = circuit.num_nets();
         assert!(n < 1 << 31, "implication keys pack two net ids");
-        let topo = circuit.topology();
-        let mut kernel = LaneKernel::new(circuit, &topo);
+        let mut kernel = LaneKernel::new(circuit);
         let assumptions: Vec<(NetId, Level)> = circuit
             .net_ids()
             .filter(|y| sources[y.index()])
@@ -432,7 +431,7 @@ impl Hasher for KeyHasher {
 }
 
 /// The class-propagation kernel: 64 assumptions at once, one per bit lane,
-/// on the circuit's CSR [`Topology`]. Each net holds two words: the lanes
+/// on the circuit's CSR tables. Each net holds two words: the lanes
 /// in which it can still settle to 0, and to 1. A lane that would empty a
 /// net is marked dead and frozen. Every other lane ends at the greatest
 /// fixpoint of the gate rules below its own assumption, which is unique,
@@ -440,7 +439,7 @@ impl Hasher for KeyHasher {
 /// once per learn call and reset through the trail of touched nets
 /// between chunks.
 struct LaneKernel<'t> {
-    topo: &'t Topology,
+    circuit: &'t Circuit,
     /// Gates by topological position.
     order: &'t [GateId],
     /// `[can0, can1]` per net; all ones everywhere off the trail.
@@ -459,9 +458,9 @@ struct LaneKernel<'t> {
 }
 
 impl<'t> LaneKernel<'t> {
-    fn new(circuit: &'t Circuit, topo: &'t Topology) -> Self {
+    fn new(circuit: &'t Circuit) -> Self {
         LaneKernel {
-            topo,
+            circuit,
             order: circuit.topo_gates(),
             can: vec![[ALL; 2]; circuit.num_nets()],
             trail: Vec::new(),
@@ -486,11 +485,12 @@ impl<'t> LaneKernel<'t> {
             self.narrow(y, allowed);
         }
         while let Some(g) = self.pop() {
-            let inputs = self.topo.gate_inputs(g);
+            let gate = self.circuit.gate(g);
+            let inputs = gate.inputs();
             self.ins.clear();
             self.ins.extend(inputs.iter().map(|n| self.can[n.index()]));
-            let rule = GateRule::new(self.topo.gate_kind(g), &self.ins);
-            let out = self.topo.gate_output(g);
+            let rule = GateRule::new(gate.kind(), &self.ins);
+            let out = gate.output();
             self.narrow(out, rule.forward(&self.ins));
             let out_words = self.can[out.index()];
             for (j, &inp) in inputs.iter().enumerate() {
@@ -524,8 +524,8 @@ impl<'t> LaneKernel<'t> {
             self.trail.push(net);
         }
         self.can[net.index()] = next;
-        for &g in self.topo.touching(net) {
-            let p = self.topo.gate_position(g);
+        for &g in self.circuit.net(net).touching() {
+            let p = self.circuit.gate(g).topo_position();
             self.pending[p / 64] |= 1u64 << (p % 64);
             self.lo = self.lo.min(p / 64);
             self.hi = self.hi.max(p / 64);

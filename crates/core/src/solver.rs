@@ -7,7 +7,7 @@
 //! unique greatest fixpoint is reached in finitely many steps (Theorem 1).
 //!
 //! The inner loop is allocation-free: gate metadata comes from the
-//! circuit's flat [`Topology`] tables, unary and 2-input AND-family gates
+//! circuit's flat id-indexed tables, unary and 2-input AND-family gates
 //! go through the straight-line projection kernels, and the general rules
 //! write into scratch buffers owned by the narrower. The FIFO queue and
 //! per-gate `queued` flags make the event order — and therefore
@@ -19,7 +19,7 @@ use crate::carriers::DominatorKernel;
 use crate::domain::{Checkpoint, SignalStore};
 use crate::learning::ImplicationTable;
 use crate::projection::{project_and2, project_into, project_unary2};
-use ltt_netlist::{Circuit, GateId, GateKind, NetId, Topology};
+use ltt_netlist::{Circuit, GateId, GateKind, NetId};
 use ltt_waveform::{Level, Signal};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -137,9 +137,6 @@ impl SolverStats {
 /// ```
 pub struct Narrower<'c> {
     circuit: &'c Circuit,
-    /// Flat connectivity tables, shared with every other narrower of the
-    /// same circuit (built once, cached on the circuit).
-    topo: Arc<Topology>,
     store: SignalStore,
     queue: VecDeque<GateId>,
     queued: Vec<bool>,
@@ -186,7 +183,6 @@ impl<'c> Narrower<'c> {
         );
         Narrower {
             circuit,
-            topo: circuit.topology(),
             store,
             queue: VecDeque::new(),
             queued: vec![false; circuit.num_gates()],
@@ -354,7 +350,7 @@ impl<'c> Narrower<'c> {
     /// Schedules every constraint touching `net` (its driver and readers).
     pub fn schedule_net(&mut self, net: NetId) {
         let scope = self.scope.as_deref();
-        for &gate in self.topo.touching(net) {
+        for &gate in self.circuit.net(net).touching() {
             enqueue(&mut self.queue, &mut self.queued, scope, gate);
         }
     }
@@ -441,11 +437,12 @@ impl<'c> Narrower<'c> {
     /// paths narrow the output first, then the inputs in gate order, so the
     /// event schedule is shape-independent.
     pub fn apply_gate(&mut self, gate: GateId) -> bool {
-        let kind = self.topo.gate_kind(gate);
-        let d = i64::from(self.topo.gate_dmax(gate));
-        let out_net = self.topo.gate_output(gate);
+        let g = self.circuit.gate(gate);
+        let kind = g.kind();
+        let d = i64::from(g.dmax());
+        let out_net = g.output();
         let output = self.store.get(out_net);
-        let ins = self.topo.gate_inputs(gate);
+        let ins = g.inputs();
         match *ins {
             [a_net] => {
                 let (out_t, in_t) = project_unary2(kind, d, self.store.get(a_net), output);
@@ -481,8 +478,7 @@ impl<'c> Narrower<'c> {
                 scratch_in.extend(ins.iter().map(|&n| self.store.get(n)));
                 let out_t = project_into(kind, d, &scratch_in, output, &mut scratch_tgt);
                 let mut changed = self.narrow_net(out_net, out_t);
-                for (i, &target) in scratch_tgt.iter().enumerate() {
-                    let net = self.topo.gate_inputs(gate)[i];
+                for (&net, &target) in ins.iter().zip(&scratch_tgt) {
                     changed |= self.narrow_net(net, target);
                 }
                 self.scratch_in = scratch_in;

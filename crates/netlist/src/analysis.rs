@@ -5,8 +5,7 @@
 //! or not — and provide both the conservative delay bound and the distance
 //! metric used by static carriers and timing dominators.
 
-use crate::{Circuit, NetId, Topology};
-use std::sync::Arc;
+use crate::{Circuit, NetId};
 
 impl Circuit {
     /// The topological arrival time `top_n` of every net: the length
@@ -211,7 +210,6 @@ impl Tags {
 /// tagged nets between chunks.
 struct StemKernel<'c> {
     circuit: &'c Circuit,
-    topo: Arc<Topology>,
     tags: Vec<Tags>,
     /// Every net tagged in some lane of the chunk, each once.
     trail: Vec<NetId>,
@@ -221,7 +219,6 @@ impl<'c> StemKernel<'c> {
     fn new(circuit: &'c Circuit) -> Self {
         StemKernel {
             circuit,
-            topo: circuit.topology(),
             tags: vec![Tags::default(); circuit.num_nets()],
             trail: Vec::new(),
         }
@@ -251,18 +248,20 @@ impl<'c> StemKernel<'c> {
         let mut start = usize::MAX;
         for (l, &stem) in chunk.iter().enumerate() {
             for (b, &g) in self.circuit.net(stem).readers().iter().enumerate().take(64) {
-                self.tag(self.topo.gate_output(g), &Tags::branch(l, b));
-                start = start.min(self.topo.gate_position(g));
+                let gate = self.circuit.gate(g);
+                self.tag(gate.output(), &Tags::branch(l, b));
+                start = start.min(gate.topo_position());
             }
         }
         let mut done = 0u64;
         for &g in &self.circuit.topo_gates()[start..] {
             let live = lanes & !done;
-            let inputs = self.topo.gate_inputs(g);
+            let gate = self.circuit.gate(g);
+            let inputs = gate.inputs();
             if inputs.iter().all(|n| self.tags[n.index()].any & live == 0) {
                 continue;
             }
-            let out = self.topo.gate_output(g);
+            let out = gate.output();
             let mut acc = self.tags[out.index()];
             let (mut arms1, mut arms2) = (0u64, 0u64);
             for n in inputs {

@@ -19,7 +19,7 @@
 //! [`CircuitBuilder`](crate::CircuitBuilder), which would re-derive reader
 //! lists in rebuild order.
 
-use crate::circuit::{Circuit, Gate, GateId, Net, NetId};
+use crate::circuit::{Circuit, GateId, NetId, Structure};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -73,58 +73,52 @@ impl ConeView {
         let map_net = |n: NetId| NetId::from_index(net_to_sub[n.index()] as usize);
         let map_gate = |g: GateId| GateId::from_index(gate_to_sub[g.index()] as usize);
 
+        let mut names = Vec::with_capacity(net_from_sub.len());
         let mut by_name = HashMap::with_capacity(net_from_sub.len());
-        let nets: Vec<Net> = net_from_sub
-            .iter()
-            .enumerate()
-            .map(|(new_idx, &old)| {
-                let net = circuit.net(old);
-                by_name.insert(net.name().to_string(), NetId::from_index(new_idx));
-                // Readers: filter to cone gates, preserving order.
-                let readers: Vec<GateId> = net
-                    .readers()
-                    .iter()
-                    .filter(|r| gate_to_sub[r.index()] != OUT)
-                    .map(|&r| map_gate(r))
-                    .collect();
-                Net::from_parts(net.name().to_string(), net.driver().map(map_gate), readers)
-            })
-            .collect();
-        let gates: Vec<Gate> = gate_from_sub
-            .iter()
-            .map(|&old| {
-                let gate = circuit.gate(old);
-                Gate::from_parts(
-                    gate.kind(),
-                    gate.inputs().iter().map(|&n| map_net(n)).collect(),
-                    map_net(gate.output()),
-                    gate.delay(),
-                )
-            })
-            .collect();
+        for (new_idx, &old) in net_from_sub.iter().enumerate() {
+            let name = circuit.net(old).name().to_string();
+            by_name.insert(name.clone(), NetId::from_index(new_idx));
+            names.push(name);
+        }
         let inputs: Vec<NetId> = circuit
             .inputs()
             .iter()
             .filter(|i| in_cone[i.index()])
             .map(|&i| map_net(i))
             .collect();
-        let topo_gates: Vec<GateId> = circuit
-            .topo_gates()
-            .iter()
-            .filter(|g| gate_to_sub[g.index()] != OUT)
-            .map(|&g| map_gate(g))
-            .collect();
-        let sub = Circuit::from_parts(
+        let mut sub = Structure::new(
             format!("{}@{}", circuit.name(), circuit.net(output).name()),
-            nets,
-            gates,
+            names,
+            by_name,
             inputs,
             vec![map_net(output)],
-            topo_gates,
-            by_name,
+        );
+        let mut delays = Vec::with_capacity(gate_from_sub.len());
+        for &old in &gate_from_sub {
+            let gate = circuit.gate(old);
+            let inputs = gate.inputs().iter().map(|&n| map_net(n));
+            sub.push_gate(gate.kind(), inputs, map_net(gate.output()));
+            delays.push(gate.delay());
+        }
+        for &old in &net_from_sub {
+            let net = circuit.net(old);
+            // Readers: filter to cone gates, preserving order.
+            let readers = net
+                .readers()
+                .iter()
+                .filter(|r| gate_to_sub[r.index()] != OUT);
+            sub.connect_net(net.driver().map(map_gate), readers.map(|&r| map_gate(r)));
+        }
+        sub.set_order(
+            circuit
+                .topo_gates()
+                .iter()
+                .filter(|g| gate_to_sub[g.index()] != OUT)
+                .map(|&g| map_gate(g))
+                .collect(),
         );
         ConeView {
-            sub: Arc::new(sub),
+            sub: Arc::new(sub.into_circuit(delays)),
             net_to_sub,
             net_from_sub,
             gate_to_sub,
@@ -290,10 +284,15 @@ mod tests {
         let c = random_dag(60, 4, 0xC0FFEE);
         for &s in c.outputs() {
             let view = ConeView::extract(&c, s);
-            let legacy = c.extract_cone(s);
-            assert_eq!(view.circuit().num_nets(), legacy.num_nets(), "net count");
-            assert_eq!(view.circuit().num_gates(), legacy.num_gates());
-            assert_eq!(view.circuit().inputs().len(), legacy.inputs().len());
+            let mask = c.fanin_cone(s);
+            let nets = mask.iter().filter(|&&m| m).count();
+            let gates = c.gate_ids().filter(|&g| mask[c.gate(g).output().index()]);
+            let inputs = c.inputs().iter().filter(|i| mask[i.index()]);
+            assert_eq!(view.circuit().num_nets(), nets, "net count");
+            assert_eq!(view.circuit().num_gates(), gates.count());
+            assert_eq!(view.circuit().inputs().len(), inputs.count());
+            let extracted = c.extract_cone(s);
+            assert_eq!(extracted.topo_gates(), view.circuit().topo_gates());
         }
     }
 

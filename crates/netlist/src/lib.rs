@@ -50,7 +50,6 @@ mod gate;
 pub mod generators;
 pub mod sdf;
 pub mod suite;
-mod topology;
 pub mod transform;
 pub mod verilog;
 
@@ -60,7 +59,6 @@ pub use circuit::{
 };
 pub use cone::ConeView;
 pub use gate::{DelayInterval, GateKind};
-pub use topology::{Adjacency, Topology};
 
 /// Parses `source` in the named netlist format, `"bench"` or `"verilog"`,
 /// with every gate at `delay` (a `.bench` circuit is called `name`; a
