@@ -189,6 +189,54 @@ fn rebase_matches_cold_session() {
     }
 }
 
+/// A patch outside some output's cone carries that output's cone over to
+/// the child session; there the sliced check and the masked reference
+/// stay bit-identical, and both equal a cold session on the edited circuit.
+#[test]
+fn rebased_sessions_keep_masked_and_sliced_identical() {
+    let mut carried = 0;
+    for c in [
+        c17(10),
+        carry_skip_adder(6, 2, 10),
+        random_dag(7),
+        random_dag(99),
+        random_dag(1234),
+    ] {
+        let parent = CheckSession::new(&c, VerifyConfig::default());
+        for &s in c.outputs() {
+            for delta in probe_deltas(parent.arrival_times()[s.index()]) {
+                let _ = parent.verify(s, delta);
+            }
+        }
+        // The first gate outside the first output cone that misses one.
+        let Some(gate) = c.outputs().iter().find_map(|&s| {
+            let cone = parent.cone(s)?;
+            c.gate_ids()
+                .find(|&g| !cone.view().contains_net(c.gate(g).output()))
+        }) else {
+            continue;
+        };
+        let delay = ltt_netlist::DelayInterval::fixed(7);
+        let patch = parent
+            .patch(&[CircuitEdit::SetDelay { gate, delay }])
+            .expect("delay edit is valid");
+        let child = &patch.session;
+        let cold = CheckSession::new_shared(patch.circuit.clone(), VerifyConfig::default());
+        for &s in c.outputs() {
+            if let (Some(a), Some(b)) = (parent.cone(s), child.cone(s)) {
+                carried += usize::from(Arc::ptr_eq(a, b));
+            }
+            for delta in probe_deltas(cold.arrival_times()[s.index()]) {
+                let what = format!("{} output {} δ={delta}", c.name(), c.net(s).name());
+                let sliced = child.verify(s, delta);
+                assert_bit_identical(&sliced, &child.verify_masked_reference(s, delta), &what);
+                assert_bit_identical(&sliced, &cold.verify(s, delta), &what);
+            }
+        }
+    }
+    assert!(carried > 0, "no output carried its cone over");
+}
+
 #[test]
 fn structural_rebase_matches_cold_session() {
     // Rewire one 2-input gate's inputs swapped with another input net —
