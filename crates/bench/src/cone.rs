@@ -44,7 +44,7 @@ pub fn smallest_cone_output(circuit: &Circuit) -> (NetId, i64) {
         .iter()
         .filter_map(|&o| {
             let view = ConeView::extract(circuit, o);
-            (!view.is_complete()).then(|| (o, view.gates().len()))
+            (!view.is_complete()).then(|| (o, view.circuit().num_gates()))
         })
         .min_by_key(|&(_, gates)| gates)
         .expect("an output with a strict fanin cone");

@@ -99,7 +99,7 @@ pub use explain::{explain, Explanation};
 pub use fan::{fill_level, CaseConfig, CaseOutcome, CaseScope, CaseStats};
 pub use learning::ImplicationTable;
 pub use obs::{Obs, Recorder, Span, SpanStart};
-pub use prepared::{CheckSession, ConeAnalysis, Patch};
+pub use prepared::{CheckSession, Cone, Patch};
 pub use projection::{project, GateProjection};
 pub use solver::{FixpointResult, NarrowScope, Narrower, SolverStats};
 pub use stems::StemStats;

@@ -62,63 +62,42 @@ impl CircuitHandle<'_> {
     }
 }
 
-/// Everything a cone-scoped check of one output needs, derived once per
-/// output and shared by every check (and by the masked reference run):
+/// One output's fanin cone, built once per output and shared by every
+/// check of it (DESIGN.md §14):
 ///
 /// * the [`ConeView`] — the output's transitive fanin as a dense,
-///   order-preservingly renumbered sub-circuit (the circuit a sliced
-///   check runs on);
-/// * whole-circuit-indexed masks restricting propagation and decisions to
-///   the cone (the masked reference run's scope);
-/// * the cone-local reconvergent-stem candidates and fanout-stem flags
-///   (reader counts *inside* the cone — a net with one in-cone and two
-///   out-of-cone readers is a whole-circuit stem but not a cone stem);
-/// * the parent implication table sliced to cone-internal pairs
-///   ([`ImplicationTable::sliced`]) — *not* a table re-learned on the
-///   sub-circuit, which could differ.
-pub struct ConeAnalysis {
+///   order-preservingly renumbered sub-circuit, with its net maps;
+/// * the sub-session every sliced check of the output runs in: the
+///   sub-circuit, the parent implication table sliced to cone-internal
+///   pairs ([`ImplicationTable::sliced`] — *not* a table re-learned on the
+///   sub-circuit, which could differ) and the parent base fixpoint sliced
+///   to cone nets. Its stem candidates are the sub-circuit's own (reader
+///   counts *inside* the cone — a net with one in-cone and two
+///   out-of-cone readers is a whole-circuit stem but not a cone stem).
+pub struct Cone {
     view: ConeView,
-    scope: Arc<NarrowScope>,
-    case: CaseScope,
-    /// Sub-circuit reconvergent-stem candidates, whole-circuit-indexed.
-    stem_candidates: Vec<bool>,
-    /// The parent table sliced to the cone, sub-circuit-indexed.
-    table: Option<Arc<ImplicationTable>>,
+    session: CheckSession<'static>,
 }
 
-impl ConeAnalysis {
-    fn build(circuit: &Circuit, output: NetId, table: Option<&Arc<ImplicationTable>>) -> Self {
-        let view = ConeView::extract(circuit, output);
-        let sub = view.circuit();
-        let nets: Vec<bool> = circuit.net_ids().map(|n| view.contains_net(n)).collect();
-        let gates: Vec<bool> = circuit.gate_ids().map(|g| view.contains_gate(g)).collect();
-        let inputs: Vec<NetId> = circuit
-            .inputs()
-            .iter()
-            .copied()
-            .filter(|&i| view.contains_net(i))
-            .collect();
-        let sub_candidates = sub.reconvergent_stems();
-        let mut stems = vec![false; circuit.num_nets()];
-        let mut stem_candidates = vec![false; circuit.num_nets()];
-        for m in sub.net_ids() {
-            let old = view.net_from_sub(m).index();
-            stems[old] = sub.net(m).is_fanout_stem();
-            stem_candidates[old] = sub_candidates[m.index()];
-        }
-        let sliced = table.map(|t| Arc::new(t.sliced(&view)));
-        ConeAnalysis {
-            scope: Arc::new(NarrowScope::new(gates, nets.clone())),
-            case: CaseScope {
-                depth_bound: 1 + inputs.len() + stems.iter().filter(|&&stem| stem).count(),
-                nets,
-                inputs,
-                stems,
-            },
-            stem_candidates,
-            table: sliced,
-            view,
-        }
+impl Cone {
+    /// Opens the sub-session of `view`, seeded from its parent's table
+    /// and base fixpoint.
+    fn build(
+        view: ConeView,
+        table: Option<&Arc<ImplicationTable>>,
+        base: &SignalStore,
+        config: &VerifyConfig,
+    ) -> Cone {
+        let handle = CircuitHandle::Shared(view.circuit().clone());
+        let session = CheckSession::open(handle, config.clone());
+        let _ = session.table.set(table.map(|t| Arc::new(t.sliced(&view))));
+        // Seed the sub base by slicing the whole base fixpoint — NOT by
+        // re-running narrowing on the sub-circuit, which would lose the
+        // backward pressure out-of-cone learning constants exert on cone
+        // nets through fringe gates.
+        let domains: Vec<Signal> = view.nets().iter().map(|&old| base.get(old)).collect();
+        let _ = session.base.set(SignalStore::from_domains(&domains));
+        Cone { view, session }
     }
 
     /// The cone as a renumbered sub-circuit.
@@ -128,8 +107,12 @@ impl ConeAnalysis {
 
     /// The cone's reconvergent-stem candidates: computed on the
     /// sub-circuit (reader counts inside the cone), whole-circuit indexed.
-    pub fn stem_candidates(&self) -> &[bool] {
-        &self.stem_candidates
+    pub fn stem_candidates(&self) -> Vec<bool> {
+        let mut mask = vec![false; self.view.num_parent_nets()];
+        for (&old, &stem) in self.view.nets().iter().zip(self.session.stem_candidates()) {
+            mask[old.index()] = stem;
+        }
+        mask
     }
 }
 
@@ -185,18 +168,13 @@ pub struct CheckSession<'c> {
     settle: OnceLock<Vec<SettleBounds>>,
     controllability: OnceLock<Controllability>,
     stem_mask: OnceLock<Vec<bool>>,
-    /// Per-output cone analyses (`None` once computed = the cone covers
-    /// the whole circuit, where a check runs on the whole circuit).
-    cones: Vec<OnceLock<Option<Arc<ConeAnalysis>>>>,
+    /// Per-output cones (`None` once computed = the cone covers the whole
+    /// circuit, where a check runs on the whole circuit). `Arc` so an ECO
+    /// rebase can transplant untouched cones wholesale.
+    cones: Vec<OnceLock<Option<Arc<Cone>>>>,
     /// The base-fixpoint store prototype: planes derived once, cloned (two
     /// flat memcpys) into every per-check narrower.
     base: OnceLock<SignalStore>,
-    /// Per-output cone-sliced sub-sessions: each wraps the cone's
-    /// renumbered sub-circuit with a base store sliced from the
-    /// whole-circuit base fixpoint, so a sliced check seeds with two
-    /// memcpys *sized to the cone*. `Arc` so an ECO rebase
-    /// can transplant untouched cone sessions wholesale.
-    cone_sessions: Vec<OnceLock<Arc<CheckSession<'static>>>>,
 }
 
 impl<'c> CheckSession<'c> {
@@ -215,20 +193,19 @@ impl<'c> CheckSession<'c> {
     }
 
     fn open(circuit: CircuitHandle<'c>, config: VerifyConfig) -> Self {
-        fn per_output<T>(circuit: &CircuitHandle) -> Vec<OnceLock<T>> {
-            (0..circuit.get().outputs().len())
-                .map(|_| OnceLock::new())
-                .collect()
-        }
         CheckSession {
             table: OnceLock::new(),
             arrival: OnceLock::new(),
             settle: OnceLock::new(),
             controllability: OnceLock::new(),
             stem_mask: OnceLock::new(),
-            cones: per_output(&circuit),
+            cones: circuit
+                .get()
+                .outputs()
+                .iter()
+                .map(|_| OnceLock::new())
+                .collect(),
             base: OnceLock::new(),
-            cone_sessions: per_output(&circuit),
             circuit,
             config,
         }
@@ -300,35 +277,33 @@ impl<'c> CheckSession<'c> {
             .get_or_init(|| self.circuit().reconvergent_stems())
     }
 
-    /// The fanin-cone analysis of `output`, cached per output. `None` when
-    /// no cone-scoped run applies: `output` is not a primary output, or its
-    /// cone covers the whole circuit (slicing would be the identity and the
-    /// whole-circuit run is strictly cheaper).
-    pub fn cone(&self, output: NetId) -> Option<&Arc<ConeAnalysis>> {
+    /// The fanin cone of `output` and its sub-session, cached per output.
+    /// `None` when no cone-scoped run applies: `output` is not a primary
+    /// output, or its cone covers the whole circuit (slicing would be the
+    /// identity and the whole-circuit run is strictly cheaper).
+    pub fn cone(&self, output: NetId) -> Option<&Arc<Cone>> {
         let pos = self.circuit().outputs().iter().position(|&o| o == output)?;
         self.cones[pos]
             .get_or_init(|| {
-                // Learn first, so the span below times the cone alone.
+                // Learn and settle the base first, so the span below times
+                // the cone alone.
                 let table = self.implication_table();
+                let base = self.base_store();
                 let span = self.config.obs.start();
-                let ca = ConeAnalysis::build(self.circuit(), output, table);
+                let view = ConeView::extract(self.circuit(), output);
+                let cone_nets = view.nets().len();
+                let cone = (!view.is_complete())
+                    .then(|| Arc::new(Cone::build(view, table, base, &self.config)));
                 self.config.obs.span(
                     "prepare.cone",
                     "prepare",
                     span,
                     &[
                         ("output", i64::try_from(output.index()).unwrap_or(i64::MAX)),
-                        (
-                            "cone_nets",
-                            i64::try_from(ca.view.nets().len()).unwrap_or(i64::MAX),
-                        ),
+                        ("cone_nets", i64::try_from(cone_nets).unwrap_or(i64::MAX)),
                     ],
                 );
-                if ca.view.is_complete() {
-                    None
-                } else {
-                    Some(Arc::new(ca))
-                }
+                cone
             })
             .as_ref()
     }
@@ -382,8 +357,8 @@ impl<'c> CheckSession<'c> {
     /// * SCOAP controllabilities and the reconvergent-stem
     ///   candidate set — functions of connectivity only;
     /// * per output the carry-over rule leaves unaffected
-    ///   ([`Patch::unaffected`]), the cone analysis and the warmed cone
-    ///   sub-session, wholesale — if this session built them: checks the
+    ///   ([`Patch::unaffected`]), the [`Cone`] with its warmed
+    ///   sub-session, wholesale — if this session built it: checks the
     ///   base fixpoint refutes build no cone.
     ///
     /// Arrival times and settle bounds never transfer: delay edits move
@@ -432,22 +407,12 @@ impl<'c> CheckSession<'c> {
         // cone there is nothing to transplant, so a session that never
         // narrowed forces neither.
         for (pos, cone) in self.cones.iter().enumerate() {
-            let ca = match cone.get() {
-                None => continue,
-                Some(None) => {
-                    // "Cone covers the whole circuit" is a connectivity
-                    // fact; it survives any delay-only edit.
-                    let _ = patch.session.cones[pos].set(None);
-                    continue;
-                }
-                Some(Some(ca)) => ca,
-            };
-            if !patch.unaffected(self.circuit().outputs()[pos]) {
-                continue;
-            }
-            let _ = patch.session.cones[pos].set(Some(ca.clone()));
-            if let Some(sub) = self.cone_sessions[pos].get() {
-                let _ = patch.session.cone_sessions[pos].set(sub.clone());
+            // An unaffected output keeps its cone. "The cone covers the
+            // whole circuit" is a connectivity fact: it survives any
+            // delay-only edit.
+            let Some(cone) = cone.get() else { continue };
+            if cone.is_none() || patch.unaffected(self.circuit().outputs()[pos]) {
+                let _ = patch.session.cones[pos].set(cone.clone());
             }
         }
         patch
@@ -536,11 +501,10 @@ impl<'c> CheckSession<'c> {
             return refuted_at_base(output, name, delta, config);
         }
         if route != Route::Whole {
-            if let Some((pos, ca)) = self.cone_target(output, assumptions) {
-                let ca = ca.clone();
+            if let Some(cone) = self.cone_target(output, assumptions) {
                 return match route {
-                    Route::Masked => self.verify_masked(&ca, output, delta, config, assumptions),
-                    _ => self.verify_sliced(pos, &ca, output, delta, config, assumptions),
+                    Route::Masked => self.verify_masked(cone, output, delta, config, assumptions),
+                    _ => self.verify_sliced(cone, output, delta, config, assumptions),
                 };
             }
         }
@@ -571,15 +535,10 @@ impl<'c> CheckSession<'c> {
     /// out-of-cone net a cone-sized store cannot see; the cone route
     /// answers it from the base before asking for a cone, and the masked
     /// route keeps the whole-circuit store, which sees it.
-    fn cone_target(
-        &self,
-        output: NetId,
-        assumptions: &[(NetId, Level)],
-    ) -> Option<(usize, &Arc<ConeAnalysis>)> {
-        let pos = self.circuit().outputs().iter().position(|&o| o == output)?;
-        let ca = self.cone(output)?;
-        let inside = assumptions.iter().all(|&(n, _)| ca.view.contains_net(n));
-        inside.then_some((pos, ca))
+    fn cone_target(&self, output: NetId, assumptions: &[(NetId, Level)]) -> Option<&Cone> {
+        let cone = self.cone(output)?;
+        let inside = assumptions.iter().all(|&(n, _)| cone.view.contains_net(n));
+        inside.then_some(cone)
     }
 
     /// The masked cone run: the whole-circuit store, with propagation
@@ -587,49 +546,74 @@ impl<'c> CheckSession<'c> {
     /// restricted to the cone. Bit-identical to [`Self::verify_sliced`] by
     /// construction — the sliced run executes the same event schedule on
     /// renumbered ids — while sharing the whole-circuit store layout, so it
-    /// serves as the identity-testing reference.
+    /// serves as the identity-testing reference. Its whole-circuit masks
+    /// are derived from the cone on every call: no production check reads
+    /// them.
     fn verify_masked(
         &self,
-        ca: &ConeAnalysis,
+        cone: &Cone,
         output: NetId,
         delta: i64,
         config: &VerifyConfig,
         assumptions: &[(NetId, Level)],
     ) -> VerifyReport {
+        let circuit = self.circuit();
+        let (view, sub) = (&cone.view, cone.view.circuit());
+        let nets: Vec<bool> = circuit.net_ids().map(|n| view.contains_net(n)).collect();
+        // A gate is in the cone iff its output net is.
+        let gates = circuit
+            .gate_ids()
+            .map(|g| nets[circuit.gate(g).output().index()])
+            .collect();
+        let inputs: Vec<NetId> = circuit
+            .inputs()
+            .iter()
+            .copied()
+            .filter(|&i| nets[i.index()])
+            .collect();
+        // Fanout stems by reader counts inside the cone.
+        let mut stems = vec![false; circuit.num_nets()];
+        for m in sub.net_ids() {
+            stems[view.net_from_sub(m).index()] = sub.net(m).is_fanout_stem();
+        }
+        let case = CaseScope {
+            depth_bound: 1 + inputs.len() + sub.num_fanout_stems(),
+            nets: nets.clone(),
+            inputs,
+            stems,
+        };
+        let stem_candidates = cone.stem_candidates();
         let start = Instant::now();
         let mut nw = self.narrower_at_base();
-        nw.set_scope(ca.scope.clone());
+        nw.set_scope(Arc::new(NarrowScope::new(gates, nets)));
         for &(net, level) in assumptions {
             let restriction = nw.domain(net).restrict_to_class(level);
             nw.narrow_net(net, restriction);
         }
         let scope = PipelineScope {
-            stem_candidates: &ca.stem_candidates,
-            case: &ca.case,
+            stem_candidates: &stem_candidates,
+            case: &case,
         };
         run_pipeline(&mut nw, self, output, delta, config, start, Some(&scope))
     }
 
-    /// The sliced cone run: delegates to the output's cached sub-session,
-    /// whose circuit is the cone renumbered densely and whose base store
-    /// is the whole-circuit base fixpoint sliced to cone nets. Every
-    /// per-check allocation and memcpy is sized to the cone. The report is
-    /// mapped back to whole-circuit terms: the output id, and a violation
-    /// vector widened over all primary inputs (out-of-cone inputs cannot
-    /// affect `output`; they take [`fill_level`] of their base domains —
-    /// the same rule the masked run applies, so vectors agree bit for
-    /// bit).
+    /// The sliced cone run: delegates to the cone's sub-session, whose
+    /// circuit is the cone renumbered densely and whose base store is the
+    /// whole-circuit base fixpoint sliced to cone nets. Every per-check
+    /// allocation and memcpy is sized to the cone. The report is mapped
+    /// back to whole-circuit terms: the output id, and a violation vector
+    /// widened over all primary inputs (out-of-cone inputs cannot affect
+    /// `output`; they take [`fill_level`] of their base domains — the same
+    /// rule the masked run applies, so vectors agree bit for bit).
     fn verify_sliced(
         &self,
-        pos: usize,
-        ca: &Arc<ConeAnalysis>,
+        cone: &Cone,
         output: NetId,
         delta: i64,
         config: &VerifyConfig,
         assumptions: &[(NetId, Level)],
     ) -> VerifyReport {
-        let session = self.cone_session(pos, ca);
-        let view = ca.view();
+        let (view, session) = (&cone.view, &cone.session);
         let sub_assumptions: Vec<(NetId, Level)> = assumptions
             .iter()
             .map(|&(n, l)| (view.net_to_sub(n).expect("assumption net in cone"), l))
@@ -641,36 +625,6 @@ impl<'c> CheckSession<'c> {
             *vector = self.widen_cone_vector(view, vector);
         }
         report
-    }
-
-    /// The cached sub-session of output cone `pos` (built on first use).
-    fn cone_session(&self, pos: usize, ca: &Arc<ConeAnalysis>) -> &Arc<CheckSession<'static>> {
-        self.cone_sessions[pos].get_or_init(|| {
-            let view = ca.view();
-            let session = CheckSession::open(
-                CircuitHandle::Shared(view.circuit().clone()),
-                self.config.clone(),
-            );
-            let _ = session.table.set(ca.table.clone());
-            // The cone's stem mask was computed on this very sub-circuit.
-            let _ = session.stem_mask.set(
-                view.nets()
-                    .iter()
-                    .map(|old| ca.stem_candidates[old.index()])
-                    .collect(),
-            );
-            // Seed the sub base by slicing the whole base fixpoint — NOT by
-            // re-running narrowing on the sub-circuit, which would lose the
-            // backward pressure out-of-cone learning constants exert on
-            // cone nets through fringe gates.
-            let domains: Vec<Signal> = view
-                .nets()
-                .iter()
-                .map(|&old| self.base_store().get(old))
-                .collect();
-            let _ = session.base.set(SignalStore::from_domains(&domains));
-            Arc::new(session)
-        })
     }
 
     /// Expands a sub-circuit violation vector (over cone inputs, sub
@@ -776,7 +730,7 @@ impl Patch<'_> {
     pub fn unaffected(&self, output: NetId) -> bool {
         self.stale()
             .is_some_and(|stale| match self.parent.cone(output) {
-                Some(ca) => !ca.view.intersects(stale),
+                Some(cone) => !cone.view.intersects(stale),
                 None => stale.is_empty(),
             })
     }
@@ -1070,11 +1024,12 @@ mod tests {
                 let inside = set_delay(gate(s), DelayInterval::fixed(17));
                 assert!(!carried_over(c, &inside).contains(&s), "{}", c.name());
                 // An edit outside it may leave it unaffected.
-                let Some(ca) = probe.cone(s) else {
+                let Some(cone) = probe.cone(s) else {
                     whole_cones += 1;
                     continue;
                 };
-                let Some(outside) = c.gate_ids().find(|&g| !ca.view.contains_gate(g)) else {
+                let in_cone = |g| cone.view.contains_net(c.gate(g).output());
+                let Some(outside) = c.gate_ids().find(|&g| !in_cone(g)) else {
                     continue;
                 };
                 let carried = carried_over(c, &set_delay(outside, DelayInterval::fixed(7)));

@@ -88,7 +88,7 @@ fn golden_line(name: &str, circuit: &Circuit) -> String {
     for &output in circuit.outputs() {
         match prepared.cone(output) {
             None => cones.word(usize::MAX),
-            Some(ca) => cone_stems += cones.mask(ca.stem_candidates()),
+            Some(ca) => cone_stems += cones.mask(&ca.stem_candidates()),
         }
     }
     format!(

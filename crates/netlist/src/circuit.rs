@@ -526,7 +526,6 @@ pub struct CircuitBuilder {
     /// Names, drivers, inputs, outputs and gates so far; the nets are
     /// connected and the gates ordered by [`CircuitBuilder::build`].
     s: Structure,
-    readers: Vec<Vec<GateId>>,
     delays: Vec<DelayInterval>,
     errors: Vec<BuildCircuitError>,
 }
@@ -550,7 +549,6 @@ impl CircuitBuilder {
         self.s.by_name.insert(name.clone(), id);
         self.s.names.push(name);
         self.s.driver.push(None);
-        self.readers.push(Vec::new());
         id
     }
 
@@ -596,9 +594,6 @@ impl CircuitBuilder {
         }
         let gid = GateId::from_index(self.delays.len());
         self.s.driver[output.index()] = Some(gid);
-        for &i in inputs {
-            self.readers[i.index()].push(gid);
-        }
         self.s.push_gate(kind, inputs.iter().copied(), output);
         self.delays.push(delay);
     }
@@ -620,7 +615,6 @@ impl CircuitBuilder {
     pub fn build(self) -> Result<Circuit, BuildCircuitError> {
         let CircuitBuilder {
             mut s,
-            readers,
             delays,
             errors,
         } = self;
@@ -640,8 +634,28 @@ impl CircuitBuilder {
                 return Err(BuildCircuitError::UndrivenNet(s.names[idx].clone()));
             }
         }
-        for (driver, readers) in std::mem::take(&mut s.driver).into_iter().zip(readers) {
-            s.connect_net(driver, readers);
+        // Each net's readers in gate order, grouped by one counting pass
+        // over the packed gate inputs (a gate reading a net twice is
+        // listed twice).
+        let mut readers = Csr {
+            off: vec![0; s.names.len() + 1],
+            items: vec![GateId::from_index(0); s.fanin.items.len()],
+        };
+        for &i in &s.fanin.items {
+            readers.off[i.index() + 1] += 1;
+        }
+        for n in 1..readers.off.len() {
+            readers.off[n] += readers.off[n - 1];
+        }
+        let mut next = readers.off.clone();
+        for g in 0..s.kind.len() {
+            for &i in s.fanin.row(g) {
+                readers.items[next[i.index()] as usize] = GateId::from_index(g);
+                next[i.index()] += 1;
+            }
+        }
+        for (n, driver) in std::mem::take(&mut s.driver).into_iter().enumerate() {
+            s.connect_net(driver, readers.row(n).iter().copied());
         }
         s.sort()
             .map_err(|n| BuildCircuitError::Cycle(s.names[n.index()].clone()))?;
@@ -886,35 +900,6 @@ impl Circuit {
         next.sort()
             .map_err(|n| EditError::Cycle(next.names[n.index()].clone()))?;
         Ok(next)
-    }
-
-    /// Extracts the fan-in cone of one output as a standalone circuit:
-    /// only the gates and nets that can influence `output` survive, and
-    /// `output` becomes the sole primary output. Net names are preserved.
-    /// This is the sub-circuit of [`ConeView::extract`](crate::ConeView),
-    /// without its id maps.
-    ///
-    /// Useful for shrinking a verification problem to the logic a single
-    /// check actually depends on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `output` is not a net of this circuit.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ltt_netlist::generators::carry_skip_adder;
-    ///
-    /// let adder = carry_skip_adder(8, 4, 10);
-    /// let s0 = adder.net_by_name("s0").unwrap();
-    /// let cone = adder.extract_cone(s0);
-    /// assert!(cone.num_gates() < adder.num_gates());
-    /// assert_eq!(cone.outputs().len(), 1);
-    /// // The cone computes the same function of its (fewer) inputs.
-    /// ```
-    pub fn extract_cone(&self, output: NetId) -> Circuit {
-        Circuit::clone(crate::ConeView::extract(self, output).circuit())
     }
 }
 

@@ -5,7 +5,7 @@
 //! whose output lies in the cone lies in the cone itself), so everything
 //! outside it is dead weight for that check. [`ConeView`] extracts the
 //! cone as a standalone [`Circuit`] with dense, renumbered ids plus the
-//! old↔new id maps, sized so per-check state (signal stores, queues,
+//! old↔new net maps, sized so per-check state (signal stores, queues,
 //! scratch) shrinks from circuit-sized to cone-sized.
 //!
 //! **Order preservation is the load-bearing invariant.** Nets, gates,
@@ -34,10 +34,6 @@ pub struct ConeView {
     net_to_sub: Vec<u32>,
     /// `net_from_sub[new.index()]` = old id.
     net_from_sub: Vec<NetId>,
-    /// `gate_to_sub[old.index()]` = new index, or `OUT`.
-    gate_to_sub: Vec<u32>,
-    /// `gate_from_sub[new.index()]` = old id.
-    gate_from_sub: Vec<GateId>,
     /// The checked output, in old ids.
     output: NetId,
 }
@@ -59,19 +55,7 @@ impl ConeView {
                 net_from_sub.push(old);
             }
         }
-        // A gate is in the cone iff its output net is; fanin-closure then
-        // guarantees all its inputs are too. Gate ids also keep relative
-        // order.
-        let mut gate_to_sub = vec![OUT; circuit.num_gates()];
-        let mut gate_from_sub = Vec::new();
-        for old in circuit.gate_ids() {
-            if in_cone[circuit.gate(old).output().index()] {
-                gate_to_sub[old.index()] = u32::try_from(gate_from_sub.len()).expect("cone size");
-                gate_from_sub.push(old);
-            }
-        }
         let map_net = |n: NetId| NetId::from_index(net_to_sub[n.index()] as usize);
-        let map_gate = |g: GateId| GateId::from_index(gate_to_sub[g.index()] as usize);
 
         let mut names = Vec::with_capacity(net_from_sub.len());
         let mut by_name = HashMap::with_capacity(net_from_sub.len());
@@ -93,36 +77,42 @@ impl ConeView {
             inputs,
             vec![map_net(output)],
         );
-        let mut delays = Vec::with_capacity(gate_from_sub.len());
-        for &old in &gate_from_sub {
+        // A gate is in the cone iff its output net is; fanin-closure then
+        // guarantees all its inputs are too. Gate ids also keep relative
+        // order.
+        let mut cone_gate = vec![OUT; circuit.num_gates()];
+        let mut delays = Vec::new();
+        for old in circuit.gate_ids() {
             let gate = circuit.gate(old);
-            let inputs = gate.inputs().iter().map(|&n| map_net(n));
-            sub.push_gate(gate.kind(), inputs, map_net(gate.output()));
-            delays.push(gate.delay());
+            if in_cone[gate.output().index()] {
+                cone_gate[old.index()] = u32::try_from(delays.len()).expect("cone size");
+                let inputs = gate.inputs().iter().map(|&n| map_net(n));
+                sub.push_gate(gate.kind(), inputs, map_net(gate.output()));
+                delays.push(gate.delay());
+            }
         }
+        let map_gate = |g: GateId| match cone_gate[g.index()] {
+            OUT => None,
+            new => Some(GateId::from_index(new as usize)),
+        };
         for &old in &net_from_sub {
             let net = circuit.net(old);
             // Readers: filter to cone gates, preserving order.
-            let readers = net
-                .readers()
-                .iter()
-                .filter(|r| gate_to_sub[r.index()] != OUT);
-            sub.connect_net(net.driver().map(map_gate), readers.map(|&r| map_gate(r)));
+            let readers = net.readers().iter().copied().filter_map(map_gate);
+            sub.connect_net(net.driver().and_then(map_gate), readers);
         }
         sub.set_order(
             circuit
                 .topo_gates()
                 .iter()
-                .filter(|g| gate_to_sub[g.index()] != OUT)
-                .map(|&g| map_gate(g))
+                .copied()
+                .filter_map(map_gate)
                 .collect(),
         );
         ConeView {
             sub: Arc::new(sub.into_circuit(delays)),
             net_to_sub,
             net_from_sub,
-            gate_to_sub,
-            gate_from_sub,
             output,
         }
     }
@@ -157,29 +147,14 @@ impl ConeView {
         self.net_from_sub[new.index()]
     }
 
-    /// Maps a parent-circuit gate into the cone, if it lies inside.
-    #[inline]
-    pub fn gate_to_sub(&self, old: GateId) -> Option<GateId> {
-        match self.gate_to_sub[old.index()] {
-            OUT => None,
-            new => Some(GateId::from_index(new as usize)),
-        }
-    }
-
-    /// Maps a cone gate back to its parent-circuit id.
-    #[inline]
-    pub fn gate_from_sub(&self, new: GateId) -> GateId {
-        self.gate_from_sub[new.index()]
-    }
-
     /// The cone nets, in parent ids, in parent (= cone) order.
     pub fn nets(&self) -> &[NetId] {
         &self.net_from_sub
     }
 
-    /// The cone gates, in parent ids, in parent (= cone) order.
-    pub fn gates(&self) -> &[GateId] {
-        &self.gate_from_sub
+    /// The number of nets of the parent circuit.
+    pub fn num_parent_nets(&self) -> usize {
+        self.net_to_sub.len()
     }
 
     /// Whether a parent net lies in the cone.
@@ -188,17 +163,10 @@ impl ConeView {
         self.net_to_sub[old.index()] != OUT
     }
 
-    /// Whether a parent gate lies in the cone.
-    #[inline]
-    pub fn contains_gate(&self, old: GateId) -> bool {
-        self.gate_to_sub[old.index()] != OUT
-    }
-
     /// Whether the cone covers the entire parent circuit (slicing then
     /// buys nothing; callers may fall back to the whole-circuit path).
     pub fn is_complete(&self) -> bool {
         self.net_from_sub.len() == self.net_to_sub.len()
-            && self.gate_from_sub.len() == self.gate_to_sub.len()
     }
 
     /// Whether any of `dirty` (parent ids, sorted or not) lies in the cone
@@ -213,6 +181,18 @@ mod tests {
     use super::*;
     use crate::generators::{carry_skip_adder, figure1, random_circuit, RandomCircuitConfig};
     use crate::{Circuit, CircuitBuilder, DelayInterval, GateKind};
+
+    /// The cone gate of parent gate `old`: the driver of its output net.
+    fn cone_gate(view: &ConeView, c: &Circuit, old: GateId) -> Option<GateId> {
+        let out = view.net_to_sub(c.gate(old).output())?;
+        view.circuit().net(out).driver()
+    }
+
+    /// The parent gate of cone gate `new`: the driver of its output net.
+    fn parent_gate(view: &ConeView, c: &Circuit, new: GateId) -> GateId {
+        let out = view.net_from_sub(view.circuit().gate(new).output());
+        c.net(out).driver().expect("a cone gate's output is driven")
+    }
 
     fn random_dag(num_gates: usize, num_outputs: usize, seed: u64) -> Circuit {
         random_circuit(&RandomCircuitConfig {
@@ -248,8 +228,8 @@ mod tests {
             assert_eq!(sub.net(new).name(), adder.net(old).name());
         }
         for new in sub.gate_ids() {
-            let old = view.gate_from_sub(new);
-            assert_eq!(view.gate_to_sub(old), Some(new));
+            let old = parent_gate(&view, &adder, new);
+            assert_eq!(cone_gate(&view, &adder, old), Some(new));
             assert_eq!(sub.gate(new).kind(), adder.gate(old).kind());
             assert_eq!(sub.gate(new).delay(), adder.gate(old).delay());
         }
@@ -260,7 +240,7 @@ mod tests {
                 .net(old)
                 .readers()
                 .iter()
-                .filter_map(|&r| view.gate_to_sub(r))
+                .filter_map(|&r| cone_gate(&view, &adder, r))
                 .collect();
             assert_eq!(sub.net(new).readers(), expect.as_slice());
         }
@@ -291,8 +271,6 @@ mod tests {
             assert_eq!(view.circuit().num_nets(), nets, "net count");
             assert_eq!(view.circuit().num_gates(), gates.count());
             assert_eq!(view.circuit().inputs().len(), inputs.count());
-            let extracted = c.extract_cone(s);
-            assert_eq!(extracted.topo_gates(), view.circuit().topo_gates());
         }
     }
 
@@ -307,7 +285,7 @@ mod tests {
         let back: Vec<GateId> = sub
             .topo_gates()
             .iter()
-            .map(|&g| view.gate_from_sub(g))
+            .map(|&g| parent_gate(&view, &c, g))
             .collect();
         let parent: Vec<GateId> = c.topo_gates().to_vec();
         let mut it = parent.iter();

@@ -471,7 +471,11 @@ mod tests {
         for &o in c.outputs() {
             let view = crate::ConeView::extract(&c, o);
             assert!(!view.is_complete(), "each cone is a strict subset");
-            assert_eq!(view.gates().len(), per_chain, "each cone is one chain");
+            assert_eq!(
+                view.circuit().num_gates(),
+                per_chain,
+                "each cone is one chain"
+            );
         }
     }
 

@@ -802,12 +802,14 @@ mod tests {
 #[cfg(test)]
 mod cone_tests {
     use crate::generators::figure1;
+    use crate::ConeView;
 
     #[test]
     fn figure1_cone_is_whole_circuit() {
         let c = figure1(10);
         let s = c.outputs()[0];
-        let cone = c.extract_cone(s);
+        let view = ConeView::extract(&c, s);
+        let cone = view.circuit();
         assert_eq!(cone.num_gates(), c.num_gates());
         assert_eq!(cone.inputs().len(), c.inputs().len());
         assert_eq!(cone.topological_delay(), c.topological_delay());
@@ -818,7 +820,8 @@ mod cone_tests {
         let spec = super::standin_specs()[0];
         let c = super::standin(&spec, 10);
         let s = c.net_by_name("s").unwrap();
-        let cone = c.extract_cone(s);
+        let view = ConeView::extract(&c, s);
+        let cone = view.circuit();
         assert!(cone.num_gates() < c.num_gates());
         assert_eq!(cone.topological_delay(), c.topological_delay());
         // Function is preserved on shared inputs: spot check by evaluating

@@ -956,6 +956,11 @@ fn forward_with_retry(
     let mut attempts = 0u64;
     for round in 0..=config.max_retries {
         if round > 0 {
+            if svc.draining() {
+                // Draining: stop the backoff dance after the current
+                // sweep so shutdown is not held up by a dead backend.
+                break;
+            }
             // Exponential backoff with jitter in [base/2, backoff): the
             // deterministic xorshift stream keeps the serve tier free of
             // clock- or PRNG-dependent behavior differences under test.
@@ -994,11 +999,6 @@ fn forward_with_retry(
                         .failovers_total
                         .fetch_add(1, Ordering::Relaxed);
                 }
-            }
-            if svc.draining() && round > 0 {
-                // Draining: stop the backoff dance after the current
-                // sweep so shutdown is not held up by a dead backend.
-                break;
             }
         }
     }
@@ -1312,6 +1312,28 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// A draining router finishes its current sweep and then gives up:
+    /// no backoff sleep, no further round.
+    #[test]
+    fn draining_router_stops_after_one_sweep() {
+        // Two loopback ports nobody listens on: every connect is refused.
+        let refused: Vec<String> = (0..2)
+            .map(|_| {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                listener.local_addr().unwrap().to_string()
+            })
+            .collect();
+        let addrs: Vec<&str> = refused.iter().map(String::as_str).collect();
+        let svc = Service::new(test_shared(&addrs), String::new(), 16, 1 << 16);
+        svc.begin_drain();
+        let line = r#"{"op":"check","circuit":"c17","delta":31}"#;
+        let (reply, _) = forward_with_retry(&svc, line, "c17", "c17", None);
+        assert!(reply.contains("\"unavailable\""), "{reply}");
+        let counters = &svc.tier.counters;
+        assert_eq!(counters.failovers_total.load(Ordering::Relaxed), 2);
+        assert_eq!(counters.retries_total.load(Ordering::Relaxed), 1);
     }
 
     #[test]
