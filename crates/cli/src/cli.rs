@@ -756,13 +756,14 @@ fn cmd_check(a: &Args) -> Result<RunStatus, Error> {
         s.skipped
     );
     outln!(
-        "  effort: {} events, {} backtracks · stage ms: narrowing {:.2}, dominators {:.2}, stems {:.2}, search {:.2}",
+        "  effort: {} events, {} backtracks · stage ms: narrowing {:.2}, dominators {:.2}, stems {:.2}, search {:.2}, sat {:.2}",
         s.stage_effort.total().events,
         batch.backtracks(),
         s.stage_wall.narrowing.as_secs_f64() * 1e3,
         s.stage_wall.dominators.as_secs_f64() * 1e3,
         s.stage_wall.stems.as_secs_f64() * 1e3,
-        s.stage_wall.case_analysis.as_secs_f64() * 1e3
+        s.stage_wall.case_analysis.as_secs_f64() * 1e3,
+        s.stage_wall.sat.as_secs_f64() * 1e3
     );
     write_trace(a, recorder.as_deref())?;
     let status = RunStatus::from(batch.outcome());

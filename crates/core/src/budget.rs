@@ -72,6 +72,19 @@ pub enum TripReason {
     GridTooLarge,
 }
 
+impl TripReason {
+    /// Stable lowercase name (the wire's `trip_reason`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            TripReason::Deadline => "deadline",
+            TripReason::Cancelled => "cancelled",
+            TripReason::Events => "events",
+            TripReason::Backtracks => "backtracks",
+            TripReason::GridTooLarge => "gridtoolarge",
+        }
+    }
+}
+
 impl std::fmt::Display for TripReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -316,6 +329,22 @@ impl ArmedBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The wire spells each reason by [`TripReason::name`]; renaming a
+    /// variant must not change it.
+    #[test]
+    fn trip_reason_names_are_stable() {
+        let names = [
+            (TripReason::Deadline, "deadline"),
+            (TripReason::Cancelled, "cancelled"),
+            (TripReason::Events, "events"),
+            (TripReason::Backtracks, "backtracks"),
+            (TripReason::GridTooLarge, "gridtoolarge"),
+        ];
+        for (reason, name) in names {
+            assert_eq!(reason.name(), name);
+        }
+    }
 
     #[test]
     fn unlimited_budget_never_trips() {

@@ -24,8 +24,8 @@
 
 use crate::budget::Budget;
 use crate::check::{
-    refuted_at_base, run_pipeline, DelayMode, DelaySearch, Engine, LearningMode, PipelineScope,
-    Verdict, VerifyConfig, VerifyReport,
+    one_stage_check, run_pipeline, DelayMode, DelaySearch, Engine, LearningMode, PipelineScope,
+    Stage, StageEnd, Verdict, VerifyConfig, VerifyReport,
 };
 use crate::domain::SignalStore;
 use crate::encode::{settle_bounds, SettleBounds};
@@ -497,8 +497,7 @@ impl<'c> CheckSession<'c> {
         let violation = Signal::violation(Time::new(delta));
         let misses = base.get(output).intersect(violation).is_empty();
         if route == Route::Cone && (base.has_contradiction() || misses) {
-            let name = self.circuit().net(output).name();
-            return refuted_at_base(output, name, delta, config);
+            return one_stage_check(self, output, delta, Stage::Narrowing, |_| StageEnd::Refuted);
         }
         if route != Route::Whole {
             if let Some(cone) = self.cone_target(output, assumptions) {

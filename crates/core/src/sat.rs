@@ -62,27 +62,13 @@ pub(crate) fn decide(
     bounds: Option<SettleBounds>,
     budget: &Budget,
 ) -> SatCheck {
-    match encode(circuit, output, delta, bounds, &mut budget.arm()) {
-        Err(EncodeError::Budget(reason)) => SatCheck {
-            verdict: SatVerdict::Unknown(reason),
-            stats: CdclStats::default(),
-        },
-        Err(EncodeError::GridTooLarge { .. }) => SatCheck {
-            verdict: SatVerdict::Unknown(TripReason::GridTooLarge),
-            stats: CdclStats::default(),
-        },
-        Ok(Encoded::AlwaysViolated) => SatCheck {
-            verdict: SatVerdict::Violated(vec![false; circuit.inputs().len()]),
-            stats: CdclStats::default(),
-        },
-        Ok(Encoded::NeverViolated) => SatCheck {
-            verdict: SatVerdict::Safe,
-            stats: CdclStats::default(),
-        },
+    let verdict = match encode(circuit, output, delta, bounds, &mut budget.arm()) {
+        Err(EncodeError::Budget(reason)) => SatVerdict::Unknown(reason),
+        Err(EncodeError::GridTooLarge { .. }) => SatVerdict::Unknown(TripReason::GridTooLarge),
+        Ok(Encoded::AlwaysViolated) => SatVerdict::Violated(vec![false; circuit.inputs().len()]),
+        Ok(Encoded::NeverViolated) => SatVerdict::Safe,
         Ok(Encoded::Cnf(mut cnf)) => {
-            let result = cnf.solver.solve(budget);
-            let stats = cnf.solver.stats;
-            let verdict = match result {
+            let verdict = match cnf.solver.solve(budget) {
                 SatResult::Sat(model) => {
                     let witness = cnf.witness(&model);
                     if vector_violates(circuit, &witness, output, delta) {
@@ -95,9 +81,13 @@ pub(crate) fn decide(
                 SatResult::Unsat => SatVerdict::Safe,
                 SatResult::Unknown(reason) => SatVerdict::Unknown(reason),
             };
-            SatCheck { verdict, stats }
+            let stats = cnf.solver.stats;
+            return SatCheck { verdict, stats };
         }
-    }
+    };
+    // Decided (or cut short) without a solver run.
+    let stats = CdclStats::default();
+    SatCheck { verdict, stats }
 }
 
 #[cfg(test)]

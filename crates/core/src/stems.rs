@@ -32,6 +32,17 @@ pub struct StemStats {
     pub dead_branches: u64,
 }
 
+impl StemStats {
+    /// Per-field saturating sum (aggregation must never panic).
+    pub fn saturating_add(&self, other: &StemStats) -> StemStats {
+        StemStats {
+            stems: self.stems.saturating_add(other.stems),
+            effective_stems: self.effective_stems.saturating_add(other.effective_stems),
+            dead_branches: self.dead_branches.saturating_add(other.dead_branches),
+        }
+    }
+}
+
 /// Selects the correlation candidates: reconvergent fanout stems that are
 /// dynamic carriers of the check (the paper's selection rule), ordered by
 /// decreasing dynamic distance (stems furthest from the output first, so

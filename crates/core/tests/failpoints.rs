@@ -1,7 +1,8 @@
 //! Fault-injection tests (run with `--features failpoints`): the batch
-//! runner's panic isolation, the wall-clock deadline path, and the SAT
-//! backend's budget-trip soundness, exercised by real injected faults
-//! rather than hand-mocked ones.
+//! runner's panic isolation, the wall-clock deadline path (at a narrowing
+//! stage and at the SAT stage), and the SAT backend's budget-trip
+//! soundness, exercised by real injected faults rather than hand-mocked
+//! ones.
 //!
 //! The failpoint registry is process-global, so every test takes the
 //! shared lock and disarms the registry when done.
@@ -197,6 +198,80 @@ fn stalled_stage_hits_the_deadline_and_degrades() {
         assert!(!r.completeness.is_exact());
     }
     assert!(batch.wall < Duration::from_secs(5), "took {:?}", batch.wall);
+}
+
+// The SAT stage's own site, `check::sat`: every SAT check runs as stage
+// 5 through the same step as the narrowing stages, so a fault there is
+// isolated to its slot and a stall there counts against the budget.
+
+#[test]
+fn panic_on_the_sat_stage_fails_only_its_slot() {
+    let _g = registry_lock();
+    clear_all();
+    let c = multi_output_circuit();
+    let session = engine_session(&c, Engine::Sat);
+    let checks: Vec<(NetId, i64)> = c.outputs().iter().map(|&o| (o, 31)).collect();
+    let victim = c.outputs()[2];
+    let baseline = BatchRunner::serial().run(&session, &checks);
+    assert!(baseline.errors.is_empty());
+    let kept: Vec<_> = baseline
+        .reports
+        .iter()
+        .filter(|r| r.output != victim)
+        .map(fingerprint)
+        .collect();
+
+    set(
+        "check::sat",
+        Some(c.net(victim).name()),
+        FailAction::Panic("injected fault".into()),
+    );
+    for jobs in [1, 2] {
+        let batch = BatchRunner::new(jobs).run(&session, &checks);
+        assert_eq!(batch.errors.len(), 1, "jobs={jobs}");
+        assert_eq!(batch.errors[0].index, 2);
+        assert_eq!(batch.errors[0].output, victim);
+        match &batch.errors[0].error {
+            CheckError::Panicked { message } => {
+                assert!(message.contains("injected fault"), "got: {message}")
+            }
+            other => panic!("expected a captured panic, got {other:?}"),
+        }
+        let got: Vec<_> = batch.reports.iter().map(fingerprint).collect();
+        assert_eq!(got, kept, "jobs={jobs}");
+    }
+    clear_all();
+}
+
+#[test]
+fn stalled_sat_stage_hits_the_deadline_and_degrades() {
+    let _g = registry_lock();
+    clear_all();
+    let circuit = figure1(10);
+    let output = circuit.outputs()[0];
+    let exact = figure1_exact_delay(&circuit);
+    set(
+        "check::sat",
+        None,
+        FailAction::Stall(Duration::from_millis(30)),
+    );
+    let sat = engine_session(&circuit, Engine::Sat);
+    let runner = BatchRunner::serial().with_deadline(Duration::from_millis(10));
+    let batch = runner.run(&sat, &[(output, exact)]);
+    clear_all();
+    assert!(batch.errors.is_empty(), "stalls must not become errors");
+    let report = &batch.reports[0];
+    assert_eq!(report.verdict, Verdict::Abandoned);
+    assert_eq!(
+        report.completeness,
+        Completeness::BudgetExhausted {
+            stage: Stage::Sat,
+            reason: TripReason::Deadline,
+        }
+    );
+    // The stall ran inside the SAT stage's clock.
+    assert!(report.stage_times.sat >= Duration::from_millis(30));
+    assert_eq!(report.stage_times.total(), report.elapsed);
 }
 
 // SAT budget-trip soundness: a stall armed on `sat::propagate` forces

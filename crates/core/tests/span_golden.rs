@@ -1,7 +1,8 @@
 //! Golden span surface: every span one traced serial session records for
 //! a check that settles at each stage of the Fig. 4 pipeline, one check
-//! the base fixpoint refutes before any cone is built, and one
-//! backtrack-capped trip. Each line pins a span's name, category and
+//! the base fixpoint refutes before any cone is built, one
+//! backtrack-capped trip, one SAT check, and the same capped trip on the
+//! hybrid engine, which hands it to SAT. Each line pins a span's name, category and
 //! `(key, value)` arguments in recording order; start time, duration and
 //! thread id are dropped. The `prepare.*` spans are included: trace
 //! consumers read both families by name.
@@ -12,7 +13,7 @@
 //! cargo test -p ltt-core --test span_golden bless -- --ignored
 //! ```
 
-use ltt_core::{CheckSession, Obs, Recorder, VerifyConfig};
+use ltt_core::{CheckSession, Engine, Obs, Recorder, VerifyConfig};
 use ltt_netlist::generators::{figure1, forked_false_path_chain, stem_conflict_circuit};
 use ltt_netlist::suite::iscas85_suite;
 use ltt_netlist::{Circuit, NetId};
@@ -24,9 +25,23 @@ const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/spans.tx
 /// The spans of one check `(output, δ)` on a fresh traced session, one
 /// `label\tname cat key=value…` line each.
 fn traced(out: &mut String, label: &str, circuit: &Circuit, output: NetId, delta: i64, cap: u64) {
+    traced_on(out, label, circuit, output, delta, cap, Engine::Narrow);
+}
+
+/// [`traced`] on `engine`.
+fn traced_on(
+    out: &mut String,
+    label: &str,
+    circuit: &Circuit,
+    output: NetId,
+    delta: i64,
+    cap: u64,
+    engine: Engine,
+) {
     let recorder = Arc::new(Recorder::new());
     let config = VerifyConfig {
         max_backtracks: cap,
+        engine,
         obs: Obs::recording(recorder.clone()),
         ..Default::default()
     };
@@ -62,6 +77,18 @@ fn transcript() -> String {
     traced(&mut out, "stems 111", &stems, s, 111, default_cap);
     let s = s432.net_by_name("s").expect("s432 output s");
     traced(&mut out, "s432 capped", &s432, s, 190, 0);
+    let s = fig1.outputs()[0];
+    traced_on(
+        &mut out,
+        "figure1 60 sat",
+        &fig1,
+        s,
+        60,
+        default_cap,
+        Engine::Sat,
+    );
+    let s = s432.net_by_name("s").expect("s432 output s");
+    traced_on(&mut out, "s432 hybrid", &s432, s, 190, 0, Engine::Hybrid);
     out
 }
 

@@ -586,30 +586,20 @@ pub fn report_json(report: &VerifyReport, output_name: &str) -> Json {
         Completeness::BudgetExhausted { stage, reason } => {
             fields.push(("exact", Json::Bool(false)));
             fields.push(("tripped_stage", Json::str(stage.name())));
-            fields.push((
-                "trip_reason",
-                Json::str(format!("{reason:?}").to_lowercase()),
-            ));
+            fields.push(("trip_reason", Json::str(reason.name())));
         }
     }
     fields.push(("backtracks", int_u64(report.backtracks())));
     fields.push(("elapsed_us", int_u64(micros_u64(report.elapsed))));
+    let (t, us) = (&report.stage_times, |d| int_u64(micros_u64(d)));
     fields.push((
         "stage_us",
         Json::obj([
-            (
-                "narrowing",
-                int_u64(micros_u64(report.stage_times.narrowing)),
-            ),
-            (
-                "dominators",
-                int_u64(micros_u64(report.stage_times.dominators)),
-            ),
-            ("stems", int_u64(micros_u64(report.stage_times.stems))),
-            (
-                "case_analysis",
-                int_u64(micros_u64(report.stage_times.case_analysis)),
-            ),
+            ("narrowing", us(t.narrowing)),
+            ("dominators", us(t.dominators)),
+            ("stems", us(t.stems)),
+            ("case_analysis", us(t.case_analysis)),
+            ("sat", us(t.sat)),
         ]),
     ));
     Json::obj(fields)

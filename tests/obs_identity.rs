@@ -1,12 +1,13 @@
 //! Observability must be a pure observer: running the pipeline with a
 //! recording [`Obs`] handle attached produces **bit-identical** reports to
 //! an uninstrumented run — same verdicts, same witness vectors, same
-//! per-stage effort counters — at any worker count. Only wall-clock
-//! timings are exempt (and those live outside the compared fingerprint).
+//! per-stage effort counters, same CDCL counters — at any worker count, on
+//! every engine. Only wall-clock timings are exempt (and those live
+//! outside the compared fingerprint).
 
 use ltt_core::{
-    BatchRunner, CaseStats, CheckSession, Obs, Recorder, SolverStats, StageEffort, StemStats,
-    Verdict, VerifyConfig, VerifyReport,
+    BatchRunner, CaseStats, CdclStats, CheckSession, Engine, Obs, Recorder, SolverStats,
+    StageEffort, StemStats, Verdict, VerifyConfig, VerifyReport,
 };
 use ltt_netlist::generators::{carry_skip_adder, figure1, stem_conflict_circuit};
 use ltt_netlist::suite::c17;
@@ -16,8 +17,13 @@ use std::sync::Arc;
 /// A bounded config so debug-build case analysis stays fast; abandoned
 /// verdicts must be identical under instrumentation too.
 fn config(obs: Obs) -> VerifyConfig {
+    engine_config(Engine::Narrow, obs)
+}
+
+fn engine_config(engine: Engine, obs: Obs) -> VerifyConfig {
     VerifyConfig {
         max_backtracks: 2_000,
+        engine,
         obs,
         ..Default::default()
     }
@@ -33,6 +39,7 @@ type Fingerprint = (
     StemStats,
     CaseStats,
     StageEffort,
+    CdclStats,
 );
 
 fn fingerprint(r: &VerifyReport) -> Fingerprint {
@@ -45,6 +52,7 @@ fn fingerprint(r: &VerifyReport) -> Fingerprint {
         r.stems,
         r.case,
         r.effort,
+        r.sat,
     )
 }
 
@@ -67,41 +75,59 @@ fn recording_changes_no_report_at_any_job_count() {
         stem_conflict_circuit(10, 10),
         carry_skip_adder(8, 4, 10),
     ] {
-        let checks = probe_checks(&circuit);
-        let quiet_session = CheckSession::new(&circuit, config(Obs::disabled()));
-        let quiet = BatchRunner::new(1).run(&quiet_session, &checks);
-        let quiet_prints: Vec<Fingerprint> = quiet.reports.iter().map(fingerprint).collect();
+        for engine in [Engine::Narrow, Engine::Sat, Engine::Hybrid] {
+            recording_changes_no_report(&circuit, engine);
+        }
+    }
+}
 
-        for jobs in [1, 4] {
-            let recorder = Arc::new(Recorder::new());
-            let session = CheckSession::new(&circuit, config(Obs::recording(recorder.clone())));
-            let traced = BatchRunner::new(jobs).run(&session, &checks);
-            let traced_prints: Vec<Fingerprint> = traced.reports.iter().map(fingerprint).collect();
-            assert_eq!(
-                quiet_prints, traced_prints,
-                "instrumented reports diverged at jobs={jobs}"
-            );
-            // The batch-level Table 1 effort breakdown is part of the
-            // contract too (it is summed from the same integer counters).
-            assert_eq!(
-                quiet.summary.stage_effort, traced.summary.stage_effort,
-                "stage_effort diverged at jobs={jobs}"
-            );
-            // And the run was actually observed: every check contributes
-            // its four stage spans (prepare-time spans come on top).
+fn recording_changes_no_report(circuit: &Circuit, engine: Engine) {
+    let checks = probe_checks(circuit);
+    let quiet_session = CheckSession::new(circuit, engine_config(engine, Obs::disabled()));
+    let quiet = BatchRunner::new(1).run(&quiet_session, &checks);
+    let quiet_prints: Vec<Fingerprint> = quiet.reports.iter().map(fingerprint).collect();
+    let at = |jobs| format!("{} {} jobs={jobs}", circuit.name(), engine.name());
+
+    for jobs in [1, 4] {
+        let recorder = Arc::new(Recorder::new());
+        let config = engine_config(engine, Obs::recording(recorder.clone()));
+        let session = CheckSession::new(circuit, config);
+        let traced = BatchRunner::new(jobs).run(&session, &checks);
+        let traced_prints: Vec<Fingerprint> = traced.reports.iter().map(fingerprint).collect();
+        assert_eq!(
+            quiet_prints,
+            traced_prints,
+            "instrumented reports diverged at {}",
+            at(jobs)
+        );
+        // The batch-level Table 1 effort breakdown is part of the
+        // contract too (it is summed from the same integer counters).
+        assert_eq!(
+            quiet.summary.stage_effort,
+            traced.summary.stage_effort,
+            "stage_effort diverged at {}",
+            at(jobs)
+        );
+        assert_eq!(quiet.summary.sat, traced.summary.sat, "sat at {}", at(jobs));
+        // And the run was actually observed: every check contributes at
+        // least one stage span (prepare-time spans come on top).
+        assert!(
+            recorder.len() >= checks.len(),
+            "only {} spans for {} checks",
+            recorder.len(),
+            checks.len()
+        );
+        let spans = recorder.spans();
+        let stages: &[&str] = match engine {
+            Engine::Sat => &["check.sat"],
+            _ => &["check.narrowing", "check.dominators"],
+        };
+        for stage in stages {
             assert!(
-                recorder.len() >= checks.len(),
-                "only {} spans for {} checks",
-                recorder.len(),
-                checks.len()
+                spans.iter().any(|s| s.name == *stage),
+                "no {stage} span recorded at {}",
+                at(jobs)
             );
-            let spans = recorder.spans();
-            for stage in ["check.narrowing", "check.dominators"] {
-                assert!(
-                    spans.iter().any(|s| s.name == stage),
-                    "no {stage} span recorded at jobs={jobs}"
-                );
-            }
         }
     }
 }
